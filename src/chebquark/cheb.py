@@ -16,7 +16,7 @@ obtained by three-term recurrences that stay bounded on [-1, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -60,22 +60,6 @@ def chebyshev_T(n, t):
     return out if out.ndim else float(out)
 
 
-def chebyshev_U(n, t):
-    """Second-kind Chebyshev polynomial U_n(t) by recurrence (n >= -1)."""
-    t = np.asarray(t, dtype=float)
-    if n < 0:
-        out = np.zeros_like(t)
-    elif n == 0:
-        out = np.ones_like(t)
-    else:
-        ukm1 = np.ones_like(t)
-        uk = 2.0 * t
-        for _ in range(2, n + 1):
-            ukm1, uk = uk, 2.0 * t * uk - ukm1
-        out = uk
-    return out if out.ndim else float(out)
-
-
 def _plain_moments(nmax):
     """Moments mu_n = int_{-1}^{1} T_n(t) dt for n = 0..nmax-1."""
     n = np.arange(nmax)
@@ -107,6 +91,8 @@ class ChebGrid:
         self._mu = _plain_moments(self.N)
         self._plain_weights = None
         self._diff_matrix = None
+        self._pv_table = None
+        self._log_table = None
 
     @property
     def plain_weights(self):
@@ -128,6 +114,24 @@ class ChebGrid:
             D.setflags(write=False)
             self._diff_matrix = D
         return self._diff_matrix
+
+    @property
+    def pv_table(self):
+        """PV weights at every node, W[i, j] = omega_j(t_i) (see pv_weight_table)."""
+        if self._pv_table is None:
+            W = pv_weight_table(self)
+            W.setflags(write=False)
+            self._pv_table = W
+        return self._pv_table
+
+    @property
+    def log_table(self):
+        """Log weights at every node, W[i, j] = Omega_j(t_i) (see log_weight_table)."""
+        if self._log_table is None:
+            W = log_weight_table(self)
+            W.setflags(write=False)
+            self._log_table = W
+        return self._log_table
 
     def __repr__(self):
         return f"ChebGrid(N={self.N})"

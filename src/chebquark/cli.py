@@ -20,6 +20,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -91,11 +92,21 @@ def _parse_int_list(text, name):
     return values
 
 
+def _parse_int(text, name):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"field {name!r} must be an integer, got {text!r}")
+
+
 def _parse_float(text, name):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"field {name!r} must be a number, got {text!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field {name!r} must be finite, got {text!r}")
+    return value
 
 
 def parse_config(text):
@@ -150,7 +161,7 @@ def build_config(raw):
     if "ell" in raw:
         cfg.ell = _parse_int_list(raw["ell"], "ell")
     if "levels" in raw:
-        cfg.levels = int(_parse_float(raw["levels"], "levels"))
+        cfg.levels = _parse_int(raw["levels"], "levels")
     if "N" in raw:
         cfg.N = _parse_int_list(raw["N"], "N")
     if "sigma" in raw:
@@ -164,7 +175,7 @@ def build_config(raw):
     if "out" in raw:
         cfg.out = raw["out"]
     if "table" in raw:
-        cfg.table = int(_parse_float(raw["table"], "table"))
+        cfg.table = _parse_int(raw["table"], "table")
 
     _validate(cfg)
     return cfg
@@ -307,7 +318,8 @@ def _run_scan(cfg):
                     continue
                 report.rows.append(_row(ell, n, N, cfg.sigma, eps,
                                         None if cfg.scales is None
-                                        else cfg.scales.mass_gev(eps), 0.0, 0.0))
+                                        else cfg.scales.mass_gev(eps),
+                                        scan["residual"][k, n], scan["imag"][k, n]))
         diffs[str(ell)] = [[None if np.isnan(d) else float(d) for d in row]
                            for row in scan["diffs"]]
     report.extra["successive_differences"] = diffs

@@ -18,7 +18,7 @@ coefficient is s = 1/(2 mu a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -135,18 +135,6 @@ class PotentialParams:
 
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense real non-symmetric Hamiltonian with its provenance."""
-
-    matrix: np.ndarray
-    N: int
-    sigma: float
-    ell: int
-    params: PotentialParams
-    mapping: Mapping
-
-
-@dataclass(frozen=True)
 class BoundLevel:
     """One accepted bound level: quantum numbers, energy and mesh values."""
 
@@ -214,8 +202,8 @@ def assemble_potential(params, grid, mapping):
     smooth = (x[None, :] + x[:, None]) * np.abs(dt / dx)
     np.fill_diagonal(smooth, 2.0 * x / J)
 
-    omega_log = cheb.log_weight_table(grid)    # Omega_j(t_i)
-    omega_pv = cheb.pv_weight_table(grid)      # omega_j(t_i)
+    omega_log = grid.log_table    # Omega_j(t_i)
+    omega_pv = grid.pv_table      # omega_j(t_i)
 
     logw = (w[None, :] * np.log(smooth) - omega_log) * J[None, :]
     regw = w * J
@@ -260,11 +248,7 @@ def assemble_hamiltonian(V, params, grid, mapping):
     if V.shape != (grid.N, grid.N):
         raise ValueError("potential matrix does not match the grid order")
     x = mapping.x_of(grid.nodes)
-    H = V + np.diag(kinetic_diagonal(params, x))
-    return HamiltonianMatrix(
-        matrix=H, N=grid.N, sigma=mapping.sigma, ell=params.ell,
-        params=params, mapping=mapping,
-    )
+    return V + np.diag(kinetic_diagonal(params, x))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +259,8 @@ def solve_spectrum(H):
 
     Uses the LAPACK non-symmetric QR driver; deterministic for fixed input.
     """
-    mat = H.matrix if isinstance(H, HamiltonianMatrix) else np.asarray(H)
     try:
-        evals, evecs = scipy.linalg.eig(mat, check_finite=True)
+        evals, evecs = scipy.linalg.eig(H, check_finite=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise RuntimeError(f"eigenvalue solver failed to converge: {exc}") from exc
     return evals, evecs
@@ -304,41 +287,45 @@ def spectrum_floor(params):
     return floor - 1e-6 * max(1.0, abs(floor))
 
 
-def select_bound_states(eigenpairs, params, grid, mapping, count):
-    """Filter, sort, index, and normalize the physical bound levels.
+def select_bound_states(eigenpairs, H, params, grid, mapping, count):
+    """The lowest `count` physical bound levels, indexed and normalized.
 
-    Three filters are applied.  (1) The imaginary part must be negligible
-    against the real part.  (2) The real part must lie above the variational
-    floor of the physical spectrum.  (3) The quadrature density
+    `H` is the matrix the eigenpairs were computed from.  Eigenpairs are
+    visited in stable ascending order of real part, and the first `count`
+    that pass four filters are accepted.  (1) The imaginary part must be
+    negligible against the real part.  (2) The real part must lie above the
+    variational floor of the physical spectrum.  (3) The quadrature density
     w_j J_j x_j^2 |phi_j|^2 must not be concentrated on the extreme mesh
     points: discretizing the continuum produces corner modes pinned to the
     largest or smallest momenta, while genuine bound states decay at both
-    ends.  Survivors are sorted by real part, indexed n = 0, 1, ... and
-    normalized to unit momentum-space norm int |phi|^2 x^2 dx = 1 under the
-    mapped plain rule.  The stored residual is ||H v - eps v|| / (||v||
-    max|H|); the raw residual is meaningless for ell >= 2, where kernel
+    ends.  (4) The scaled residual ||H v - eps v|| / (||v|| max|H|) must be
+    small; the raw residual is meaningless for ell >= 2, where kernel
     cancellations blow the matrix corners up by many orders of magnitude.
+    Each filter looks at one eigenpair only, so stopping at `count` gives
+    the same levels as filtering every eigenpair and sorting the survivors.
+    Accepted levels are indexed n = 0, 1, ... and normalized to unit
+    momentum-space norm int |phi|^2 x^2 dx = 1 under the mapped plain rule.
     Returns (levels, complete) where complete is False when fewer than
     `count` levels passed the filters.
     """
     evals, evecs = eigenpairs
     x = mapping.x_of(grid.nodes)
     J = mapping.jacobian(grid.nodes)
-    H = assemble_hamiltonian(
-        assemble_potential(params, grid, mapping), params, grid, mapping
-    ).matrix
     hscale = max(1.0, np.abs(H).max())
     density_weights = grid.plain_weights * J * x * x
     corner = max(3, grid.N // 10)
 
     floor = spectrum_floor(params)
-    accepted = []
-    for lam, vec in zip(evals, evecs.T):
+    levels = []
+    for i in np.argsort(evals.real, kind="stable"):
+        if len(levels) == count:
+            break
+        lam = evals[i]
         if abs(lam.imag) > IMAG_TOL * max(1.0, abs(lam.real)):
             continue
         if lam.real < floor:
             continue
-        v = np.real(vec)
+        v = np.real(evecs[:, i])
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             continue
@@ -351,35 +338,30 @@ def select_bound_states(eigenpairs, params, grid, mapping, count):
         resid = np.linalg.norm(H @ v - lam.real * v) / (nrm * hscale)
         if resid > RESIDUAL_TOL:
             continue
-        accepted.append((lam.real, v, resid, abs(lam.imag)))
-
-    accepted.sort(key=lambda item: item[0])
-    levels = []
-    for n, (eps, v, resid, im) in enumerate(accepted[:count]):
-        norm2 = np.sum(grid.plain_weights * J * x * x * v * v)
-        if norm2 <= 0.0:
-            continue
-        v = v / math.sqrt(norm2)
+        v = v / math.sqrt(total)
         # deterministic sign: largest-magnitude mesh value positive
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
         v.setflags(write=False)
         levels.append(BoundLevel(
-            ell=params.ell, n=n, epsilon=eps, mesh_values=v,
-            residual_norm=resid, imag_part=im,
+            ell=params.ell, n=len(levels), epsilon=lam.real, mesh_values=v,
+            residual_norm=resid, imag_part=abs(lam.imag),
         ))
     return levels, len(levels) >= count
 
 
 def solve_levels(params, N, mapping=None, count=5):
-    """Assemble, diagonalize and select the lowest `count` levels."""
+    """Lowest `count` levels: assemble H once, diagonalize, select lazily.
+
+    The PV and log weight tables come from the grid, which builds each once
+    per mesh order, so a loop over ell at fixed N reuses them.
+    """
     mapping = mapping or Mapping()
     grid = cheb.chebyshev_grid(N)
     V = assemble_potential(params, grid, mapping)
     H = assemble_hamiltonian(V, params, grid, mapping)
     pairs = solve_spectrum(H)
-    levels, complete = select_bound_states(pairs, params, grid, mapping, count)
-    return levels, complete
+    return select_bound_states(pairs, H, params, grid, mapping, count)
 
 
 def wavefunction_at(level, grid, mapping, x):
@@ -394,18 +376,21 @@ def wavefunction_at(level, grid, mapping, x):
 def convergence_scan(params, sigma, N_list, count=5, mapping_kind=MappingKind.RATIONAL):
     """Energies of the lowest levels at each N, with successive differences.
 
-    Returns a dict: {"N": [...], "epsilon": array (len(N_list), count),
-    "diffs": array (len(N_list)-1, count)} where diffs[k] =
-    |eps(N_{k+1}) - eps(N_k)| per level.  Levels missing at some N appear
-    as NaN.
+    Returns a dict: {"N": [...], "epsilon", "residual", "imag": arrays
+    (len(N_list), count) of each level's BoundLevel fields, "diffs": array
+    (len(N_list)-1, count)} where diffs[k] = |eps(N_{k+1}) - eps(N_k)| per
+    level.  Levels missing at some N appear as NaN.
     """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be increasing")
     mapping = Mapping(kind=mapping_kind, sigma=sigma)
-    table = np.full((len(N_list), count), np.nan)
+    table, resid, imag = np.full((3, len(N_list), count), np.nan)
     for k, N in enumerate(N_list):
         levels, _ = solve_levels(params, N, mapping, count)
         for lv in levels:
             table[k, lv.n] = lv.epsilon
+            resid[k, lv.n] = lv.residual_norm
+            imag[k, lv.n] = lv.imag_part
     diffs = np.abs(np.diff(table, axis=0))
-    return {"N": list(N_list), "epsilon": table, "diffs": diffs}
+    return {"N": list(N_list), "epsilon": table, "residual": resid,
+            "imag": imag, "diffs": diffs}

@@ -159,6 +159,15 @@ class TestSingularRules:
                             epsabs=1e-13, limit=200, points=[tau])
             assert abs(w @ f(grid.nodes) - exact) < 1e-11
 
+    def test_grid_keeps_one_read_only_table_of_each_kind(self):
+        grid = cheb.ChebGrid(24)
+        for table, build in ((grid.pv_table, cheb.pv_weight_table),
+                             (grid.log_table, cheb.log_weight_table)):
+            assert np.array_equal(table, build(grid))
+            assert not table.flags.writeable
+        assert grid.pv_table is grid.pv_table
+        assert grid.log_table is grid.log_table
+
     def test_weight_tables_match_single_point_rules(self):
         grid = cheb.chebyshev_grid(20)
         pv = cheb.pv_weight_table(grid)

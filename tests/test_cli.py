@@ -46,6 +46,17 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="beta"):
             cli.parse_config("potential = cornell\nalpha = 0.5\nbeta = -1\nmass = 1.37\n")
 
+    @pytest.mark.parametrize("name", ("sigma", "s", "alpha", "beta", "mass"))
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_number_rejected(self, name, value):
+        with pytest.raises(cli.ConfigError, match=f"'{name}' must be finite"):
+            cli.parse_config(f"potential = linear\n{name} = {value}\n")
+
+    @pytest.mark.parametrize("name", ("levels", "table"))
+    def test_non_integer_count_rejected(self, name):
+        with pytest.raises(cli.ConfigError, match=f"'{name}' must be an integer"):
+            cli.parse_config(f"potential = linear\n{name} = 2.7\n")
+
     def test_reproduce_requires_table(self):
         with pytest.raises(cli.ConfigError, match="table"):
             cli.parse_config("command = reproduce\n")
@@ -98,6 +109,14 @@ class TestCommands:
         assert report.status == cli.EXIT_OK
         assert "0" in report.extra["successive_differences"]
 
+    def test_scan_rows_carry_measured_residuals(self):
+        text = "potential = linear\ns = 1\nell = 1\nlevels = 2\n"
+        scan = cli.run(cli.parse_config(text + "command = scan\nN = 40 60\n"))
+        solve = cli.run(cli.parse_config(text + "command = solve\nN = 60\n"))
+        at_60 = [row for row in scan.rows if row["N"] == 60]
+        assert at_60 == solve.rows
+        assert all(row["residual"] > 0.0 for row in scan.rows)
+
     def test_deterministic_rerun(self):
         cfg = cli.parse_config(
             "command = solve\npotential = linear\ns = 1\nell = 0\nlevels = 2\nN = 60\n")
@@ -112,6 +131,17 @@ class TestMain:
         path.write_text("nonsense = 1\n")
         assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    def test_non_finite_sigma_exit_code(self, value, capsys):
+        assert cli.main(["--sigma", value]) == cli.EXIT_CONFIG
+        assert "'sigma' must be finite" in capsys.readouterr().err
+
+    def test_fractional_levels_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("potential = linear\ns = 1\nlevels = 2.7\nN = 40\n")
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        assert "'levels' must be an integer" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["--config", "/no/such/file.cfg"]) == cli.EXIT_CONFIG

@@ -1,5 +1,8 @@
 """Momentum-space solver: mappings, assembly, spectra, wavefunctions."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,128 @@ class TestSpectrum:
         for lv in levels:
             norm = np.sum(grid.plain_weights * J * x * x * lv.mesh_values**2)
             assert abs(norm - 1.0) < 1e-10
+
+
+def select_all_then_sort(eigenpairs, params, grid, mapping, count):
+    """Reference selection: re-assemble H, filter every eigenpair, then sort.
+
+    This is the selection `select_bound_states` replaced; the faster one
+    must return bit-identical levels.
+    """
+    evals, evecs = eigenpairs
+    x = mapping.x_of(grid.nodes)
+    J = mapping.jacobian(grid.nodes)
+    H = mom.assemble_hamiltonian(
+        mom.assemble_potential(params, grid, mapping), params, grid, mapping)
+    hscale = max(1.0, np.abs(H).max())
+    density_weights = grid.plain_weights * J * x * x
+    corner = max(3, grid.N // 10)
+
+    floor = mom.spectrum_floor(params)
+    accepted = []
+    for lam, vec in zip(evals, evecs.T):
+        if abs(lam.imag) > mom.IMAG_TOL * max(1.0, abs(lam.real)):
+            continue
+        if lam.real < floor:
+            continue
+        v = np.real(vec)
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            continue
+        density = density_weights * v * v
+        total = density.sum()
+        if total <= 0.0:
+            continue
+        if max(density[:corner].sum(), density[-corner:].sum()) > 0.5 * total:
+            continue
+        resid = np.linalg.norm(H @ v - lam.real * v) / (nrm * hscale)
+        if resid > mom.RESIDUAL_TOL:
+            continue
+        accepted.append((lam.real, v, resid, abs(lam.imag)))
+
+    accepted.sort(key=lambda item: item[0])
+    levels = []
+    for n, (eps, v, resid, im) in enumerate(accepted[:count]):
+        norm2 = np.sum(grid.plain_weights * J * x * x * v * v)
+        if norm2 <= 0.0:
+            continue
+        v = v / math.sqrt(norm2)
+        if v[np.argmax(np.abs(v))] < 0.0:
+            v = -v
+        levels.append(mom.BoundLevel(
+            ell=params.ell, n=n, epsilon=eps, mesh_values=v,
+            residual_norm=resid, imag_part=im,
+        ))
+    return levels, len(levels) >= count
+
+
+def assert_same_levels(got, want):
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        assert (a.ell, a.n) == (b.ell, b.n)
+        assert a.epsilon == b.epsilon
+        assert a.residual_norm == b.residual_norm
+        assert a.imag_part == b.imag_part
+        assert np.array_equal(a.mesh_values, b.mesh_values)
+
+
+SELECTION_CASES = {
+    "coulomb": (refs.coulomb_params, 0.5),
+    "linear": (refs.linear_params, 1.0),
+    "cornell": (functools.partial(refs.cornell_params, "charm"), 1.0),
+    "salpeter": (functools.partial(refs.cornell_params, "bottom",
+                                   kinetic_mode=mom.KineticMode.SALPETER), 1.0),
+}
+
+
+class TestSelection:
+    @pytest.mark.parametrize("N", (40, 80))
+    @pytest.mark.parametrize("ell", range(4))
+    @pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+    def test_matches_filter_all_then_sort(self, case, ell, N):
+        make_params, sigma = SELECTION_CASES[case]
+        params = make_params(ell)
+        mapping = mom.Mapping(sigma=sigma)
+        grid = cheb.chebyshev_grid(N)
+        H = mom.assemble_hamiltonian(
+            mom.assemble_potential(params, grid, mapping), params, grid, mapping)
+        pairs = mom.solve_spectrum(H)
+        # count = N always exceeds the number of levels that pass
+        for count in (1, 5, N):
+            want = select_all_then_sort(pairs, params, grid, mapping, count)
+            assert_same_levels(
+                mom.select_bound_states(pairs, H, params, grid, mapping, count), want)
+        assert not want[1]
+        assert_same_levels(mom.solve_levels(params, N, mapping, 5),
+                           select_all_then_sort(pairs, params, grid, mapping, 5))
+
+    def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
+        calls = {"assemble": 0, "pv": 0, "log": 0}
+
+        def counting(key, fn, whole_mesh_only=False):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if not whole_mesh_only or np.ndim(out) > 1:
+                    calls[key] += 1
+                return out
+            return wrapped
+
+        monkeypatch.setattr(mom, "assemble_potential",
+                            counting("assemble", mom.assemble_potential))
+        monkeypatch.setattr(cheb, "_pv_moments", counting("pv", cheb._pv_moments, True))
+        monkeypatch.setattr(cheb, "_log_moments", counting("log", cheb._log_moments, True))
+        # a private grid cache, so the tables are built inside this test
+        monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
+
+        mapping = mom.Mapping(sigma=1.0)
+        for ell in range(4):
+            before = calls["assemble"]
+            mom.solve_levels(refs.linear_params(ell), 40, mapping, 3)
+            assert calls["assemble"] == before + 1
+        assert calls == {"assemble": 4, "pv": 1, "log": 1}
+        mom.solve_levels(refs.coulomb_params(0), 50, mapping, 1)
+        assert calls == {"assemble": 5, "pv": 2, "log": 2}
 
 
 class TestWavefunction:
