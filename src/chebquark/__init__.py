@@ -2,51 +2,29 @@
 
 from .cheb import (
     ChebGrid,
-    SingularWeights,
-    WeightKind,
     cardinal_eval,
-    chebyshev_T,
     chebyshev_grid,
-    diff_matrix,
     interpolate,
-    nodes,
     weights_cauchy,
     weights_log,
-    weights_plain,
 )
-from .momentum import (
-    BoundLevel,
-    KineticMode,
-    Mapping,
-    MappingKind,
-    PotentialParams,
-    convergence_scan,
-    solve_levels,
-)
-from .radial import RadialProblem, airy_reference, hydrogen_energy, solve_radial
+from .kernels import Problem
+from .momentum import BoundLevel, Mapping, convergence_scan, solve_levels
+from .radial import airy_reference, hydrogen_energy, solve_radial
 
 __all__ = [
     "BoundLevel",
-    "KineticMode",
     "Mapping",
-    "MappingKind",
-    "PotentialParams",
-    "RadialProblem",
+    "Problem",
     "airy_reference",
     "convergence_scan",
     "hydrogen_energy",
     "solve_levels",
     "solve_radial",
     "ChebGrid",
-    "SingularWeights",
-    "WeightKind",
     "cardinal_eval",
-    "chebyshev_T",
     "chebyshev_grid",
-    "diff_matrix",
     "interpolate",
-    "nodes",
     "weights_cauchy",
     "weights_log",
-    "weights_plain",
 ]

@@ -16,48 +16,9 @@ obtained by three-term recurrences that stay bounded on [-1, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-
-
-class WeightKind(Enum):
-    CAUCHY_PV = "cauchy_pv"
-    LOG_KERNEL = "log_kernel"
-
-
-@dataclass(frozen=True)
-class SingularWeights:
-    """Quadrature weights of one of the singular rules at a fixed point tau."""
-
-    kind: WeightKind
-    tau: float
-    values: np.ndarray
-
-
-def chebyshev_T(n, t):
-    """Value of the first-kind Chebyshev polynomial T_n(t), |t| <= 1.
-
-    Evaluated by the three-term recurrence; `t` may be a scalar or array.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-15):
-        raise ValueError("argument outside [-1, 1]")
-    if n == 0:
-        out = np.ones_like(t)
-    elif n == 1:
-        out = t.copy()
-    else:
-        tkm1 = np.ones_like(t)
-        tk = t.copy()
-        for _ in range(2, n + 1):
-            tkm1, tk = tk, 2.0 * t * tk - tkm1
-        out = tk
-    return out if out.ndim else float(out)
 
 
 def _plain_moments(nmax):
@@ -89,63 +50,43 @@ class ChebGrid:
         self._C = (2.0 / self.N) * self._T
         self._C[0] *= 0.5
         self._mu = _plain_moments(self.N)
-        self._plain_weights = None
-        self._diff_matrix = None
-        self._pv_table = None
-        self._log_table = None
 
-    @property
+    @cached_property
     def plain_weights(self):
         """Unit-weight quadrature weights w_i (positive, summing to 2)."""
-        if self._plain_weights is None:
-            w = self._mu @ self._C
-            w.setflags(write=False)
-            self._plain_weights = w
-        return self._plain_weights
+        return _read_only(self._mu @ self._C)
 
-    @property
+    @cached_property
     def diff_matrix(self):
         """Spectral differentiation matrix D with (D f)_i = p'(t_i)."""
-        if self._diff_matrix is None:
-            # T_n'(t_i) = n U_{n-1}(t_i) = n sin(n theta_i) / sin(theta_i)
-            n = np.arange(self.N)[:, None]
-            dT = n * np.sin(n * self._theta[None, :]) / np.sin(self._theta)[None, :]
-            D = dT.T @ self._C
-            D.setflags(write=False)
-            self._diff_matrix = D
-        return self._diff_matrix
+        # T_n'(t_i) = n U_{n-1}(t_i) = n sin(n theta_i) / sin(theta_i)
+        n = np.arange(self.N)[:, None]
+        dT = n * np.sin(n * self._theta[None, :]) / np.sin(self._theta)[None, :]
+        return _read_only(dT.T @ self._C)
 
-    @property
+    @cached_property
     def pv_table(self):
         """PV weights at every node, W[i, j] = omega_j(t_i) (see pv_weight_table)."""
-        if self._pv_table is None:
-            W = pv_weight_table(self)
-            W.setflags(write=False)
-            self._pv_table = W
-        return self._pv_table
+        return _read_only(pv_weight_table(self))
 
-    @property
+    @cached_property
     def log_table(self):
         """Log weights at every node, W[i, j] = Omega_j(t_i) (see log_weight_table)."""
-        if self._log_table is None:
-            W = log_weight_table(self)
-            W.setflags(write=False)
-            self._log_table = W
-        return self._log_table
+        return _read_only(log_weight_table(self))
 
     def __repr__(self):
         return f"ChebGrid(N={self.N})"
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=64)
 def chebyshev_grid(N):
     """Shared, immutable grid of order N (tables are computed once)."""
     return ChebGrid(N)
-
-
-def nodes(N):
-    """Grid of order N; alias emphasizing the node sequence."""
-    return chebyshev_grid(N)
 
 
 def cardinal_eval(grid, j, t):
@@ -176,16 +117,6 @@ def interpolate(grid, values, t):
     return _clenshaw(grid._C @ values, t)
 
 
-def diff_matrix(grid):
-    """Differentiation matrix of the grid (see ChebGrid.diff_matrix)."""
-    return grid.diff_matrix
-
-
-def weights_plain(grid):
-    """Plain quadrature weights of the grid (see ChebGrid.plain_weights)."""
-    return grid.plain_weights
-
-
 def _pv_g_moments(tau, nmax):
     """Smooth parts g_n of the PV moments, n = 0..nmax-1.
 
@@ -202,6 +133,7 @@ def _pv_g_moments(tau, nmax):
     for n in range(1, nmax - 1):
         g[n + 1] = 2.0 * tau * g[n] - g[n - 1] + 2.0 * mu[n]
     return g
+
 
 def _chebyshev_T_table(tau, nmax):
     """T_n(tau) for n = 0..nmax-1, tau scalar or array."""
@@ -271,8 +203,7 @@ def weights_cauchy(grid, tau):
     tau = float(tau)
     if not -1.0 < tau < 1.0:
         raise ValueError(f"principal value point must lie strictly inside (-1, 1), got {tau}")
-    values = _pv_moments(np.float64(tau), grid.N) @ grid._C
-    return SingularWeights(WeightKind.CAUCHY_PV, tau, values)
+    return _pv_moments(np.float64(tau), grid.N) @ grid._C
 
 
 def weights_log(grid, tau):
@@ -284,8 +215,7 @@ def weights_log(grid, tau):
     tau = float(tau)
     if not -1.0 <= tau <= 1.0:
         raise ValueError(f"log-kernel point must lie in [-1, 1], got {tau}")
-    values = _log_moments(np.float64(tau), grid.N) @ grid._C
-    return SingularWeights(WeightKind.LOG_KERNEL, tau, values)
+    return _log_moments(np.float64(tau), grid.N) @ grid._C
 
 
 def pv_weight_table(grid):

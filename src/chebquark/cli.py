@@ -29,6 +29,7 @@ import numpy as np
 from . import momentum as mom
 from . import radial
 from . import references as refs
+from .kernels import KINETIC_MODES, Problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,10 +41,9 @@ FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "residual", "imag")
 
-_KNOWN_KEYS = {
-    "command", "potential", "alpha", "s", "beta", "mass", "ell", "levels",
-    "N", "sigma", "mapping", "kinetic", "format", "out", "table",
-}
+# Largest accepted mesh order.  Assembly peaks at about 137 bytes * N^2
+# (88 MB at N = 800), about 2.2 GB at this bound.
+MAX_N = 4000
 
 
 class ConfigError(ValueError):
@@ -64,8 +64,8 @@ class RunConfig:
     levels: int = 5
     N: tuple = (100,)
     sigma: float = 1.0
-    mapping: str = mom.MappingKind.RATIONAL
-    kinetic: str = mom.KineticMode.NONRELATIVISTIC
+    mapping: str = "rational"
+    kinetic: str = "nonrelativistic"
     format: str = "pretty"
     out: str | None = None
     table: int | None = None
@@ -109,13 +109,28 @@ def _parse_float(text, name):
     return value
 
 
-def parse_config(text):
-    """Parse a key-value document into a validated RunConfig.
+# configuration key -> (RunConfig attribute, parser); None keeps the string
+_FIELDS = {
+    "command": ("command", None),
+    "potential": ("potential", None),
+    "alpha": ("alpha", _parse_float),
+    "s": ("s", _parse_float),
+    "beta": ("beta", _parse_float),
+    "mass": ("mass_gev", _parse_float),
+    "ell": ("ell", _parse_int_list),
+    "levels": ("levels", _parse_int),
+    "N": ("N", _parse_int_list),
+    "sigma": ("sigma", _parse_float),
+    "mapping": ("mapping", None),
+    "kinetic": ("kinetic", None),
+    "format": ("format", None),
+    "out": ("out", None),
+    "table": ("table", _parse_int),
+}
 
-    The document uses INI syntax; a leading section header is optional and
-    all sections are merged into a single namespace.  Unknown keys are
-    rejected with a message listing them.
-    """
+
+def _read_raw(text):
+    """Key-value strings of a configuration document, sections merged."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     body = text if text.lstrip().startswith("[") else "[run]\n" + text
@@ -130,61 +145,42 @@ def parse_config(text):
             if key in raw:
                 raise ConfigError(f"duplicate key {key!r}")
             raw[key] = value.strip()
+    return raw
 
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    return build_config(raw)
+
+def parse_config(text):
+    """Parse a key-value document into a validated RunConfig.
+
+    The document uses INI syntax; a leading section header is optional and
+    all sections are merged into a single namespace.
+    """
+    return build_config(_read_raw(text))
 
 
 def build_config(raw):
-    """Validate a flat key-value mapping and fill defaults."""
+    """Validate a flat mapping of key-value strings and fill defaults.
+
+    Unknown keys are rejected with a message listing them.
+    """
+    unknown = sorted(set(raw) - set(_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     cfg = RunConfig()
-
-    if "command" in raw:
-        cfg.command = raw["command"]
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"field 'command' must be one of {COMMANDS}, got {cfg.command!r}")
-    if "potential" in raw:
-        cfg.potential = raw["potential"]
-    if cfg.potential not in POTENTIALS:
-        raise ConfigError(f"field 'potential' must be one of {POTENTIALS}, got {cfg.potential!r}")
-
-    if "alpha" in raw:
-        cfg.alpha = _parse_float(raw["alpha"], "alpha")
-    if "s" in raw:
-        cfg.s = _parse_float(raw["s"], "s")
-    if "beta" in raw:
-        cfg.beta = _parse_float(raw["beta"], "beta")
-    if "mass" in raw:
-        cfg.mass_gev = _parse_float(raw["mass"], "mass")
-    if "ell" in raw:
-        cfg.ell = _parse_int_list(raw["ell"], "ell")
-    if "levels" in raw:
-        cfg.levels = _parse_int(raw["levels"], "levels")
-    if "N" in raw:
-        cfg.N = _parse_int_list(raw["N"], "N")
-    if "sigma" in raw:
-        cfg.sigma = _parse_float(raw["sigma"], "sigma")
-    if "mapping" in raw:
-        cfg.mapping = raw["mapping"]
-    if "kinetic" in raw:
-        cfg.kinetic = raw["kinetic"]
-    if "format" in raw:
-        cfg.format = raw["format"]
-    if "out" in raw:
-        cfg.out = raw["out"]
-    if "table" in raw:
-        cfg.table = _parse_int(raw["table"], "table")
-
+    for key, text in raw.items():
+        attr, parse = _FIELDS[key]
+        setattr(cfg, attr, text if parse is None else parse(text, key))
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
-    if cfg.mapping not in mom.MappingKind.ALL:
-        raise ConfigError(f"field 'mapping' must be one of {mom.MappingKind.ALL}, got {cfg.mapping!r}")
-    if cfg.kinetic not in (mom.KineticMode.NONRELATIVISTIC, mom.KineticMode.SALPETER):
+    if cfg.command not in COMMANDS:
+        raise ConfigError(f"field 'command' must be one of {COMMANDS}, got {cfg.command!r}")
+    if cfg.potential not in POTENTIALS:
+        raise ConfigError(f"field 'potential' must be one of {POTENTIALS}, got {cfg.potential!r}")
+    if cfg.mapping not in mom.MAPPINGS:
+        raise ConfigError(f"field 'mapping' must be one of {tuple(mom.MAPPINGS)}, got {cfg.mapping!r}")
+    if cfg.kinetic not in KINETIC_MODES:
         raise ConfigError(f"field 'kinetic' has invalid value {cfg.kinetic!r}")
     if cfg.format not in FORMATS:
         raise ConfigError(f"field 'format' must be one of {FORMATS}, got {cfg.format!r}")
@@ -194,6 +190,9 @@ def _validate(cfg):
         raise ConfigError("field 'levels' must be at least 1")
     if any(N < 2 for N in cfg.N):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
+    if any(N > MAX_N for N in cfg.N):
+        raise ConfigError(f"field 'N' entries must be at most {MAX_N}: assembly needs "
+                          f"about 137 bytes * N^2, 2.2 GB at N = {MAX_N}")
     if any(l < 0 for l in cfg.ell):
         raise ConfigError("field 'ell' entries must be nonnegative")
     if cfg.command == "reproduce":
@@ -214,20 +213,22 @@ def _validate(cfg):
         raise ConfigError("potential 'coulomb' requires field 'alpha' > 0")
     if cfg.potential == "cornell" and cfg.alpha <= 0.0:
         raise ConfigError("potential 'cornell' requires field 'alpha' > 0")
-
-
-def _potential_params(cfg, ell):
-    include_linear = cfg.potential in ("linear", "cornell")
-    include_coulomb = cfg.potential in ("coulomb", "cornell")
-    am = 0.0
-    if cfg.kinetic == mom.KineticMode.SALPETER:
+    if cfg.kinetic == "salpeter":
+        if cfg.command == "compare":
+            raise ConfigError("compare supports only the nonrelativistic kinetic mode")
         if not cfg.physical:
             raise ConfigError("salpeter kinetic mode requires physical parameters")
-        am = cfg.scales.am
-    return mom.PotentialParams(
-        ell=ell, alpha=cfg.alpha if include_coulomb else 0.0, s=cfg.s,
-        include_linear=include_linear, include_coulomb=include_coulomb,
-        kinetic_mode=cfg.kinetic, am1=am, am2=am,
+
+
+def _problem(cfg, ell):
+    """The partial wave ell of the configured potential."""
+    return Problem(
+        ell=ell,
+        alpha=0.0 if cfg.potential == "linear" else cfg.alpha,
+        linear=cfg.potential != "coulomb",
+        s=cfg.s,
+        kinetic=cfg.kinetic,
+        am=cfg.scales.am if cfg.kinetic == "salpeter" else 0.0,
     )
 
 
@@ -292,8 +293,7 @@ def _run_solve(cfg):
     mapping = mom.Mapping(kind=cfg.mapping, sigma=cfg.sigma)
     N = cfg.N[0]
     for ell in cfg.ell:
-        params = _potential_params(cfg, ell)
-        levels, complete = mom.solve_levels(params, N, mapping, cfg.levels)
+        levels, complete = mom.solve_levels(_problem(cfg, ell), N, mapping, cfg.levels)
         report.rows.extend(_level_rows(cfg, levels, N, cfg.scales))
         if not complete:
             report.status = EXIT_NUMERICAL
@@ -306,8 +306,7 @@ def _run_scan(cfg):
     report = Report("scan")
     diffs = {}
     for ell in cfg.ell:
-        params = _potential_params(cfg, ell)
-        scan = mom.convergence_scan(params, cfg.sigma, list(cfg.N),
+        scan = mom.convergence_scan(_problem(cfg, ell), cfg.sigma, list(cfg.N),
                                     count=cfg.levels, mapping_kind=cfg.mapping)
         for k, N in enumerate(scan["N"]):
             for n in range(cfg.levels):
@@ -326,28 +325,14 @@ def _run_scan(cfg):
     return report
 
 
-def _radial_problem(cfg, ell, n):
-    include_linear = cfg.potential in ("linear", "cornell")
-    include_coulomb = cfg.potential in ("coulomb", "cornell")
-    return radial.RadialProblem(
-        ell=ell,
-        alpha=cfg.alpha if include_coulomb else 0.0,
-        linear_slope=1.0 if include_linear else 0.0,
-        mu_a=1.0 / (2.0 * cfg.s),
-        n=n,
-    )
-
-
 def _run_compare(cfg):
-    if cfg.kinetic != mom.KineticMode.NONRELATIVISTIC:
-        raise ConfigError("compare supports only the nonrelativistic kinetic mode")
     report = Report("compare")
     mapping = mom.Mapping(kind=cfg.mapping, sigma=cfg.sigma)
     N = cfg.N[0]
     paired = []
     for ell in cfg.ell:
-        params = _potential_params(cfg, ell)
-        levels, complete = mom.solve_levels(params, N, mapping, cfg.levels)
+        problem = _problem(cfg, ell)
+        levels, complete = mom.solve_levels(problem, N, mapping, cfg.levels)
         if not complete:
             report.status = EXIT_NUMERICAL
             report.diagnostics.append(
@@ -355,7 +340,7 @@ def _run_compare(cfg):
         report.rows.extend(_level_rows(cfg, levels, N, cfg.scales))
         for lv in levels:
             try:
-                eps_r = radial.solve_radial(_radial_problem(cfg, ell, lv.n))
+                eps_r = radial.solve_radial(problem, lv.n)
             except RuntimeError as exc:
                 report.status = EXIT_NUMERICAL
                 report.diagnostics.append(f"ell={ell} n={lv.n}: coordinate solver failed: {exc}")
@@ -392,8 +377,8 @@ def _reproduce_table1(report):
     mapping = mom.Mapping(sigma=refs.TABLE1_SIGMA)
     mu_a = 1.0 / (2.0 * refs.TABLE1_S)
     for ell in range(4):
-        params = refs.coulomb_params(ell)
-        levels, complete = mom.solve_levels(params, refs.TABLE1_N, mapping, 5)
+        levels, complete = mom.solve_levels(refs.coulomb_params(ell), refs.TABLE1_N,
+                                            mapping, 5)
         if not complete:
             report.status = EXIT_NUMERICAL
             report.diagnostics.append(f"ell={ell}: incomplete level set")
@@ -410,8 +395,8 @@ def _reproduce_table2(report):
     for ell, exact_row in refs.TABLE2_EXACT.items():
         N = refs.TABLE2_N[ell]
         sigma = refs.TABLE2_SIGMA[ell]
-        params = refs.linear_params(ell)
-        levels, complete = mom.solve_levels(params, N, mom.Mapping(sigma=sigma), 5)
+        levels, complete = mom.solve_levels(refs.linear_params(ell), N,
+                                            mom.Mapping(sigma=sigma), 5)
         if not complete:
             report.status = EXIT_NUMERICAL
             report.diagnostics.append(f"ell={ell}: incomplete level set")
@@ -428,8 +413,8 @@ def _reproduce_table3(report):
     for flavor in ("charm", "bottom"):
         scales = refs.physical_scales(flavor)
         for ell in range(3):
-            params = refs.cornell_params(flavor, ell)
-            levels, complete = mom.solve_levels(params, refs.TABLE3_N, mapping, 3)
+            levels, complete = mom.solve_levels(refs.cornell_params(flavor, ell),
+                                                refs.TABLE3_N, mapping, 3)
             if not complete:
                 report.status = EXIT_NUMERICAL
                 report.diagnostics.append(f"{flavor} ell={ell}: incomplete level set")
@@ -511,47 +496,26 @@ def _build_argparser():
 
 def main(argv=None):
     args = _build_argparser().parse_args(argv)
-    raw = {}
     try:
+        raw = {}
         if args.config:
             try:
                 with open(args.config) as fh:
-                    text = fh.read()
+                    raw = _read_raw(fh.read())
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
-            cfg = parse_config(text)
-        else:
-            cfg = RunConfig()
-        # command line overrides
-        if args.command:
-            raw["command"] = args.command
-        if args.table is not None:
-            raw["table"] = str(args.table)
-        if args.ell:
-            raw["ell"] = args.ell
-        if args.levels is not None:
-            raw["levels"] = str(args.levels)
-        if args.N:
-            raw["N"] = args.N
-        if args.sigma is not None:
-            raw["sigma"] = str(args.sigma)
-        if args.format:
-            raw["format"] = args.format
-        if args.out:
-            raw["out"] = args.out
-        if raw:
-            merged = _config_as_raw(cfg)
-            merged.update(raw)
-            cfg = build_config(merged)
+        # command line flags override file values
+        for key in ("command", "table", "ell", "levels", "N", "sigma", "format", "out"):
+            value = getattr(args, key)
+            if value is not None and value != "":
+                raw[key] = str(value)
+        cfg = build_config(raw)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         report = run(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -563,32 +527,6 @@ def main(argv=None):
     else:
         sys.stdout.write(text)
     return report.status
-
-
-def _config_as_raw(cfg):
-    """Flatten a RunConfig back to the raw key-value form for overriding."""
-    raw = {
-        "command": cfg.command,
-        "potential": cfg.potential,
-        "alpha": repr(cfg.alpha),
-        "s": repr(cfg.s),
-        "ell": " ".join(str(l) for l in cfg.ell),
-        "levels": str(cfg.levels),
-        "N": " ".join(str(n) for n in cfg.N),
-        "sigma": repr(cfg.sigma),
-        "mapping": cfg.mapping,
-        "kinetic": cfg.kinetic,
-        "format": cfg.format,
-    }
-    if cfg.beta is not None:
-        raw["beta"] = repr(cfg.beta)
-    if cfg.mass_gev is not None:
-        raw["mass"] = repr(cfg.mass_gev)
-    if cfg.out is not None:
-        raw["out"] = cfg.out
-    if cfg.table is not None:
-        raw["table"] = str(cfg.table)
-    return raw
 
 
 if __name__ == "__main__":

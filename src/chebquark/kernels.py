@@ -1,22 +1,68 @@
-"""Legendre machinery and partial-wave kernels of the Coulomb-plus-linear potential.
+"""Problem description, Legendre machinery and partial-wave kernels.
+
+`Problem` describes one partial wave of the Coulomb-plus-linear potential
+for both the momentum-space and the configuration-space solver.
 
 In momentum space the Coulomb and linear potentials project, for orbital
 momentum ell, onto kernels built from the Legendre function of the second
 kind at z = (x^2 + x'^2)/(2 x x') >= 1.  The log singularity at x' = x is
 carried entirely by Q_0(z) = log|(x'+x)/(x'-x)|, the double pole by Q_0'(z).
 This module supplies the polynomial pieces (P_ell, the polynomial remainder
-w_{ell-1}, and their derivatives) and groups them the way the solver consumes
-them: a log coefficient, a regular remainder, and the principal value factor
-left after the double pole has been reduced by integration by parts.
+w_{ell-1}, and their derivatives) and the kernel formulas that group them the
+way the solver consumes them: a log coefficient, a regular remainder, and
+the principal value factor left after the double pole has been reduced by
+integration by parts.
 
-All functions accept scalars or numpy arrays in z.
+All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+KINETIC_MODES = ("nonrelativistic", "salpeter")
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One partial wave of the Coulomb-plus-linear problem, shared by both solvers.
+
+    Dimensionless units of the linear term's length scale a: the potential
+    is V = -alpha/x + x when `linear` is set and -alpha/x otherwise, so
+    alpha = 0 means no Coulomb term.  s = 1/(2 mu a) is the kinetic
+    coefficient.  In salpeter mode the kinetic term is the relativistic
+    energy of two quarks of mass am (in units of 1/a) with the rest masses
+    subtracted; the configuration-space solver handles only the
+    nonrelativistic mode.
+    """
+
+    ell: int = 0
+    alpha: float = 0.0
+    linear: bool = True
+    s: float = 1.0
+    kinetic: str = "nonrelativistic"
+    am: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.ell, numbers.Integral) or self.ell < 0:
+            raise ValueError(f"orbital momentum must be a nonnegative integer, got {self.ell!r}")
+        for name in ("alpha", "s", "am"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.alpha < 0.0:
+            raise ValueError("Coulomb coupling must be nonnegative")
+        if self.alpha == 0.0 and not self.linear:
+            raise ValueError("potential is identically zero")
+        if self.s <= 0.0:
+            raise ValueError("kinetic coefficient s must be positive")
+        if self.kinetic not in KINETIC_MODES:
+            raise ValueError(f"unknown kinetic mode {self.kinetic!r}")
+        if self.kinetic == "salpeter" and self.am <= 0.0:
+            raise ValueError("salpeter mode needs a positive quark mass am")
 
 
 def legendre_P(ell, z, with_derivative=False):
@@ -114,6 +160,36 @@ def z_minus_one(x, xp):
     return out if out.ndim else float(out)
 
 
+# Kernel formulas.  Each takes the Legendre pieces at z(x, x') and works
+# elementwise, so the scalar oracle `kernel_pieces` and the matrix assembly
+# in `momentum` share one expression.  The log and regular pieces are
+# combined with a factor for each: log|(x'+x)/(x'-x)| and 1 give the kernel
+# itself, (1, 0) and (0, 1) its two coefficients, and the quadrature
+# weights of the two pieces the assembled matrix.
+
+def linear_log_regular(x, dp, dw, log_w, reg_w):
+    """Linear kernel minus its double pole: (P'_ell log_w - w'_{ell-1} reg_w) / (pi x^2)."""
+    return (dp * log_w - dw * reg_w) / (np.pi * x ** 2)
+
+
+def pv_factor(x, xp, p, dp):
+    """F = x'^2 P_ell(z) / (x'+x)^2 inside the principal value brace, and dF/dx'.
+
+    The derivative follows by the chain rule through z:
+    d/dx' [x'^2/(x'+x)^2] = 2 x x'/(x'+x)^3 and dz/dx' = (x'^2 - x^2)/(2 x x'^2).
+    """
+    xs = x + xp
+    F = xp ** 2 * p / xs**2
+    Fx = p * 2.0 * x * xp / xs**3 + dp * (xp ** 2 - x ** 2) / (2.0 * x * xs**2)
+    return F, Fx
+
+
+def coulomb_log_regular(alpha, x, xp, p, w, log_w, reg_w):
+    """Coulomb kernel: -(alpha/pi) (P_ell log_w - w_{ell-1} reg_w) x' / x."""
+    coul = (p * log_w - w * reg_w) * xp
+    return -(alpha / np.pi) * coul / x
+
+
 @dataclass(frozen=True)
 class KernelPieces:
     """Kernel of the bound-state equation at one (x, x'), grouped by singularity.
@@ -142,7 +218,7 @@ class KernelPieces:
 
 
 def kernel_pieces(ell, x, xp, alpha):
-    """Evaluate all kernel groupings at one off-diagonal point (x, x')."""
+    """Evaluate all kernel groupings at one point (x, x'); z = 1 on the diagonal."""
     if x <= 0.0 or xp <= 0.0:
         raise ValueError("momenta must be positive")
     z = z_of(x, xp)
@@ -151,24 +227,13 @@ def kernel_pieces(ell, x, xp, alpha):
         w, dw = w_poly(ell, z, with_derivative=True)
     else:
         w = dw = 0.0
-    lin_log = dp / (np.pi * x * x)
-    lin_reg = -dw / (np.pi * x * x)
-    pv_fac = -(4.0 / np.pi) * xp * xp * p / (xp + x) ** 2
-    pv_dxp = -(4.0 / np.pi) * _pv_kernel_dxp(ell, x, xp, z, p, dp)
-    cou_log = -(alpha / (np.pi * x)) * p * xp
-    cou_reg = (alpha / (np.pi * x)) * w * xp
+    F, Fx = pv_factor(x, xp, p, dp)
     return KernelPieces(
         ell=ell, x=float(x), xp=float(xp), alpha=float(alpha), z=float(z),
-        linear_log_coeff=float(lin_log), linear_regular=float(lin_reg),
-        pv_factor=float(pv_fac), pv_factor_dxp=float(pv_dxp),
-        coulomb_log_coeff=float(cou_log), coulomb_regular=float(cou_reg),
-    )
-
-
-def _pv_kernel_dxp(ell, x, xp, z, p, dp):
-    """d/dx' of x'^2 P_ell(z)/(x'+x)^2 by the chain rule through z."""
-    # d/dx' [x'^2/(x'+x)^2] = 2 x x'/(x'+x)^3;  dz/dx' = (x'^2 - x^2)/(2 x x'^2)
-    return (
-        p * 2.0 * x * xp / (xp + x) ** 3
-        + dp * (xp * xp - x * x) / (2.0 * x * (xp + x) ** 2)
+        linear_log_coeff=float(linear_log_regular(x, dp, dw, 1.0, 0.0)),
+        linear_regular=float(linear_log_regular(x, dp, dw, 0.0, 1.0)),
+        pv_factor=float(-(4.0 / np.pi) * F),
+        pv_factor_dxp=float(-(4.0 / np.pi) * Fx),
+        coulomb_log_coeff=float(coulomb_log_regular(alpha, x, xp, p, w, 1.0, 0.0)),
+        coulomb_regular=float(coulomb_log_regular(alpha, x, xp, p, w, 0.0, 1.0)),
     )

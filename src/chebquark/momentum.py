@@ -23,115 +23,73 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import cheb
+from . import cheb, kernels
 from .kernels import legendre_P, w_poly
 
 
 # ---------------------------------------------------------------------------
 # mapping of (0, inf) onto (-1, 1)
 
-class MappingKind:
-    RATIONAL = "rational"
-    TRIGONOMETRIC = "trigonometric"
-    LOGARITHMIC = "logarithmic"
+def _log_t_of(x, sigma):
+    e = np.exp(x / sigma)
+    return (e - 3.0) / (e + 1.0)
 
-    ALL = (RATIONAL, TRIGONOMETRIC, LOGARITHMIC)
+
+# kind -> (x(t), dx/dt, t(x)), each a function of (argument, sigma)
+MAPPINGS = {
+    "rational": (
+        lambda t, sigma: sigma * (1.0 + t) / (1.0 - t),
+        lambda t, sigma: 2.0 * sigma / (1.0 - t) ** 2,
+        lambda x, sigma: (x - sigma) / (x + sigma),
+    ),
+    "trigonometric": (
+        lambda t, sigma: sigma * np.tan(0.25 * np.pi * (1.0 + t)),
+        lambda t, sigma: sigma * 0.25 * np.pi / np.cos(0.25 * np.pi * (1.0 + t)) ** 2,
+        lambda x, sigma: (4.0 / np.pi) * np.arctan(x / sigma) - 1.0,
+    ),
+    "logarithmic": (
+        lambda t, sigma: sigma * np.log((3.0 + t) / (1.0 - t)),
+        lambda t, sigma: sigma * (1.0 / (3.0 + t) + 1.0 / (1.0 - t)),
+        _log_t_of,
+    ),
+}
+
+
+def _interior(t):
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) >= 1.0):
+        raise ValueError("mapping argument must lie strictly inside (-1, 1)")
+    return t
 
 
 @dataclass(frozen=True)
 class Mapping:
     """Invertible map t in (-1, 1) <-> x in (0, inf) with scale sigma."""
 
-    kind: str = MappingKind.RATIONAL
+    kind: str = "rational"
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in MappingKind.ALL:
+        if self.kind not in MAPPINGS:
             raise ValueError(f"unknown mapping kind {self.kind!r}")
-        if self.sigma <= 0.0:
-            raise ValueError("mapping scale must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("mapping scale must be positive and finite")
+
+    def _apply(self, formula, arg):
+        out = MAPPINGS[self.kind][formula](arg, self.sigma)
+        return out if out.ndim else float(out)
 
     def x_of(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) >= 1.0):
-            raise ValueError("mapping argument must lie strictly inside (-1, 1)")
-        if self.kind == MappingKind.RATIONAL:
-            x = self.sigma * (1.0 + t) / (1.0 - t)
-        elif self.kind == MappingKind.TRIGONOMETRIC:
-            x = self.sigma * np.tan(0.25 * np.pi * (1.0 + t))
-        else:
-            x = self.sigma * np.log((3.0 + t) / (1.0 - t))
-        return x if x.ndim else float(x)
+        return self._apply(0, _interior(t))
 
     def jacobian(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) >= 1.0):
-            raise ValueError("mapping argument must lie strictly inside (-1, 1)")
-        if self.kind == MappingKind.RATIONAL:
-            j = 2.0 * self.sigma / (1.0 - t) ** 2
-        elif self.kind == MappingKind.TRIGONOMETRIC:
-            j = self.sigma * 0.25 * np.pi / np.cos(0.25 * np.pi * (1.0 + t)) ** 2
-        else:
-            j = self.sigma * (1.0 / (3.0 + t) + 1.0 / (1.0 - t))
-        return j if j.ndim else float(j)
+        return self._apply(1, _interior(t))
 
     def t_of(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValueError("momentum must be positive")
-        if self.kind == MappingKind.RATIONAL:
-            t = (x - self.sigma) / (x + self.sigma)
-        elif self.kind == MappingKind.TRIGONOMETRIC:
-            t = (4.0 / np.pi) * np.arctan(x / self.sigma) - 1.0
-        else:
-            e = np.exp(x / self.sigma)
-            t = (e - 3.0) / (e + 1.0)
-        return t if t.ndim else float(t)
-
-
-def map_variable(mapping, t):
-    """Return (x, dx/dt) of the mapping at t in (-1, 1)."""
-    return mapping.x_of(t), mapping.jacobian(t)
-
-
-# ---------------------------------------------------------------------------
-# problem definition
-
-class KineticMode:
-    NONRELATIVISTIC = "nonrelativistic"
-    SALPETER = "salpeter"
-
-
-@dataclass(frozen=True)
-class PotentialParams:
-    """Dimensionless couplings of the Coulomb-plus-linear problem.
-
-    alpha is the Coulomb strength, s = 1/(2 mu a) the kinetic coefficient.
-    In salpeter mode the quark masses am1, am2 are given in units of 1/a and
-    the kinetic term becomes the relativistic two-body energy with the rest
-    masses subtracted.
-    """
-
-    ell: int = 0
-    alpha: float = 0.0
-    s: float = 1.0
-    include_linear: bool = True
-    include_coulomb: bool = True
-    kinetic_mode: str = KineticMode.NONRELATIVISTIC
-    am1: float = 0.0
-    am2: float = 0.0
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError("orbital momentum must be nonnegative")
-        if self.alpha < 0.0:
-            raise ValueError("Coulomb coupling must be nonnegative")
-        if self.s <= 0.0:
-            raise ValueError("kinetic coefficient s must be positive")
-        if self.kinetic_mode not in (KineticMode.NONRELATIVISTIC, KineticMode.SALPETER):
-            raise ValueError(f"unknown kinetic mode {self.kinetic_mode!r}")
-        if self.kinetic_mode == KineticMode.SALPETER and (self.am1 <= 0.0 or self.am2 <= 0.0):
-            raise ValueError("salpeter mode needs positive quark masses")
+        return self._apply(2, x)
 
 
 @dataclass(frozen=True)
@@ -160,7 +118,7 @@ def _kernel_tables(ell, z):
     return p, dp, w, dw
 
 
-def assemble_potential(params, grid, mapping):
+def assemble_potential(problem, grid, mapping):
     """Potential matrix V with (V X)_i = the discretized right-hand side.
 
     The quadrature substitutions (per mesh point tau_i = t_i):
@@ -170,18 +128,17 @@ def assemble_potential(params, grid, mapping):
       log kernel: log|(x'+x)/(x'-x)| dx' -> [w_j log S_ij - Omega_j(t_i)] J_j
 
     with J_j = dx/dt at t_j and S_ij = (x_j+x_i)|t_j-t_i| / |x_j-x_i| the
-    smooth remainder of the log argument (S_ii = 2 x_i / J_i).  For the
+    smooth remainder of the log argument.  The diagonal limits are
+    S_ii = 2 x_i / J_i and J_i (t_j-t_i)/(x_j-x_i) -> 1.  For the
     rational mapping these reduce to the classical closed forms
     omega_j(t_i)(1-t_i)/(1-t_j) and 2 sigma [w_j log|1-t_i t_j| -
     Omega_j(t_i)]/(1-t_j)^2.  The derivative of the unknown function is
     eliminated through the differentiation matrix, chi(x_j) =
     (1/J_j) sum_k D_jk X_k, and the x'-derivative of the known factor inside
-    the principal value brace is taken analytically.  All diagonal entries
-    are finite.
+    the principal value brace is taken analytically.  The kernel values come
+    from the `kernels` formulas that the scalar oracle `kernel_pieces`
+    evaluates too.  All diagonal entries are finite.
     """
-    if not (params.include_linear or params.include_coulomb or params.alpha > 0.0):
-        if not params.include_linear and not params.include_coulomb:
-            raise ValueError("at least one potential term must be enabled")
     N = grid.N
     t = grid.nodes
     w = grid.plain_weights
@@ -196,7 +153,7 @@ def assemble_potential(params, grid, mapping):
     # z matrix with an exact diagonal
     z = (x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * x[:, None] * x[None, :])
     np.fill_diagonal(z, 1.0)
-    p, dp, wl, dwl = _kernel_tables(params.ell, z)
+    p, dp, wl, dwl = _kernel_tables(problem.ell, z)
 
     # smooth remainder of the log argument; diagonal limit 2 x_i / J_i
     smooth = (x[None, :] + x[:, None]) * np.abs(dt / dx)
@@ -213,42 +170,37 @@ def assemble_potential(params, grid, mapping):
 
     V = np.zeros((N, N))
 
-    if params.include_linear:
+    if problem.linear:
         # log + regular pieces of the linear kernel (absent for ell = 0)
-        if params.ell >= 1:
-            V += (dp * logw - dwl * regw[None, :]) / (np.pi * x[:, None] ** 2)
+        if problem.ell >= 1:
+            V += kernels.linear_log_regular(x[:, None], dp, dwl, logw, regw[None, :])
         # principal value piece: -(4/pi) PV int {chi + phi d/dx'} F dx'/(x'-x)
-        xs = x[:, None] + x[None, :]
-        F = x[None, :] ** 2 * p / xs**2
-        Fx = (
-            p * 2.0 * x[:, None] * x[None, :] / xs**3
-            + dp * (x[None, :] ** 2 - x[:, None] ** 2) / (2.0 * x[:, None] * xs**2)
-        )
+        F, Fx = kernels.pv_factor(x[:, None], x[None, :], p, dp)
         chi_term = (pvw * F / J[None, :]) @ grid.diff_matrix
         V += -(4.0 / np.pi) * (chi_term + pvw * Fx)
 
-    if params.include_coulomb and params.alpha > 0.0:
-        coul = (p * logw - wl * regw[None, :]) * x[None, :]
-        V += -(params.alpha / np.pi) * coul / x[:, None]
+    if problem.alpha > 0.0:
+        V += kernels.coulomb_log_regular(problem.alpha, x[:, None], x[None, :],
+                                         p, wl, logw, regw[None, :])
 
     return V
 
 
-def kinetic_diagonal(params, x):
+def kinetic_diagonal(problem, x):
     """Kinetic energy at the mesh momenta for the selected mode."""
     x = np.asarray(x, dtype=float)
-    if params.kinetic_mode == KineticMode.NONRELATIVISTIC:
-        return params.s * x * x
-    m1, m2 = params.am1, params.am2
-    return np.sqrt(x * x + m1 * m1) + np.sqrt(x * x + m2 * m2) - (m1 + m2)
+    if problem.kinetic == "nonrelativistic":
+        return problem.s * x * x
+    am = problem.am
+    return 2.0 * np.sqrt(x * x + am * am) - 2.0 * am
 
 
-def assemble_hamiltonian(V, params, grid, mapping):
+def assemble_hamiltonian(V, problem, grid, mapping):
     """H = V + K with the kinetic term on the diagonal."""
     if V.shape != (grid.N, grid.N):
         raise ValueError("potential matrix does not match the grid order")
     x = mapping.x_of(grid.nodes)
-    return V + np.diag(kinetic_diagonal(params, x))
+    return V + np.diag(kinetic_diagonal(problem, x))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +210,14 @@ def solve_spectrum(H):
     """All eigenvalues and right eigenvectors of the dense Hamiltonian.
 
     Uses the LAPACK non-symmetric QR driver; deterministic for fixed input.
+    A matrix with an infinite or NaN entry, which an extreme mapping scale
+    or a high ell overflows to, is a numerical failure (RuntimeError).
     """
+    if not np.all(np.isfinite(H)):
+        raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
+                           "or underflow at this ell or mapping scale sigma")
     try:
-        evals, evecs = scipy.linalg.eig(H, check_finite=True)
+        evals, evecs = scipy.linalg.eig(H, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise RuntimeError(f"eigenvalue solver failed to converge: {exc}") from exc
     return evals, evecs
@@ -270,7 +227,7 @@ IMAG_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 
 
-def spectrum_floor(params):
+def spectrum_floor(problem):
     """Variational lower bound on physical energies, used to cut spurious roots.
 
     Dropping the (nonnegative) linear term can only lower the spectrum, and
@@ -279,15 +236,14 @@ def spectrum_floor(params):
     total rest mass.  Discretization artifacts routinely appear far below
     these bounds.
     """
-    if params.kinetic_mode == KineticMode.SALPETER:
-        floor = -(params.am1 + params.am2)
+    if problem.kinetic == "salpeter":
+        floor = -2.0 * problem.am
     else:
-        alpha = params.alpha if params.include_coulomb else 0.0
-        floor = -alpha * alpha / (4.0 * params.s)
+        floor = -problem.alpha * problem.alpha / (4.0 * problem.s)
     return floor - 1e-6 * max(1.0, abs(floor))
 
 
-def select_bound_states(eigenpairs, H, params, grid, mapping, count):
+def select_bound_states(eigenpairs, H, problem, grid, mapping, count):
     """The lowest `count` physical bound levels, indexed and normalized.
 
     `H` is the matrix the eigenpairs were computed from.  Eigenpairs are
@@ -315,7 +271,7 @@ def select_bound_states(eigenpairs, H, params, grid, mapping, count):
     density_weights = grid.plain_weights * J * x * x
     corner = max(3, grid.N // 10)
 
-    floor = spectrum_floor(params)
+    floor = spectrum_floor(problem)
     levels = []
     for i in np.argsort(evals.real, kind="stable"):
         if len(levels) == count:
@@ -344,13 +300,13 @@ def select_bound_states(eigenpairs, H, params, grid, mapping, count):
             v = -v
         v.setflags(write=False)
         levels.append(BoundLevel(
-            ell=params.ell, n=len(levels), epsilon=lam.real, mesh_values=v,
+            ell=problem.ell, n=len(levels), epsilon=lam.real, mesh_values=v,
             residual_norm=resid, imag_part=abs(lam.imag),
         ))
     return levels, len(levels) >= count
 
 
-def solve_levels(params, N, mapping=None, count=5):
+def solve_levels(problem, N, mapping=None, count=5):
     """Lowest `count` levels: assemble H once, diagonalize, select lazily.
 
     The PV and log weight tables come from the grid, which builds each once
@@ -358,10 +314,10 @@ def solve_levels(params, N, mapping=None, count=5):
     """
     mapping = mapping or Mapping()
     grid = cheb.chebyshev_grid(N)
-    V = assemble_potential(params, grid, mapping)
-    H = assemble_hamiltonian(V, params, grid, mapping)
+    V = assemble_potential(problem, grid, mapping)
+    H = assemble_hamiltonian(V, problem, grid, mapping)
     pairs = solve_spectrum(H)
-    return select_bound_states(pairs, H, params, grid, mapping, count)
+    return select_bound_states(pairs, H, problem, grid, mapping, count)
 
 
 def wavefunction_at(level, grid, mapping, x):
@@ -373,7 +329,7 @@ def wavefunction_at(level, grid, mapping, x):
     return cheb.interpolate(grid, level.mesh_values, t)
 
 
-def convergence_scan(params, sigma, N_list, count=5, mapping_kind=MappingKind.RATIONAL):
+def convergence_scan(problem, sigma, N_list, count=5, mapping_kind="rational"):
     """Energies of the lowest levels at each N, with successive differences.
 
     Returns a dict: {"N": [...], "epsilon", "residual", "imag": arrays
@@ -386,7 +342,7 @@ def convergence_scan(params, sigma, N_list, count=5, mapping_kind=MappingKind.RA
     mapping = Mapping(kind=mapping_kind, sigma=sigma)
     table, resid, imag = np.full((3, len(N_list), count), np.nan)
     for k, N in enumerate(N_list):
-        levels, _ = solve_levels(params, N, mapping, count)
+        levels, _ = solve_levels(problem, N, mapping, count)
         for lv in levels:
             table[k, lv.n] = lv.epsilon
             resid[k, lv.n] = lv.residual_norm

@@ -4,10 +4,11 @@ Independent cross-check for the momentum-space solver: a shooting method
 for the reduced radial equation
 
     u''(x) = [ l(l+1)/x^2 + (V(x) - eps)/s ] u(x),
-    V(x) = -alpha/x + lambda x,
+    V(x) = -alpha/x + x   (or -alpha/x without the linear term),
 
-in the same dimensionless units (x = r/a, eps = E a, s = 1/(2 mu a)).  The
-n-th level is bracketed by node counting and refined on the Wronskian of
+in the same dimensionless units (x = r/a, eps = E a, s = 1/(2 mu a)), for
+the `kernels.Problem` the momentum solver takes (nonrelativistic mode only).
+The n-th level is bracketed by node counting and refined on the Wronskian of
 outward and inward solutions matched at the classical turning point.  The
 analytic references are the hydrogen spectrum and the Airy-zero energies of
 the pure linear potential.
@@ -16,37 +17,10 @@ the pure linear potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-
-
-@dataclass(frozen=True)
-class RadialProblem:
-    """One bound-state problem in configuration space."""
-
-    ell: int = 0
-    alpha: float = 0.0
-    linear_slope: float = 1.0
-    mu_a: float = 0.5
-    n: int = 0
-    r_max: float | None = None   # default: beyond the turning point, see _r_max
-
-    def __post_init__(self):
-        if self.ell < 0 or self.n < 0:
-            raise ValueError("quantum numbers must be nonnegative")
-        if self.mu_a <= 0.0:
-            raise ValueError("mu_a must be positive")
-        if self.alpha < 0.0 or self.linear_slope < 0.0:
-            raise ValueError("potential strengths must be nonnegative")
-        if self.alpha == 0.0 and self.linear_slope == 0.0:
-            raise ValueError("potential is identically zero")
-
-    @property
-    def s(self):
-        return 1.0 / (2.0 * self.mu_a)
 
 
 def hydrogen_energy(n, ell, alpha, mu_a):
@@ -80,10 +54,11 @@ def airy_reference(nu):
 
 
 def _potential(problem, x):
-    return -problem.alpha / x + problem.linear_slope * x
+    # the linear term has unit slope in units of a
+    return -problem.alpha / x + (x if problem.linear else 0.0)
 
 
-def _turning_point(problem, eps):
+def _turning_point(problem, n, eps):
     """Outer classical turning point of V_eff = V + s l(l+1)/x^2."""
     s = problem.s
     ell = problem.ell
@@ -91,15 +66,15 @@ def _turning_point(problem, eps):
     def veff(x):
         return _potential(problem, x) + s * ell * (ell + 1) / (x * x)
 
-    if problem.linear_slope > 0.0:
-        hi = max(2.0, (abs(eps) + problem.alpha + 1.0) / problem.linear_slope + 2.0)
+    if problem.linear:
+        hi = max(2.0, abs(eps) + problem.alpha + 1.0 + 2.0)
     else:
         # pure Coulomb: the turning point sits at alpha/|eps| and diverges as
         # eps -> 0.  Energies far shallower than the target level only appear
         # while bracketing, where a domain a few times the target's turning
         # point suffices, so floor |eps| at a fraction of the target scale.
-        floor = 0.25 * abs(hydrogen_energy(problem.n, problem.ell,
-                                           problem.alpha, problem.mu_a))
+        floor = 0.25 * abs(hydrogen_energy(n, problem.ell, problem.alpha,
+                                           1.0 / (2.0 * problem.s)))
         hi = 4.0 * problem.alpha / max(abs(eps), floor) + 10.0
     x = hi
     while veff(x) > eps and x > 1e-6:
@@ -116,12 +91,13 @@ def _turning_point(problem, eps):
     return hi
 
 
-def _r_max(problem, eps):
-    if problem.r_max is not None:
-        return problem.r_max
-    tp = _turning_point(problem, eps)
+def _r_max(problem, n, r_max, eps):
+    """Outer end of the domain: r_max if given, else beyond the turning point."""
+    if r_max is not None:
+        return r_max
+    tp = _turning_point(problem, n, eps)
     margin = max(10.0, 5.0 * math.sqrt(tp))
-    if problem.linear_slope == 0.0:
+    if not problem.linear:
         # Coulomb tail: the forbidden-region decay rate saturates at
         # kappa = sqrt(|eps|/s), so the margin must scale like 1/kappa to
         # suppress the growing mode contaminating the inward shot
@@ -190,7 +166,7 @@ def _shoot_in(problem, eps, x_match, r_max):
     kappa = math.sqrt(max(w, 1e-12))
     # u'/u = -kappa - kappa'/(2 kappa) = -kappa - w'/(4 w)
     dw = (-2.0 * problem.ell * (problem.ell + 1) / r_max**3
-          + (problem.alpha / r_max**2 + problem.linear_slope) / problem.s)
+          + (problem.alpha / r_max**2 + (1.0 if problem.linear else 0.0)) / problem.s)
     u0, du0 = 1.0, -(kappa + dw / (4.0 * max(w, 1e-12)))
     f = _rhs(problem, eps)
     sol = solve_ivp(f, (r_max, x_match), [u0, du0], method="DOP853",
@@ -200,51 +176,48 @@ def _shoot_in(problem, eps, x_match, r_max):
     return sol.y[0, -1], sol.y[1, -1]
 
 
-def _wronskian_mismatch(problem, eps):
-    tp = _turning_point(problem, eps)
+def _wronskian_mismatch(problem, n, r_max, eps):
+    tp = _turning_point(problem, n, eps)
     x_match = max(tp, 0.5)
-    r_max = _r_max(problem, eps)
+    r_end = _r_max(problem, n, r_max, eps)
     uo, duo = _shoot_out(problem, eps, x_match)
-    ui, dui = _shoot_in(problem, eps, x_match, r_max)
+    ui, dui = _shoot_in(problem, eps, x_match, r_end)
     # scale out the arbitrary normalizations of the two branches
     so = math.hypot(uo, duo)
     si = math.hypot(ui, dui)
     return (duo * ui - uo * dui) / (so * si)
 
 
-def _node_count(problem, eps):
-    r_max = _r_max(problem, eps)
-    return _shoot_out(problem, eps, None, count_to=r_max)
+def _node_count(problem, n, r_max, eps):
+    """Nodes of the outward solution up to the domain end of level n."""
+    return _shoot_out(problem, eps, None, count_to=_r_max(problem, n, r_max, eps))
 
 
-def _bracket_by_nodes(problem):
+def _bracket_by_nodes(problem, n, r_max):
     """Energy interval on which the node count steps from n to n+1."""
-    n = problem.n
-    s = problem.s
-    ell = problem.ell
     if problem.alpha > 0.0:
-        lo = hydrogen_energy(0, 0, problem.alpha, problem.mu_a) * 1.2 - 1.0
+        lo = hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0
     else:
         lo = 1e-9
     hi = max(1.0, abs(lo))
     for _ in range(60):
-        if _node_count(problem, hi) > n:
+        if _node_count(problem, n, r_max, hi) > n:
             break
         hi = hi * 2.0 + 1.0
     else:
         raise RuntimeError("failed to bracket the requested level; extend the domain")
-    ca = _node_count(problem, lo)
+    ca = _node_count(problem, n, r_max, lo)
     if ca > n:
         raise RuntimeError("lower energy bound already has too many nodes")
 
     # bisect on node count: the count steps from n to n+1 exactly at the
     # n-node eigenvalue, so this tightens a bracket around it
     a, b = lo, hi
-    cb = _node_count(problem, b)
+    cb = _node_count(problem, n, r_max, b)
     while (ca != n or cb != n + 1 or (b - a) > 0.02 * max(1.0, abs(a))) \
             and (b - a) > 1e-10 * max(1.0, abs(a)):
         mid = 0.5 * (a + b)
-        cm = _node_count(problem, mid)
+        cm = _node_count(problem, n, r_max, mid)
         if cm <= n:
             a, ca = mid, cm
         else:
@@ -252,21 +225,29 @@ def _bracket_by_nodes(problem):
     return a, b
 
 
-def solve_radial(problem):
-    """Eigenvalue of the n-th level by node counting plus Wronskian matching."""
-    a, b = _bracket_by_nodes(problem)
-    fa = _wronskian_mismatch(problem, a)
-    fb = _wronskian_mismatch(problem, b)
+def solve_radial(problem, n, r_max=None):
+    """Eigenvalue of the level with n nodes by node counting plus Wronskian matching.
+
+    The domain ends at r_max when given, else beyond the classical turning
+    point (see _r_max).
+    """
+    if problem.kinetic != "nonrelativistic":
+        raise ValueError("the coordinate solver supports only the nonrelativistic kinetic mode")
+    if n < 0:
+        raise ValueError("quantum numbers must be nonnegative")
+    a, b = _bracket_by_nodes(problem, n, r_max)
+    fa = _wronskian_mismatch(problem, n, r_max, a)
+    fb = _wronskian_mismatch(problem, n, r_max, b)
     # the mismatch changes sign across the eigenvalue inside a one-node bracket;
     # nudge the edges inward if an endpoint sits too close to the next level
     tries = 0
     while fa * fb > 0.0 and tries < 40:
         a, b = a + 0.02 * (b - a), b - 0.02 * (b - a)
-        fa = _wronskian_mismatch(problem, a)
-        fb = _wronskian_mismatch(problem, b)
+        fa = _wronskian_mismatch(problem, n, r_max, a)
+        fb = _wronskian_mismatch(problem, n, r_max, b)
         tries += 1
     if fa * fb > 0.0:
         raise RuntimeError("matching function does not change sign inside the node bracket")
-    eps = brentq(lambda e: _wronskian_mismatch(problem, e), a, b,
+    eps = brentq(lambda e: _wronskian_mismatch(problem, n, r_max, e), a, b,
                  xtol=1e-13, rtol=8.9e-16, maxiter=200)
     return eps

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .momentum import KineticMode, PotentialParams
+from .kernels import Problem
 
 
 # exact dimensionless energies of the pure linear potential (s = 1), five
@@ -100,10 +100,6 @@ class PhysicalScales:
         """Meson mass M = 2 m_q + eps sqrt(beta)."""
         return 2.0 * self.quark_mass_gev + epsilon * self.sqrt_beta
 
-    def epsilon_of_mass(self, mass_gev):
-        """Dimensionless energy of a given meson mass."""
-        return (mass_gev - 2.0 * self.quark_mass_gev) / self.sqrt_beta
-
 
 def physical_scales(flavor):
     """Unit conversions for the stored charm or bottom parameter set."""
@@ -112,24 +108,18 @@ def physical_scales(flavor):
     return PhysicalScales(QUARK_MASS_GEV[flavor], CORNELL_BETA_GEV2)
 
 
-def cornell_params(flavor, ell, kinetic_mode=KineticMode.NONRELATIVISTIC):
-    """PotentialParams of the quarkonium campaign for one flavor and ell."""
+def cornell_params(flavor, ell, kinetic="nonrelativistic"):
+    """Problem of the quarkonium campaign for one flavor and ell."""
     sc = physical_scales(flavor)
-    am = sc.am if kinetic_mode == KineticMode.SALPETER else 0.0
-    return PotentialParams(
-        ell=ell, alpha=CORNELL_ALPHA, s=sc.s,
-        include_linear=True, include_coulomb=True,
-        kinetic_mode=kinetic_mode, am1=am, am2=am,
-    )
+    am = sc.am if kinetic == "salpeter" else 0.0
+    return Problem(ell=ell, alpha=CORNELL_ALPHA, s=sc.s, kinetic=kinetic, am=am)
 
 
 def linear_params(ell, s=1.0):
-    """PotentialParams of the pure linear benchmark."""
-    return PotentialParams(ell=ell, alpha=0.0, s=s,
-                           include_linear=True, include_coulomb=False)
+    """Problem of the pure linear benchmark."""
+    return Problem(ell=ell, s=s)
 
 
 def coulomb_params(ell, alpha=TABLE1_ALPHA, s=TABLE1_S):
-    """PotentialParams of the pure Coulomb benchmark."""
-    return PotentialParams(ell=ell, alpha=alpha, s=s,
-                           include_linear=False, include_coulomb=True)
+    """Problem of the pure Coulomb benchmark."""
+    return Problem(ell=ell, alpha=alpha, linear=False, s=s)

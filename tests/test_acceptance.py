@@ -14,6 +14,7 @@ from chebquark import cheb
 from chebquark import momentum as mom
 from chebquark import radial
 from chebquark import references as refs
+from chebquark.kernels import Problem
 
 from test_cheb import analytic_log, analytic_plain, analytic_pv
 
@@ -31,13 +32,13 @@ def test_criterion_1_quadrature_exactness():
     for N in (8, 32, 128):
         grid = cheb.chebyshev_grid(N)
         powers = grid.nodes[None, :] ** np.arange(N)[:, None]   # [m, j]
-        w = cheb.weights_plain(grid)
+        w = grid.plain_weights
         for m in range(N):
             exact = analytic_plain(m)
             worst = max(worst, abs(w @ powers[m] - exact) / max(1.0, abs(exact)))
         for tau in taus:
-            wc = cheb.weights_cauchy(grid, tau).values
-            wl = cheb.weights_log(grid, tau).values
+            wc = cheb.weights_cauchy(grid, tau)
+            wl = cheb.weights_log(grid, tau)
             for m in range(N):
                 e1 = analytic_pv(m, tau)
                 e2 = analytic_log(m, tau)
@@ -55,8 +56,8 @@ def test_criterion_2_oracle_equivalence():
     funcs = (np.exp, lambda t: 1.0 / (2.0 + t), lambda t: np.sin(3.0 * t))
     worst = 0.0
     for tau in (-0.8, -0.31, 0.0, 0.44, 0.9):
-        wc = cheb.weights_cauchy(grid, tau).values
-        wl = cheb.weights_log(grid, tau).values
+        wc = cheb.weights_cauchy(grid, tau)
+        wl = cheb.weights_log(grid, tau)
         for f in funcs:
             reg, _ = quad(lambda t: (f(t) - f(tau)) / (t - tau), -1.0, 1.0,
                           epsabs=1e-13, limit=200, points=[tau])
@@ -121,9 +122,7 @@ def test_criterion_5_quarkonium_masses():
                 if (flavor, ell, lv.n) == refs.TABLE3_DISPUTED:
                     # disputed cell: graded against our own coordinate
                     # solver rather than either printed value
-                    eps_r = radial.solve_radial(radial.RadialProblem(
-                        ell=ell, alpha=params.alpha, linear_slope=1.0,
-                        mu_a=1.0 / (2.0 * params.s), n=lv.n))
+                    eps_r = radial.solve_radial(params, lv.n)
                     disputed_delta = abs(mass - scales.mass_gev(eps_r))
                 else:
                     ref = refs.TABLE3_MASS_GEV[flavor][ell][lv.n]
@@ -147,8 +146,7 @@ def test_criterion_6_cross_solver_agreement():
         levels, complete = mom.solve_levels(refs.linear_params(ell), N, mapping, 5)
         assert complete
         for lv in levels:
-            eps_r = radial.solve_radial(radial.RadialProblem(
-                ell=ell, alpha=0.0, linear_slope=1.0, mu_a=0.5, n=lv.n))
+            eps_r = radial.solve_radial(refs.linear_params(ell), lv.n)
             worst = max(worst, abs(lv.epsilon - eps_r))
     report(6, worst <= 1e-5,
            f"momentum vs coordinate on all 20 linear configs: worst "
@@ -169,8 +167,7 @@ def test_criterion_7_scaling_law():
         for lv, base in zip(levels, exact_base):
             worst = max(worst, abs(lv.epsilon / (s ** (1.0 / 3.0) * base) - 1.0))
         # the independent coordinate solver confirms the exponent
-        eps_r = radial.solve_radial(radial.RadialProblem(
-            ell=0, alpha=0.0, linear_slope=1.0, mu_a=1.0 / (2.0 * s), n=0))
+        eps_r = radial.solve_radial(refs.linear_params(0, s), 0)
         assert abs(eps_r / (s ** (1.0 / 3.0) * exact_base[0]) - 1.0) < 1e-10
     report(7, worst <= 1e-6,
            f"eps(0,s,0) = s^(1/3) eps(0,1,0) at s in {{0.5, 2}}: worst rel "
@@ -208,17 +205,15 @@ def test_criterion_8_convergence_behavior():
 def test_criterion_9_coordinate_oracle_self_test():
     worst_airy = 0.0
     for nu in range(1, 6):
-        pb = radial.RadialProblem(ell=0, alpha=0.0, linear_slope=1.0,
-                                  mu_a=0.5, n=nu - 1)
+        pb = Problem(ell=0, alpha=0.0, linear=True, s=1.0)
         worst_airy = max(worst_airy,
-                         abs(radial.solve_radial(pb) / radial.airy_reference(nu) - 1.0))
+                         abs(radial.solve_radial(pb, nu - 1) / radial.airy_reference(nu) - 1.0))
     worst_h = 0.0
     for ell in range(5):
         for n in range(5 - ell):
-            pb = radial.RadialProblem(ell=ell, alpha=1.0, linear_slope=0.0,
-                                      mu_a=0.5, n=n)
+            pb = Problem(ell=ell, alpha=1.0, linear=False, s=1.0)
             exact = radial.hydrogen_energy(n, ell, 1.0, 0.5)
-            worst_h = max(worst_h, abs(radial.solve_radial(pb) / exact - 1.0))
+            worst_h = max(worst_h, abs(radial.solve_radial(pb, n) / exact - 1.0))
     report(9, worst_airy <= 1e-9 and worst_h <= 1e-9,
            f"airy worst rel {worst_airy:.2e}, hydrogen (n+ell<=4) worst rel "
            f"{worst_h:.2e} (tol 1e-9)")

@@ -1,0 +1,42 @@
+"""The benchmark harness in perfbench/ reaches into the library by name.
+
+It wraps module attributes for the traced run and validates its requests
+with `cli.build_config`, so a renamed function or config key would
+break it without failing any other test.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from chebquark import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    """Import perfbench/<name>.py under a private module name."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("probe", spans.PROBES, ids=[p[0] for p in spans.PROBES])
+def test_probe_resolves_to_callable(probe):
+    _, module, attr, _ = probe
+    assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+@pytest.mark.parametrize("request_", [r for w in workloads.WORKLOADS.values() for r in w],
+                         ids=lambda r: r.name)
+def test_workload_request_is_valid_config(request_):
+    cli.build_config(request_.raw)

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from chebquark import cli
+from chebquark import cheb, cli
 
 
 class TestParseConfig:
@@ -142,6 +143,23 @@ class TestMain:
         path.write_text("potential = linear\ns = 1\nlevels = 2.7\nN = 40\n")
         assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
         assert "'levels' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", (("--sigma", "1e300"), ("--sigma", "1e-300"),
+                                      ("--ell", "60"), ("--ell", "200")))
+    def test_non_finite_matrix_exit_code(self, flag, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("potential = linear\ns = 1\nN = 20\n")
+        with np.errstate(all="ignore"):
+            assert cli.main(["--config", str(path), *flag]) == cli.EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_mesh_order_capped_before_allocation(self, monkeypatch, capsys):
+        def no_grid(N):
+            raise AssertionError(f"grid of order {N} built before N was checked")
+        monkeypatch.setattr(cheb, "ChebGrid", no_grid)
+        monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
+        assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
+        assert "2.2 GB" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["--config", "/no/such/file.cfg"]) == cli.EXIT_CONFIG

@@ -15,6 +15,17 @@ def q_ell_oracle(ell, z):
     return 0.5 * val
 
 
+class TestProblem:
+    @pytest.mark.parametrize("fields", (
+        {"ell": 1.5}, {"ell": -1}, {"alpha": float("nan")}, {"s": float("inf")},
+        {"am": float("nan")}, {"alpha": 0.0, "linear": False},
+        {"kinetic": "salpeter"}, {"kinetic": "dirac"},
+    ), ids=str)
+    def test_rejected(self, fields):
+        with pytest.raises(ValueError):
+            kernels.Problem(**fields)
+
+
 class TestLegendreP:
     @pytest.mark.parametrize("ell", range(7))
     def test_matches_scipy(self, ell):

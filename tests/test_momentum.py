@@ -6,19 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from chebquark import cheb
+from chebquark import cheb, kernels
 from chebquark import momentum as mom
 from chebquark import radial
 from chebquark import references as refs
+from chebquark.kernels import Problem
 
 
 class TestMapping:
     def test_rational_examples(self):
-        m = mom.Mapping(kind=mom.MappingKind.RATIONAL, sigma=1.0)
-        x, j = mom.map_variable(m, 0.0)
+        m = mom.Mapping(kind="rational", sigma=1.0)
+        x, j = m.x_of(0.0), m.jacobian(0.0)
         assert (x, j) == (1.0, 2.0)
         m2 = mom.Mapping(sigma=2.0)
-        x, j = mom.map_variable(m2, 0.5)
+        x, j = m2.x_of(0.5), m2.jacobian(0.5)
         assert abs(x - 6.0) < 1e-14
         assert abs(j - 16.0) < 1e-14
 
@@ -27,7 +28,7 @@ class TestMapping:
         delta = 1e-8
         assert abs(m.x_of(-1.0 + delta) - 0.5 * delta) < 1e-15
 
-    @pytest.mark.parametrize("kind", mom.MappingKind.ALL)
+    @pytest.mark.parametrize("kind", mom.MAPPINGS)
     def test_round_trip_and_jacobian(self, kind):
         m = mom.Mapping(kind=kind, sigma=1.7)
         t = np.linspace(-0.95, 0.95, 31)
@@ -43,45 +44,37 @@ class TestMapping:
             mom.Mapping().x_of(1.0)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            mom.Mapping(sigma=0.0)
+        for sigma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                mom.Mapping(sigma=sigma)
 
 
 class TestParams:
     def test_salpeter_needs_masses(self):
         with pytest.raises(ValueError):
-            mom.PotentialParams(kinetic_mode=mom.KineticMode.SALPETER)
+            Problem(kinetic="salpeter")
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
-            mom.PotentialParams(alpha=-0.1)
+            Problem(alpha=-0.1)
 
 
 class TestAssembly:
     def test_disabled_potentials_rejected(self):
-        grid = cheb.chebyshev_grid(8)
-        params = mom.PotentialParams(include_linear=False, include_coulomb=False)
         with pytest.raises(ValueError):
-            mom.assemble_potential(params, grid, mom.Mapping())
-
-    def test_zero_coupling_coulomb_only_is_zero_matrix(self):
-        grid = cheb.chebyshev_grid(12)
-        params = mom.PotentialParams(alpha=0.0, include_linear=False,
-                                     include_coulomb=True)
-        V = mom.assemble_potential(params, grid, mom.Mapping())
-        assert np.all(V == 0.0)
+            Problem(alpha=0.0, linear=False)
 
     def test_matrix_is_finite(self):
         grid = cheb.chebyshev_grid(30)
         for ell in range(4):
-            params = mom.PotentialParams(ell=ell, alpha=0.4)
+            params = Problem(ell=ell, alpha=0.4)
             V = mom.assemble_potential(params, grid, mom.Mapping())
             assert np.all(np.isfinite(V))
 
     def test_coulomb_attractive_quadratic_form(self):
         grid = cheb.chebyshev_grid(40)
         mapping = mom.Mapping()
-        params = mom.PotentialParams(ell=0, alpha=1.0, include_linear=False)
+        params = Problem(ell=0, alpha=1.0, linear=False)
         V = mom.assemble_potential(params, grid, mapping)
         x = mapping.x_of(grid.nodes)
         J = mapping.jacobian(grid.nodes)
@@ -90,19 +83,49 @@ class TestAssembly:
         assert form < 0.0
 
     def test_kinetic_modes(self):
-        params = mom.PotentialParams(s=1.0)
+        params = Problem(s=1.0)
         x = np.array([0.0, 1.0, 3.0])
         assert np.allclose(mom.kinetic_diagonal(params, x), x * x)
-        rel = mom.PotentialParams(kinetic_mode=mom.KineticMode.SALPETER,
-                                  am1=2.0, am2=2.0)
+        rel = Problem(kinetic="salpeter", am=2.0)
         k = mom.kinetic_diagonal(rel, x)
         assert k[0] == 0.0
         big = mom.kinetic_diagonal(rel, np.array([500.0]))[0]
         assert abs(big - (2.0 * 500.0 - 4.0)) < 0.01
 
+    @pytest.mark.parametrize("ell", range(4))
+    @pytest.mark.parametrize("case", ("coulomb", "linear", "cornell"))
+    def test_matches_kernel_pieces_entry_by_entry(self, case, ell):
+        # rebuild V from the scalar oracle, the grid's tables and the
+        # diagonal limits S_ii = 2 x_i / J_i and J_i (t_j-t_i)/(x_j-x_i) -> 1
+        problem = SELECTION_CASES[case][0](ell)
+        grid = cheb.chebyshev_grid(10)
+        mapping = mom.Mapping(sigma=0.8)
+        t, w, D = grid.nodes, grid.plain_weights, grid.diff_matrix
+        x, J = mapping.x_of(t), mapping.jacobian(t)
+        V = np.zeros((grid.N, grid.N))
+        for i in range(grid.N):
+            for j in range(grid.N):
+                kp = kernels.kernel_pieces(ell, x[i], x[j], problem.alpha)
+                if i == j:
+                    smooth, pole = 2.0 * x[i] / J[i], 1.0
+                else:
+                    smooth = (x[j] + x[i]) * abs((t[j] - t[i]) / (x[j] - x[i]))
+                    pole = J[j] * (t[j] - t[i]) / (x[j] - x[i])
+                log_w = (w[j] * np.log(smooth) - grid.log_table[i, j]) * J[j]
+                reg_w = w[j] * J[j]
+                pv_w = grid.pv_table[i, j] * pole
+                if problem.linear:
+                    V[i, j] += (kp.linear_log_coeff * log_w + kp.linear_regular * reg_w
+                                + kp.pv_factor_dxp * pv_w)
+                    # chi(x_j) = (1/J_j) sum_k D_jk X_k
+                    V[i] += kp.pv_factor * pv_w / J[j] * D[j]
+                V[i, j] += kp.coulomb_log_coeff * log_w + kp.coulomb_regular * reg_w
+        want = mom.assemble_potential(problem, grid, mapping)
+        np.testing.assert_allclose(V, want, rtol=1e-12, atol=0.0)
+
     def test_hamiltonian_shape_guard(self):
         grid = cheb.chebyshev_grid(10)
-        params = mom.PotentialParams()
+        params = Problem()
         with pytest.raises(ValueError):
             mom.assemble_hamiltonian(np.zeros((9, 9)), params, grid, mom.Mapping())
 
@@ -237,7 +260,7 @@ SELECTION_CASES = {
     "linear": (refs.linear_params, 1.0),
     "cornell": (functools.partial(refs.cornell_params, "charm"), 1.0),
     "salpeter": (functools.partial(refs.cornell_params, "bottom",
-                                   kinetic_mode=mom.KineticMode.SALPETER), 1.0),
+                                   kinetic="salpeter"), 1.0),
 }
 
 
@@ -348,7 +371,5 @@ class TestScanAndScaling:
             params = refs.cornell_params(flavor, 1)
             levels, _ = mom.solve_levels(params, 80, mom.Mapping(sigma=1.0), 2)
             for lv in levels:
-                eps_r = radial.solve_radial(radial.RadialProblem(
-                    ell=1, alpha=params.alpha, linear_slope=1.0,
-                    mu_a=1.0 / (2.0 * params.s), n=lv.n))
+                eps_r = radial.solve_radial(params, lv.n)
                 assert abs(lv.epsilon - eps_r) < 1e-3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chebquark import radial
+from chebquark.kernels import Problem
 
 
 class TestReferences:
@@ -35,57 +36,53 @@ class TestReferences:
 class TestProblemValidation:
     def test_rejects_zero_potential(self):
         with pytest.raises(ValueError):
-            radial.RadialProblem(alpha=0.0, linear_slope=0.0)
+            Problem(alpha=0.0, linear=False)
 
     def test_rejects_negative_quantum_numbers(self):
         with pytest.raises(ValueError):
-            radial.RadialProblem(ell=-1)
+            Problem(ell=-1)
+        with pytest.raises(ValueError):
+            radial.solve_radial(Problem(), -1)
 
-    def test_s_property(self):
-        assert radial.RadialProblem(mu_a=0.25).s == 2.0
+    def test_rejects_salpeter(self):
+        with pytest.raises(ValueError, match="nonrelativistic"):
+            radial.solve_radial(Problem(kinetic="salpeter", am=2.0), 0)
 
 
 class TestShooting:
     def test_airy_ladder(self):
         for nu in range(1, 6):
-            pb = radial.RadialProblem(ell=0, alpha=0.0, linear_slope=1.0,
-                                      mu_a=0.5, n=nu - 1)
-            eps = radial.solve_radial(pb)
+            pb = Problem(ell=0, alpha=0.0, linear=True, s=1.0)
+            eps = radial.solve_radial(pb, nu - 1)
             assert abs(eps / radial.airy_reference(nu) - 1.0) < 1e-10
 
     def test_hydrogen_ground_state(self):
-        pb = radial.RadialProblem(ell=0, alpha=1.0, linear_slope=0.0,
-                                  mu_a=1.0, n=0)
-        assert abs(radial.solve_radial(pb) + 0.5) < 1e-10
+        pb = Problem(ell=0, alpha=1.0, linear=False, s=0.5)
+        assert abs(radial.solve_radial(pb, 0) + 0.5) < 1e-10
 
     def test_hydrogen_excited_states(self):
         for ell, n in ((0, 3), (2, 1), (3, 0)):
-            pb = radial.RadialProblem(ell=ell, alpha=1.0, linear_slope=0.0,
-                                      mu_a=0.5, n=n)
+            pb = Problem(ell=ell, alpha=1.0, linear=False, s=1.0)
             exact = radial.hydrogen_energy(n, ell, 1.0, 0.5)
-            assert abs(radial.solve_radial(pb) / exact - 1.0) < 1e-9
+            assert abs(radial.solve_radial(pb, n) / exact - 1.0) < 1e-9
 
     def test_linear_ell3_published_value(self):
-        pb = radial.RadialProblem(ell=3, alpha=0.0, linear_slope=1.0,
-                                  mu_a=0.5, n=4)
-        assert abs(radial.solve_radial(pb) - 9.627267) < 5e-7
+        pb = Problem(ell=3, alpha=0.0, linear=True, s=1.0)
+        assert abs(radial.solve_radial(pb, 4) - 9.627267) < 5e-7
 
     def test_cornell_monotone_in_n_and_ell(self):
         def solve(ell, n):
-            return radial.solve_radial(radial.RadialProblem(
-                ell=ell, alpha=0.5, linear_slope=1.0, mu_a=0.5, n=n))
+            return radial.solve_radial(Problem(ell=ell, alpha=0.5, linear=True, s=1.0), n)
         e00, e01, e10 = solve(0, 0), solve(0, 1), solve(1, 0)
         assert e00 < e01
         assert e00 < e10
 
     def test_node_count_of_converged_solution(self):
-        pb = radial.RadialProblem(ell=1, alpha=0.5, linear_slope=1.0,
-                                  mu_a=0.5, n=3)
-        eps = radial.solve_radial(pb)
-        assert radial._node_count(pb, eps - 0.01) == 3
-        assert radial._node_count(pb, eps + 0.01) == 4
+        pb = Problem(ell=1, alpha=0.5, linear=True, s=1.0)
+        eps = radial.solve_radial(pb, 3)
+        assert radial._node_count(pb, 3, None, eps - 0.01) == 3
+        assert radial._node_count(pb, 3, None, eps + 0.01) == 4
 
     def test_explicit_domain_cutoff_respected(self):
-        pb = radial.RadialProblem(ell=0, alpha=0.0, linear_slope=1.0,
-                                  mu_a=0.5, n=0, r_max=25.0)
-        assert abs(radial.solve_radial(pb) / radial.airy_reference(1) - 1.0) < 1e-10
+        pb = Problem(ell=0, alpha=0.0, linear=True, s=1.0)
+        assert abs(radial.solve_radial(pb, 0, r_max=25.0) / radial.airy_reference(1) - 1.0) < 1e-10
