@@ -314,8 +314,11 @@ def solve_levels(problem, N, mapping=None, count=5):
     """
     mapping = mapping or Mapping()
     grid = cheb.chebyshev_grid(N)
-    V = assemble_potential(problem, grid, mapping)
-    H = assemble_hamiltonian(V, problem, grid, mapping)
+    # an overflowing kernel shows up as a non-finite H, which solve_spectrum
+    # reports as one numerical failure
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        V = assemble_potential(problem, grid, mapping)
+        H = assemble_hamiltonian(V, problem, grid, mapping)
     pairs = solve_spectrum(H)
     return select_bound_states(pairs, H, problem, grid, mapping, count)
 

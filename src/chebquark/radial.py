@@ -3,22 +3,28 @@
 Independent cross-check for the momentum-space solver: a shooting method
 for the reduced radial equation
 
-    u''(x) = [ l(l+1)/x^2 + (V(x) - eps)/s ] u(x),
+    u''(x) = w(x) u(x),   w = l(l+1)/x^2 + (V(x) - eps)/s,
     V(x) = -alpha/x + x   (or -alpha/x without the linear term),
 
 in the same dimensionless units (x = r/a, eps = E a, s = 1/(2 mu a)), for
 the `kernels.Problem` the momentum solver takes (nonrelativistic mode only).
-The n-th level is bracketed by node counting and refined on the Wronskian of
-outward and inward solutions matched at the classical turning point.  The
-analytic references are the hydrogen spectrum and the Airy-zero energies of
-the pure linear potential.
+The equation is integrated for the Prüfer phase theta, tan(theta) = u/u',
+outward from the origin and inward from the far end of the domain, where
+the inward phase starts on the branch ((n+1/2) pi, (n+1) pi) of a decaying
+solution with n nodes.  The mismatch of the two phases at the classical
+turning point is continuous and increasing in eps and vanishes exactly at
+the n-th level, so one bracketed root-find gives the level with no node
+counting (the miss-distance function of Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993).  The analytic references are the hydrogen
+spectrum and the Airy-zero energies of the pure linear potential.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 
-import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -106,148 +112,109 @@ def _r_max(problem, n, r_max, eps):
     return tp + margin
 
 
-_RTOL = 1e-12
-_ATOL = 1e-14
+# the root is found first with the ODE at a coarse tolerance, then within a
+# narrow bracket around that root at the final tolerance
+_COARSE_RTOL, _COARSE_ATOL = 1e-7, 1e-9
+_RTOL, _ATOL = 1e-12, 1e-14
 
 
 def _rhs(problem, eps):
+    """Prüfer phase equation theta' = cos^2(theta) - w sin^2(theta) of u'' = w u."""
     s = problem.s
     ell = problem.ell
 
     def f(x, y):
         w = ell * (ell + 1) / (x * x) + (_potential(problem, x) - eps) / s
-        return [y[1], w * y[0]]
+        c, sn = math.cos(y[0]), math.sin(y[0])
+        return [c * c - w * sn * sn]
 
     return f
 
 
-def _shoot_out(problem, eps, x_match, count_to=None):
-    """Integrate outward from the origin; return (u, u') at x_match.
-
-    With count_to set, integrate to that endpoint instead and return the
-    number of interior nodes (sign changes), renormalizing along the way to
-    avoid overflow in the classically forbidden region.
-    """
-    x0 = 1e-6
-    # series start u ~ x^(l+1) (1 + c1 x) handles the Coulomb 1/x term
-    c1 = -problem.alpha / (problem.s * 2.0 * (problem.ell + 1))
-    u0 = x0 ** (problem.ell + 1) * (1.0 + c1 * x0)
-    du0 = (problem.ell + 1) * x0 ** problem.ell * (1.0 + c1 * x0) + x0 ** (problem.ell + 1) * c1
-    f = _rhs(problem, eps)
-
-    if count_to is None:
-        sol = solve_ivp(f, (x0, x_match), [u0, du0], method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, dense_output=False)
-        if not sol.success:
-            raise RuntimeError(f"outward integration failed: {sol.message}")
-        return sol.y[0, -1], sol.y[1, -1]
-
-    nodes = 0
-    y = [u0, du0]
-    edges = np.linspace(x0, count_to, 9)
-    for a, b in zip(edges[:-1], edges[1:]):
-        span = np.linspace(a, b, 40)
-        sol = solve_ivp(f, (a, b), y, method="DOP853", rtol=1e-8, atol=1e-250,
-                        t_eval=span)
-        if not sol.success:
-            raise RuntimeError(f"outward integration failed: {sol.message}")
-        u = sol.y[0]
-        nodes += int(np.sum(np.sign(u[1:]) * np.sign(u[:-1]) < 0))
-        y = [sol.y[0, -1], sol.y[1, -1]]
-        scale = max(abs(y[0]), abs(y[1]))
-        if scale > 1e100:
-            y = [y[0] / scale, y[1] / scale]
-    return nodes
-
-
-def _shoot_in(problem, eps, x_match, r_max):
-    """Integrate inward from r_max with a first-order WKB decaying start."""
-    w = problem.ell * (problem.ell + 1) / r_max**2 + (_potential(problem, r_max) - eps) / problem.s
-    kappa = math.sqrt(max(w, 1e-12))
-    # u'/u = -kappa - kappa'/(2 kappa) = -kappa - w'/(4 w)
-    dw = (-2.0 * problem.ell * (problem.ell + 1) / r_max**3
-          + (problem.alpha / r_max**2 + (1.0 if problem.linear else 0.0)) / problem.s)
-    u0, du0 = 1.0, -(kappa + dw / (4.0 * max(w, 1e-12)))
-    f = _rhs(problem, eps)
-    sol = solve_ivp(f, (r_max, x_match), [u0, du0], method="DOP853",
-                    rtol=_RTOL, atol=_ATOL)
+def _phase(problem, eps, x_from, x_to, theta, tol):
+    sol = solve_ivp(_rhs(problem, eps), (x_from, x_to), [theta], method="DOP853",
+                    rtol=tol[0], atol=tol[1])
     if not sol.success:
-        raise RuntimeError(f"inward integration failed: {sol.message}")
-    return sol.y[0, -1], sol.y[1, -1]
+        raise RuntimeError(f"phase integration failed: {sol.message}")
+    return sol.y[0, -1]
 
 
-def _wronskian_mismatch(problem, n, r_max, eps):
-    tp = _turning_point(problem, n, eps)
-    x_match = max(tp, 0.5)
+def _phase_out(problem, eps, x_end, tol):
+    """Phase at x_end of the solution regular at the origin (0 at the origin)."""
+    x0 = 1e-6
+    # series start u ~ x^(l+1) (1 + c1 x) handles the Coulomb 1/x term; u and
+    # u' are divided by x0^l, which keeps their ratio and cannot underflow
+    c1 = -problem.alpha / (problem.s * 2.0 * (problem.ell + 1))
+    u0 = x0 * (1.0 + c1 * x0)
+    du0 = (problem.ell + 1) * (1.0 + c1 * x0) + x0 * c1
+    return _phase(problem, eps, x0, x_end, math.atan2(u0, du0), tol)
+
+
+def _phase_in(problem, n, eps, x_match, r_end, tol):
+    """Phase at x_match of the solution decaying at r_end, on the branch of n nodes."""
+    w = problem.ell * (problem.ell + 1) / r_end**2 + (_potential(problem, r_end) - eps) / problem.s
+    kappa = math.sqrt(max(w, 1e-12))
+    # first-order WKB: u'/u = -kappa - kappa'/(2 kappa) = -kappa - w'/(4 w)
+    dw = (-2.0 * problem.ell * (problem.ell + 1) / r_end**3
+          + (problem.alpha / r_end**2 + (1.0 if problem.linear else 0.0)) / problem.s)
+    du = -(kappa + dw / (4.0 * max(w, 1e-12)))
+    # u > 0 > u' puts the phase in ((n+1/2) pi, (n+1) pi): n nodes inside r_end
+    theta = (n + 1) * math.pi - math.atan2(1.0, abs(du))
+    return _phase(problem, eps, r_end, x_match, theta, tol)
+
+
+def _phase_mismatch(problem, n, r_max, eps, tol):
+    """theta_out - theta_in at the matching point: increasing in eps, zero at level n."""
+    x_match = max(_turning_point(problem, n, eps), 0.5)
     r_end = _r_max(problem, n, r_max, eps)
-    uo, duo = _shoot_out(problem, eps, x_match)
-    ui, dui = _shoot_in(problem, eps, x_match, r_end)
-    # scale out the arbitrary normalizations of the two branches
-    so = math.hypot(uo, duo)
-    si = math.hypot(ui, dui)
-    return (duo * ui - uo * dui) / (so * si)
+    return _phase_out(problem, eps, x_match, tol) - _phase_in(problem, n, eps, x_match, r_end, tol)
 
 
-def _node_count(problem, n, r_max, eps):
-    """Nodes of the outward solution up to the domain end of level n."""
-    return _shoot_out(problem, eps, None, count_to=_r_max(problem, n, r_max, eps))
-
-
-def _bracket_by_nodes(problem, n, r_max):
-    """Energy interval on which the node count steps from n to n+1."""
-    if problem.alpha > 0.0:
-        lo = hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0
-    else:
-        lo = 1e-9
-    hi = max(1.0, abs(lo))
-    for _ in range(60):
-        if _node_count(problem, n, r_max, hi) > n:
-            break
-        hi = hi * 2.0 + 1.0
-    else:
-        raise RuntimeError("failed to bracket the requested level; extend the domain")
-    ca = _node_count(problem, n, r_max, lo)
-    if ca > n:
-        raise RuntimeError("lower energy bound already has too many nodes")
-
-    # bisect on node count: the count steps from n to n+1 exactly at the
-    # n-node eigenvalue, so this tightens a bracket around it
-    a, b = lo, hi
-    cb = _node_count(problem, n, r_max, b)
-    while (ca != n or cb != n + 1 or (b - a) > 0.02 * max(1.0, abs(a))) \
-            and (b - a) > 1e-10 * max(1.0, abs(a)):
-        mid = 0.5 * (a + b)
-        cm = _node_count(problem, n, r_max, mid)
-        if cm <= n:
-            a, ca = mid, cm
-        else:
-            b, cb = mid, cm
-    return a, b
+def _root(mismatch, a, b, xtol):
+    try:
+        return brentq(mismatch, a, b, xtol=xtol, rtol=8.9e-16, maxiter=200)
+    except ValueError as exc:
+        raise RuntimeError(f"phase mismatch does not change sign on [{a:.9g}, {b:.9g}]") from exc
 
 
 def solve_radial(problem, n, r_max=None):
-    """Eigenvalue of the level with n nodes by node counting plus Wronskian matching.
+    """Eigenvalue of the level with n nodes: the root of the phase mismatch.
 
     The domain ends at r_max when given, else beyond the classical turning
     point (see _r_max).
     """
     if problem.kinetic != "nonrelativistic":
         raise ValueError("the coordinate solver supports only the nonrelativistic kinetic mode")
-    if n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    a, b = _bracket_by_nodes(problem, n, r_max)
-    fa = _wronskian_mismatch(problem, n, r_max, a)
-    fb = _wronskian_mismatch(problem, n, r_max, b)
-    # the mismatch changes sign across the eigenvalue inside a one-node bracket;
-    # nudge the edges inward if an endpoint sits too close to the next level
-    tries = 0
-    while fa * fb > 0.0 and tries < 40:
-        a, b = a + 0.02 * (b - a), b - 0.02 * (b - a)
-        fa = _wronskian_mismatch(problem, n, r_max, a)
-        fb = _wronskian_mismatch(problem, n, r_max, b)
-        tries += 1
-    if fa * fb > 0.0:
-        raise RuntimeError("matching function does not change sign inside the node bracket")
-    eps = brentq(lambda e: _wronskian_mismatch(problem, n, r_max, e), a, b,
-                 xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    return eps
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if r_max is not None and not (math.isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"r_max must be positive and finite, got {r_max!r}")
+
+    @functools.cache
+    def coarse(eps):
+        return _phase_mismatch(problem, n, r_max, eps, (_COARSE_RTOL, _COARSE_ATOL))
+
+    @functools.cache
+    def tight(eps):
+        return _phase_mismatch(problem, n, r_max, eps, (_RTOL, _ATOL))
+
+    # every level lies above the Coulomb ground state of the same alpha
+    if problem.alpha > 0.0:
+        a = hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0
+    else:
+        a = 1e-9
+    b = max(1.0, abs(a))
+    for _ in range(60):
+        if coarse(b) > 0.0:
+            break
+        a, b = b, b * 2.0 + 1.0
+    else:
+        raise RuntimeError("failed to bracket the requested level; extend the domain")
+    eps = _root(coarse, a, b, 1e-8)
+    # the final root lies within h of the coarse one, on the side the sign of
+    # the final mismatch shows; the coarse bracket is the fallback
+    h = 1e-6 * max(1.0, abs(eps))
+    lo, hi = (eps - h, eps) if tight(eps) > 0.0 else (eps, eps + h)
+    lo = lo if tight(lo) <= 0.0 else a
+    hi = hi if tight(hi) >= 0.0 else b
+    return _root(tight, lo, hi, 1e-13)

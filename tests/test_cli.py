@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from chebquark import cheb, cli
@@ -144,14 +143,18 @@ class TestMain:
         assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
         assert "'levels' must be an integer" in capsys.readouterr().err
 
+    # a floating-point warning is an error here: the overflow must reach
+    # stderr as the one failure line, not as a warning per operation first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", (("--sigma", "1e300"), ("--sigma", "1e-300"),
                                       ("--ell", "60"), ("--ell", "200")))
     def test_non_finite_matrix_exit_code(self, flag, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("potential = linear\ns = 1\nN = 20\n")
-        with np.errstate(all="ignore"):
-            assert cli.main(["--config", str(path), *flag]) == cli.EXIT_NUMERICAL
-        assert "non-finite" in capsys.readouterr().err
+        assert cli.main(["--config", str(path), *flag]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+        assert "non-finite" in err[0]
 
     def test_mesh_order_capped_before_allocation(self, monkeypatch, capsys):
         def no_grid(N):
