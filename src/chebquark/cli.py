@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -245,26 +245,10 @@ class Report:
     extra: dict = field(default_factory=dict)
     status: int = EXIT_OK
 
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "rows": self.rows,
-            "diagnostics": self.diagnostics,
-            "extra": self.extra,
-            "status": self.status,
-        }
-
 
 def report_to_json(report):
     """Serialize a report; floats survive a round trip bit-exactly."""
-    return json.dumps(report.to_dict(), indent=2)
-
-
-def report_from_json(text):
-    data = json.loads(text)
-    return Report(command=data["command"], rows=data["rows"],
-                  diagnostics=data["diagnostics"], extra=data["extra"],
-                  status=data["status"])
+    return json.dumps(asdict(report), indent=2)
 
 
 def _row(ell, n, N, sigma, epsilon, mass_gev, residual, imag):
@@ -276,29 +260,52 @@ def _row(ell, n, N, sigma, epsilon, mass_gev, residual, imag):
     }
 
 
-def _level_rows(cfg, levels, N, scales=None):
-    rows = []
-    for lv in levels:
-        mass = scales.mass_gev(lv.epsilon) if scales is not None else None
-        rows.append(_row(lv.ell, lv.n, N, cfg.sigma, lv.epsilon, mass,
-                         lv.residual_norm, lv.imag_part))
-    return rows
+def _fail(report, message):
+    report.status = EXIT_NUMERICAL
+    report.diagnostics.append(message)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
+def _solve_wave(report, wave, mapping_kind="rational"):
+    """Solve one partial wave, append its rows and return them; flag too few levels."""
+    mapping = mom.Mapping(kind=mapping_kind, sigma=wave.sigma)
+    levels, complete = mom.solve_levels(wave.problem, wave.N, mapping, wave.levels)
+    rows = [_row(lv.ell, lv.n, wave.N, wave.sigma, lv.epsilon,
+                 None if wave.scales is None else wave.scales.mass_gev(lv.epsilon),
+                 lv.residual_norm, lv.imag_part) for lv in levels]
+    report.rows.extend(rows)
+    if not complete:
+        _fail(report, f"{wave.label}: only {len(levels)} of {wave.levels} "
+                      "levels passed the filters")
+    return rows
+
+
 def _run_solve(cfg):
-    report = Report("solve")
-    mapping = mom.Mapping(kind=cfg.mapping, sigma=cfg.sigma)
-    N = cfg.N[0]
+    """`solve`, and `compare`, which pairs each level with the coordinate solver's."""
+    report = Report(cfg.command)
+    paired = []
     for ell in cfg.ell:
-        levels, complete = mom.solve_levels(_problem(cfg, ell), N, mapping, cfg.levels)
-        report.rows.extend(_level_rows(cfg, levels, N, cfg.scales))
-        if not complete:
-            report.status = EXIT_NUMERICAL
+        wave = refs.PartialWave(f"ell={ell}", _problem(cfg, ell), cfg.N[0], cfg.sigma,
+                                cfg.levels, cfg.scales)
+        rows = _solve_wave(report, wave, cfg.mapping)
+        if cfg.command != "compare":
+            continue
+        for row in rows:
+            n, eps = row["n"], row["epsilon"]
+            try:
+                eps_r = radial.solve_radial(wave.problem, n)
+            except RuntimeError as exc:
+                _fail(report, f"ell={ell} n={n}: coordinate solver failed: {exc}")
+                continue
+            delta = eps - eps_r
+            paired.append({"ell": ell, "n": n, "momentum": eps,
+                           "coordinate": float(eps_r), "delta": float(delta)})
             report.diagnostics.append(
-                f"ell={ell}: only {len(levels)} of {cfg.levels} levels passed the filters")
+                f"ell={ell} n={n}: momentum {eps:.7g} coordinate {eps_r:.7g} delta {delta:.2e}")
+    if cfg.command == "compare":
+        report.extra["compare"] = paired
     return report
 
 
@@ -312,8 +319,7 @@ def _run_scan(cfg):
             for n in range(cfg.levels):
                 eps = scan["epsilon"][k, n]
                 if np.isnan(eps):
-                    report.status = EXIT_NUMERICAL
-                    report.diagnostics.append(f"ell={ell} N={N}: level n={n} missing")
+                    _fail(report, f"ell={ell} N={N}: level n={n} missing")
                     continue
                 report.rows.append(_row(ell, n, N, cfg.sigma, eps,
                                         None if cfg.scales is None
@@ -325,116 +331,29 @@ def _run_scan(cfg):
     return report
 
 
-def _run_compare(cfg):
-    report = Report("compare")
-    mapping = mom.Mapping(kind=cfg.mapping, sigma=cfg.sigma)
-    N = cfg.N[0]
-    paired = []
-    for ell in cfg.ell:
-        problem = _problem(cfg, ell)
-        levels, complete = mom.solve_levels(problem, N, mapping, cfg.levels)
-        if not complete:
-            report.status = EXIT_NUMERICAL
-            report.diagnostics.append(
-                f"ell={ell}: only {len(levels)} of {cfg.levels} levels passed the filters")
-        report.rows.extend(_level_rows(cfg, levels, N, cfg.scales))
-        for lv in levels:
-            try:
-                eps_r = radial.solve_radial(problem, lv.n)
-            except RuntimeError as exc:
-                report.status = EXIT_NUMERICAL
-                report.diagnostics.append(f"ell={ell} n={lv.n}: coordinate solver failed: {exc}")
-                continue
-            delta = lv.epsilon - eps_r
-            paired.append({"ell": ell, "n": lv.n, "momentum": float(lv.epsilon),
-                           "coordinate": float(eps_r), "delta": float(delta)})
-            report.diagnostics.append(
-                f"ell={ell} n={lv.n}: momentum {lv.epsilon:.7g} "
-                f"coordinate {eps_r:.7g} delta {delta:.2e}")
-    report.extra["compare"] = paired
-    return report
-
-
-def _grade(report, label, passed):
-    report.diagnostics.append(f"{label}: {'pass' if passed else 'FAIL'}")
-    if not passed:
-        report.status = EXIT_NUMERICAL
-
-
 def _run_reproduce(cfg):
+    """Rerun a stored campaign and grade each level against its reference."""
     report = Report("reproduce")
     report.extra["table"] = cfg.table
-    if cfg.table == 1:
-        _reproduce_table1(report)
-    elif cfg.table == 2:
-        _reproduce_table2(report)
-    else:
-        _reproduce_table3(report)
+    for wave in refs.campaign(cfg.table):
+        quantity = "eps" if wave.scales is None else "mass"
+        for row in _solve_wave(report, wave):
+            value = row["epsilon"] if wave.scales is None else row["mass_gev"]
+            ref, tol = wave.references[row["n"]]
+            err = abs(value - ref)
+            line = (f"{wave.label} n={row['n']}: {quantity} {value:.9g} ref {ref:.9g} "
+                    f"err {err:.1e} tol {tol:.1e}")
+            if err <= tol:
+                report.diagnostics.append(line + " pass")
+            else:
+                _fail(report, line + " FAIL")
     return report
-
-
-def _reproduce_table1(report):
-    mapping = mom.Mapping(sigma=refs.TABLE1_SIGMA)
-    mu_a = 1.0 / (2.0 * refs.TABLE1_S)
-    for ell in range(4):
-        levels, complete = mom.solve_levels(refs.coulomb_params(ell), refs.TABLE1_N,
-                                            mapping, 5)
-        if not complete:
-            report.status = EXIT_NUMERICAL
-            report.diagnostics.append(f"ell={ell}: incomplete level set")
-        for lv in levels:
-            exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, mu_a)
-            rel = abs(lv.epsilon / exact - 1.0)
-            report.rows.append(_row(ell, lv.n, refs.TABLE1_N, refs.TABLE1_SIGMA,
-                                    lv.epsilon, None, lv.residual_norm, lv.imag_part))
-            _grade(report, f"ell={ell} n={lv.n} rel err {rel:.1e} (tol 1e-8)",
-                   rel <= 1e-8)
-
-
-def _reproduce_table2(report):
-    for ell, exact_row in refs.TABLE2_EXACT.items():
-        N = refs.TABLE2_N[ell]
-        sigma = refs.TABLE2_SIGMA[ell]
-        levels, complete = mom.solve_levels(refs.linear_params(ell), N,
-                                            mom.Mapping(sigma=sigma), 5)
-        if not complete:
-            report.status = EXIT_NUMERICAL
-            report.diagnostics.append(f"ell={ell}: incomplete level set")
-        for lv in levels:
-            err = abs(lv.epsilon - exact_row[lv.n])
-            report.rows.append(_row(ell, lv.n, N, sigma, lv.epsilon, None,
-                                    lv.residual_norm, lv.imag_part))
-            _grade(report, f"ell={ell} n={lv.n} eps {lv.epsilon:.7f} "
-                           f"vs {exact_row[lv.n]:.6f} (tol 2e-6)", err <= 2e-6)
-
-
-def _reproduce_table3(report):
-    mapping = mom.Mapping(sigma=refs.TABLE3_SIGMA)
-    for flavor in ("charm", "bottom"):
-        scales = refs.physical_scales(flavor)
-        for ell in range(3):
-            levels, complete = mom.solve_levels(refs.cornell_params(flavor, ell),
-                                                refs.TABLE3_N, mapping, 3)
-            if not complete:
-                report.status = EXIT_NUMERICAL
-                report.diagnostics.append(f"{flavor} ell={ell}: incomplete level set")
-            for lv in levels:
-                mass = scales.mass_gev(lv.epsilon)
-                ref = refs.TABLE3_MASS_GEV[flavor][ell][lv.n]
-                tol = (refs.TABLE3_DISPUTED_TOL_GEV
-                       if (flavor, ell, lv.n) == refs.TABLE3_DISPUTED
-                       else refs.TABLE3_TOL_GEV)
-                report.rows.append(_row(ell, lv.n, refs.TABLE3_N, refs.TABLE3_SIGMA,
-                                        lv.epsilon, mass, lv.residual_norm, lv.imag_part))
-                _grade(report, f"{flavor} ell={ell} n={lv.n} M {mass:.4f} "
-                               f"vs {ref:.4f} GeV (tol {tol:g})",
-                       abs(mass - ref) <= tol)
 
 
 def run(cfg):
     """Execute a validated RunConfig and return the Report."""
     handlers = {"solve": _run_solve, "scan": _run_scan,
-                "compare": _run_compare, "reproduce": _run_reproduce}
+                "compare": _run_solve, "reproduce": _run_reproduce}
     return handlers[cfg.command](cfg)
 
 

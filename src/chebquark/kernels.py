@@ -133,15 +133,6 @@ def q0(z):
     return out if out.ndim else float(out)
 
 
-def q0_prime(z):
-    """Q_0'(z) = 1/(1 - z^2); carries the double pole of the linear kernel."""
-    z = np.asarray(z, dtype=float)
-    if np.any(np.isclose(z, 1.0, atol=1e-15)):
-        raise ValueError("Q_0' is singular at z = 1")
-    out = 1.0 / (1.0 - z * z)
-    return out if out.ndim else float(out)
-
-
 def z_of(x, xp):
     """Kernel argument z = (x^2 + x'^2)/(2 x x') >= 1, equal to 1 iff x = x'."""
     x = np.asarray(x, dtype=float)
@@ -149,14 +140,6 @@ def z_of(x, xp):
     if np.any(x <= 0.0) or np.any(xp <= 0.0):
         raise ValueError("momenta must be positive")
     out = (x * x + xp * xp) / (2.0 * x * xp)
-    return out if out.ndim else float(out)
-
-
-def z_minus_one(x, xp):
-    """Cancellation-free z - 1 = (x - x')^2 / (2 x x') for near-diagonal work."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    out = (x - xp) ** 2 / (2.0 * x * xp)
     return out if out.ndim else float(out)
 
 

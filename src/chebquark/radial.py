@@ -167,6 +167,9 @@ def _phase_mismatch(problem, n, r_max, eps, tol):
     """theta_out - theta_in at the matching point: increasing in eps, zero at level n."""
     x_match = max(_turning_point(problem, n, eps), 0.5)
     r_end = _r_max(problem, n, r_max, eps)
+    if r_end <= x_match:
+        raise RuntimeError(f"domain end {r_end:.6g} is not beyond the matching point "
+                           f"{x_match:.6g} at eps = {eps:.6g}; extend r_max")
     return _phase_out(problem, eps, x_match, tol) - _phase_in(problem, n, eps, x_match, r_end, tol)
 
 

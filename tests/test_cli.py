@@ -5,6 +5,8 @@ import json
 import pytest
 
 from chebquark import cheb, cli
+from chebquark import momentum as mom
+from chebquark import references as refs
 
 
 class TestParseConfig:
@@ -82,11 +84,11 @@ class TestReports:
 
     def test_json_round_trip_bit_exact(self):
         text = cli.report_to_json(self.report)
-        back = cli.report_from_json(text)
-        for a, b in zip(self.report.rows, back.rows):
+        back = json.loads(text)
+        for a, b in zip(self.report.rows, back["rows"], strict=True):
             assert a["epsilon"] == b["epsilon"]
             assert a["residual"] == b["residual"]
-        assert cli.report_to_json(back) == text
+        assert json.dumps(back, indent=2) == text
 
     def test_pretty_contains_status(self):
         assert "status: 0" in cli.emit_pretty(self.report)
@@ -123,6 +125,48 @@ class TestCommands:
         a = cli.run(cfg)
         b = cli.run(cfg)
         assert cli.report_to_json(a) == cli.report_to_json(b)
+
+
+class TestReproduce:
+    @pytest.mark.parametrize("table, count", ((1, 20), (2, 20), (3, 18)))
+    def test_campaign_passes(self, table, count):
+        report = cli.run(cli.parse_config(f"command = reproduce\ntable = {table}\n"))
+        assert report.status == cli.EXIT_OK
+        levels = [(wave, n) for wave in refs.campaign(table) for n in range(wave.levels)]
+        assert len(levels) == count
+        assert [(r["ell"], r["n"]) for r in report.rows] == [
+            (wave.problem.ell, n) for wave, n in levels]
+        assert len(report.diagnostics) == count
+        for (wave, n), line in zip(levels, report.diagnostics):
+            assert line.startswith(f"{wave.label} n={n}: ") and line.endswith(" pass")
+            assert " ref " in line and " err " in line and " tol " in line
+
+    def test_masses_identify_their_flavor(self):
+        report = cli.run(cli.parse_config("command = reproduce\ntable = 3\n"))
+        flavors = [flavor for flavor in ("charm", "bottom") for _ in range(9)]
+        for flavor, row in zip(flavors, report.rows, strict=True):
+            assert row["mass_gev"] == refs.physical_scales(flavor).mass_gev(row["epsilon"])
+
+    def test_reference_out_of_tolerance_fails(self, monkeypatch):
+        exact = refs.TABLE2_EXACT[1]
+        monkeypatch.setitem(refs.TABLE2_EXACT, 1, (exact[0] + 1e-5,) + exact[1:])
+        report = cli.run(cli.parse_config("command = reproduce\ntable = 2\n"))
+        assert report.status == cli.EXIT_NUMERICAL
+        failed = [line for line in report.diagnostics if line.endswith(" FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("ell=1 n=0: ")
+
+    def test_incomplete_level_set_fails(self, monkeypatch):
+        solve_levels = mom.solve_levels
+
+        def one_short(problem, N, mapping, count):
+            levels, _ = solve_levels(problem, N, mapping, count)
+            return levels[:-1], False
+
+        monkeypatch.setattr(mom, "solve_levels", one_short)
+        report = cli.run(cli.parse_config("command = reproduce\ntable = 3\n"))
+        assert report.status == cli.EXIT_NUMERICAL
+        assert len(report.rows) == 12
+        assert "bottom ell=2: only 2 of 3 levels passed the filters" in report.diagnostics
 
 
 class TestMain:

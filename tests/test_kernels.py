@@ -57,11 +57,6 @@ class TestQFunctions:
         assert np.allclose(kernels.q0(z), 0.5 * np.log((z + 1.0) / (z - 1.0)),
                            rtol=1e-13)
 
-    def test_q0_prime_is_derivative(self):
-        z, h = 3.0, 1e-6
-        fd = (kernels.q0(z + h) - kernels.q0(z - h)) / (2.0 * h)
-        assert abs(kernels.q0_prime(z) - fd) < 1e-8
-
     def test_singular_at_one(self):
         with pytest.raises(ValueError):
             kernels.q0(1.0)
@@ -101,14 +96,6 @@ class TestWPoly:
 class TestKernelArgument:
     def test_z_of_diagonal_is_one(self):
         assert kernels.z_of(0.7, 0.7) == 1.0
-
-    def test_z_minus_one_cancellation_free(self):
-        x, xp = 1.0, 1.0 + 1e-9
-        direct = kernels.z_of(x, xp) - 1.0
-        stable = kernels.z_minus_one(x, xp)
-        assert abs(stable - 0.5e-18) < 1e-21
-        # the naive form loses all significant digits here
-        assert direct == 0.0 or abs(direct / stable - 1.0) > 1e-3
 
     def test_positive_momenta_required(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="r_max must be positive and finite"):
             radial.solve_radial(Problem(), 0, r_max=r_max)
 
+    # a domain ending inside the matching point would integrate the inward
+    # phase outward and give a wrong level (10.37 and 3.45 against 2.338)
+    @pytest.mark.parametrize("r_max", (1.0, 2.0))
+    def test_domain_inside_matching_point_is_a_runtime_error(self, r_max):
+        with pytest.raises(RuntimeError, match="extend r_max"):
+            radial.solve_radial(Problem(), 0, r_max=r_max)
+
 
 class TestShooting:
     def test_airy_ladder(self):
