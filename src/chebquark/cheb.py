@@ -3,15 +3,18 @@
 Everything here lives on the standard interval (-1, 1) and uses the zeros of
 T_N (Chebyshev points of the first kind), so no mesh point ever touches an
 endpoint.  Besides the plain Gauss-Chebyshev rule with unit weight function,
-two singular rules are provided:
+three singular rules are provided:
 
 * a Cauchy principal value rule for integrals of f(t)/(t - tau),
+* a Hadamard finite-part rule for integrals of f(t)/(t - tau)^2, the
+  tau-derivative of the principal value rule, tabulated at the mesh points,
 * a weakly singular rule for integrals of f(t) log|t - tau|.
 
-All three rules are interpolatory: they integrate the degree-(N-1)
+All four rules are interpolatory: they integrate the degree-(N-1)
 interpolant exactly, so they are exact for polynomials of degree < N.  The
-singular weights are built from Chebyshev moments of the singular kernels,
-obtained by three-term recurrences that stay bounded on [-1, 1].
+principal value and log weights are built from Chebyshev moments of the
+singular kernels, obtained by three-term recurrences that stay bounded on
+[-1, 1].
 """
 
 from __future__ import annotations
@@ -68,6 +71,23 @@ class ChebGrid:
     def pv_table(self):
         """PV weights at every node, W[i, j] = omega_j(t_i) (see pv_weight_table)."""
         return _read_only(pv_weight_table(self))
+
+    @cached_property
+    def fp_table(self):
+        """Finite-part weights at every node, W[i, j] = eta_j(t_i) = d omega_j/d tau.
+
+        sum_j eta_j(tau) f(t_j) = FP int f(t)/(t - tau)^2 dt.  Differentiating
+        PV int G_j(t)/(t - tau) dt in tau and integrating by parts gives
+        eta_j(tau) = PV int G_j'(t)/(t - tau) dt - G_j(1)/(1 - tau) - G_j(-1)/(1 + tau),
+        where the PV rule is exact on G_j' = sum_k D_kj G_k.
+        """
+        t = self.nodes
+        g_hi = self._C.sum(axis=0)                                  # G_j(1)
+        g_lo = self._C[::2].sum(axis=0) - self._C[1::2].sum(axis=0)  # G_j(-1)
+        eta = self.pv_table @ self.diff_matrix
+        eta -= np.outer(1.0 / (1.0 - t), g_hi)
+        eta -= np.outer(1.0 / (1.0 + t), g_lo)
+        return _read_only(eta)
 
     @cached_property
     def log_table(self):
@@ -210,7 +230,7 @@ def weights_log(grid, tau):
     """Weights Omega_i(tau) with sum_i Omega_i(tau) f(t_i) = int f(t) log|t-tau| dt.
 
     Exact for polynomial f of degree < N; the endpoints tau = +-1 are allowed
-    because the logarithmic singularity is integrable there.
+    because the log singularity is integrable there.
     """
     tau = float(tau)
     if not -1.0 <= tau <= 1.0:

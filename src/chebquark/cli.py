@@ -41,8 +41,9 @@ FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "residual", "imag")
 
-# Largest accepted mesh order.  Assembly peaks at about 137 bytes * N^2
-# (88 MB at N = 800), about 2.2 GB at this bound.
+# Largest accepted mesh order.  Assembly peaks at about 113 bytes * N^2 for
+# ell <= 2 (72 MB at N = 800), about 1.8 GB at this bound; each further unit
+# of ell adds 16 bytes * N^2 (tracemalloc, weight tables already built).
 MAX_N = 4000
 
 
@@ -64,7 +65,6 @@ class RunConfig:
     levels: int = 5
     N: tuple = (100,)
     sigma: float = 1.0
-    mapping: str = "rational"
     kinetic: str = "nonrelativistic"
     format: str = "pretty"
     out: str | None = None
@@ -121,7 +121,6 @@ _FIELDS = {
     "levels": ("levels", _parse_int),
     "N": ("N", _parse_int_list),
     "sigma": ("sigma", _parse_float),
-    "mapping": ("mapping", None),
     "kinetic": ("kinetic", None),
     "format": ("format", None),
     "out": ("out", None),
@@ -131,7 +130,7 @@ _FIELDS = {
 
 def _read_raw(text):
     """Key-value strings of a configuration document, sections merged."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     body = text if text.lstrip().startswith("[") else "[run]\n" + text
     try:
@@ -160,11 +159,17 @@ def parse_config(text):
 def build_config(raw):
     """Validate a flat mapping of key-value strings and fill defaults.
 
-    Unknown keys are rejected with a message listing them.
+    Unknown keys, and for `reproduce` every key that the stored campaign
+    fixes, are rejected with a message listing them.
     """
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
+    if raw.get("command") == "reproduce":
+        unused = sorted(set(raw) - {"command", "table", "format", "out"})
+        if unused:
+            raise ConfigError("command 'reproduce' takes only command, table, format and out; "
+                              f"remove: {', '.join(unused)}")
     cfg = RunConfig()
     for key, text in raw.items():
         attr, parse = _FIELDS[key]
@@ -178,8 +183,6 @@ def _validate(cfg):
         raise ConfigError(f"field 'command' must be one of {COMMANDS}, got {cfg.command!r}")
     if cfg.potential not in POTENTIALS:
         raise ConfigError(f"field 'potential' must be one of {POTENTIALS}, got {cfg.potential!r}")
-    if cfg.mapping not in mom.MAPPINGS:
-        raise ConfigError(f"field 'mapping' must be one of {tuple(mom.MAPPINGS)}, got {cfg.mapping!r}")
     if cfg.kinetic not in KINETIC_MODES:
         raise ConfigError(f"field 'kinetic' has invalid value {cfg.kinetic!r}")
     if cfg.format not in FORMATS:
@@ -192,7 +195,7 @@ def _validate(cfg):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: assembly needs "
-                          f"about 137 bytes * N^2, 2.2 GB at N = {MAX_N}")
+                          f"about 113 bytes * N^2, 1.8 GB at N = {MAX_N}")
     if any(l < 0 for l in cfg.ell):
         raise ConfigError("field 'ell' entries must be nonnegative")
     if cfg.command == "reproduce":
@@ -268,10 +271,10 @@ def _fail(report, message):
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve_wave(report, wave, mapping_kind="rational"):
+def _solve_wave(report, wave):
     """Solve one partial wave, append its rows and return them; flag too few levels."""
-    mapping = mom.Mapping(kind=mapping_kind, sigma=wave.sigma)
-    levels, complete = mom.solve_levels(wave.problem, wave.N, mapping, wave.levels)
+    levels, complete = mom.solve_levels(wave.problem, wave.N, mom.Mapping(sigma=wave.sigma),
+                                        wave.levels)
     rows = [_row(lv.ell, lv.n, wave.N, wave.sigma, lv.epsilon,
                  None if wave.scales is None else wave.scales.mass_gev(lv.epsilon),
                  lv.residual_norm, lv.imag_part) for lv in levels]
@@ -289,7 +292,7 @@ def _run_solve(cfg):
     for ell in cfg.ell:
         wave = refs.PartialWave(f"ell={ell}", _problem(cfg, ell), cfg.N[0], cfg.sigma,
                                 cfg.levels, cfg.scales)
-        rows = _solve_wave(report, wave, cfg.mapping)
+        rows = _solve_wave(report, wave)
         if cfg.command != "compare":
             continue
         for row in rows:
@@ -314,7 +317,7 @@ def _run_scan(cfg):
     diffs = {}
     for ell in cfg.ell:
         scan = mom.convergence_scan(_problem(cfg, ell), cfg.sigma, list(cfg.N),
-                                    count=cfg.levels, mapping_kind=cfg.mapping)
+                                    count=cfg.levels)
         for k, N in enumerate(scan["N"]):
             for n in range(cfg.levels):
                 eps = scan["epsilon"][k, n]

@@ -10,8 +10,8 @@ carried entirely by Q_0(z) = log|(x'+x)/(x'-x)|, the double pole by Q_0'(z).
 This module supplies the polynomial pieces (P_ell, the polynomial remainder
 w_{ell-1}, and their derivatives) and the kernel formulas that group them the
 way the solver consumes them: a log coefficient, a regular remainder, and
-the principal value factor left after the double pole has been reduced by
-integration by parts.
+the factor of the double pole, which the solver integrates as a Hadamard
+finite part.
 
 All functions accept scalars or numpy arrays.
 """
@@ -155,16 +155,9 @@ def linear_log_regular(x, dp, dw, log_w, reg_w):
     return (dp * log_w - dw * reg_w) / (np.pi * x ** 2)
 
 
-def pv_factor(x, xp, p, dp):
-    """F = x'^2 P_ell(z) / (x'+x)^2 inside the principal value brace, and dF/dx'.
-
-    The derivative follows by the chain rule through z:
-    d/dx' [x'^2/(x'+x)^2] = 2 x x'/(x'+x)^3 and dz/dx' = (x'^2 - x^2)/(2 x x'^2).
-    """
-    xs = x + xp
-    F = xp ** 2 * p / xs**2
-    Fx = p * 2.0 * x * xp / xs**3 + dp * (xp ** 2 - x ** 2) / (2.0 * x * xs**2)
-    return F, Fx
+def pv_factor(x, xp, p):
+    """F = x'^2 P_ell(z) / (x'+x)^2, the factor of the double pole 1/(x'-x)^2."""
+    return xp ** 2 * p / (x + xp) ** 2
 
 
 def coulomb_log_regular(alpha, x, xp, p, w, log_w, reg_w):
@@ -180,11 +173,8 @@ class KernelPieces:
     The right-hand side of the equation reads, schematically,
 
       [linear_log_coeff * log|(x'+x)/(x'-x)| + linear_regular] phi(x') dx'
-      + pv_factor * {chi(x') + phi(x') d/dx'} applied under PV dx'/(x'-x)
+      + pv_factor * phi(x') dx'/(x'-x)^2, taken as a Hadamard finite part
       + [coulomb_log_coeff * log|(x'+x)/(x'-x)| + coulomb_regular] phi(x') dx'
-
-    pv_factor_dxp is the analytic x'-derivative of the known factor inside
-    the PV brace (the d/dx' term acting on pv_factor's kernel).
     """
 
     ell: int
@@ -195,7 +185,6 @@ class KernelPieces:
     linear_log_coeff: float
     linear_regular: float
     pv_factor: float
-    pv_factor_dxp: float
     coulomb_log_coeff: float
     coulomb_regular: float
 
@@ -210,13 +199,11 @@ def kernel_pieces(ell, x, xp, alpha):
         w, dw = w_poly(ell, z, with_derivative=True)
     else:
         w = dw = 0.0
-    F, Fx = pv_factor(x, xp, p, dp)
     return KernelPieces(
         ell=ell, x=float(x), xp=float(xp), alpha=float(alpha), z=float(z),
         linear_log_coeff=float(linear_log_regular(x, dp, dw, 1.0, 0.0)),
         linear_regular=float(linear_log_regular(x, dp, dw, 0.0, 1.0)),
-        pv_factor=float(-(4.0 / np.pi) * F),
-        pv_factor_dxp=float(-(4.0 / np.pi) * Fx),
+        pv_factor=float(-(4.0 / np.pi) * pv_factor(x, xp, p)),
         coulomb_log_coeff=float(coulomb_log_regular(alpha, x, xp, p, w, 1.0, 0.0)),
         coulomb_regular=float(coulomb_log_regular(alpha, x, xp, p, w, 0.0, 1.0)),
     )

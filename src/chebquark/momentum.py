@@ -1,14 +1,14 @@
 """Momentum-space bound-state solver on a mapped Chebyshev mesh.
 
-The semi-infinite momentum axis is mapped onto (-1, 1), the singular
-integral equation is enforced exactly at the Chebyshev nodes, and each
-integral is replaced by the matching quadrature rule: plain weights for the
-regular pieces, the log-kernel rule for the log|(x'+x)/(x'-x)| pieces, and
-the Cauchy principal value rule for the pole left after the double pole has
-been reduced by integration by parts.  The derivative of the unknown
-function introduced by that reduction is eliminated through the spectral
-differentiation matrix, so the final object is a dense real non-symmetric
-N x N matrix whose eigenvalues approximate the bound-state spectrum.
+The semi-infinite momentum axis is mapped onto (-1, 1) by the rational map
+x = sigma (1+t)/(1-t), the singular integral equation is enforced exactly at
+the Chebyshev nodes, and each integral is replaced by the matching
+quadrature rule: plain weights for the regular pieces, the log-kernel rule
+for the log|(x'+x)/(x'-x)| pieces, and for the double pole of the linear
+kernel a Hadamard finite-part rule in t, with no subtraction and no
+derivative of the unknown function.  The final object is a dense real
+non-symmetric N x N matrix whose eigenvalues approximate the bound-state
+spectrum.
 
 Working units: lengths in a, momenta x = k a, energies eps = E a, where a
 is the length scale of the linear term V = -alpha/r + r/a^2.  The kinetic
@@ -30,31 +30,6 @@ from .kernels import legendre_P, w_poly
 # ---------------------------------------------------------------------------
 # mapping of (0, inf) onto (-1, 1)
 
-def _log_t_of(x, sigma):
-    e = np.exp(x / sigma)
-    return (e - 3.0) / (e + 1.0)
-
-
-# kind -> (x(t), dx/dt, t(x)), each a function of (argument, sigma)
-MAPPINGS = {
-    "rational": (
-        lambda t, sigma: sigma * (1.0 + t) / (1.0 - t),
-        lambda t, sigma: 2.0 * sigma / (1.0 - t) ** 2,
-        lambda x, sigma: (x - sigma) / (x + sigma),
-    ),
-    "trigonometric": (
-        lambda t, sigma: sigma * np.tan(0.25 * np.pi * (1.0 + t)),
-        lambda t, sigma: sigma * 0.25 * np.pi / np.cos(0.25 * np.pi * (1.0 + t)) ** 2,
-        lambda x, sigma: (4.0 / np.pi) * np.arctan(x / sigma) - 1.0,
-    ),
-    "logarithmic": (
-        lambda t, sigma: sigma * np.log((3.0 + t) / (1.0 - t)),
-        lambda t, sigma: sigma * (1.0 / (3.0 + t) + 1.0 / (1.0 - t)),
-        _log_t_of,
-    ),
-}
-
-
 def _interior(t):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) >= 1.0):
@@ -62,34 +37,33 @@ def _interior(t):
     return t
 
 
+def _scalar_or_array(a):
+    return a if a.ndim else float(a)
+
+
 @dataclass(frozen=True)
 class Mapping:
-    """Invertible map t in (-1, 1) <-> x in (0, inf) with scale sigma."""
+    """Rational map x = sigma (1+t)/(1-t) of t in (-1, 1) onto x in (0, inf)."""
 
-    kind: str = "rational"
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in MAPPINGS:
-            raise ValueError(f"unknown mapping kind {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("mapping scale must be positive and finite")
 
-    def _apply(self, formula, arg):
-        out = MAPPINGS[self.kind][formula](arg, self.sigma)
-        return out if out.ndim else float(out)
-
     def x_of(self, t):
-        return self._apply(0, _interior(t))
+        t = _interior(t)
+        return _scalar_or_array(self.sigma * (1.0 + t) / (1.0 - t))
 
     def jacobian(self, t):
-        return self._apply(1, _interior(t))
+        t = _interior(t)
+        return _scalar_or_array(2.0 * self.sigma / (1.0 - t) ** 2)
 
     def t_of(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise ValueError("momentum must be positive")
-        return self._apply(2, x)
+        return _scalar_or_array((x - self.sigma) / (x + self.sigma))
 
 
 @dataclass(frozen=True)
@@ -121,67 +95,53 @@ def _kernel_tables(ell, z):
 def assemble_potential(problem, grid, mapping):
     """Potential matrix V with (V X)_i = the discretized right-hand side.
 
-    The quadrature substitutions (per mesh point tau_i = t_i):
+    The quadrature substitutions at mesh point t_i, with J_j = dx/dt at t_j:
 
-      regular:    dx'                    -> w_j J_j
-      pole:       dx'/(x'-x)             -> omega_j(t_i) * J_j (t_j-t_i)/(x_j-x_i)
-      log kernel: log|(x'+x)/(x'-x)| dx' -> [w_j log S_ij - Omega_j(t_i)] J_j
+      regular:     dx'                      -> w_j J_j
+      log kernel:  log|(x'+x)/(x'-x)| dx'   -> [w_j log S_ij - Omega_j(t_i)] J_j
+      double pole: FP F phi dx'/(x'-x)^2    -> F_ij h_i [(1-t_j) eta_j(t_i) + omega_j(t_i)] phi_j
 
-    with J_j = dx/dt at t_j and S_ij = (x_j+x_i)|t_j-t_i| / |x_j-x_i| the
-    smooth remainder of the log argument.  The diagonal limits are
-    S_ii = 2 x_i / J_i and J_i (t_j-t_i)/(x_j-x_i) -> 1.  For the
-    rational mapping these reduce to the classical closed forms
-    omega_j(t_i)(1-t_i)/(1-t_j) and 2 sigma [w_j log|1-t_i t_j| -
-    Omega_j(t_i)]/(1-t_j)^2.  The derivative of the unknown function is
-    eliminated through the differentiation matrix, chi(x_j) =
-    (1/J_j) sum_k D_jk X_k, and the x'-derivative of the known factor inside
-    the principal value brace is taken analytically.  The kernel values come
-    from the `kernels` formulas that the scalar oracle `kernel_pieces`
-    evaluates too.  All diagonal entries are finite.
+    On the rational map (x'+x)/(x'-x) = (1 - t t')/(t'-t), so the smooth
+    remainder of the log argument is S_ij = 1 - t_i t_j.  The double pole
+    equals PV int (F phi)' dx'/(x'-x); with (t'-t)/(x'-x) = h (1-t'),
+    h = (1-t)/(2 sigma), integrating it by parts in t leaves
+    h [FP int F phi (1-t')/(t'-t)^2 dt' + PV int F phi/(t'-t) dt'], whose
+    boundary terms vanish (F = 0 at x' = 0, the integrand carries 1-t');
+    eta and omega are the grid's finite-part and principal value tables.
+    The kernel values come from the `kernels` formulas that the scalar
+    oracle `kernel_pieces` evaluates too.  All diagonal entries are finite.
     """
-    N = grid.N
     t = grid.nodes
-    w = grid.plain_weights
     x = mapping.x_of(t)
     J = mapping.jacobian(t)
-
-    dt = t[None, :] - t[:, None]          # t_j - t_i
-    dx = x[None, :] - x[:, None]          # x_j - x_i
-    np.fill_diagonal(dt, 1.0)
-    np.fill_diagonal(dx, 1.0)
+    regw = grid.plain_weights * J
 
     # z matrix with an exact diagonal
     z = (x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * x[:, None] * x[None, :])
     np.fill_diagonal(z, 1.0)
     p, dp, wl, dwl = _kernel_tables(problem.ell, z)
+    del z
 
-    # smooth remainder of the log argument; diagonal limit 2 x_i / J_i
-    smooth = (x[None, :] + x[:, None]) * np.abs(dt / dx)
-    np.fill_diagonal(smooth, 2.0 * x / J)
+    logw = np.log(1.0 - np.outer(t, t))
+    logw *= grid.plain_weights
+    logw -= grid.log_table
+    logw *= J
 
-    omega_log = grid.log_table    # Omega_j(t_i)
-    omega_pv = grid.pv_table      # omega_j(t_i)
-
-    logw = (w[None, :] * np.log(smooth) - omega_log) * J[None, :]
-    regw = w * J
-    hfac = J[None, :] * dt / dx
-    np.fill_diagonal(hfac, 1.0)
-    pvw = omega_pv * hfac
-
-    V = np.zeros((N, N))
-
+    V = np.zeros((grid.N, grid.N))
     if problem.linear:
         # log + regular pieces of the linear kernel (absent for ell = 0)
         if problem.ell >= 1:
-            V += kernels.linear_log_regular(x[:, None], dp, dwl, logw, regw[None, :])
-        # principal value piece: -(4/pi) PV int {chi + phi d/dx'} F dx'/(x'-x)
-        F, Fx = kernels.pv_factor(x[:, None], x[None, :], p, dp)
-        chi_term = (pvw * F / J[None, :]) @ grid.diff_matrix
-        V += -(4.0 / np.pi) * (chi_term + pvw * Fx)
+            V += kernels.linear_log_regular(x[:, None], dp, dwl, logw, regw)
+        # double pole: -(4/pi) FP int F phi dx'/(x'-x)^2
+        pole = grid.fp_table * (1.0 - t)
+        pole += grid.pv_table
+        pole *= kernels.pv_factor(x[:, None], x[None, :], p)
+        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * mapping.sigma))[:, None]
+        V += pole
 
     if problem.alpha > 0.0:
         V += kernels.coulomb_log_regular(problem.alpha, x[:, None], x[None, :],
-                                         p, wl, logw, regw[None, :])
+                                         p, wl, logw, regw)
 
     return V
 
@@ -206,13 +166,31 @@ def assemble_hamiltonian(V, problem, grid, mapping):
 # ---------------------------------------------------------------------------
 # eigenproblem and level selection
 
-def solve_spectrum(H):
+def similarity_scale(grid):
+    """Powers of two d_j proportional to sqrt(w_j J_j x_j^2) up to rounding.
+
+    The discretized operator is nearly self-adjoint in the quadrature inner
+    product sum_j w_j J_j x_j^2 f_j g_j, so d H d^-1 is nearly symmetric.  On
+    the rational map w J x^2 = 2 sigma^3 w (1+t)^2/(1-t)^4; the constant is
+    dropped, so the scale depends on the grid alone.
+    """
+    t = grid.nodes
+    return np.exp2(np.round(np.log2(np.sqrt(grid.plain_weights) * (1.0 + t) / (1.0 - t) ** 2)))
+
+
+def solve_spectrum(H, scale):
     """All eigenvalues and right eigenvectors of the dense Hamiltonian.
 
-    Uses the LAPACK non-symmetric QR driver; deterministic for fixed input.
-    A matrix with an infinite or NaN entry, which an extreme mapping scale
-    or a high ell overflows to, is a numerical failure (RuntimeError).
+    Uses the LAPACK non-symmetric QR driver on the similar matrix
+    diag(scale) H diag(scale)^-1, exact in floating point for powers of two
+    (see similarity_scale), and maps its eigenvectors back; deterministic for
+    fixed input.  With the similarity scale the eigenvalues carry about 1e-13
+    of rounding where those of H carry 1e-10 (linear ell = 0, N = 200).  A
+    matrix with an infinite or NaN entry, which an extreme mapping scale or
+    a high ell overflows to, is a numerical failure (RuntimeError).
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = scale[:, None] * H / scale
     if not np.all(np.isfinite(H)):
         raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
                            "or underflow at this ell or mapping scale sigma")
@@ -220,6 +198,7 @@ def solve_spectrum(H):
         evals, evecs = scipy.linalg.eig(H, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise RuntimeError(f"eigenvalue solver failed to converge: {exc}") from exc
+    evecs /= scale[:, None]
     return evals, evecs
 
 
@@ -319,7 +298,7 @@ def solve_levels(problem, N, mapping=None, count=5):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         V = assemble_potential(problem, grid, mapping)
         H = assemble_hamiltonian(V, problem, grid, mapping)
-    pairs = solve_spectrum(H)
+    pairs = solve_spectrum(H, similarity_scale(grid))
     return select_bound_states(pairs, H, problem, grid, mapping, count)
 
 
@@ -332,7 +311,7 @@ def wavefunction_at(level, grid, mapping, x):
     return cheb.interpolate(grid, level.mesh_values, t)
 
 
-def convergence_scan(problem, sigma, N_list, count=5, mapping_kind="rational"):
+def convergence_scan(problem, sigma, N_list, count=5):
     """Energies of the lowest levels at each N, with successive differences.
 
     Returns a dict: {"N": [...], "epsilon", "residual", "imag": arrays
@@ -342,7 +321,7 @@ def convergence_scan(problem, sigma, N_list, count=5, mapping_kind="rational"):
     """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be increasing")
-    mapping = Mapping(kind=mapping_kind, sigma=sigma)
+    mapping = Mapping(sigma=sigma)
     table, resid, imag = np.full((3, len(N_list), count), np.nan)
     for k, N in enumerate(N_list):
         levels, _ = solve_levels(problem, N, mapping, count)

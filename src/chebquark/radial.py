@@ -64,7 +64,17 @@ def _potential(problem, x):
     return -problem.alpha / x + (x if problem.linear else 0.0)
 
 
-def _turning_point(problem, n, eps):
+def _coulomb_bracket(problem, n):
+    """Pure Coulomb bracket of level n: the hydrogen energies at n -+ 1/2.
+
+    E(nu) = -alpha^2/(4 s (nu + ell + 1)^2); by Sturm ordering only level n
+    lies between E(n - 1/2) and E(n + 1/2), and both lie below the continuum.
+    """
+    return tuple(-problem.alpha ** 2 / (4.0 * problem.s * (n + d + problem.ell + 1) ** 2)
+                 for d in (-0.5, 0.5))
+
+
+def _turning_point(problem, eps):
     """Outer classical turning point of V_eff = V + s l(l+1)/x^2."""
     s = problem.s
     ell = problem.ell
@@ -75,13 +85,9 @@ def _turning_point(problem, n, eps):
     if problem.linear:
         hi = max(2.0, abs(eps) + problem.alpha + 1.0 + 2.0)
     else:
-        # pure Coulomb: the turning point sits at alpha/|eps| and diverges as
-        # eps -> 0.  Energies far shallower than the target level only appear
-        # while bracketing, where a domain a few times the target's turning
-        # point suffices, so floor |eps| at a fraction of the target scale.
-        floor = 0.25 * abs(hydrogen_energy(n, problem.ell, problem.alpha,
-                                           1.0 / (2.0 * problem.s)))
-        hi = 4.0 * problem.alpha / max(abs(eps), floor) + 10.0
+        # pure Coulomb: the turning point sits near alpha/|eps|; the bracket
+        # keeps eps at or below E(n + 1/2) < 0
+        hi = 4.0 * problem.alpha / abs(eps) + 10.0
     x = hi
     while veff(x) > eps and x > 1e-6:
         x *= 0.5
@@ -97,11 +103,11 @@ def _turning_point(problem, n, eps):
     return hi
 
 
-def _r_max(problem, n, r_max, eps):
+def _r_max(problem, r_max, eps):
     """Outer end of the domain: r_max if given, else beyond the turning point."""
     if r_max is not None:
         return r_max
-    tp = _turning_point(problem, n, eps)
+    tp = _turning_point(problem, eps)
     margin = max(10.0, 5.0 * math.sqrt(tp))
     if not problem.linear:
         # Coulomb tail: the forbidden-region decay rate saturates at
@@ -165,8 +171,8 @@ def _phase_in(problem, n, eps, x_match, r_end, tol):
 
 def _phase_mismatch(problem, n, r_max, eps, tol):
     """theta_out - theta_in at the matching point: increasing in eps, zero at level n."""
-    x_match = max(_turning_point(problem, n, eps), 0.5)
-    r_end = _r_max(problem, n, r_max, eps)
+    x_match = max(_turning_point(problem, eps), 0.5)
+    r_end = _r_max(problem, r_max, eps)
     if r_end <= x_match:
         raise RuntimeError(f"domain end {r_end:.6g} is not beyond the matching point "
                            f"{x_match:.6g} at eps = {eps:.6g}; extend r_max")
@@ -201,18 +207,19 @@ def solve_radial(problem, n, r_max=None):
     def tight(eps):
         return _phase_mismatch(problem, n, r_max, eps, (_RTOL, _ATOL))
 
-    # every level lies above the Coulomb ground state of the same alpha
-    if problem.alpha > 0.0:
-        a = hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0
+    if not problem.linear:
+        a, b = _coulomb_bracket(problem, n)
     else:
-        a = 1e-9
-    b = max(1.0, abs(a))
-    for _ in range(60):
-        if coarse(b) > 0.0:
-            break
-        a, b = b, b * 2.0 + 1.0
-    else:
-        raise RuntimeError("failed to bracket the requested level; extend the domain")
+        # every level lies above the Coulomb ground state of the same alpha
+        a = (hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0
+             if problem.alpha > 0.0 else 1e-9)
+        b = max(1.0, abs(a))
+        for _ in range(60):
+            if coarse(b) > 0.0:
+                break
+            a, b = b, b * 2.0 + 1.0
+        else:
+            raise RuntimeError("failed to bracket the requested level; extend the domain")
     eps = _root(coarse, a, b, 1e-8)
     # the final root lies within h of the coarse one, on the side the sign of
     # the final mismatch shows; the coarse bracket is the fallback

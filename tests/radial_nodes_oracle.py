@@ -4,10 +4,10 @@ This is the configuration-space solver `chebquark.radial.solve_radial`
 used before the Prüfer-phase rewrite: the n-th level is bracketed by
 bisection on the node count of the outward solution and refined on the
 Wronskian of outward and inward solutions matched at the classical turning
-point.  It shares the domain (`_turning_point`, `_r_max`) and the analytic
-references with the library, so the two solvers differ only in how they
-find the root.  It is slow (about a hundred `solve_ivp` calls per level)
-and is only run on a handful of levels.
+point.  It shares the domain (`_turning_point`, `_r_max`), the pure
+Coulomb start bracket and the analytic references with the library, so the
+two solvers differ only in how they find the root.  It is slow (about a
+hundred `solve_ivp` calls per level) and is only run on a handful of levels.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from chebquark.radial import _potential, _r_max, _turning_point, hydrogen_energy
+from chebquark.radial import (
+    _coulomb_bracket, _potential, _r_max, _turning_point, hydrogen_energy)
 
 
 _RTOL = 1e-12
@@ -92,9 +93,9 @@ def _shoot_in(problem, eps, x_match, r_max):
 
 
 def _wronskian_mismatch(problem, n, r_max, eps):
-    tp = _turning_point(problem, n, eps)
+    tp = _turning_point(problem, eps)
     x_match = max(tp, 0.5)
-    r_end = _r_max(problem, n, r_max, eps)
+    r_end = _r_max(problem, r_max, eps)
     uo, duo = _shoot_out(problem, eps, x_match)
     ui, dui = _shoot_in(problem, eps, x_match, r_end)
     # scale out the arbitrary normalizations of the two branches
@@ -105,16 +106,20 @@ def _wronskian_mismatch(problem, n, r_max, eps):
 
 def _node_count(problem, n, r_max, eps):
     """Nodes of the outward solution up to the domain end of level n."""
-    return _shoot_out(problem, eps, None, count_to=_r_max(problem, n, r_max, eps))
+    return _shoot_out(problem, eps, None, count_to=_r_max(problem, r_max, eps))
 
 
 def _bracket_by_nodes(problem, n, r_max):
     """Energy interval on which the node count steps from n to n+1."""
-    if problem.alpha > 0.0:
+    if not problem.linear:
+        # the shared domain needs eps < 0 for pure Coulomb
+        lo, hi = _coulomb_bracket(problem, n)
+    elif problem.alpha > 0.0:
         lo = hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0
+        hi = max(1.0, abs(lo))
     else:
         lo = 1e-9
-    hi = max(1.0, abs(lo))
+        hi = 1.0
     for _ in range(60):
         if _node_count(problem, n, r_max, hi) > n:
             break

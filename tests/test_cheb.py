@@ -20,6 +20,15 @@ def analytic_pv(m, tau):
     return p
 
 
+def analytic_fp(m, tau):
+    """FP int_{-1}^{1} t^m/(t - tau)^2 dt: the tau-derivative of analytic_pv's reduction."""
+    p = np.log((1.0 - tau) / (1.0 + tau))
+    dp = -2.0 / (1.0 - tau * tau)
+    for k in range(1, m + 1):
+        p, dp = analytic_plain(k - 1) + tau * p, p + tau * dp
+    return dp
+
+
 def analytic_log(m, tau):
     """int_{-1}^{1} t^m log|t - tau| dt, finite on the closed interval.
 
@@ -167,6 +176,16 @@ class TestSingularRules:
             assert not table.flags.writeable
         assert grid.pv_table is grid.pv_table
         assert grid.log_table is grid.log_table
+
+    @pytest.mark.parametrize("N", (8, 32, 128))
+    def test_finite_part_table_monomials(self, N):
+        # eta_j(t_i) integrates t^m/(t - t_i)^2 exactly for m < N
+        grid = cheb.ChebGrid(N)
+        t = grid.nodes
+        assert not grid.fp_table.flags.writeable
+        for m in range(N):
+            want = analytic_fp(m, t)
+            assert np.all(np.abs(grid.fp_table @ t**m - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
     def test_weight_tables_match_single_point_rules(self):
         grid = cheb.chebyshev_grid(20)

@@ -1,6 +1,7 @@
 """Configuration parsing, run commands, emission formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ class TestParseConfig:
         assert cfg.command == "solve"
         assert cfg.sigma == 1.0
         assert cfg.N == (100,)
-        assert cfg.mapping == "rational"
         assert cfg.format == "pretty"
 
     def test_sections_are_merged(self):
@@ -58,6 +58,13 @@ class TestParseConfig:
     def test_non_integer_count_rejected(self, name):
         with pytest.raises(cli.ConfigError, match=f"'{name}' must be an integer"):
             cli.parse_config(f"potential = linear\n{name} = 2.7\n")
+
+    def test_readme_example_parses(self):
+        # the annotated example in README.md, inline comments included
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = cli.parse_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert (cfg.command, cfg.N, cfg.ell, cfg.out) == ("solve", (100,), (0, 1, 2), "results.csv")
+        assert cfg.physical
 
     def test_reproduce_requires_table(self):
         with pytest.raises(cli.ConfigError, match="table"):
@@ -206,7 +213,13 @@ class TestMain:
         monkeypatch.setattr(cheb, "ChebGrid", no_grid)
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
-        assert "2.2 GB" in capsys.readouterr().err
+        assert "1.8 GB" in capsys.readouterr().err
+
+    def test_reproduce_rejects_fields_it_does_not_use(self, capsys):
+        # the stored campaign fixes N, sigma and the level count
+        assert cli.main(["--command", "reproduce", "--table", "1", "--N", "40",
+                         "--sigma", "3", "--levels", "1"]) == cli.EXIT_CONFIG
+        assert "remove: N, levels, sigma" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["--config", "/no/such/file.cfg"]) == cli.EXIT_CONFIG

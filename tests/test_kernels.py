@@ -103,16 +103,6 @@ class TestKernelArgument:
 
 
 class TestKernelPieces:
-    def test_pv_factor_derivative_by_finite_difference(self):
-        ell, x, h = 2, 1.3, 1e-6
-        def f(xp):
-            z = kernels.z_of(x, xp)
-            return xp**2 * kernels.legendre_P(ell, z) / (xp + x) ** 2
-        for xp in (0.4, 2.2, 7.0):
-            kp = kernels.kernel_pieces(ell, x, xp, alpha=0.3)
-            fd = -(4.0 / np.pi) * (f(xp + h) - f(xp - h)) / (2.0 * h)
-            assert abs(kp.pv_factor_dxp - fd) < 1e-7 * max(1.0, abs(fd))
-
     def test_coulomb_pieces_reassemble_q_ell(self):
         # coefficient grouping must reproduce -(alpha/(pi x)) x' Q_ell(z)
         ell, x, xp, alpha = 3, 0.9, 2.1, 0.5

@@ -117,7 +117,7 @@ class TestShooting:
         tol = (radial._RTOL, radial._ATOL)
 
         def zeros(e):
-            r_end = radial._r_max(pb, 3, None, e)
+            r_end = radial._r_max(pb, None, e)
             return math.floor(radial._phase_out(pb, e, r_end, tol) / math.pi)
 
         assert zeros(eps - 0.01) == 3
@@ -141,6 +141,22 @@ class TestShooting:
         monkeypatch.setattr(radial, "solve_ivp", failing)
         with pytest.raises(RuntimeError, match="step size too small"):
             radial.solve_radial(Problem(ell=0, alpha=0.0, linear=True, s=1.0), 0)
+
+    def test_coulomb_bracket_root_find_cost(self, monkeypatch):
+        # the bracket E(n -+ 1/2) holds level n alone and stays below the
+        # continuum, so the root-find needs few mismatch evaluations
+        calls = []
+        real = radial._phase_mismatch
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(radial, "_phase_mismatch", counting)
+        pb = Problem(ell=0, alpha=1.0, linear=False, s=1.0)
+        eps = radial.solve_radial(pb, 4)
+        assert abs(eps / radial.hydrogen_energy(4, 0, 1.0, 0.5) - 1.0) < 1e-9
+        assert len(calls) <= 20
 
     def test_integrations_per_level(self, monkeypatch):
         # every integration goes through the module's solve_ivp, which the
