@@ -22,6 +22,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.fft
 
 
 def _plain_moments(nmax):
@@ -47,17 +48,19 @@ class ChebGrid:
         self._theta = np.pi * (np.arange(self.N) + 0.5) / self.N
         self.nodes = np.cos(self._theta)
         self.nodes.setflags(write=False)
-        # T[n, j] = T_n(t_j) for n = 0..N-1, exact via the cosine form
-        self._T = np.cos(np.outer(np.arange(self.N), self._theta))
-        # cardinal coefficient matrix: G_j(t) = sum_n C[n, j] T_n(t)
-        self._C = (2.0 / self.N) * self._T
-        self._C[0] *= 0.5
-        self._mu = _plain_moments(self.N)
+
+    @cached_property
+    def _C(self):
+        """Cardinal coefficient matrix: G_j(t) = sum_n C[n, j] T_n(t)."""
+        # T_n(t_j) = cos(n theta_j)
+        C = (2.0 / self.N) * np.cos(np.outer(np.arange(self.N), self._theta))
+        C[0] *= 0.5
+        return _read_only(C)
 
     @cached_property
     def plain_weights(self):
         """Unit-weight quadrature weights w_i (positive, summing to 2)."""
-        return _read_only(self._mu @ self._C)
+        return _read_only(_cardinal_weights(_plain_moments(self.N)))
 
     @cached_property
     def diff_matrix(self):
@@ -65,7 +68,7 @@ class ChebGrid:
         # T_n'(t_i) = n U_{n-1}(t_i) = n sin(n theta_i) / sin(theta_i)
         n = np.arange(self.N)[:, None]
         dT = n * np.sin(n * self._theta[None, :]) / np.sin(self._theta)[None, :]
-        return _read_only(dT.T @ self._C)
+        return _read_only(_cardinal_weights(dT))
 
     @cached_property
     def pv_table(self):
@@ -82,8 +85,8 @@ class ChebGrid:
         where the PV rule is exact on G_j' = sum_k D_kj G_k.
         """
         t = self.nodes
-        g_hi = self._C.sum(axis=0)                                  # G_j(1)
-        g_lo = self._C[::2].sum(axis=0) - self._C[1::2].sum(axis=0)  # G_j(-1)
+        g_hi = _cardinal_weights(np.ones(self.N))                  # G_j(1)
+        g_lo = _cardinal_weights((-1.0) ** np.arange(self.N))      # G_j(-1)
         eta = self.pv_table @ self.diff_matrix
         eta -= np.outer(1.0 / (1.0 - t), g_hi)
         eta -= np.outer(1.0 / (1.0 + t), g_lo)
@@ -101,6 +104,17 @@ class ChebGrid:
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _cardinal_weights(moments):
+    """Weights sum_n moments[n, ...] C[n, j] of the cardinal functions G_j.
+
+    With C[n, j] = (2/N) cos(n theta_j), first row halved, this is a DCT-III
+    along n, O(N^2 log N) for a table instead of the O(N^3) product with C.
+    A moment table of shape (N, M) gives weights of shape (M, N), one row per
+    point; one moment vector gives one weight vector.
+    """
+    return scipy.fft.dct(moments, type=3, axis=0).T / moments.shape[0]
 
 
 @lru_cache(maxsize=64)
@@ -223,7 +237,7 @@ def weights_cauchy(grid, tau):
     tau = float(tau)
     if not -1.0 < tau < 1.0:
         raise ValueError(f"principal value point must lie strictly inside (-1, 1), got {tau}")
-    return _pv_moments(np.float64(tau), grid.N) @ grid._C
+    return _cardinal_weights(_pv_moments(np.float64(tau), grid.N))
 
 
 def weights_log(grid, tau):
@@ -235,14 +249,14 @@ def weights_log(grid, tau):
     tau = float(tau)
     if not -1.0 <= tau <= 1.0:
         raise ValueError(f"log-kernel point must lie in [-1, 1], got {tau}")
-    return _log_moments(np.float64(tau), grid.N) @ grid._C
+    return _cardinal_weights(_log_moments(np.float64(tau), grid.N))
 
 
 def pv_weight_table(grid):
     """Matrix W with W[i, j] = omega_j(t_i): PV weights at every mesh point."""
-    return (_pv_moments(grid.nodes, grid.N).transpose(1, 0) @ grid._C)
+    return _cardinal_weights(_pv_moments(grid.nodes, grid.N))
 
 
 def log_weight_table(grid):
     """Matrix W with W[i, j] = Omega_j(t_i): log weights at every mesh point."""
-    return (_log_moments(grid.nodes, grid.N).transpose(1, 0) @ grid._C)
+    return _cardinal_weights(_log_moments(grid.nodes, grid.N))

@@ -41,9 +41,10 @@ FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "residual", "imag")
 
-# Largest accepted mesh order.  Assembly peaks at about 113 bytes * N^2 for
-# ell <= 2 (72 MB at N = 800), about 1.8 GB at this bound; each further unit
-# of ell adds 16 bytes * N^2 (tracemalloc, weight tables already built).
+# Largest accepted mesh order.  One solve raises the process peak RSS by
+# about 110 bytes * N^2 at any ell and on either eigensolver path (107-112
+# measured at N = 800 and 1600, linear ell = 2 and 7), about 1.8 GB at this
+# bound; the assembly takes 88 of it (tracemalloc, weight tables built).
 MAX_N = 4000
 
 
@@ -194,8 +195,8 @@ def _validate(cfg):
     if any(N < 2 for N in cfg.N):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
-        raise ConfigError(f"field 'N' entries must be at most {MAX_N}: assembly needs "
-                          f"about 113 bytes * N^2, 1.8 GB at N = {MAX_N}")
+        raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
+                          f"about 110 bytes * N^2, 1.8 GB at N = {MAX_N}")
     if any(l < 0 for l in cfg.ell):
         raise ConfigError("field 'ell' entries must be nonnegative")
     if cfg.command == "reproduce":

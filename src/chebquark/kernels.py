@@ -65,63 +65,59 @@ class Problem:
             raise ValueError("salpeter mode needs a positive quark mass am")
 
 
-def legendre_P(ell, z, with_derivative=False):
-    """Legendre polynomial P_ell(z), optionally with its derivative.
+def _bonnet(ell, z):
+    """Yield (m, P_m(z), P'_m(z)) for m = 0..ell, keeping only a rolling window.
 
-    Values by the Bonnet recurrence, derivative from
-    (z^2 - 1) P'_ell = ell (z P_ell - P_{ell-1}); the formula degenerates at
-    z = 1 where P'_ell(1) = ell(ell+1)/2 is substituted directly.
+    Values by the Bonnet recurrence (m+1) P_{m+1} = (2m+1) z P_m - m P_{m-1},
+    derivatives by P'_{m+1} = z P'_m + (m+1) P_m, which needs no special case
+    at z = 1 and no cancellation near it.
     """
+    pprev = np.zeros_like(z)
+    p = np.ones_like(z)
+    dp = np.zeros_like(z)
+    for m in range(ell + 1):
+        yield m, p, dp
+        if m < ell:
+            pprev, p, dp = p, ((2 * m + 1) * z * p - m * pprev) / (m + 1), z * dp + (m + 1) * p
+
+
+def _returned(value, derivative, with_derivative):
+    """What legendre_P and w_poly return: floats for scalar z, else arrays."""
+    if not with_derivative:
+        return value if np.ndim(value) else float(value)
+    if np.ndim(value):
+        return value, derivative
+    return float(value), float(derivative)
+
+
+def legendre_P(ell, z, with_derivative=False):
+    """Legendre polynomial P_ell(z), optionally with its derivative P'_ell(z)."""
     if ell < 0:
         raise ValueError("orbital momentum must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    pkm1 = np.ones_like(z)
-    if ell == 0:
-        p = pkm1
-        pprev = np.zeros_like(z)
-    else:
-        pprev = pkm1
-        p = z.copy()
-        for k in range(2, ell + 1):
-            pprev, p = p, ((2 * k - 1) * z * p - (k - 1) * pprev) / k
-    if not with_derivative:
-        return p if p.ndim else float(p)
-    if ell == 0:
-        dp = np.zeros_like(z)
-    else:
-        denom = z * z - 1.0
-        at_one = np.isclose(denom, 0.0, atol=1e-14)
-        safe = np.where(at_one, 1.0, denom)
-        dp = ell * (z * p - pprev) / safe
-        dp = np.where(at_one, 0.5 * ell * (ell + 1) * np.sign(z) ** (ell + 1), dp)
-    if p.ndim:
-        return p, dp
-    return float(p), float(dp)
+    for _, p, dp in _bonnet(ell, np.asarray(z, dtype=float)):
+        pass
+    return _returned(p, dp, with_derivative)
 
 
 def w_poly(ell, z, with_derivative=False):
     """Polynomial remainder w_{ell-1}(z) of Q_ell, and optionally its derivative.
 
-    w_{ell-1}(z) = sum_{n=1..ell} P_{n-1}(z) P_{ell-n}(z) / n.  The term is
-    absent from the kernels at ell = 0, so ell >= 1 is required here.
+    w_{ell-1}(z) = sum_{n=1..ell} P_{n-1}(z) P_{ell-n}(z) / n, summed in
+    Christoffel's form sum_m 2(2m+1)/((ell-m)(ell+m+1)) P_m(z) over
+    m = ell-1, ell-3, ... >= 0, accumulated during one Bonnet recurrence.  The
+    term is absent from the kernels at ell = 0, so ell >= 1 is required here.
     """
     if ell < 1:
         raise ValueError("polynomial remainder exists only for ell >= 1")
     z = np.asarray(z, dtype=float)
     w = np.zeros_like(z)
     dw = np.zeros_like(z)
-    table = [legendre_P(k, z, with_derivative=True) for k in range(ell)]
-    for n in range(1, ell + 1):
-        pa, dpa = table[n - 1]
-        pb, dpb = table[ell - n]
-        w = w + pa * pb / n
-        if with_derivative:
-            dw = dw + (dpa * pb + pa * dpb) / n
-    if not with_derivative:
-        return w if w.ndim else float(w)
-    if w.ndim:
-        return w, dw
-    return float(w), float(dw)
+    for m, p, dp in _bonnet(ell - 1, z):
+        if (ell - 1 - m) % 2 == 0:
+            c = 2.0 * (2 * m + 1) / ((ell - m) * (ell + m + 1))
+            w += c * p
+            dw += c * dp
+    return _returned(w, dw, with_derivative)
 
 
 def q0(z):

@@ -196,3 +196,29 @@ class TestSingularRules:
                                atol=1e-12)
             assert np.allclose(lg[i], cheb.weights_log(grid, grid.nodes[i]),
                                atol=1e-12)
+
+
+class TestCardinalProducts:
+    """The weight tables are DCT-III transforms of moment tables."""
+
+    @staticmethod
+    def coefficient_matrix(N):
+        """C[n, j] = (2/N) T_n(t_j), first row halved: G_j = sum_n C[n, j] T_n."""
+        theta = np.pi * (np.arange(N) + 0.5) / N
+        C = (2.0 / N) * np.cos(np.outer(np.arange(N), theta))
+        C[0] *= 0.5
+        return C, theta
+
+    @pytest.mark.parametrize("N", (8, 80, 800))
+    def test_tables_match_coefficient_products(self, N):
+        grid = cheb.ChebGrid(N)
+        C, theta = self.coefficient_matrix(N)
+        n = np.arange(N)[:, None]
+        dT = n * np.sin(n * theta) / np.sin(theta)
+        for got, moments in ((cheb.pv_weight_table(grid), cheb._pv_moments(grid.nodes, N)),
+                             (cheb.log_weight_table(grid), cheb._log_moments(grid.nodes, N)),
+                             (grid.diff_matrix, dT)):
+            want = moments.T @ C
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = cheb._plain_moments(N) @ C
+        assert np.max(np.abs(grid.plain_weights - want)) <= 1e-15

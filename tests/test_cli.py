@@ -207,13 +207,23 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("numerical failure:")
         assert "non-finite" in err[0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_matrix_exit_code_on_arnoldi_path(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("potential = linear\ns = 1\n")
+        assert mom.ARNOLDI_MIN_N <= 500
+        assert cli.main(["--config", str(path), "--sigma", "1e300", "--N", "500"]) \
+            == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:")
+
     def test_mesh_order_capped_before_allocation(self, monkeypatch, capsys):
         def no_grid(N):
             raise AssertionError(f"grid of order {N} built before N was checked")
         monkeypatch.setattr(cheb, "ChebGrid", no_grid)
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
-        assert "1.8 GB" in capsys.readouterr().err
+        assert "110 bytes * N^2, 1.8 GB" in capsys.readouterr().err
 
     def test_reproduce_rejects_fields_it_does_not_use(self, capsys):
         # the stored campaign fixes N, sigma and the level count

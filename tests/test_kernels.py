@@ -8,6 +8,19 @@ from scipy.special import eval_legendre
 from chebquark import kernels
 
 
+def w_pairwise_oracle(ell, z):
+    """w_{ell-1} = sum_{n=1..ell} P_{n-1} P_{ell-n} / n and its derivative.
+
+    The pairwise sum that `kernels.w_poly` evaluated before it accumulated
+    Christoffel's single sum, on numpy's Legendre series.
+    """
+    P = [np.polynomial.Legendre.basis(k) for k in range(ell)]
+    w = sum(P[n - 1](z) * P[ell - n](z) / n for n in range(1, ell + 1))
+    dw = sum((P[n - 1].deriv()(z) * P[ell - n](z) + P[n - 1](z) * P[ell - n].deriv()(z)) / n
+             for n in range(1, ell + 1))
+    return w, dw
+
+
 def q_ell_oracle(ell, z):
     """Q_ell(z) = (1/2) int_{-1}^{1} P_ell(u)/(z - u) du for z > 1."""
     val, _ = quad(lambda u: eval_legendre(ell, u) / (z - u), -1.0, 1.0,
@@ -84,6 +97,14 @@ class TestWPoly:
         assert np.allclose(kernels.w_poly(1, z), np.ones_like(z))
         assert np.allclose(kernels.w_poly(2, z), 1.5 * z)
         assert np.allclose(kernels.w_poly(3, z), 2.5 * z**2 - 2.0 / 3.0)
+
+    @pytest.mark.parametrize("ell", range(1, 9))
+    def test_matches_pairwise_sum(self, ell):
+        z = np.concatenate([np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 1e4, 41)])
+        w, dw = kernels.w_poly(ell, z, with_derivative=True)
+        want_w, want_dw = w_pairwise_oracle(ell, z)
+        np.testing.assert_allclose(w, want_w, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(dw, want_dw, rtol=1e-14, atol=0.0)
 
     def test_derivative_by_finite_difference(self):
         z, h = 2.7, 1e-6

@@ -2,9 +2,12 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from chebquark import cheb, kernels
 from chebquark import momentum as mom
@@ -127,6 +130,23 @@ class TestAssembly:
         S = (x[j] + x[i]) * np.abs((t[j] - t[i]) / (x[j] - x[i]))
         np.testing.assert_allclose(S, 1.0 - t[i] * t[j], rtol=1e-13)
         np.testing.assert_allclose(2.0 * x / J, 1.0 - t * t, rtol=1e-13)
+
+    def test_assembly_memory_does_not_grow_with_ell(self):
+        # the kernel tables of any ell take a fixed number of N x N arrays
+        N = 400
+        grid = cheb.chebyshev_grid(N)
+        for table in ("plain_weights", "pv_table", "fp_table", "log_table"):
+            getattr(grid, table)
+        peaks = []
+        for ell in (2, 7):
+            tracemalloc.start()
+            try:
+                mom.assemble_potential(refs.linear_params(ell), grid, mom.Mapping())
+                peaks.append(tracemalloc.get_traced_memory()[1] / N**2)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 120.0
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_hamiltonian_shape_guard(self):
         grid = cheb.chebyshev_grid(10)
@@ -319,6 +339,141 @@ class TestSelection:
         assert calls == {"assemble": 5, "pv": 1, "log": 2}
 
 
+def dense_levels(params, N, mapping, count):
+    """Levels selected from all N eigenpairs of the dense solver: the oracle."""
+    grid = cheb.chebyshev_grid(N)
+    H = mom.assemble_hamiltonian(
+        mom.assemble_potential(params, grid, mapping), params, grid, mapping)
+    pairs = mom.solve_spectrum(H, mom.similarity_scale(grid))
+    return mom.select_bound_states(pairs, H, params, grid, mapping, count)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Sizes of the spectra momentum.solve_spectrum returned (None: no result).
+
+    Also fails the test if a LAPACK or ARPACK eigensolver runs outside it.
+    """
+    sizes, inside = [], []
+
+    def spy(*args, **kwargs):
+        inside.append(True)
+        try:
+            out = solve_spectrum(*args, **kwargs)
+        finally:
+            inside.pop()
+        sizes.append(None if out is None else len(out[0]))
+        return out
+
+    def only_inside(fn):
+        def guarded(*args, **kwargs):
+            assert inside, f"{fn.__name__} called outside momentum.solve_spectrum"
+            return fn(*args, **kwargs)
+        return guarded
+
+    solve_spectrum = mom.solve_spectrum
+    monkeypatch.setattr(mom, "solve_spectrum", spy)
+    monkeypatch.setattr(scipy.linalg, "eig", only_inside(scipy.linalg.eig))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", only_inside(scipy.sparse.linalg.eigs))
+    return sizes
+
+
+class TestArnoldi:
+    """Shift-invert Arnoldi from ARNOLDI_MIN_N on, certified against the dense solver."""
+
+    @pytest.mark.parametrize("N", (400, 800))
+    @pytest.mark.parametrize("ell", range(3))
+    @pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+    def test_matches_dense(self, case, ell, N, eigensolves):
+        make_params, sigma = SELECTION_CASES[case]
+        params, mapping = make_params(ell), mom.Mapping(sigma=sigma)
+        got, ok = mom.solve_levels(params, N, mapping, 5)
+        assert eigensolves == [10]
+        want, want_ok = dense_levels(params, N, mapping, 5)
+        assert ok and want_ok
+        # here the dense QR levels carry 1.1e-9 of rounding: they differ from
+        # the converged N = 120 levels by that much, the Arnoldi levels by
+        # 3e-13 (next test)
+        tol = 2e-9 if (case, ell, N) == ("salpeter", 2, 800) else 1e-9
+        for a, b in zip(got, want, strict=True):
+            assert a.n == b.n
+            assert abs(a.epsilon / b.epsilon - 1.0) < tol
+
+    def test_dense_rounding_case_against_converged_levels(self):
+        params, mapping = SELECTION_CASES["salpeter"][0](2), mom.Mapping(sigma=1.0)
+        got, _ = mom.solve_levels(params, 800, mapping, 5)
+        want, _ = dense_levels(params, 120, mapping, 5)
+        for a, b in zip(got, want, strict=True):
+            assert abs(a.epsilon / b.epsilon - 1.0) < 1e-10
+
+    @pytest.mark.parametrize(("ell", "N"), ((4, 300), (6, 160)))
+    def test_high_ell_matches_radial_where_dense_does_not(self, ell, N):
+        # the dense QR levels are off by 2.8e-3 (ell = 4) and over 0.1
+        # (ell = 6) here: its normwise backward error meets the z^ell
+        # kernel corners
+        levels, ok = mom.solve_levels(refs.linear_params(ell), N, mom.Mapping(sigma=1.0), 5)
+        assert ok
+        for lv in levels:
+            assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-9
+
+    def test_falls_back_when_arpack_does_not_converge(self, monkeypatch, eigensolves):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        params, mapping = refs.linear_params(1), mom.Mapping(sigma=1.0)
+        got = mom.solve_levels(params, 400, mapping, 5)
+        assert eigensolves == [None, 400]
+        assert_same_levels(got, dense_levels(params, 400, mapping, 5))
+
+    def test_falls_back_when_the_shift_is_singular(self, monkeypatch, eigensolves):
+        def singular(*args, **kwargs):
+            raise scipy.linalg.LinAlgWarning("Diagonal number 1 is exactly zero.")
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+        params, mapping = refs.linear_params(0), mom.Mapping(sigma=0.5)
+        got = mom.solve_levels(params, 400, mapping, 3)
+        assert eigensolves == [None, 400]
+        assert_same_levels(got, dense_levels(params, 400, mapping, 3))
+
+    def test_falls_back_when_the_disc_excludes_the_top_level(self, monkeypatch, eigensolves):
+        # only the `count` eigenvalues nearest the shift come back: the top
+        # accepted level lies on the edge of their disc, so an eigenvalue
+        # below it could be missing
+        eigs = scipy.sparse.linalg.eigs
+
+        def too_few(A, k, **kwargs):
+            return eigs(A, 3, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", too_few)
+        params, mapping = SELECTION_CASES["cornell"][0](0), mom.Mapping(sigma=1.0)
+        got = mom.solve_levels(params, 400, mapping, 3)
+        assert eigensolves == [3, 400]
+        assert_same_levels(got, dense_levels(params, 400, mapping, 3))
+
+    def test_disc_certificate(self):
+        evals = np.array([1.0, 2.0, 3.0 + 0.5j, 3.0 - 0.5j])
+        radius = abs(3.0 + 0.5j)
+        assert mom._disc_covers(evals, 0.0, 3.0)
+        assert not mom._disc_covers(evals, 0.0, radius)
+        assert not mom._disc_covers(evals, 0.0, 3.5)
+
+    def test_bit_reproducible(self, eigensolves):
+        params, mapping = SELECTION_CASES["coulomb"][0](1), mom.Mapping(sigma=0.5)
+        first = mom.solve_levels(params, 400, mapping, 5)
+        assert_same_levels(mom.solve_levels(params, 400, mapping, 5), first)
+        assert eigensolves == [10, 10]
+
+    def test_dense_below_threshold_and_for_many_levels(self, eigensolves):
+        mapping = mom.Mapping(sigma=1.0)
+        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N - 1, mapping, 5)
+        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, mapping, 5)
+        # ARPACK needs k < N - 1
+        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, mapping,
+                         mom.ARNOLDI_MIN_N // 2)
+        assert eigensolves == [mom.ARNOLDI_MIN_N - 1, 10, mom.ARNOLDI_MIN_N]
+
+
 @functools.cache
 def radial_level(ell, n):
     return radial.solve_radial(refs.linear_params(ell), n)
@@ -336,13 +491,10 @@ class TestFiniteParts:
     @pytest.mark.parametrize("sigma", (1.0, 4.0))
     @pytest.mark.parametrize("ell", (4, 5, 6))
     def test_high_ell_matches_radial(self, ell, sigma):
-        # ell = 6 at sigma = 4 already loses digits to the z^ell growth of
-        # the kernel corners: its error grows with N (4e-7 at N = 80)
-        tol = 1e-5 if (ell, sigma) == (6, 4.0) else 1e-8
         levels, ok = mom.solve_levels(refs.linear_params(ell), 120, mom.Mapping(sigma=sigma), 5)
         assert ok
         for lv in levels:
-            assert abs(lv.epsilon - radial_level(ell, lv.n)) < tol
+            assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-8
 
 
 class TestWavefunction:
