@@ -1,20 +1,12 @@
 """Semi-spectral Chebyshev solver for singular momentum-space bound-state equations."""
 
-from .cheb import (
-    ChebGrid,
-    cardinal_eval,
-    chebyshev_grid,
-    interpolate,
-    weights_cauchy,
-    weights_log,
-)
+from .cheb import ChebGrid, chebyshev_grid, weights_cauchy, weights_log
 from .kernels import Problem
-from .momentum import BoundLevel, Mapping, convergence_scan, solve_levels
+from .momentum import BoundLevel, convergence_scan, solve_levels
 from .radial import airy_reference, hydrogen_energy, solve_radial
 
 __all__ = [
     "BoundLevel",
-    "Mapping",
     "Problem",
     "airy_reference",
     "convergence_scan",
@@ -22,9 +14,7 @@ __all__ = [
     "solve_levels",
     "solve_radial",
     "ChebGrid",
-    "cardinal_eval",
     "chebyshev_grid",
-    "interpolate",
     "weights_cauchy",
     "weights_log",
 ]

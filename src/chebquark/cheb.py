@@ -1,4 +1,4 @@
-"""Chebyshev mesh, cardinal interpolation, differentiation and quadratures.
+"""Chebyshev mesh and its quadrature rules.
 
 Everything here lives on the standard interval (-1, 1) and uses the zeros of
 T_N (Chebyshev points of the first kind), so no mesh point ever touches an
@@ -45,17 +45,8 @@ class ChebGrid:
         if N < 2:
             raise ValueError(f"grid order must be >= 2, got {N}")
         self.N = int(N)
-        self._theta = np.pi * (np.arange(self.N) + 0.5) / self.N
-        self.nodes = np.cos(self._theta)
+        self.nodes = np.cos(np.pi * (np.arange(self.N) + 0.5) / self.N)
         self.nodes.setflags(write=False)
-
-    @cached_property
-    def _C(self):
-        """Cardinal coefficient matrix: G_j(t) = sum_n C[n, j] T_n(t)."""
-        # T_n(t_j) = cos(n theta_j)
-        C = (2.0 / self.N) * np.cos(np.outer(np.arange(self.N), self._theta))
-        C[0] *= 0.5
-        return _read_only(C)
 
     @cached_property
     def plain_weights(self):
@@ -63,34 +54,19 @@ class ChebGrid:
         return _read_only(_cardinal_weights(_plain_moments(self.N)))
 
     @cached_property
-    def diff_matrix(self):
-        """Spectral differentiation matrix D with (D f)_i = p'(t_i)."""
-        # T_n'(t_i) = n U_{n-1}(t_i) = n sin(n theta_i) / sin(theta_i)
-        n = np.arange(self.N)[:, None]
-        dT = n * np.sin(n * self._theta[None, :]) / np.sin(self._theta)[None, :]
-        return _read_only(_cardinal_weights(dT))
+    def _pv_tables(self):
+        """The PV and finite-part tables, built from one set of PV moments."""
+        return tuple(_read_only(table) for table in pv_weight_table(self))
 
-    @cached_property
+    @property
     def pv_table(self):
         """PV weights at every node, W[i, j] = omega_j(t_i) (see pv_weight_table)."""
-        return _read_only(pv_weight_table(self))
+        return self._pv_tables[0]
 
-    @cached_property
+    @property
     def fp_table(self):
-        """Finite-part weights at every node, W[i, j] = eta_j(t_i) = d omega_j/d tau.
-
-        sum_j eta_j(tau) f(t_j) = FP int f(t)/(t - tau)^2 dt.  Differentiating
-        PV int G_j(t)/(t - tau) dt in tau and integrating by parts gives
-        eta_j(tau) = PV int G_j'(t)/(t - tau) dt - G_j(1)/(1 - tau) - G_j(-1)/(1 + tau),
-        where the PV rule is exact on G_j' = sum_k D_kj G_k.
-        """
-        t = self.nodes
-        g_hi = _cardinal_weights(np.ones(self.N))                  # G_j(1)
-        g_lo = _cardinal_weights((-1.0) ** np.arange(self.N))      # G_j(-1)
-        eta = self.pv_table @ self.diff_matrix
-        eta -= np.outer(1.0 / (1.0 - t), g_hi)
-        eta -= np.outer(1.0 / (1.0 + t), g_lo)
-        return _read_only(eta)
+        """Finite-part weights at every node, eta_j(t_i) (see pv_weight_table)."""
+        return self._pv_tables[1]
 
     @cached_property
     def log_table(self):
@@ -121,34 +97,6 @@ def _cardinal_weights(moments):
 def chebyshev_grid(N):
     """Shared, immutable grid of order N (tables are computed once)."""
     return ChebGrid(N)
-
-
-def cardinal_eval(grid, j, t):
-    """Cardinal function G_j(t): the interpolation basis with G_j(t_k) = delta_jk."""
-    if not 0 <= j < grid.N:
-        raise IndexError(f"cardinal index {j} out of range for N={grid.N}")
-    return _clenshaw(grid._C[:, j], t)
-
-
-def _clenshaw(coeffs, t):
-    """Evaluate sum_n coeffs[n] T_n(t) by the Clenshaw recurrence."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-15):
-        raise ValueError("argument outside [-1, 1]")
-    bkp1 = np.zeros_like(t)
-    bkp2 = np.zeros_like(t)
-    for c in coeffs[:0:-1]:
-        bkp1, bkp2 = c + 2.0 * t * bkp1 - bkp2, bkp1
-    out = coeffs[0] + t * bkp1 - bkp2
-    return out if out.ndim else float(out)
-
-
-def interpolate(grid, values, t):
-    """Evaluate the degree-(N-1) interpolant of mesh values at t."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.N,):
-        raise ValueError(f"expected {grid.N} mesh values, got shape {values.shape}")
-    return _clenshaw(grid._C @ values, t)
 
 
 def _pv_g_moments(tau, nmax):
@@ -253,8 +201,37 @@ def weights_log(grid, tau):
 
 
 def pv_weight_table(grid):
-    """Matrix W with W[i, j] = omega_j(t_i): PV weights at every mesh point."""
-    return _cardinal_weights(_pv_moments(grid.nodes, grid.N))
+    """PV and finite-part weights at every mesh point, from one set of PV moments.
+
+    Returns (W, eta) with W[i, j] = omega_j(t_i) and eta[i, j] = eta_j(t_i) =
+    d omega_j/d tau at tau = t_i, so that sum_j eta_j(tau) f(t_j) =
+    FP int f(t)/(t - tau)^2 dt.  Integrating the finite part by parts gives
+    the moments of eta,
+
+        FP int T_n(t)/(t - tau)^2 dt = PV int T_n'(t)/(t - tau) dt
+                                       - 1/(1 - tau) - (-1)^n/(1 + tau),
+
+    and T_n' = 2n sum' T_m over m < n with n - m odd, T_0 halved, turns the
+    PV integral into 2n S_{n-1}, where S_k = rho_k + rho_{k-2} + ... (rho_0
+    halved) is the running sum of the PV moments over one parity.  Both
+    tables are DCT-III transforms of their moments, O(N^2 log N).
+    """
+    t = grid.nodes
+    rho = _pv_moments(t, grid.N)
+    W = _cardinal_weights(rho)
+    rho[0] *= 0.5
+    S = np.empty_like(rho)
+    S[0::2] = np.cumsum(rho[0::2], axis=0)
+    S[1::2] = np.cumsum(rho[1::2], axis=0)
+    del rho
+    n = np.arange(grid.N)
+    fp = np.empty_like(S)
+    fp[0] = 0.0
+    np.multiply(S[:-1], 2.0 * n[1:, None], out=fp[1:])
+    del S
+    fp -= 1.0 / (1.0 - t)
+    fp -= np.outer((-1.0) ** n, 1.0 / (1.0 + t))
+    return W, _cardinal_weights(fp)
 
 
 def log_weight_table(grid):

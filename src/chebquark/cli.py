@@ -274,8 +274,7 @@ def _fail(report, message):
 
 def _solve_wave(report, wave):
     """Solve one partial wave, append its rows and return them; flag too few levels."""
-    levels, complete = mom.solve_levels(wave.problem, wave.N, mom.Mapping(sigma=wave.sigma),
-                                        wave.levels)
+    levels, complete = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
     rows = [_row(lv.ell, lv.n, wave.N, wave.sigma, lv.epsilon,
                  None if wave.scales is None else wave.scales.mass_gev(lv.epsilon),
                  lv.residual_norm, lv.imag_part) for lv in levels]

@@ -34,40 +34,11 @@ from .kernels import legendre_P, w_poly
 # ---------------------------------------------------------------------------
 # mapping of (0, inf) onto (-1, 1)
 
-def _interior(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= 1.0):
-        raise ValueError("mapping argument must lie strictly inside (-1, 1)")
-    return t
-
-
-def _scalar_or_array(a):
-    return a if a.ndim else float(a)
-
-
-@dataclass(frozen=True)
-class Mapping:
-    """Rational map x = sigma (1+t)/(1-t) of t in (-1, 1) onto x in (0, inf)."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("mapping scale must be positive and finite")
-
-    def x_of(self, t):
-        t = _interior(t)
-        return _scalar_or_array(self.sigma * (1.0 + t) / (1.0 - t))
-
-    def jacobian(self, t):
-        t = _interior(t)
-        return _scalar_or_array(2.0 * self.sigma / (1.0 - t) ** 2)
-
-    def t_of(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise ValueError("momentum must be positive")
-        return _scalar_or_array((x - self.sigma) / (x + self.sigma))
+def mapped_nodes(t, sigma):
+    """Momenta x = sigma (1+t)/(1-t) and Jacobian J = dx/dt = 2 sigma/(1-t)^2 at t."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError("mapping scale must be positive and finite")
+    return sigma * (1.0 + t) / (1.0 - t), 2.0 * sigma / (1.0 - t) ** 2
 
 
 @dataclass(frozen=True)
@@ -85,21 +56,13 @@ class BoundLevel:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _kernel_tables(ell, z):
-    """P_ell, P'_ell, w_{ell-1}, w'_{ell-1} on a full z matrix."""
-    p, dp = legendre_P(ell, z, with_derivative=True)
-    if ell >= 1:
-        w, dw = w_poly(ell, z, with_derivative=True)
-    else:
-        w = np.zeros_like(z)
-        dw = np.zeros_like(z)
-    return p, dp, w, dw
-
-
-def assemble_potential(problem, grid, mapping):
+def assemble_potential(problem, grid, sigma, x, J):
     """Potential matrix V with (V X)_i = the discretized right-hand side.
 
-    The quadrature substitutions at mesh point t_i, with J_j = dx/dt at t_j:
+    x, J = mapped_nodes(grid.nodes, sigma) are the momenta and the Jacobian
+    at the mesh points, which the caller computes once per solve; h below
+    is formed from sigma itself, in fewer roundings than from J.  The
+    quadrature substitutions at mesh point t_i:
 
       regular:     dx'                      -> w_j J_j
       log kernel:  log|(x'+x)/(x'-x)| dx'   -> [w_j log S_ij - Omega_j(t_i)] J_j
@@ -112,18 +75,17 @@ def assemble_potential(problem, grid, mapping):
     h [FP int F phi (1-t')/(t'-t)^2 dt' + PV int F phi/(t'-t) dt'], whose
     boundary terms vanish (F = 0 at x' = 0, the integrand carries 1-t');
     eta and omega are the grid's finite-part and principal value tables.
-    The kernel values come from the `kernels` formulas that the scalar
-    oracle `kernel_pieces` evaluates too.  All diagonal entries are finite.
+    All diagonal entries are finite.
     """
     t = grid.nodes
-    x = mapping.x_of(t)
-    J = mapping.jacobian(t)
     regw = grid.plain_weights * J
 
     # z matrix with an exact diagonal
     z = (x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * x[:, None] * x[None, :])
     np.fill_diagonal(z, 1.0)
-    p, dp, wl, dwl = _kernel_tables(problem.ell, z)
+    p, dp = legendre_P(problem.ell, z)
+    # w_{ell-1} is absent at ell = 0
+    wl, dwl = w_poly(problem.ell, z) if problem.ell >= 1 else (0.0, 0.0)
     del z
 
     logw = np.log(1.0 - np.outer(t, t))
@@ -140,7 +102,7 @@ def assemble_potential(problem, grid, mapping):
         pole = grid.fp_table * (1.0 - t)
         pole += grid.pv_table
         pole *= kernels.pv_factor(x[:, None], x[None, :], p)
-        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * mapping.sigma))[:, None]
+        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
         V += pole
 
     if problem.alpha > 0.0:
@@ -157,14 +119,6 @@ def kinetic_diagonal(problem, x):
         return problem.s * x * x
     am = problem.am
     return 2.0 * np.sqrt(x * x + am * am) - 2.0 * am
-
-
-def assemble_hamiltonian(V, problem, grid, mapping):
-    """H = V + K with the kinetic term on the diagonal."""
-    if V.shape != (grid.N, grid.N):
-        raise ValueError("potential matrix does not match the grid order")
-    x = mapping.x_of(grid.nodes)
-    return V + np.diag(kinetic_diagonal(problem, x))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +254,11 @@ def spectrum_floor(problem):
     return floor - 1e-6 * max(1.0, abs(floor))
 
 
-def select_bound_states(eigenpairs, H, problem, grid, mapping, count):
+def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
     """The lowest `count` physical bound levels, indexed and normalized.
 
-    `H` is the matrix the eigenpairs were computed from.  Eigenpairs are
+    `H` is the matrix the eigenpairs were computed from, x and J the mapped
+    momenta and Jacobian at the grid nodes.  Eigenpairs are
     visited in stable ascending order of real part, and the first `count`
     that pass four filters are accepted.  (1) The imaginary part must be
     negligible against the real part.  (2) The real part must lie above the
@@ -322,8 +277,6 @@ def select_bound_states(eigenpairs, H, problem, grid, mapping, count):
     `count` levels passed the filters.
     """
     evals, evecs = eigenpairs
-    x = mapping.x_of(grid.nodes)
-    J = mapping.jacobian(grid.nodes)
     hscale = max(1.0, np.abs(H).max())
     density_weights = grid.plain_weights * J * x * x
     corner = max(3, grid.N // 10)
@@ -348,7 +301,10 @@ def select_bound_states(eigenpairs, H, problem, grid, mapping, count):
             continue
         if max(density[:corner].sum(), density[-corner:].sum()) > 0.5 * total:
             continue
-        resid = np.linalg.norm(H @ v - lam.real * v) / (nrm * hscale)
+        # the kernel corners at high ell can overflow the residual norm to
+        # infinity, which the filter rejects like any large residual
+        with np.errstate(over="ignore"):
+            resid = np.linalg.norm(H @ v - lam.real * v) / (nrm * hscale)
         if resid > RESIDUAL_TOL:
             continue
         v = v / math.sqrt(total)
@@ -378,43 +334,36 @@ def _disc_covers(evals, shift, top):
     return math.hypot(top - shift, IMAG_TOL * max(1.0, abs(shift), abs(top))) < radius
 
 
-def solve_levels(problem, N, mapping=None, count=5):
+def solve_levels(problem, N, sigma=1.0, count=5):
     """Lowest `count` levels: assemble H once, diagonalize, select lazily.
 
-    The PV and log weight tables come from the grid, which builds each once
-    per mesh order, so a loop over ell at fixed N reuses them.  From
+    sigma is the scale of the rational map (see mapped_nodes); a scale that
+    is not positive and finite is a ValueError.  The weight tables come from
+    the grid, which builds each once per mesh order, so a loop over ell at
+    fixed N reuses them.  From
     N = ARNOLDI_MIN_N only the 2 count eigenpairs nearest the spectrum floor
     are computed; their levels are kept when all `count` pass the filters
     and the disc of returned eigenvalues provably holds every candidate up
     to the top level (see _disc_covers).  Otherwise, and below that N, all
     eigenpairs come from the dense solver.
     """
-    mapping = mapping or Mapping()
     grid = cheb.chebyshev_grid(N)
     # an overflowing kernel shows up as a non-finite H, which solve_spectrum
     # reports as one numerical failure
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        V = assemble_potential(problem, grid, mapping)
-        H = assemble_hamiltonian(V, problem, grid, mapping)
+        x, J = mapped_nodes(grid.nodes, sigma)
+        H = assemble_potential(problem, grid, sigma, x, J)
+        H.flat[::N + 1] += kinetic_diagonal(problem, x)
     scale = similarity_scale(grid)
     if N >= ARNOLDI_MIN_N and 0 < 2 * count < N - 1:
         floor = spectrum_floor(problem)
         pairs = solve_spectrum(H, scale, floor, 2 * count)
         if pairs is not None:
-            levels, complete = select_bound_states(pairs, H, problem, grid, mapping, count)
+            levels, complete = select_bound_states(pairs, H, problem, grid, x, J, count)
             if complete and _disc_covers(pairs[0], floor, levels[-1].epsilon):
                 return levels, complete
     pairs = solve_spectrum(H, scale)
-    return select_bound_states(pairs, H, problem, grid, mapping, count)
-
-
-def wavefunction_at(level, grid, mapping, x):
-    """Interpolate the mesh wavefunction of a level to an arbitrary x > 0."""
-    if x <= 0.0:
-        raise ValueError("momentum must be positive")
-    t = mapping.t_of(x)
-    t = min(max(t, -1.0), 1.0)
-    return cheb.interpolate(grid, level.mesh_values, t)
+    return select_bound_states(pairs, H, problem, grid, x, J, count)
 
 
 def convergence_scan(problem, sigma, N_list, count=5):
@@ -427,10 +376,9 @@ def convergence_scan(problem, sigma, N_list, count=5):
     """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be increasing")
-    mapping = Mapping(sigma=sigma)
     table, resid, imag = np.full((3, len(N_list), count), np.nan)
     for k, N in enumerate(N_list):
-        levels, _ = solve_levels(problem, N, mapping, count)
+        levels, _ = solve_levels(problem, N, sigma, count)
         for lv in levels:
             table[k, lv.n] = lv.epsilon
             resid[k, lv.n] = lv.residual_norm

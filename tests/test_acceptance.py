@@ -74,12 +74,12 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_coulomb_benchmark():
     t0 = time.time()
-    mapping = mom.Mapping(sigma=refs.TABLE1_SIGMA)
+    sigma = refs.TABLE1_SIGMA
     mu_a = 1.0 / (2.0 * refs.TABLE1_S)
     worst = 0.0
     for ell in range(4):
         levels, complete = mom.solve_levels(refs.coulomb_params(ell),
-                                            refs.TABLE1_N, mapping, 5)
+                                            refs.TABLE1_N, sigma, 5)
         assert complete
         for lv in levels:
             exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, mu_a)
@@ -95,8 +95,8 @@ def test_criterion_4_linear_potential_rows():
     worst = 0.0
     for ell, row in refs.TABLE2_EXACT.items():
         N = refs.TABLE2_N[ell]
-        mapping = mom.Mapping(sigma=refs.TABLE2_SIGMA[ell])
-        levels, complete = mom.solve_levels(refs.linear_params(ell), N, mapping, 5)
+        sigma = refs.TABLE2_SIGMA[ell]
+        levels, complete = mom.solve_levels(refs.linear_params(ell), N, sigma, 5)
         assert complete
         for lv in levels:
             worst = max(worst, abs(lv.epsilon - row[lv.n]))
@@ -108,14 +108,14 @@ def test_criterion_4_linear_potential_rows():
 
 def test_criterion_5_quarkonium_masses():
     t0 = time.time()
-    mapping = mom.Mapping(sigma=refs.TABLE3_SIGMA)
+    sigma = refs.TABLE3_SIGMA
     worst_regular = 0.0
     disputed_delta = None
     for flavor in ("charm", "bottom"):
         scales = refs.physical_scales(flavor)
         for ell in range(3):
             params = refs.cornell_params(flavor, ell)
-            levels, complete = mom.solve_levels(params, refs.TABLE3_N, mapping, 3)
+            levels, complete = mom.solve_levels(params, refs.TABLE3_N, sigma, 3)
             assert complete
             for lv in levels:
                 mass = scales.mass_gev(lv.epsilon)
@@ -142,8 +142,8 @@ def test_criterion_6_cross_solver_agreement():
     worst = 0.0
     for ell in refs.TABLE2_EXACT:
         N = refs.TABLE2_N[ell]
-        mapping = mom.Mapping(sigma=refs.TABLE2_SIGMA[ell])
-        levels, complete = mom.solve_levels(refs.linear_params(ell), N, mapping, 5)
+        sigma = refs.TABLE2_SIGMA[ell]
+        levels, complete = mom.solve_levels(refs.linear_params(ell), N, sigma, 5)
         assert complete
         for lv in levels:
             eps_r = radial.solve_radial(refs.linear_params(ell), lv.n)
@@ -160,9 +160,9 @@ def test_criterion_7_scaling_law():
     exact_base = [radial.airy_reference(nu) for nu in range(1, 6)]
     worst = 0.0
     for s in (0.5, 2.0):
-        mapping = mom.Mapping(sigma=0.5 * s ** (-1.0 / 3.0))
+        sigma = 0.5 * s ** (-1.0 / 3.0)
         levels, complete = mom.solve_levels(refs.linear_params(0, s), 300,
-                                            mapping, 5)
+                                            sigma, 5)
         assert complete
         for lv, base in zip(levels, exact_base):
             worst = max(worst, abs(lv.epsilon / (s ** (1.0 / 3.0) * base) - 1.0))
@@ -180,10 +180,10 @@ def test_criterion_8_convergence_behavior():
     mu_a = 1.0 / (2.0 * refs.TABLE1_S)
     errs = {}
     for N in (40, 80):
-        mapping = mom.Mapping(sigma=refs.TABLE1_SIGMA)
+        sigma = refs.TABLE1_SIGMA
         for ell in range(4):
             levels, complete = mom.solve_levels(refs.coulomb_params(ell), N,
-                                                mapping, 5)
+                                                sigma, 5)
             assert complete
             for lv in levels:
                 exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, mu_a)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import chebquark
 from chebquark import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,3 +41,8 @@ def test_probe_resolves_to_callable(probe):
                          ids=lambda r: r.name)
 def test_workload_request_is_valid_config(request_):
     cli.build_config(request_.raw)
+
+
+@pytest.mark.parametrize("name", chebquark.__all__)
+def test_exported_name_resolves(name):
+    assert getattr(chebquark, name, None) is not None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cheb_interpolation import cardinal_eval, coefficient_matrix, interpolate
 from chebquark import cheb
 
 
@@ -48,6 +49,17 @@ def analytic_log(m, tau):
     return bnd - poly
 
 
+def diff_matrix(N):
+    """Spectral differentiation matrix D with (D f)_i = p'(t_i) on the order-N grid.
+
+    D = dT^T C with dT[n, i] = T_n'(t_i) = n sin(n theta_i) / sin(theta_i).
+    """
+    C, theta = coefficient_matrix(N)
+    n = np.arange(N)[:, None]
+    dT = n * np.sin(n * theta) / np.sin(theta)
+    return dT.T @ C
+
+
 class TestGrid:
     def test_nodes_are_t_n_zeros(self):
         grid = cheb.chebyshev_grid(17)
@@ -70,7 +82,7 @@ class TestInterpolation:
     def test_cardinal_delta_property(self):
         grid = cheb.chebyshev_grid(9)
         for j in range(grid.N):
-            vals = cheb.cardinal_eval(grid, j, grid.nodes)
+            vals = cardinal_eval(grid, j, grid.nodes)
             assert np.allclose(vals, np.eye(grid.N)[j], atol=1e-12)
 
     def test_polynomial_reproduction(self):
@@ -78,7 +90,7 @@ class TestInterpolation:
         coeffs = np.array([0.3, -1.0, 2.0, 0.0, 0.7, -0.2])
         f = np.polynomial.polynomial.Polynomial(coeffs)
         t = np.linspace(-0.97, 0.97, 41)
-        assert np.allclose(cheb.interpolate(grid, f(grid.nodes), t), f(t),
+        assert np.allclose(interpolate(grid, f(grid.nodes), t), f(t),
                            atol=1e-12)
 
     def test_smooth_function_converges(self):
@@ -86,7 +98,7 @@ class TestInterpolation:
         err = []
         for N in (8, 16, 32):
             grid = cheb.chebyshev_grid(N)
-            approx = cheb.interpolate(grid, np.exp(grid.nodes), t)
+            approx = interpolate(grid, np.exp(grid.nodes), t)
             err.append(np.max(np.abs(approx - np.exp(t))))
         assert err[1] < 1e-3 * err[0]
         assert err[2] < 1e-13
@@ -97,11 +109,11 @@ class TestDifferentiation:
         grid = cheb.chebyshev_grid(10)
         f = grid.nodes**7 - 3.0 * grid.nodes**4 + grid.nodes
         df = 7.0 * grid.nodes**6 - 12.0 * grid.nodes**3 + 1.0
-        assert np.allclose(grid.diff_matrix @ f, df, atol=1e-10)
+        assert np.allclose(diff_matrix(grid.N) @ f, df, atol=1e-10)
 
     def test_spectral_accuracy_on_sine(self):
         grid = cheb.chebyshev_grid(30)
-        df = grid.diff_matrix @ np.sin(3.0 * grid.nodes)
+        df = diff_matrix(grid.N) @ np.sin(3.0 * grid.nodes)
         assert np.allclose(df, 3.0 * np.cos(3.0 * grid.nodes), atol=1e-10)
 
 
@@ -170,11 +182,13 @@ class TestSingularRules:
 
     def test_grid_keeps_one_read_only_table_of_each_kind(self):
         grid = cheb.ChebGrid(24)
-        for table, build in ((grid.pv_table, cheb.pv_weight_table),
-                             (grid.log_table, cheb.log_weight_table)):
-            assert np.array_equal(table, build(grid))
+        pv, fp = cheb.pv_weight_table(grid)
+        for table, want in ((grid.pv_table, pv), (grid.fp_table, fp),
+                            (grid.log_table, cheb.log_weight_table(grid))):
+            assert np.array_equal(table, want)
             assert not table.flags.writeable
         assert grid.pv_table is grid.pv_table
+        assert grid.fp_table is grid.fp_table
         assert grid.log_table is grid.log_table
 
     @pytest.mark.parametrize("N", (8, 32, 128))
@@ -187,9 +201,22 @@ class TestSingularRules:
             want = analytic_fp(m, t)
             assert np.all(np.abs(grid.fp_table @ t**m - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("N", (8, 80, 800))
+    def test_finite_part_table_matches_differentiation_oracle(self, N):
+        # the earlier construction: PV rule on G_j' = sum_k D_kj G_k, minus
+        # the boundary terms of the integration by parts
+        grid = cheb.ChebGrid(N)
+        t = grid.nodes
+        C, _ = coefficient_matrix(N)
+        g_hi = C.sum(axis=0)                                   # G_j(1)
+        g_lo = ((-1.0) ** np.arange(N)) @ C                    # G_j(-1)
+        want = (grid.pv_table @ diff_matrix(N)
+                - np.outer(1.0 / (1.0 - t), g_hi) - np.outer(1.0 / (1.0 + t), g_lo))
+        assert np.max(np.abs(grid.fp_table - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_weight_tables_match_single_point_rules(self):
         grid = cheb.chebyshev_grid(20)
-        pv = cheb.pv_weight_table(grid)
+        pv = cheb.pv_weight_table(grid)[0]
         lg = cheb.log_weight_table(grid)
         for i in (0, 7, 19):
             assert np.allclose(pv[i], cheb.weights_cauchy(grid, grid.nodes[i]),
@@ -201,23 +228,12 @@ class TestSingularRules:
 class TestCardinalProducts:
     """The weight tables are DCT-III transforms of moment tables."""
 
-    @staticmethod
-    def coefficient_matrix(N):
-        """C[n, j] = (2/N) T_n(t_j), first row halved: G_j = sum_n C[n, j] T_n."""
-        theta = np.pi * (np.arange(N) + 0.5) / N
-        C = (2.0 / N) * np.cos(np.outer(np.arange(N), theta))
-        C[0] *= 0.5
-        return C, theta
-
     @pytest.mark.parametrize("N", (8, 80, 800))
     def test_tables_match_coefficient_products(self, N):
         grid = cheb.ChebGrid(N)
-        C, theta = self.coefficient_matrix(N)
-        n = np.arange(N)[:, None]
-        dT = n * np.sin(n * theta) / np.sin(theta)
-        for got, moments in ((cheb.pv_weight_table(grid), cheb._pv_moments(grid.nodes, N)),
-                             (cheb.log_weight_table(grid), cheb._log_moments(grid.nodes, N)),
-                             (grid.diff_matrix, dT)):
+        C, _ = coefficient_matrix(N)
+        for got, moments in ((cheb.pv_weight_table(grid)[0], cheb._pv_moments(grid.nodes, N)),
+                             (cheb.log_weight_table(grid), cheb._log_moments(grid.nodes, N))):
             want = moments.T @ C
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = cheb._plain_moments(N) @ C

@@ -165,8 +165,8 @@ class TestReproduce:
     def test_incomplete_level_set_fails(self, monkeypatch):
         solve_levels = mom.solve_levels
 
-        def one_short(problem, N, mapping, count):
-            levels, _ = solve_levels(problem, N, mapping, count)
+        def one_short(problem, N, sigma, count):
+            levels, _ = solve_levels(problem, N, sigma, count)
             return levels[:-1], False
 
         monkeypatch.setattr(mom, "solve_levels", one_short)
@@ -216,6 +216,15 @@ class TestMain:
             == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    def test_overflowing_residual_is_rejected_silently(self, tmp_path, capsys):
+        # at ell = 30 the residual norm of some eigenpairs overflows; the
+        # filter must reject them without a floating-point warning, which
+        # the suite turns into an error.  The levels are not graded here.
+        path = tmp_path / "run.cfg"
+        path.write_text("potential = linear\n")
+        cli.main(["--config", str(path), "--ell", "30", "--N", "100", "--levels", "2"])
+        assert capsys.readouterr().err == ""
 
     def test_mesh_order_capped_before_allocation(self, monkeypatch, capsys):
         def no_grid(N):

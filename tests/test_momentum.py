@@ -1,4 +1,4 @@
-"""Momentum-space solver: mappings, assembly, spectra, wavefunctions."""
+"""Momentum-space solver: the rational map, assembly, spectra, wavefunctions."""
 
 import functools
 import math
@@ -9,46 +9,42 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from chebquark import cheb, kernels
+from cheb_interpolation import wavefunction_at
+from chebquark import cheb
 from chebquark import momentum as mom
 from chebquark import radial
 from chebquark import references as refs
 from chebquark.kernels import Problem
+from kernel_oracle import kernel_pieces
 
 
 class TestMapping:
     def test_rational_examples(self):
-        m = mom.Mapping(sigma=1.0)
-        x, j = m.x_of(0.0), m.jacobian(0.0)
-        assert (x, j) == (1.0, 2.0)
-        m2 = mom.Mapping(sigma=2.0)
-        x, j = m2.x_of(0.5), m2.jacobian(0.5)
+        assert mom.mapped_nodes(0.0, 1.0) == (1.0, 2.0)
+        x, j = mom.mapped_nodes(0.5, 2.0)
         assert abs(x - 6.0) < 1e-14
         assert abs(j - 16.0) < 1e-14
 
     def test_small_t_limit_linear(self):
-        m = mom.Mapping()
         delta = 1e-8
-        assert abs(m.x_of(-1.0 + delta) - 0.5 * delta) < 1e-15
+        x, _ = mom.mapped_nodes(-1.0 + delta, 1.0)
+        assert abs(x - 0.5 * delta) < 1e-15
 
-    def test_round_trip_and_jacobian(self):
-        m = mom.Mapping(sigma=1.7)
+    def test_jacobian_by_finite_difference(self):
         t = np.linspace(-0.95, 0.95, 31)
-        x = m.x_of(t)
+        x, J = mom.mapped_nodes(t, 1.7)
         assert np.all(np.diff(x) > 0.0)
-        assert np.allclose(m.t_of(x), t, atol=1e-12)
         h = 1e-7
-        fd = (m.x_of(t + h) - m.x_of(t - h)) / (2.0 * h)
-        assert np.allclose(m.jacobian(t), fd, rtol=1e-6)
-
-    def test_rejects_endpoint(self):
-        with pytest.raises(ValueError):
-            mom.Mapping().x_of(1.0)
+        fd = (mom.mapped_nodes(t + h, 1.7)[0] - mom.mapped_nodes(t - h, 1.7)[0]) / (2.0 * h)
+        assert np.allclose(J, fd, rtol=1e-6)
 
     def test_rejects_bad_sigma(self):
-        for sigma in (0.0, float("nan"), float("inf")):
+        t = cheb.chebyshev_grid(8).nodes
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                mom.Mapping(sigma=sigma)
+                mom.mapped_nodes(t, sigma)
+            with pytest.raises(ValueError):
+                mom.solve_levels(refs.linear_params(0), 8, sigma, 1)
 
 
 class TestParams:
@@ -70,16 +66,14 @@ class TestAssembly:
         grid = cheb.chebyshev_grid(30)
         for ell in range(4):
             params = Problem(ell=ell, alpha=0.4)
-            V = mom.assemble_potential(params, grid, mom.Mapping())
+            V = mom.assemble_potential(params, grid, 1.0, *mom.mapped_nodes(grid.nodes, 1.0))
             assert np.all(np.isfinite(V))
 
     def test_coulomb_attractive_quadratic_form(self):
         grid = cheb.chebyshev_grid(40)
-        mapping = mom.Mapping()
         params = Problem(ell=0, alpha=1.0, linear=False)
-        V = mom.assemble_potential(params, grid, mapping)
-        x = mapping.x_of(grid.nodes)
-        J = mapping.jacobian(grid.nodes)
+        x, J = mom.mapped_nodes(grid.nodes, 1.0)
+        V = mom.assemble_potential(params, grid, 1.0, x, J)
         phi = np.exp(-x)     # smooth positive test vector
         form = np.sum(grid.plain_weights * J * x * x * phi * (V @ phi))
         assert form < 0.0
@@ -102,14 +96,14 @@ class TestAssembly:
         # (t_j-t_i)/(x_j-x_i) = h_i (1-t_j) with h_i = (1-t_i)/(2 sigma)
         problem = SELECTION_CASES[case][0](ell)
         grid = cheb.chebyshev_grid(10)
-        mapping = mom.Mapping(sigma=0.8)
+        sigma = 0.8
         t, w = grid.nodes, grid.plain_weights
-        x, J = mapping.x_of(t), mapping.jacobian(t)
+        x, J = mom.mapped_nodes(t, sigma)
         V = np.zeros((grid.N, grid.N))
         for i in range(grid.N):
-            h = (1.0 - t[i]) / (2.0 * mapping.sigma)
+            h = (1.0 - t[i]) / (2.0 * sigma)
             for j in range(grid.N):
-                kp = kernels.kernel_pieces(ell, x[i], x[j], problem.alpha)
+                kp = kernel_pieces(ell, x[i], x[j], problem.alpha)
                 log_w = (w[j] * np.log(1.0 - t[i] * t[j]) - grid.log_table[i, j]) * J[j]
                 reg_w = w[j] * J[j]
                 if problem.linear:
@@ -117,15 +111,14 @@ class TestAssembly:
                     V[i, j] += (kp.linear_log_coeff * log_w + kp.linear_regular * reg_w
                                 + kp.pv_factor * fp_w)
                 V[i, j] += kp.coulomb_log_coeff * log_w + kp.coulomb_regular * reg_w
-        want = mom.assemble_potential(problem, grid, mapping)
+        want = mom.assemble_potential(problem, grid, sigma, x, J)
         np.testing.assert_allclose(V, want, rtol=1e-12, atol=0.0)
 
     def test_log_remainder_closed_form(self):
         # S_ij = (x_j+x_i)|t_j-t_i|/|x_j-x_i| is 1 - t_i t_j off the
         # diagonal, with the diagonal limit 2 x_i / J_i
-        mapping = mom.Mapping(sigma=1.7)
         t = cheb.chebyshev_grid(12).nodes
-        x, J = mapping.x_of(t), mapping.jacobian(t)
+        x, J = mom.mapped_nodes(t, 1.7)
         i, j = np.triu_indices(len(t), 1)
         S = (x[j] + x[i]) * np.abs((t[j] - t[i]) / (x[j] - x[i]))
         np.testing.assert_allclose(S, 1.0 - t[i] * t[j], rtol=1e-13)
@@ -137,22 +130,17 @@ class TestAssembly:
         grid = cheb.chebyshev_grid(N)
         for table in ("plain_weights", "pv_table", "fp_table", "log_table"):
             getattr(grid, table)
+        x, J = mom.mapped_nodes(grid.nodes, 1.0)
         peaks = []
         for ell in (2, 7):
             tracemalloc.start()
             try:
-                mom.assemble_potential(refs.linear_params(ell), grid, mom.Mapping())
+                mom.assemble_potential(refs.linear_params(ell), grid, 1.0, x, J)
                 peaks.append(tracemalloc.get_traced_memory()[1] / N**2)
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 120.0
         assert peaks[1] <= 1.05 * peaks[0]
-
-    def test_hamiltonian_shape_guard(self):
-        grid = cheb.chebyshev_grid(10)
-        params = Problem()
-        with pytest.raises(ValueError):
-            mom.assemble_hamiltonian(np.zeros((9, 9)), params, grid, mom.Mapping())
 
 
 class TestSpectrum:
@@ -164,25 +152,25 @@ class TestSpectrum:
     def test_hydrogen_ground_state(self):
         # alpha = 1, 2 mu a = 1: eps_0 = -(mu a) alpha^2/2 = -0.25
         levels, ok = mom.solve_levels(refs.coulomb_params(0), 80,
-                                      mom.Mapping(sigma=0.5), count=3)
+                                      0.5, count=3)
         assert ok
         assert abs(levels[0].epsilon + 0.25) < 1e-9
 
     def test_linear_ell0_n300(self):
         levels, ok = mom.solve_levels(refs.linear_params(0), 300,
-                                      mom.Mapping(sigma=0.5), count=1)
+                                      0.5, count=1)
         assert ok
         assert abs(levels[0].epsilon - 2.338107) < 2e-6
 
     def test_linear_ell1_row(self):
         levels, ok = mom.solve_levels(refs.linear_params(1), 100,
-                                      mom.Mapping(sigma=1.0), count=5)
+                                      1.0, count=5)
         assert ok
         for lv, exact in zip(levels, refs.TABLE2_EXACT[1]):
             assert abs(lv.epsilon - exact) < 2e-6
 
     def test_hydrogenic_degeneracy(self):
-        m = mom.Mapping(sigma=0.5)
+        m = 0.5
         l0, _ = mom.solve_levels(refs.coulomb_params(0), 80, m, 2)
         l1, _ = mom.solve_levels(refs.coulomb_params(1), 80, m, 1)
         assert abs(l0[1].epsilon / l1[0].epsilon - 1.0) < 1e-9
@@ -191,13 +179,13 @@ class TestSpectrum:
         eps = []
         for ell in range(4):
             levels, _ = mom.solve_levels(refs.linear_params(ell), 80,
-                                         mom.Mapping(sigma=1.0), 1)
+                                         1.0, 1)
             eps.append(levels[0].epsilon)
         assert all(a < b for a, b in zip(eps, eps[1:]))
 
     def test_accepted_levels_real_positive_distinct(self):
         levels, ok = mom.solve_levels(refs.linear_params(2), 100,
-                                      mom.Mapping(sigma=1.0), 5)
+                                      1.0, 5)
         assert ok
         eps = [lv.epsilon for lv in levels]
         assert all(e > 0.0 for e in eps)
@@ -206,27 +194,23 @@ class TestSpectrum:
         assert all(lv.residual_norm <= 1e-8 for lv in levels)
 
     def test_normalization(self):
-        mapping = mom.Mapping(sigma=1.0)
         grid = cheb.chebyshev_grid(100)
-        levels, _ = mom.solve_levels(refs.linear_params(0), 100, mapping, 2)
-        x = mapping.x_of(grid.nodes)
-        J = mapping.jacobian(grid.nodes)
+        levels, _ = mom.solve_levels(refs.linear_params(0), 100, 1.0, 2)
+        x, J = mom.mapped_nodes(grid.nodes, 1.0)
         for lv in levels:
             norm = np.sum(grid.plain_weights * J * x * x * lv.mesh_values**2)
             assert abs(norm - 1.0) < 1e-10
 
 
-def select_all_then_sort(eigenpairs, params, grid, mapping, count):
+def select_all_then_sort(eigenpairs, params, grid, sigma, count):
     """Reference selection: re-assemble H, filter every eigenpair, then sort.
 
     This is the selection `select_bound_states` replaced; the faster one
     must return bit-identical levels.
     """
     evals, evecs = eigenpairs
-    x = mapping.x_of(grid.nodes)
-    J = mapping.jacobian(grid.nodes)
-    H = mom.assemble_hamiltonian(
-        mom.assemble_potential(params, grid, mapping), params, grid, mapping)
+    x, J = mom.mapped_nodes(grid.nodes, sigma)
+    H = hamiltonian(params, grid, sigma, x, J)
     hscale = max(1.0, np.abs(H).max())
     density_weights = grid.plain_weights * J * x * x
     corner = max(3, grid.N // 10)
@@ -269,6 +253,12 @@ def select_all_then_sort(eigenpairs, params, grid, mapping, count):
     return levels, len(levels) >= count
 
 
+def hamiltonian(params, grid, sigma, x, J):
+    """H = V + K, the matrix solve_levels assembles, with the kinetic term on the diagonal."""
+    V = mom.assemble_potential(params, grid, sigma, x, J)
+    return V + np.diag(mom.kinetic_diagonal(params, x))
+
+
 def assert_same_levels(got, want):
     assert got[1] == want[1]
     assert len(got[0]) == len(want[0])
@@ -296,19 +286,18 @@ class TestSelection:
     def test_matches_filter_all_then_sort(self, case, ell, N):
         make_params, sigma = SELECTION_CASES[case]
         params = make_params(ell)
-        mapping = mom.Mapping(sigma=sigma)
         grid = cheb.chebyshev_grid(N)
-        H = mom.assemble_hamiltonian(
-            mom.assemble_potential(params, grid, mapping), params, grid, mapping)
+        x, J = mom.mapped_nodes(grid.nodes, sigma)
+        H = hamiltonian(params, grid, sigma, x, J)
         pairs = mom.solve_spectrum(H, mom.similarity_scale(grid))
         # count = N always exceeds the number of levels that pass
         for count in (1, 5, N):
-            want = select_all_then_sort(pairs, params, grid, mapping, count)
+            want = select_all_then_sort(pairs, params, grid, sigma, count)
             assert_same_levels(
-                mom.select_bound_states(pairs, H, params, grid, mapping, count), want)
+                mom.select_bound_states(pairs, H, params, grid, x, J, count), want)
         assert not want[1]
-        assert_same_levels(mom.solve_levels(params, N, mapping, 5),
-                           select_all_then_sort(pairs, params, grid, mapping, 5))
+        assert_same_levels(mom.solve_levels(params, N, sigma, 5),
+                           select_all_then_sort(pairs, params, grid, sigma, 5))
 
     def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
         calls = {"assemble": 0, "pv": 0, "log": 0}
@@ -328,24 +317,24 @@ class TestSelection:
         # a private grid cache, so the tables are built inside this test
         monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
 
-        mapping = mom.Mapping(sigma=1.0)
+        sigma = 1.0
         for ell in range(4):
             before = calls["assemble"]
-            mom.solve_levels(refs.linear_params(ell), 40, mapping, 3)
+            mom.solve_levels(refs.linear_params(ell), 40, sigma, 3)
             assert calls["assemble"] == before + 1
         assert calls == {"assemble": 4, "pv": 1, "log": 1}
         # pure Coulomb has no double pole, so it builds no principal value table
-        mom.solve_levels(refs.coulomb_params(0), 50, mapping, 1)
+        mom.solve_levels(refs.coulomb_params(0), 50, sigma, 1)
         assert calls == {"assemble": 5, "pv": 1, "log": 2}
 
 
-def dense_levels(params, N, mapping, count):
+def dense_levels(params, N, sigma, count):
     """Levels selected from all N eigenpairs of the dense solver: the oracle."""
     grid = cheb.chebyshev_grid(N)
-    H = mom.assemble_hamiltonian(
-        mom.assemble_potential(params, grid, mapping), params, grid, mapping)
+    x, J = mom.mapped_nodes(grid.nodes, sigma)
+    H = hamiltonian(params, grid, sigma, x, J)
     pairs = mom.solve_spectrum(H, mom.similarity_scale(grid))
-    return mom.select_bound_states(pairs, H, params, grid, mapping, count)
+    return mom.select_bound_states(pairs, H, params, grid, x, J, count)
 
 
 @pytest.fixture
@@ -386,10 +375,10 @@ class TestArnoldi:
     @pytest.mark.parametrize("case", sorted(SELECTION_CASES))
     def test_matches_dense(self, case, ell, N, eigensolves):
         make_params, sigma = SELECTION_CASES[case]
-        params, mapping = make_params(ell), mom.Mapping(sigma=sigma)
-        got, ok = mom.solve_levels(params, N, mapping, 5)
+        params = make_params(ell)
+        got, ok = mom.solve_levels(params, N, sigma, 5)
         assert eigensolves == [10]
-        want, want_ok = dense_levels(params, N, mapping, 5)
+        want, want_ok = dense_levels(params, N, sigma, 5)
         assert ok and want_ok
         # here the dense QR levels carry 1.1e-9 of rounding: they differ from
         # the converged N = 120 levels by that much, the Arnoldi levels by
@@ -400,9 +389,9 @@ class TestArnoldi:
             assert abs(a.epsilon / b.epsilon - 1.0) < tol
 
     def test_dense_rounding_case_against_converged_levels(self):
-        params, mapping = SELECTION_CASES["salpeter"][0](2), mom.Mapping(sigma=1.0)
-        got, _ = mom.solve_levels(params, 800, mapping, 5)
-        want, _ = dense_levels(params, 120, mapping, 5)
+        params = SELECTION_CASES["salpeter"][0](2)
+        got, _ = mom.solve_levels(params, 800, 1.0, 5)
+        want, _ = dense_levels(params, 120, 1.0, 5)
         for a, b in zip(got, want, strict=True):
             assert abs(a.epsilon / b.epsilon - 1.0) < 1e-10
 
@@ -411,7 +400,7 @@ class TestArnoldi:
         # the dense QR levels are off by 2.8e-3 (ell = 4) and over 0.1
         # (ell = 6) here: its normwise backward error meets the z^ell
         # kernel corners
-        levels, ok = mom.solve_levels(refs.linear_params(ell), N, mom.Mapping(sigma=1.0), 5)
+        levels, ok = mom.solve_levels(refs.linear_params(ell), N, 1.0, 5)
         assert ok
         for lv in levels:
             assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-9
@@ -421,20 +410,20 @@ class TestArnoldi:
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-        params, mapping = refs.linear_params(1), mom.Mapping(sigma=1.0)
-        got = mom.solve_levels(params, 400, mapping, 5)
+        params = refs.linear_params(1)
+        got = mom.solve_levels(params, 400, 1.0, 5)
         assert eigensolves == [None, 400]
-        assert_same_levels(got, dense_levels(params, 400, mapping, 5))
+        assert_same_levels(got, dense_levels(params, 400, 1.0, 5))
 
     def test_falls_back_when_the_shift_is_singular(self, monkeypatch, eigensolves):
         def singular(*args, **kwargs):
             raise scipy.linalg.LinAlgWarning("Diagonal number 1 is exactly zero.")
 
         monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
-        params, mapping = refs.linear_params(0), mom.Mapping(sigma=0.5)
-        got = mom.solve_levels(params, 400, mapping, 3)
+        params = refs.linear_params(0)
+        got = mom.solve_levels(params, 400, 0.5, 3)
         assert eigensolves == [None, 400]
-        assert_same_levels(got, dense_levels(params, 400, mapping, 3))
+        assert_same_levels(got, dense_levels(params, 400, 0.5, 3))
 
     def test_falls_back_when_the_disc_excludes_the_top_level(self, monkeypatch, eigensolves):
         # only the `count` eigenvalues nearest the shift come back: the top
@@ -446,10 +435,10 @@ class TestArnoldi:
             return eigs(A, 3, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", too_few)
-        params, mapping = SELECTION_CASES["cornell"][0](0), mom.Mapping(sigma=1.0)
-        got = mom.solve_levels(params, 400, mapping, 3)
+        params = SELECTION_CASES["cornell"][0](0)
+        got = mom.solve_levels(params, 400, 1.0, 3)
         assert eigensolves == [3, 400]
-        assert_same_levels(got, dense_levels(params, 400, mapping, 3))
+        assert_same_levels(got, dense_levels(params, 400, 1.0, 3))
 
     def test_disc_certificate(self):
         evals = np.array([1.0, 2.0, 3.0 + 0.5j, 3.0 - 0.5j])
@@ -459,17 +448,16 @@ class TestArnoldi:
         assert not mom._disc_covers(evals, 0.0, 3.5)
 
     def test_bit_reproducible(self, eigensolves):
-        params, mapping = SELECTION_CASES["coulomb"][0](1), mom.Mapping(sigma=0.5)
-        first = mom.solve_levels(params, 400, mapping, 5)
-        assert_same_levels(mom.solve_levels(params, 400, mapping, 5), first)
+        params = SELECTION_CASES["coulomb"][0](1)
+        first = mom.solve_levels(params, 400, 0.5, 5)
+        assert_same_levels(mom.solve_levels(params, 400, 0.5, 5), first)
         assert eigensolves == [10, 10]
 
     def test_dense_below_threshold_and_for_many_levels(self, eigensolves):
-        mapping = mom.Mapping(sigma=1.0)
-        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N - 1, mapping, 5)
-        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, mapping, 5)
+        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N - 1, 1.0, 5)
+        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, 1.0, 5)
         # ARPACK needs k < N - 1
-        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, mapping,
+        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, 1.0,
                          mom.ARNOLDI_MIN_N // 2)
         assert eigensolves == [mom.ARNOLDI_MIN_N - 1, 10, mom.ARNOLDI_MIN_N]
 
@@ -483,7 +471,7 @@ class TestFiniteParts:
     """Linear levels the differentiation-matrix elimination lost to rounding."""
 
     def test_linear_ell2_large_mesh(self):
-        levels, ok = mom.solve_levels(refs.linear_params(2), 800, mom.Mapping(sigma=1.0), 5)
+        levels, ok = mom.solve_levels(refs.linear_params(2), 800, 1.0, 5)
         assert ok
         for lv, exact in zip(levels, refs.TABLE2_EXACT[2], strict=True):
             assert abs(lv.epsilon - exact) < 2e-6
@@ -491,7 +479,7 @@ class TestFiniteParts:
     @pytest.mark.parametrize("sigma", (1.0, 4.0))
     @pytest.mark.parametrize("ell", (4, 5, 6))
     def test_high_ell_matches_radial(self, ell, sigma):
-        levels, ok = mom.solve_levels(refs.linear_params(ell), 120, mom.Mapping(sigma=sigma), 5)
+        levels, ok = mom.solve_levels(refs.linear_params(ell), 120, sigma, 5)
         assert ok
         for lv in levels:
             assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-8
@@ -499,23 +487,23 @@ class TestFiniteParts:
 
 class TestWavefunction:
     def setup_method(self):
-        self.mapping = mom.Mapping(sigma=1.0)
+        self.sigma = 1.0
         self.grid = cheb.chebyshev_grid(100)
         self.levels, ok = mom.solve_levels(refs.linear_params(1), 100,
-                                           self.mapping, 4)
+                                           self.sigma, 4)
         assert ok
 
     def test_mesh_point_reproduction(self):
-        x = self.mapping.x_of(self.grid.nodes)
+        x, _ = mom.mapped_nodes(self.grid.nodes, self.sigma)
         lv = self.levels[0]
         for j in (5, 50, 90):
-            val = mom.wavefunction_at(lv, self.grid, self.mapping, x[j])
+            val = wavefunction_at(lv, self.grid, self.sigma, x[j])
             assert abs(val - lv.mesh_values[j]) < 1e-9
 
     def test_nodal_counts(self):
         x = np.linspace(0.05, 8.0, 1200)
         for lv in self.levels:
-            vals = np.array([mom.wavefunction_at(lv, self.grid, self.mapping, xi)
+            vals = np.array([wavefunction_at(lv, self.grid, self.sigma, xi)
                              for xi in x])
             signs = np.sign(vals[np.abs(vals) > 1e-6])
             flips = int(np.sum(signs[1:] != signs[:-1]))
@@ -523,7 +511,7 @@ class TestWavefunction:
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
-            mom.wavefunction_at(self.levels[0], self.grid, self.mapping, 0.0)
+            wavefunction_at(self.levels[0], self.grid, self.sigma, 0.0)
 
 
 class TestScanAndScaling:
@@ -549,9 +537,9 @@ class TestScanAndScaling:
         for s in (0.5, 2.0):
             levels, _ = mom.solve_levels(
                 refs.linear_params(0, s), 200,
-                mom.Mapping(sigma=0.5 * s ** (-1.0 / 3.0)), 3)
+                0.5 * s ** (-1.0 / 3.0), 3)
             base, _ = mom.solve_levels(refs.linear_params(0), 200,
-                                       mom.Mapping(sigma=0.5), 3)
+                                       0.5, 3)
             for a, b in zip(levels, base):
                 assert abs(a.epsilon - s ** (1.0 / 3.0) * b.epsilon) < 1e-10
 
@@ -560,7 +548,7 @@ class TestScanAndScaling:
         # coordinate solver, in units of sqrt(beta)
         for flavor in ("charm", "bottom"):
             params = refs.cornell_params(flavor, 1)
-            levels, _ = mom.solve_levels(params, 80, mom.Mapping(sigma=1.0), 2)
+            levels, _ = mom.solve_levels(params, 80, 1.0, 2)
             for lv in levels:
                 eps_r = radial.solve_radial(params, lv.n)
                 assert abs(lv.epsilon - eps_r) < 1e-3
