@@ -88,9 +88,12 @@ def _cardinal_weights(moments):
     With C[n, j] = (2/N) cos(n theta_j), first row halved, this is a DCT-III
     along n, O(N^2 log N) for a table instead of the O(N^3) product with C.
     A moment table of shape (N, M) gives weights of shape (M, N), one row per
-    point; one moment vector gives one weight vector.
+    point, stored C-contiguous like every matrix the solver combines them
+    with; one moment vector gives one weight vector.
     """
-    return scipy.fft.dct(moments, type=3, axis=0).T / moments.shape[0]
+    W = scipy.fft.dct(moments.T, type=3, axis=-1)
+    W /= moments.shape[0]
+    return W
 
 
 @lru_cache(maxsize=64)
@@ -112,8 +115,12 @@ def _pv_g_moments(tau, nmax):
     g = np.zeros((nmax,) + tau.shape)
     if nmax > 1:
         g[1] = 2.0
+    tau2 = 2.0 * tau
+    # g[n, ...] is a view of row n also when tau is a scalar
     for n in range(1, nmax - 1):
-        g[n + 1] = 2.0 * tau * g[n] - g[n - 1] + 2.0 * mu[n]
+        np.multiply(tau2, g[n], out=g[n + 1, ...])
+        g[n + 1, ...] -= g[n - 1]
+        g[n + 1, ...] += 2.0 * mu[n]
     return g
 
 
@@ -124,16 +131,20 @@ def _chebyshev_T_table(tau, nmax):
     T[0] = 1.0
     if nmax > 1:
         T[1] = tau
+    tau2 = 2.0 * tau
     for n in range(1, nmax - 1):
-        T[n + 1] = 2.0 * tau * T[n] - T[n - 1]
+        np.multiply(tau2, T[n], out=T[n + 1, ...])
+        T[n + 1, ...] -= T[n - 1]
     return T
 
 
 def _pv_moments(tau, nmax):
     """PV moments rho_n(tau) = PV int T_n(t)/(t - tau) dt, |tau| < 1."""
     tau = np.asarray(tau, dtype=float)
-    rho0 = np.log((1.0 - tau) / (1.0 + tau))
-    return _chebyshev_T_table(tau, nmax) * rho0 + _pv_g_moments(tau, nmax)
+    rho = _chebyshev_T_table(tau, nmax)
+    rho *= np.log((1.0 - tau) / (1.0 + tau))
+    rho += _pv_g_moments(tau, nmax)
+    return rho
 
 
 def _log_moments(tau, nmax):
@@ -147,7 +158,10 @@ def _log_moments(tau, nmax):
                  - int (A_n(t) - A_n(tau))/(t - tau) dt,
 
     where each log coefficient vanishes at the matching endpoint, so the
-    formula is finite on the whole closed interval (0 * log 0 = 0).
+    formula is finite on the whole closed interval (0 * log 0 = 0).  For
+    n >= 2, A_n = (T_{n+1}/(n+1) - T_{n-1}/(n-1))/2, and the PV integral is
+    the same combination of the g moments; both are formed for all n at
+    once, in the buffers of the T and g tables.
     """
     tau = np.asarray(tau, dtype=float)
     one_m = 1.0 - tau
@@ -156,10 +170,7 @@ def _log_moments(tau, nmax):
     log_m = np.where(one_m > 0.0, np.log(np.where(one_m > 0.0, one_m, 1.0)), 0.0)
     log_p = np.where(one_p > 0.0, np.log(np.where(one_p > 0.0, one_p, 1.0)), 0.0)
 
-    need = nmax + 1  # A_n involves T_{n+1}
-    T = _chebyshev_T_table(tau, need + 1)
-    g = _pv_g_moments(tau, need + 1)
-
+    T = _chebyshev_T_table(tau, nmax + 1)
     lam = np.empty((nmax,) + tau.shape)
     # n = 0: closed form, finite at the endpoints
     lam[0] = one_m * log_m + one_p * log_p - 2.0
@@ -167,12 +178,31 @@ def _log_moments(tau, nmax):
         # n = 1: A_1 = t^2/2 = (T_2 + 1)/4, A_1(+-1) = 1/2
         a1 = 0.25 * (T[2] + 1.0)
         lam[1] = (0.5 - a1) * log_m + (a1 - 0.5) * log_p - tau
-    for n in range(2, nmax):
-        an = 0.5 * (T[n + 1] / (n + 1) - T[n - 1] / (n - 1))
-        an_hi = -1.0 / (n * n - 1.0)
-        an_lo = (-1.0) ** n / (n * n - 1.0)
-        reg = 0.5 * (g[n + 1] / (n + 1) - g[n - 1] / (n - 1))
-        lam[n] = (an_hi - an) * log_m + (an - an_lo) * log_p - reg
+    if nmax <= 2:
+        return lam
+    # n = 2..nmax-1 as a column, k = 1..nmax as the divisors of T_k and g_k.
+    # The g table is built once the T table is released: three tables are
+    # live only for the last, unbroadcast steps, which take no buffers.
+    n = np.arange(2.0, nmax).reshape((-1,) + (1,) * tau.ndim)
+    k = np.arange(1.0, nmax + 1).reshape((-1,) + (1,) * tau.ndim)
+    an_hi = -1.0 / (n * n - 1.0)
+    an_lo = (-1.0) ** n / (n * n - 1.0)
+    T[1:] /= k
+    an = lam[2:]
+    np.subtract(T[3:], T[1:-2], out=an)
+    an *= 0.5
+    piece = T[:-3]
+    np.subtract(an, an_lo, out=piece)
+    piece *= log_p
+    np.subtract(an_hi, an, out=an)
+    an *= log_m
+    an += piece
+    del T, piece
+    g = _pv_g_moments(tau, nmax + 1)
+    g[1:] /= k
+    reg = np.subtract(g[3:], g[1:-2])
+    reg *= 0.5
+    an -= reg
     return lam
 
 
@@ -217,20 +247,22 @@ def pv_weight_table(grid):
     tables are DCT-III transforms of their moments, O(N^2 log N).
     """
     t = grid.nodes
-    rho = _pv_moments(t, grid.N)
+    N = grid.N
+    rho = _pv_moments(t, N)
     W = _cardinal_weights(rho)
     rho[0] *= 0.5
-    S = np.empty_like(rho)
-    S[0::2] = np.cumsum(rho[0::2], axis=0)
-    S[1::2] = np.cumsum(rho[1::2], axis=0)
-    del rho
-    n = np.arange(grid.N)
-    fp = np.empty_like(S)
+    # fp[n] = 2n S_{n-1}, the running sums written one row down
+    fp = np.empty_like(rho)
     fp[0] = 0.0
-    np.multiply(S[:-1], 2.0 * n[1:, None], out=fp[1:])
-    del S
+    np.cumsum(rho[0:N - 1:2], axis=0, out=fp[1::2])
+    np.cumsum(rho[1:N - 1:2], axis=0, out=fp[2::2])
+    del rho
+    fp[1:] *= 2.0 * np.arange(1.0, N)[:, None]
     fp -= 1.0 / (1.0 - t)
-    fp -= np.outer((-1.0) ** n, 1.0 / (1.0 + t))
+    # (-1)^n / (1 + t), subtracted on even rows and added on odd ones
+    r = 1.0 / (1.0 + t)
+    fp[0::2] -= r
+    fp[1::2] += r
     return W, _cardinal_weights(fp)
 
 

@@ -42,9 +42,10 @@ FORMATS = ("csv", "json", "pretty")
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "residual", "imag")
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
-# about 110 bytes * N^2 at any ell and on either eigensolver path (107-112
-# measured at N = 800 and 1600, linear ell = 2 and 7), about 1.8 GB at this
-# bound; the assembly takes 88 of it (tracemalloc, weight tables built).
+# about 70 bytes * N^2 at any ell and on either eigensolver path (64-70
+# measured at N = 800 and 1600, linear ell = 2 and 7), about 1.1 GB at this
+# bound; the three weight tables keep 24 of it and the assembly takes 44
+# (tracemalloc, weight tables built).
 MAX_N = 4000
 
 
@@ -196,7 +197,7 @@ def _validate(cfg):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
-                          f"about 110 bytes * N^2, 1.8 GB at N = {MAX_N}")
+                          f"about 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
     if any(l < 0 for l in cfg.ell):
         raise ConfigError("field 'ell' entries must be nonnegative")
     if cfg.command == "reproduce":

@@ -8,8 +8,8 @@ momentum ell, onto kernels built from the Legendre function of the second
 kind at z = (x^2 + x'^2)/(2 x x') >= 1.  The log singularity at x' = x is
 carried entirely by Q_0(z) = log|(x'+x)/(x'-x)|, the double pole by Q_0'(z).
 This module supplies the polynomial pieces (P_ell and the polynomial
-remainder w_{ell-1}, each with its derivative) and the kernel formulas that
-group them the way the solver consumes them: a log coefficient, a regular
+remainder w_{ell-1}, each with its derivative); the assembly in `momentum`
+groups them the way the solver consumes them: a log coefficient, a regular
 remainder, and the factor of the double pole, which the solver integrates
 as a Hadamard finite part.
 
@@ -65,28 +65,71 @@ class Problem:
             raise ValueError("salpeter mode needs a positive quark mass am")
 
 
-def _bonnet(ell, z):
-    """Yield (m, P_m(z), P'_m(z)) for m = 0..ell, keeping only a rolling window.
+# Elements per block of the Legendre recurrences: the rolling buffers of a
+# block stay in cache, and their size does not depend on ell or on z.
+_BLOCK = 1 << 14
+
+
+def _blocks(z, *outs):
+    """Yield four block buffers for _bonnet and matching flat blocks of z and outs.
+
+    The arrays outs have z's shape; the buffers are shared by all blocks.
+    """
+    flat = [a.reshape(-1) for a in (z,) + outs]
+    buffers = np.empty((4, min(z.size, _BLOCK)))
+    for start in range(0, z.size, _BLOCK):
+        yield buffers, *(a[start:start + _BLOCK] for a in flat)
+
+
+def _bonnet(ell, z, buffers):
+    """Yield (m, P_m(z), P'_m(z)) for m = 0..ell, z one block.
 
     Values by the Bonnet recurrence (m+1) P_{m+1} = (2m+1) z P_m - m P_{m-1},
     derivatives by P'_{m+1} = z P'_m + (m+1) P_m, which needs no special case
-    at z = 1 and no cancellation near it.
+    at z = 1 and no cancellation near it.  P_0 = 1, P'_0 = 0 and P'_1 = 1 are
+    yielded as scalars and P_1 as z itself; from m = 2 on the values rotate
+    through the four `buffers` and are overwritten by the next step.
     """
-    pprev = np.zeros_like(z)
-    p = np.ones_like(z)
-    dp = np.zeros_like(z)
-    for m in range(ell + 1):
+    yield 0, 1.0, 0.0
+    if ell == 0:
+        return
+    yield 1, z, 1.0
+    if ell == 1:
+        return
+    pprev, p, dp, t = (b[:z.size] for b in buffers)
+    # the step from m = 1, where m P_0 = 1 and z P'_1 = z
+    pprev[:] = z
+    np.multiply(z, 3.0, out=p)
+    p *= z
+    p -= 1.0
+    p /= 2.0
+    np.multiply(z, 2.0, out=dp)
+    dp += z
+    for m in range(2, ell + 1):
         yield m, p, dp
-        if m < ell:
-            pprev, p, dp = p, ((2 * m + 1) * z * p - m * pprev) / (m + 1), z * dp + (m + 1) * p
+        if m == ell:
+            return
+        np.multiply(z, 2 * m + 1, out=t)
+        t *= p
+        pprev *= m
+        t -= pprev
+        t /= m + 1
+        dp *= z
+        np.multiply(p, m + 1, out=pprev)
+        dp += pprev
+        pprev, p, t = p, t, pprev
 
 
 def legendre_P(ell, z):
     """Legendre polynomial P_ell(z) and its derivative P'_ell(z)."""
     if ell < 0:
         raise ValueError("orbital momentum must be nonnegative")
-    for _, p, dp in _bonnet(ell, np.asarray(z, dtype=float)):
-        pass
+    z = np.asarray(z, dtype=float)
+    p, dp = np.empty(z.shape), np.empty(z.shape)
+    for buffers, zb, pb, dpb in _blocks(z, p, dp):
+        for _, pm, dpm in _bonnet(ell, zb, buffers):
+            pass
+        pb[:], dpb[:] = pm, dpm
     return p, dp
 
 
@@ -101,34 +144,11 @@ def w_poly(ell, z):
     if ell < 1:
         raise ValueError("polynomial remainder exists only for ell >= 1")
     z = np.asarray(z, dtype=float)
-    w = np.zeros_like(z)
-    dw = np.zeros_like(z)
-    for m, p, dp in _bonnet(ell - 1, z):
-        if (ell - 1 - m) % 2 == 0:
-            c = 2.0 * (2 * m + 1) / ((ell - m) * (ell + m + 1))
-            w += c * p
-            dw += c * dp
+    w, dw = np.zeros(z.shape), np.zeros(z.shape)
+    for buffers, zb, wb, dwb in _blocks(z, w, dw):
+        for m, p, dp in _bonnet(ell - 1, zb, buffers):
+            if (ell - 1 - m) % 2 == 0:
+                c = 2.0 * (2 * m + 1) / ((ell - m) * (ell + m + 1))
+                wb += c * p
+                dwb += c * dp
     return w, dw
-
-
-# Kernel formulas.  Each takes the Legendre pieces at z(x, x') and works
-# elementwise, so the matrix assembly in `momentum` and the scalar kernel
-# oracle of the tests share one expression.  The log and regular pieces are
-# combined with a factor for each: log|(x'+x)/(x'-x)| and 1 give the kernel
-# itself, (1, 0) and (0, 1) its two coefficients, and the quadrature
-# weights of the two pieces the assembled matrix.
-
-def linear_log_regular(x, dp, dw, log_w, reg_w):
-    """Linear kernel minus its double pole: (P'_ell log_w - w'_{ell-1} reg_w) / (pi x^2)."""
-    return (dp * log_w - dw * reg_w) / (np.pi * x ** 2)
-
-
-def pv_factor(x, xp, p):
-    """F = x'^2 P_ell(z) / (x'+x)^2, the factor of the double pole 1/(x'-x)^2."""
-    return xp ** 2 * p / (x + xp) ** 2
-
-
-def coulomb_log_regular(alpha, x, xp, p, w, log_w, reg_w):
-    """Coulomb kernel: -(alpha/pi) (P_ell log_w - w_{ell-1} reg_w) x' / x."""
-    coul = (p * log_w - w * reg_w) * xp
-    return -(alpha / np.pi) * coul / x

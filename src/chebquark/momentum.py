@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from . import cheb, kernels
+from . import cheb
 from .kernels import legendre_P, w_poly
 
 
@@ -77,38 +77,81 @@ def assemble_potential(problem, grid, sigma, x, J):
     eta and omega are the grid's finite-part and principal value tables.
     All diagonal entries are finite.
     """
+    ell = problem.ell
     t = grid.nodes
+    xc = x[:, None]
     regw = grid.plain_weights * J
 
-    # z matrix with an exact diagonal
-    z = (x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * x[:, None] * x[None, :])
-    np.fill_diagonal(z, 1.0)
-    p, dp = legendre_P(problem.ell, z)
-    # w_{ell-1} is absent at ell = 0
-    wl, dwl = w_poly(problem.ell, z) if problem.ell >= 1 else (0.0, 0.0)
-    del z
+    # Each N x N term is formed in place, in the rounding order of its
+    # kernel formula, and a buffer is dropped once no later term reads it.
+    # P_0 = 1 and w_{-1} = 0, so ell = 0 needs no z.
+    if ell >= 1:
+        # z = (x^2 + x'^2)/(2 x x') with an exact diagonal
+        z = xc ** 2 + x ** 2
+        z /= 2.0 * xc * x
+        np.fill_diagonal(z, 1.0)
+        p, dp = legendre_P(ell, z)
+        w, dw = w_poly(ell, z)
+        del z
 
-    logw = np.log(1.0 - np.outer(t, t))
-    logw *= grid.plain_weights
-    logw -= grid.log_table
-    logw *= J
+    if problem.alpha > 0.0 or (problem.linear and ell >= 1):
+        # log|(x'+x)/(x'-x)| weights [w_j log S_ij - Omega_j(t_i)] J_j
+        logw = np.multiply(t[:, None], t)
+        np.subtract(1.0, logw, out=logw)
+        np.log(logw, out=logw)
+        logw *= grid.plain_weights
+        logw -= grid.log_table
+        logw *= J
 
-    V = np.zeros((grid.N, grid.N))
-    if problem.linear:
-        # log + regular pieces of the linear kernel (absent for ell = 0)
-        if problem.ell >= 1:
-            V += kernels.linear_log_regular(x[:, None], dp, dwl, logw, regw)
-        # double pole: -(4/pi) FP int F phi dx'/(x'-x)^2
-        pole = grid.fp_table * (1.0 - t)
-        pole += grid.pv_table
-        pole *= kernels.pv_factor(x[:, None], x[None, :], p)
-        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
-        V += pole
+    terms = []
+    if problem.linear and ell >= 1:
+        # log + regular pieces: (P'_ell logw - w'_{ell-1} regw) / (pi x^2)
+        dp *= logw
+        dw *= regw
+        dp -= dw
+        dp /= np.pi * xc ** 2
+        terms.append(dp)
+        del dp, dw
+        if problem.alpha == 0.0:
+            del logw, w
 
     if problem.alpha > 0.0:
-        V += kernels.coulomb_log_regular(problem.alpha, x[:, None], x[None, :],
-                                         p, wl, logw, regw)
+        # Coulomb: -(alpha/pi) (P_ell logw - w_{ell-1} regw) x' / x, kept
+        # back until the double pole, which overwrites P_ell, is added
+        coul = logw
+        del logw
+        if ell >= 1:
+            coul *= p
+            w *= regw
+            coul -= w
+            del w
+        coul *= x
+        coul *= -(problem.alpha / np.pi)
+        coul /= xc
 
+    if problem.linear:
+        # double pole: -(4/pi) FP int F phi dx'/(x'-x)^2 with the factor
+        # F = x'^2 P_ell(z) / (x'+x)^2
+        pole = np.multiply(grid.fp_table, 1.0 - t)
+        pole += grid.pv_table
+        F = np.add(xc, x)
+        np.square(F, out=F)
+        if ell >= 1:
+            p *= x ** 2
+            np.divide(p, F, out=F)
+            del p
+        else:
+            np.divide(x ** 2, F, out=F)
+        pole *= F
+        del F
+        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
+        terms.append(pole)
+
+    if problem.alpha > 0.0:
+        terms.append(coul)
+    V = terms[0]
+    for term in terms[1:]:
+        V += term
     return V
 
 
@@ -172,7 +215,8 @@ def solve_spectrum(H, scale, shift=None, k=None):
     a high ell overflows to, is a numerical failure (RuntimeError).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        H = scale[:, None] * H / scale
+        H = np.multiply(scale[:, None], H)
+        H /= scale
     if not np.all(np.isfinite(H)):
         raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
                            "or underflow at this ell or mapping scale sigma")
@@ -195,6 +239,11 @@ def _power_of_two_inverse(a):
     return np.ldexp(1.0, 1 - np.frexp(a)[1])
 
 
+def _abs_max(A, axis):
+    """max |A| along axis, from the largest and smallest entries: no |A| copy."""
+    return np.maximum(A.max(axis=axis), -A.min(axis=axis))
+
+
 def _shift_invert_arnoldi(Hs, shift, k):
     """The k eigenpairs of Hs nearest the shift, or None if ARPACK cannot deliver.
 
@@ -209,9 +258,9 @@ def _shift_invert_arnoldi(Hs, shift, k):
     N = len(Hs)
     A = Hs.copy()
     A.flat[::N + 1] -= shift
-    rows = _power_of_two_inverse(np.abs(A).max(axis=1))
+    rows = _power_of_two_inverse(_abs_max(A, axis=1))
     A *= rows[:, None]
-    cols = _power_of_two_inverse(np.abs(A).max(axis=0))
+    cols = _power_of_two_inverse(_abs_max(A, axis=0))
     A *= cols
     with warnings.catch_warnings():
         # lu_factor only warns on an exactly singular factor
@@ -277,7 +326,7 @@ def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
     `count` levels passed the filters.
     """
     evals, evecs = eigenpairs
-    hscale = max(1.0, np.abs(H).max())
+    hscale = max(1.0, _abs_max(H, axis=None))
     density_weights = grid.plain_weights * J * x * x
     corner = max(3, grid.N // 10)
 

@@ -1,0 +1,179 @@
+"""Vectorized assembly and weight-table builds, kept as a bit-identity oracle.
+
+These are the formulations that `momentum.assemble_potential`,
+`kernels.legendre_P`/`w_poly` and the `cheb` table builds replaced: every
+kernel formula evaluated on whole matrices with fresh temporaries, the
+Legendre recurrences by a generator that allocates three arrays a step,
+the log moments by a loop over n, and the tables transposed out of one
+DCT-III along the moment axis.  The faster code performs the same
+floating-point operations in the same order, so the tests require equal
+results, not close ones.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import scipy.fft
+
+from chebquark.cheb import _plain_moments
+from kernel_oracle import coulomb_log_regular, linear_log_regular, pv_factor
+
+
+def _bonnet(ell, z):
+    """Yield (m, P_m(z), P'_m(z)) for m = 0..ell by the Bonnet recurrence."""
+    pprev = np.zeros_like(z)
+    p = np.ones_like(z)
+    dp = np.zeros_like(z)
+    for m in range(ell + 1):
+        yield m, p, dp
+        if m < ell:
+            pprev, p, dp = p, ((2 * m + 1) * z * p - m * pprev) / (m + 1), z * dp + (m + 1) * p
+
+
+def legendre_P(ell, z):
+    for _, p, dp in _bonnet(ell, np.asarray(z, dtype=float)):
+        pass
+    return p, dp
+
+
+def w_poly(ell, z):
+    z = np.asarray(z, dtype=float)
+    w = np.zeros_like(z)
+    dw = np.zeros_like(z)
+    for m, p, dp in _bonnet(ell - 1, z):
+        if (ell - 1 - m) % 2 == 0:
+            c = 2.0 * (2 * m + 1) / ((ell - m) * (ell + m + 1))
+            w += c * p
+            dw += c * dp
+    return w, dw
+
+
+def assemble_potential(problem, grid, sigma, x, J):
+    """The potential matrix V, one whole-matrix expression per kernel term."""
+    t = grid.nodes
+    regw = grid.plain_weights * J
+
+    z = (x[:, None] ** 2 + x[None, :] ** 2) / (2.0 * x[:, None] * x[None, :])
+    np.fill_diagonal(z, 1.0)
+    p, dp = legendre_P(problem.ell, z)
+    wl, dwl = w_poly(problem.ell, z) if problem.ell >= 1 else (0.0, 0.0)
+    del z
+
+    logw = np.log(1.0 - np.outer(t, t))
+    logw *= grid.plain_weights
+    logw -= grid.log_table
+    logw *= J
+
+    V = np.zeros((grid.N, grid.N))
+    if problem.linear:
+        if problem.ell >= 1:
+            V += linear_log_regular(x[:, None], dp, dwl, logw, regw)
+        pole = grid.fp_table * (1.0 - t)
+        pole += grid.pv_table
+        pole *= pv_factor(x[:, None], x[None, :], p)
+        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
+        V += pole
+
+    if problem.alpha > 0.0:
+        V += coulomb_log_regular(problem.alpha, x[:, None], x[None, :],
+                                 p, wl, logw, regw)
+    return V
+
+
+def _cardinal_weights(moments):
+    return scipy.fft.dct(moments, type=3, axis=0).T / moments.shape[0]
+
+
+def _pv_g_moments(tau, nmax):
+    tau = np.asarray(tau, dtype=float)
+    mu = _plain_moments(max(nmax, 2))
+    g = np.zeros((nmax,) + tau.shape)
+    if nmax > 1:
+        g[1] = 2.0
+    for n in range(1, nmax - 1):
+        g[n + 1] = 2.0 * tau * g[n] - g[n - 1] + 2.0 * mu[n]
+    return g
+
+
+def _chebyshev_T_table(tau, nmax):
+    tau = np.asarray(tau, dtype=float)
+    T = np.empty((nmax,) + tau.shape)
+    T[0] = 1.0
+    if nmax > 1:
+        T[1] = tau
+    for n in range(1, nmax - 1):
+        T[n + 1] = 2.0 * tau * T[n] - T[n - 1]
+    return T
+
+
+def pv_moments(tau, nmax):
+    tau = np.asarray(tau, dtype=float)
+    rho0 = np.log((1.0 - tau) / (1.0 + tau))
+    return _chebyshev_T_table(tau, nmax) * rho0 + _pv_g_moments(tau, nmax)
+
+
+def log_moments(tau, nmax):
+    tau = np.asarray(tau, dtype=float)
+    one_m = 1.0 - tau
+    one_p = 1.0 + tau
+    log_m = np.where(one_m > 0.0, np.log(np.where(one_m > 0.0, one_m, 1.0)), 0.0)
+    log_p = np.where(one_p > 0.0, np.log(np.where(one_p > 0.0, one_p, 1.0)), 0.0)
+
+    need = nmax + 1
+    T = _chebyshev_T_table(tau, need + 1)
+    g = _pv_g_moments(tau, need + 1)
+
+    lam = np.empty((nmax,) + tau.shape)
+    lam[0] = one_m * log_m + one_p * log_p - 2.0
+    if nmax > 1:
+        a1 = 0.25 * (T[2] + 1.0)
+        lam[1] = (0.5 - a1) * log_m + (a1 - 0.5) * log_p - tau
+    for n in range(2, nmax):
+        an = 0.5 * (T[n + 1] / (n + 1) - T[n - 1] / (n - 1))
+        an_hi = -1.0 / (n * n - 1.0)
+        an_lo = (-1.0) ** n / (n * n - 1.0)
+        reg = 0.5 * (g[n + 1] / (n + 1) - g[n - 1] / (n - 1))
+        lam[n] = (an_hi - an) * log_m + (an - an_lo) * log_p - reg
+    return lam
+
+
+def weights_cauchy(N, tau):
+    return _cardinal_weights(pv_moments(np.float64(tau), N))
+
+
+def weights_log(N, tau):
+    return _cardinal_weights(log_moments(np.float64(tau), N))
+
+
+def pv_weight_table(nodes):
+    t = nodes
+    N = len(t)
+    rho = pv_moments(t, N)
+    W = _cardinal_weights(rho)
+    rho[0] *= 0.5
+    S = np.empty_like(rho)
+    S[0::2] = np.cumsum(rho[0::2], axis=0)
+    S[1::2] = np.cumsum(rho[1::2], axis=0)
+    del rho
+    n = np.arange(N)
+    fp = np.empty_like(S)
+    fp[0] = 0.0
+    np.multiply(S[:-1], 2.0 * n[1:, None], out=fp[1:])
+    del S
+    fp -= 1.0 / (1.0 - t)
+    fp -= np.outer((-1.0) ** n, 1.0 / (1.0 + t))
+    return W, _cardinal_weights(fp)
+
+
+def log_weight_table(nodes):
+    return _cardinal_weights(log_moments(nodes, len(nodes)))
+
+
+def oracle_grid(grid):
+    """A stand-in for `grid` whose weight tables come from the builds above."""
+    pv, fp = pv_weight_table(grid.nodes)
+    return SimpleNamespace(N=grid.N, nodes=grid.nodes,
+                           plain_weights=_cardinal_weights(_plain_moments(grid.N)),
+                           pv_table=pv, fp_table=fp, log_table=log_weight_table(grid.nodes))

@@ -1,9 +1,9 @@
 """Scalar kernel oracle: the partial-wave kernels at one point (x, x').
 
-`momentum.assemble_potential` evaluates the same `kernels` formulas on
-whole matrices; this module evaluates them one entry at a time, grouped by
-singularity, so that the tests can rebuild the assembled matrix entry by
-entry and check each grouping against Q_ell.
+`momentum.assemble_potential` evaluates the kernel formulas below on whole
+matrices, in place; this module evaluates them one entry at a time,
+grouped by singularity, so that the tests can rebuild the assembled matrix
+entry by entry and check each grouping against Q_ell.
 """
 
 from __future__ import annotations
@@ -12,8 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chebquark.kernels import (
-    coulomb_log_regular, legendre_P, linear_log_regular, pv_factor, w_poly)
+from chebquark.kernels import legendre_P, w_poly
+
+
+# Kernel formulas.  Each takes the Legendre pieces at z(x, x') and works
+# elementwise.  The log and regular pieces are combined with a factor for
+# each: log|(x'+x)/(x'-x)| and 1 give the kernel itself, (1, 0) and (0, 1)
+# its two coefficients, and the quadrature weights of the two pieces the
+# assembled matrix.
+
+def linear_log_regular(x, dp, dw, log_w, reg_w):
+    """Linear kernel minus its double pole: (P'_ell log_w - w'_{ell-1} reg_w) / (pi x^2)."""
+    return (dp * log_w - dw * reg_w) / (np.pi * x ** 2)
+
+
+def pv_factor(x, xp, p):
+    """F = x'^2 P_ell(z) / (x'+x)^2, the factor of the double pole 1/(x'-x)^2."""
+    return xp ** 2 * p / (x + xp) ** 2
+
+
+def coulomb_log_regular(alpha, x, xp, p, w, log_w, reg_w):
+    """Coulomb kernel: -(alpha/pi) (P_ell log_w - w_{ell-1} reg_w) x' / x."""
+    coul = (p * log_w - w * reg_w) * xp
+    return -(alpha / np.pi) * coul / x
 
 
 def q0(z):

@@ -5,6 +5,7 @@ with `cli.build_config`, so a renamed function or config key would
 break it without failing any other test.
 """
 
+import functools
 import importlib
 import importlib.util
 import sys
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import chebquark
-from chebquark import cli
+from chebquark import cheb, cli, momentum
+from chebquark import references as refs
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +48,28 @@ def test_workload_request_is_valid_config(request_):
 @pytest.mark.parametrize("name", chebquark.__all__)
 def test_exported_name_resolves(name):
     assert getattr(chebquark, name, None) is not None
+
+
+# probes whose spans feed kernels.legendre_ms and cheb.table_builds
+CALLED_ONCE = ("kernels.legendre_P", "kernels.w_poly", "cheb.pv_moments", "cheb.log_moments")
+
+
+def test_solve_calls_through_the_probed_attributes(monkeypatch):
+    # a traced run sees only the calls made through these attributes; one
+    # Cornell ell = 2 solve on a fresh grid makes each exactly once (the
+    # moments counted as the probe counts them, over a whole mesh)
+    calls = dict.fromkeys(CALLED_ONCE, 0)
+    for name, module, attr, count in spans.PROBES:
+        if name not in calls:
+            continue
+        mod = importlib.import_module(module)
+
+        def counted(*args, _fn=getattr(mod, attr), _name=name, _count=count, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls[_name] += 1 if _count is None else _count(out)
+            return out
+
+        monkeypatch.setattr(mod, attr, counted)
+    monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
+    momentum.solve_levels(refs.cornell_params("charm", 2), 40, 1.0, 3)
+    assert calls == dict.fromkeys(CALLED_ONCE, 1)

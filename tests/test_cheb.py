@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import assembly_oracle
 from cheb_interpolation import cardinal_eval, coefficient_matrix, interpolate
 from chebquark import cheb
 
@@ -238,3 +239,27 @@ class TestCardinalProducts:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = cheb._plain_moments(N) @ C
         assert np.max(np.abs(grid.plain_weights - want)) <= 1e-15
+
+
+class TestBuildOracle:
+    """The in-place builds repeat the earlier builds' arithmetic exactly."""
+
+    @pytest.mark.parametrize("N", (8, 80, 800))
+    def test_tables_bit_identical_and_c_contiguous(self, N):
+        grid = cheb.ChebGrid(N)
+        pv, fp = assembly_oracle.pv_weight_table(grid.nodes)
+        for got, want in ((grid.pv_table, pv), (grid.fp_table, fp),
+                          (grid.log_table, assembly_oracle.log_weight_table(grid.nodes))):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", (2, 3, 32))
+    def test_single_point_rules_bit_identical(self, N):
+        # a scalar tau makes every row of the moment recurrences a 0-d view
+        grid = cheb.chebyshev_grid(N)
+        for tau in (-0.83, 0.0, 0.41):
+            assert np.array_equal(cheb.weights_cauchy(grid, tau),
+                                  assembly_oracle.weights_cauchy(N, tau))
+        for tau in (-1.0, -0.55, 0.0, 0.98, 1.0):
+            assert np.array_equal(cheb.weights_log(grid, tau),
+                                  assembly_oracle.weights_log(N, tau))

@@ -232,7 +232,7 @@ class TestMain:
         monkeypatch.setattr(cheb, "ChebGrid", no_grid)
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
-        assert "110 bytes * N^2, 1.8 GB" in capsys.readouterr().err
+        assert "70 bytes * N^2, 1.1 GB" in capsys.readouterr().err
 
     def test_reproduce_rejects_fields_it_does_not_use(self, capsys):
         # the stored campaign fixes N, sigma and the level count

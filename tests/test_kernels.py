@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
+import assembly_oracle
 from chebquark import kernels
 from kernel_oracle import kernel_pieces, q0, z_of
 
@@ -63,6 +64,21 @@ class TestLegendreP:
     def test_negative_ell_rejected(self):
         with pytest.raises(ValueError):
             kernels.legendre_P(-1, 2.0)
+
+
+class TestRecurrenceOracle:
+    @pytest.mark.parametrize("ell", range(9))
+    def test_bit_identical_to_generator_recurrence(self, ell):
+        # blocks of the flattened argument, a strided view and a scalar
+        z = np.linspace(1.0, 40.0, 3 * (kernels._BLOCK + 7)).reshape(3, -1)
+        pairs = [(kernels.legendre_P, assembly_oracle.legendre_P)]
+        if ell >= 1:
+            pairs.append((kernels.w_poly, assembly_oracle.w_poly))
+        for arg in (z, z[:, ::5], 2.5):
+            for fast, slow in pairs:
+                for got, want in zip(fast(ell, arg), slow(ell, arg), strict=True):
+                    assert np.shape(got) == np.shape(arg)
+                    assert np.array_equal(got, want)
 
 
 class TestQFunctions:

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+import assembly_oracle
 from cheb_interpolation import wavefunction_at
 from chebquark import cheb
 from chebquark import momentum as mom
@@ -125,7 +126,8 @@ class TestAssembly:
         np.testing.assert_allclose(2.0 * x / J, 1.0 - t * t, rtol=1e-13)
 
     def test_assembly_memory_does_not_grow_with_ell(self):
-        # the kernel tables of any ell take a fixed number of N x N arrays
+        # the kernel tables of any ell take a fixed number of N x N arrays:
+        # at most five live at once (44.1 bytes * N^2 measured)
         N = 400
         grid = cheb.chebyshev_grid(N)
         for table in ("plain_weights", "pv_table", "fp_table", "log_table"):
@@ -139,8 +141,30 @@ class TestAssembly:
                 peaks.append(tracemalloc.get_traced_memory()[1] / N**2)
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 120.0
+        assert peaks[1] <= 48.5
         assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("N", (20, 80, 300))
+    @pytest.mark.parametrize("case", ("coulomb", "cornell", "linear", "salpeter"))
+    def test_bit_identical_to_vectorized_assembly(self, case, N):
+        # same floating-point operations in the same order as the
+        # whole-matrix formulas, on tables from the earlier builds; H adds
+        # the same kinetic diagonal to both
+        make_params, sigma = SELECTION_CASES[case]
+        grid = cheb.chebyshev_grid(N)
+        oracle = oracle_grid(N)
+        x, J = mom.mapped_nodes(grid.nodes, sigma)
+        for ell in range(8):
+            params = make_params(ell)
+            got = mom.assemble_potential(params, grid, sigma, x, J)
+            want = assembly_oracle.assemble_potential(params, oracle, sigma, x, J)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
+@functools.cache
+def oracle_grid(N):
+    return assembly_oracle.oracle_grid(cheb.chebyshev_grid(N))
 
 
 class TestSpectrum:
@@ -322,6 +346,9 @@ class TestSelection:
             before = calls["assemble"]
             mom.solve_levels(refs.linear_params(ell), 40, sigma, 3)
             assert calls["assemble"] == before + 1
+            # no term of the linear ell = 0 kernel reads the log table
+            if ell == 0:
+                assert calls == {"assemble": 1, "pv": 1, "log": 0}
         assert calls == {"assemble": 4, "pv": 1, "log": 1}
         # pure Coulomb has no double pole, so it builds no principal value table
         mom.solve_levels(refs.coulomb_params(0), 50, sigma, 1)
