@@ -2,14 +2,13 @@
 
 from .cheb import ChebGrid, chebyshev_grid, weights_cauchy, weights_log
 from .kernels import Problem
-from .momentum import BoundLevel, convergence_scan, solve_levels
+from .momentum import BoundLevel, solve_levels
 from .radial import airy_reference, hydrogen_energy, solve_radial
 
 __all__ = [
     "BoundLevel",
     "Problem",
     "airy_reference",
-    "convergence_scan",
     "hydrogen_energy",
     "solve_levels",
     "solve_radial",

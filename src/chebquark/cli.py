@@ -200,6 +200,12 @@ def _validate(cfg):
                           f"about 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
     if any(l < 0 for l in cfg.ell):
         raise ConfigError("field 'ell' entries must be nonnegative")
+    if cfg.command == "scan":
+        if any(a >= b for a, b in zip(cfg.N, cfg.N[1:])):
+            raise ConfigError("command 'scan' requires field 'N' strictly increasing")
+    elif len(cfg.N) > 1:
+        raise ConfigError(f"command {cfg.command!r} takes one mesh order N, "
+                          f"got {len(cfg.N)}; use command 'scan' for a list")
     if cfg.command == "reproduce":
         if cfg.table not in (1, 2, 3):
             raise ConfigError("command 'reproduce' requires field 'table' in {1, 2, 3}")
@@ -314,23 +320,18 @@ def _run_solve(cfg):
 
 
 def _run_scan(cfg):
+    """`solve` at each N of the list, with each level's successive differences."""
     report = Report("scan")
     diffs = {}
     for ell in cfg.ell:
-        scan = mom.convergence_scan(_problem(cfg, ell), cfg.sigma, list(cfg.N),
-                                    count=cfg.levels)
-        for k, N in enumerate(scan["N"]):
-            for n in range(cfg.levels):
-                eps = scan["epsilon"][k, n]
-                if np.isnan(eps):
-                    _fail(report, f"ell={ell} N={N}: level n={n} missing")
-                    continue
-                report.rows.append(_row(ell, n, N, cfg.sigma, eps,
-                                        None if cfg.scales is None
-                                        else cfg.scales.mass_gev(eps),
-                                        scan["residual"][k, n], scan["imag"][k, n]))
-        diffs[str(ell)] = [[None if np.isnan(d) else float(d) for d in row]
-                           for row in scan["diffs"]]
+        eps = []
+        for N in cfg.N:
+            wave = refs.PartialWave(f"ell={ell} N={N}", _problem(cfg, ell), N, cfg.sigma,
+                                    cfg.levels, cfg.scales)
+            found = {row["n"]: row["epsilon"] for row in _solve_wave(report, wave)}
+            eps.append([found.get(n) for n in range(cfg.levels)])
+        diffs[str(ell)] = [[None if a is None or b is None else abs(b - a)
+                            for a, b in zip(lo, hi)] for lo, hi in zip(eps, eps[1:])]
     report.extra["successive_differences"] = diffs
     return report
 

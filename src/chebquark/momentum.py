@@ -413,25 +413,3 @@ def solve_levels(problem, N, sigma=1.0, count=5):
                 return levels, complete
     pairs = solve_spectrum(H, scale)
     return select_bound_states(pairs, H, problem, grid, x, J, count)
-
-
-def convergence_scan(problem, sigma, N_list, count=5):
-    """Energies of the lowest levels at each N, with successive differences.
-
-    Returns a dict: {"N": [...], "epsilon", "residual", "imag": arrays
-    (len(N_list), count) of each level's BoundLevel fields, "diffs": array
-    (len(N_list)-1, count)} where diffs[k] = |eps(N_{k+1}) - eps(N_k)| per
-    level.  Levels missing at some N appear as NaN.
-    """
-    if list(N_list) != sorted(N_list):
-        raise ValueError("N_list must be increasing")
-    table, resid, imag = np.full((3, len(N_list), count), np.nan)
-    for k, N in enumerate(N_list):
-        levels, _ = solve_levels(problem, N, sigma, count)
-        for lv in levels:
-            table[k, lv.n] = lv.epsilon
-            resid[k, lv.n] = lv.residual_norm
-            imag[k, lv.n] = lv.imag_part
-    diffs = np.abs(np.diff(table, axis=0))
-    return {"N": list(N_list), "epsilon": table, "residual": resid,
-            "imag": imag, "diffs": diffs}

@@ -9,14 +9,16 @@ closed-form kinetic matrix of `_mesh` and a diagonal potential, so a level
 is one small symmetric eigenvalue.  The last mesh point sits at the domain
 end of `_r_max`, a fixed point on the level taken in the problem's natural
 units (length s^(1/3) with a linear term, s/alpha without), where its
-margins hold at any s.  A level is returned only when two mesh orders agree
-to 1e-9 relative (N = 40 checked by 50, else 50 checked by 60); otherwise
-the solve raises.  Measured against exact hydrogen and Airy levels
-(<= 1.6e-11) and against the Prüfer shooting solver it replaced (114
-levels: linear ell 0-12, 20 and 30, the table-1 Coulomb set, charmonium and
-bottomium ell 0-2: <= 2.9e-11, 2e-10 at ell 20), at about 1 ms a level.
-The references are the hydrogen spectrum and the Airy-zero energies of the
-pure linear potential.
+margins hold at any s; below zero the margin follows the level's decay
+length sqrt(s/|eps|), so a deep Cornell level, whose Bohr length is far
+below the natural length, stays resolved.  A level is returned only when
+two mesh orders agree to 1e-9 relative (N = 40 checked by 50, else 50
+checked by 60); otherwise the solve raises.  Measured against exact
+hydrogen and Airy levels (<= 1.6e-11) and against the Prüfer shooting
+solver it replaced (114 levels: linear ell 0-12, 20 and 30, the table-1
+Coulomb set, charmonium and bottomium ell 0-2: <= 2.9e-11, 2e-10 at ell
+20), at about 1 ms a level.  The references are the hydrogen spectrum and
+the Airy-zero energies of the pure linear potential.
 """
 
 from __future__ import annotations
@@ -106,19 +108,19 @@ def _turning_point(problem, eps):
     return hi
 
 
-def _r_max(problem, r_max, eps):
-    """Outer end of the domain: r_max if given, else beyond the turning point."""
-    if r_max is not None:
-        return r_max
+def _r_max(problem, eps):
+    """Outer end of the domain, beyond the classical turning point."""
     tp = _turning_point(problem, eps)
     margin = max(10.0, 5.0 * math.sqrt(tp))
-    if not problem.linear:
-        # Coulomb tail: the forbidden-region decay rate saturates at
-        # kappa = sqrt(|eps|/s), so the margin must scale like 1/kappa for
-        # the bound state to die out inside the domain
-        kappa = math.sqrt(max(abs(eps), 1e-12) / problem.s)
-        margin = max(margin, 16.0 / kappa)
-    return tp + margin
+    if problem.linear and eps >= 0.0:
+        return tp + margin
+    # below the continuum the forbidden-region decay rate saturates at
+    # kappa = sqrt(|eps|/s), and the bound state dies out within 16/kappa:
+    # a Coulomb tail needs at least that margin, and a linear term, which
+    # only steepens the decay, needs no more (the Bohr length of a deep
+    # Cornell level is far below the linear margin)
+    tail = 16.0 / math.sqrt(max(abs(eps), 1e-12) / problem.s)
+    return tp + (min(margin, tail) if problem.linear else max(margin, tail))
 
 
 # a level from one mesh order is kept when the next order agrees to _AGREE
@@ -165,27 +167,24 @@ def _natural_units(problem):
                        "floating-point range")
 
 
-def solve_radial(problem, n, r_max=None):
+def solve_radial(problem, n):
     """Level with n nodes from the Lagrange-Laguerre mesh, checked at a second mesh order.
 
-    The last mesh point sits at r_max when given, else at the domain end of
-    `_r_max` beyond the classical turning point.  Raises RuntimeError when
-    the domain ends inside the turning point or no two mesh orders agree.
+    The last mesh point sits at the domain end of `_r_max` beyond the
+    classical turning point.  Raises RuntimeError when the domain ends
+    inside the turning point or no two mesh orders agree.
     """
     if problem.kinetic != "nonrelativistic":
         raise ValueError("the coordinate solver supports only the nonrelativistic kinetic mode")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if r_max is not None and not (math.isfinite(r_max) and r_max > 0.0):
-        raise ValueError(f"r_max must be positive and finite, got {r_max!r}")
     if n >= _ORDERS[0]:
         raise RuntimeError(f"level n = {n} is beyond the {_ORDERS[0]}-point mesh")
 
     length, energy, unit = _natural_units(problem)
-    r_unit = None if r_max is None else r_max / length
 
     def domain(eps):
-        return length * _r_max(unit, r_unit, eps / energy)
+        return length * _r_max(unit, eps / energy)
 
     if problem.linear:
         # WKB level of the linear term alone, Langer-corrected
@@ -205,7 +204,7 @@ def solve_radial(problem, n, r_max=None):
     x_turn = length * _turning_point(unit, eps / energy)
     if r_end <= x_turn:
         raise RuntimeError(f"domain end {r_end:.6g} is not beyond the turning point "
-                           f"{x_turn:.6g} at eps = {eps:.6g}; extend r_max")
+                           f"{x_turn:.6g} at eps = {eps:.6g}")
     for N in _ORDERS[1:]:
         check = _level(problem, n, N, r_end)
         if abs(check - eps) <= _AGREE * abs(check):

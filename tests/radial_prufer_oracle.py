@@ -83,13 +83,13 @@ def _phase_in(problem, n, eps, x_match, r_end, tol):
     return _phase(problem, eps, r_end, x_match, theta, tol)
 
 
-def _phase_mismatch(problem, n, r_max, eps, tol):
+def _phase_mismatch(problem, n, eps, tol):
     """theta_out - theta_in at the matching point: increasing in eps, zero at level n."""
     x_match = max(_turning_point(problem, eps), 0.5)
-    r_end = _r_max(problem, r_max, eps)
+    r_end = _r_max(problem, eps)
     if r_end <= x_match:
         raise RuntimeError(f"domain end {r_end:.6g} is not beyond the matching point "
-                           f"{x_match:.6g} at eps = {eps:.6g}; extend r_max")
+                           f"{x_match:.6g} at eps = {eps:.6g}")
     return _phase_out(problem, eps, x_match, tol) - _phase_in(problem, n, eps, x_match, r_end, tol)
 
 
@@ -100,26 +100,23 @@ def _root(mismatch, a, b, xtol):
         raise RuntimeError(f"phase mismatch does not change sign on [{a:.9g}, {b:.9g}]") from exc
 
 
-def solve_radial(problem, n, r_max=None):
+def solve_radial(problem, n):
     """Eigenvalue of the level with n nodes: the root of the phase mismatch.
 
-    The domain ends at r_max when given, else beyond the classical turning
-    point (see _r_max).
+    The domain ends beyond the classical turning point (see _r_max).
     """
     if problem.kinetic != "nonrelativistic":
         raise ValueError("the coordinate solver supports only the nonrelativistic kinetic mode")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if r_max is not None and not (math.isfinite(r_max) and r_max > 0.0):
-        raise ValueError(f"r_max must be positive and finite, got {r_max!r}")
 
     @functools.cache
     def coarse(eps):
-        return _phase_mismatch(problem, n, r_max, eps, (_COARSE_RTOL, _COARSE_ATOL))
+        return _phase_mismatch(problem, n, eps, (_COARSE_RTOL, _COARSE_ATOL))
 
     @functools.cache
     def tight(eps):
-        return _phase_mismatch(problem, n, r_max, eps, (_RTOL, _ATOL))
+        return _phase_mismatch(problem, n, eps, (_RTOL, _ATOL))
 
     if not problem.linear:
         a, b = _coulomb_bracket(problem, n)

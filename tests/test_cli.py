@@ -126,6 +126,18 @@ class TestCommands:
         assert at_60 == solve.rows
         assert all(row["residual"] > 0.0 for row in scan.rows)
 
+    def test_scan_marks_missing_levels(self, monkeypatch):
+        solve_levels = mom.solve_levels
+        monkeypatch.setattr(mom, "solve_levels", lambda problem, N, sigma, count: (
+            (solve_levels(problem, N, sigma, count - 1)[0], False) if N == 60
+            else solve_levels(problem, N, sigma, count)))
+        report = cli.run(cli.parse_config(
+            "command = scan\npotential = linear\ns = 1\nell = 1\nlevels = 2\nN = 40 60 80\n"))
+        assert report.status == cli.EXIT_NUMERICAL
+        assert [(r["N"], r["n"]) for r in report.rows] == [(40, 0), (40, 1), (60, 0), (80, 0), (80, 1)]
+        assert report.diagnostics == ["ell=1 N=60: only 1 of 2 levels passed the filters"]
+        assert [pair[1] for pair in report.extra["successive_differences"]["1"]] == [None, None]
+
     def test_deterministic_rerun(self):
         cfg = cli.parse_config(
             "command = solve\npotential = linear\ns = 1\nell = 0\nlevels = 2\nN = 60\n")
@@ -239,6 +251,26 @@ class TestMain:
         assert cli.main(["--command", "reproduce", "--table", "1", "--N", "40",
                          "--sigma", "3", "--levels", "1"]) == cli.EXIT_CONFIG
         assert "remove: N, levels, sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", ("100 50", "50 50"))
+    def test_scan_requires_increasing_n(self, N, capsys):
+        assert cli.main(["--command", "scan", "--N", N]) == cli.EXIT_CONFIG
+        assert "'N' strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("solve", "compare"))
+    def test_single_order_commands_reject_a_list_of_n(self, command, capsys):
+        assert cli.main(["--command", command, "--N", "50 100"]) == cli.EXIT_CONFIG
+        assert f"command '{command}' takes one mesh order N, got 2" in capsys.readouterr().err
+
+    def test_readme_scan_example(self, tmp_path, monkeypatch, capsys):
+        # the scan example of README.md, run as written
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        printf = next(line for line in lines if line.endswith("> scan.cfg"))
+        command = next(line for line in lines if line.startswith("chebquark --config scan.cfg"))
+        monkeypatch.chdir(tmp_path)
+        Path("scan.cfg").write_text(printf.split("'")[1].replace("\\n", "\n"))
+        assert cli.main(command.split()[1:]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("command: scan\n")
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["--config", "/no/such/file.cfg"]) == cli.EXIT_CONFIG

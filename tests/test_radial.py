@@ -1,14 +1,11 @@
-"""Configuration-space Lagrange-mesh solver, its shooting oracles and analytic references."""
-
-import math
+"""Configuration-space Lagrange-mesh solver, its shooting oracle and analytic references."""
 
 import numpy as np
 import pytest
-import scipy.integrate
 
-import radial_nodes_oracle as oracle
 import radial_prufer_oracle as prufer
 from chebquark import cli, radial
+from chebquark import momentum as mom
 from chebquark import references as refs
 from chebquark.kernels import Problem
 
@@ -64,18 +61,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="n must be a nonnegative integer"):
             radial.solve_radial(Problem(), n)
 
-    @pytest.mark.parametrize("r_max", (math.nan, math.inf, -1.0, 0.0))
-    def test_rejects_bad_domain_before_integrating(self, r_max, monkeypatch):
-        monkeypatch.setattr(radial, "_level", _no_solve)
-        with pytest.raises(ValueError, match="r_max must be positive and finite"):
-            radial.solve_radial(Problem(), 0, r_max=r_max)
-
     # a mesh ending inside the turning point squeezes the level upward
     # (8.19 and 3.01 against 2.338)
-    @pytest.mark.parametrize("r_max", (1.0, 2.0))
-    def test_domain_inside_matching_point_is_a_runtime_error(self, r_max):
-        with pytest.raises(RuntimeError, match="extend r_max"):
-            radial.solve_radial(Problem(), 0, r_max=r_max)
+    @pytest.mark.parametrize("r_end", (1.0, 2.0))
+    def test_domain_inside_matching_point_is_a_runtime_error(self, r_end, monkeypatch):
+        monkeypatch.setattr(radial, "_r_max", lambda problem, eps: r_end)
+        with pytest.raises(RuntimeError, match="is not beyond the turning point"):
+            radial.solve_radial(Problem(), 0)
 
 
 class TestShooting:
@@ -106,102 +98,25 @@ class TestShooting:
         assert e00 < e01
         assert e00 < e10
 
-    def test_node_count_of_converged_solution(self):
-        pb = Problem(ell=1, alpha=0.5, linear=True, s=1.0)
-        eps = radial.solve_radial(pb, 3)
-        assert oracle._node_count(pb, 3, None, eps - 0.01) == 3
-        assert oracle._node_count(pb, 3, None, eps + 0.01) == 4
-
-    def test_explicit_domain_cutoff_respected(self):
-        pb = Problem(ell=0, alpha=0.0, linear=True, s=1.0)
-        assert abs(radial.solve_radial(pb, 0, r_max=25.0) / radial.airy_reference(1) - 1.0) < 1e-10
-
-    # the internals of the Prüfer shooting solver, now the test oracle in
-    # radial_prufer_oracle.py
-
-    def test_outward_phase_counts_nodes_of_converged_solution(self):
-        # the zeros of u on (0, r] are the multiples of pi the phase has passed
-        pb = Problem(ell=1, alpha=0.5, linear=True, s=1.0)
-        eps = prufer.solve_radial(pb, 3)
-        tol = (prufer._RTOL, prufer._ATOL)
-
-        def zeros(e):
-            r_end = prufer._r_max(pb, None, e)
-            return math.floor(prufer._phase_out(pb, e, r_end, tol) / math.pi)
-
-        assert zeros(eps - 0.01) == 3
-        assert zeros(eps + 0.01) == 4
-
-    def test_no_sign_change_is_a_runtime_error(self, monkeypatch):
-        monkeypatch.setattr(prufer, "_phase_mismatch", lambda *args: 1.0)
-        with pytest.raises(RuntimeError, match="does not change sign"):
-            prufer.solve_radial(Problem(ell=0, alpha=0.0, linear=True, s=1.0), 0)
-
-    def test_failed_integration_is_a_runtime_error(self, monkeypatch):
-        def failing(*args, **kwargs):
-            sol = scipy.integrate.solve_ivp(*args, **kwargs)
-            sol.success, sol.message = False, "step size too small"
-            return sol
-
-        monkeypatch.setattr(prufer, "solve_ivp", failing)
-        with pytest.raises(RuntimeError, match="step size too small"):
-            prufer.solve_radial(Problem(ell=0, alpha=0.0, linear=True, s=1.0), 0)
-
-    def test_coulomb_bracket_root_find_cost(self, monkeypatch):
-        # the bracket E(n -+ 1/2) holds level n alone and stays below the
-        # continuum, so the root-find needs few mismatch evaluations
-        calls = []
-        real = prufer._phase_mismatch
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(prufer, "_phase_mismatch", counting)
-        pb = Problem(ell=0, alpha=1.0, linear=False, s=1.0)
-        eps = prufer.solve_radial(pb, 4)
-        assert abs(eps / radial.hydrogen_energy(4, 0, 1.0, 0.5) - 1.0) < 1e-9
-        assert len(calls) <= 20
-
-    def test_integrations_per_level(self, monkeypatch):
-        # every integration goes through the module's solve_ivp: each one
-        # builds exactly one stepper
-        calls, steppers = [], []
-        real_ivp = prufer.solve_ivp
-        real_init = scipy.integrate.DOP853.__init__
-
-        def counting_ivp(*args, **kwargs):
-            calls.append(1)
-            return real_ivp(*args, **kwargs)
-
-        def counting_init(self, *args, **kwargs):
-            steppers.append(1)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(prufer, "solve_ivp", counting_ivp)
-        monkeypatch.setattr(scipy.integrate.DOP853, "__init__", counting_init)
-        prufer.solve_radial(Problem(ell=0, alpha=0.0, linear=True, s=1.0), 0)
-        assert 0 < len(calls) <= 45
-        assert len(steppers) == len(calls)
-
 
 class TestPruferOracle:
     """The mesh agrees with the Prüfer shooting solver it replaced."""
 
-    @pytest.mark.parametrize("problem, n, r_max", (
-        (refs.linear_params(0), 1, None),
-        (refs.linear_params(4), 4, None),
-        (refs.linear_params(12), 0, None),
-        (refs.coulomb_params(2), 0, None),
-        (refs.coulomb_params(0), 4, None),
-        (refs.cornell_params("charm", 0), 0, None),
-        (refs.cornell_params("bottom", 2), 2, None),
-        (Problem(ell=0, alpha=0.0, linear=True, s=1.0), 0, 25.0),
-    ), ids=("linear-l0-n1", "linear-l4-n4", "linear-l12-n0", "coulomb-l2-n0",
-            "coulomb-l0-n4", "charm-l0-n0", "bottom-l2-n2", "airy-n0-rmax25"))
-    def test_agrees_with_prufer(self, problem, n, r_max):
-        eps = radial.solve_radial(problem, n, r_max)
-        assert abs(eps / prufer.solve_radial(problem, n, r_max) - 1.0) <= 1e-9
+    @pytest.mark.parametrize("problem, n", (
+        (refs.linear_params(0), 0),
+        (refs.linear_params(0), 1),
+        (refs.linear_params(4), 4),
+        (refs.linear_params(12), 0),
+        (refs.coulomb_params(1), 1),
+        (refs.coulomb_params(2), 0),
+        (refs.coulomb_params(0), 4),
+        (refs.cornell_params("charm", 0), 0),
+        (refs.cornell_params("bottom", 2), 2),
+    ), ids=("linear-l0-n0", "linear-l0-n1", "linear-l4-n4", "linear-l12-n0", "coulomb-l1-n1",
+            "coulomb-l2-n0", "coulomb-l0-n4", "charm-l0-n0", "bottom-l2-n2"))
+    def test_agrees_with_prufer(self, problem, n):
+        eps = radial.solve_radial(problem, n)
+        assert abs(eps / prufer.solve_radial(problem, n) - 1.0) <= 1e-10
 
     # the N = 40 mesh is off by 7e-9 (ell = 20, n = 4) and 2.7e-9 (ell = 30,
     # n = 2) here, so these levels come from N = 50 checked by N = 60
@@ -264,6 +179,16 @@ class TestMeshRobustness:
         eps = radial.solve_radial(Problem(ell=ell, alpha=1.0, linear=False, s=s), n)
         assert abs(eps / radial.hydrogen_energy(n, ell, 1.0, 0.5 / s) - 1.0) <= 1e-9
 
+    # a deep Cornell level, Coulomb-like with a Bohr length of 4e-4: a margin
+    # of ten natural lengths (0.46 here) would spread the mesh too thin for
+    # two orders to agree
+    def test_deep_cornell_level(self):
+        problem = Problem(ell=0, alpha=0.5, s=1e-4)
+        levels, complete = mom.solve_levels(problem, 200, 1250.0, 2)
+        assert complete
+        for lv in levels:
+            assert abs(radial.solve_radial(problem, lv.n) / lv.epsilon - 1.0) <= 1e-9
+
     # natural length s/alpha = inf; natural alpha = inf; H overflows
     @pytest.mark.parametrize("problem", (
         Problem(ell=0, alpha=1e-300, linear=False, s=1e300),
@@ -279,18 +204,3 @@ class TestMeshRobustness:
         assert radial._mesh(40)[1] is T
         assert not T.flags.writeable
         assert np.array_equal(T, T.T)
-
-
-class TestNodeBisectionOracle:
-    """The phase root-find agrees with the node-bisection plus Wronskian solver."""
-
-    @pytest.mark.parametrize("problem, n, r_max", (
-        (refs.linear_params(0), 0, None),
-        (refs.linear_params(0), 1, None),
-        (refs.coulomb_params(1), 1, None),
-        (refs.cornell_params("charm", 0), 0, None),
-        (refs.linear_params(0), 0, 25.0),
-    ))
-    def test_agrees_with_oracle(self, problem, n, r_max):
-        eps = radial.solve_radial(problem, n, r_max)
-        assert abs(eps / oracle.solve_radial(problem, n, r_max) - 1.0) <= 1e-10
