@@ -10,11 +10,10 @@ three singular rules are provided:
   tau-derivative of the principal value rule, tabulated at the mesh points,
 * a weakly singular rule for integrals of f(t) log|t - tau|.
 
-All four rules are interpolatory: they integrate the degree-(N-1)
-interpolant exactly, so they are exact for polynomials of degree < N.  The
-principal value and log weights are built from Chebyshev moments of the
-singular kernels, obtained by three-term recurrences that stay bounded on
-[-1, 1].
+All four rules are interpolatory, exact for polynomials of degree < N.  The
+PV and finite-part tables at the mesh points have closed forms (see
+pv_weight_table); the log weights and the PV weights at one point are a
+DCT-III of Chebyshev moments from recurrences bounded on [-1, 1].
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class ChebGrid:
 
     @cached_property
     def _pv_tables(self):
-        """The PV and finite-part tables, built from one set of PV moments."""
+        """The PV and finite-part tables, from their closed forms at the nodes."""
         return tuple(_read_only(table) for table in pv_weight_table(self))
 
     @property
@@ -87,9 +86,8 @@ def _cardinal_weights(moments):
 
     With C[n, j] = (2/N) cos(n theta_j), first row halved, this is a DCT-III
     along n, O(N^2 log N) for a table instead of the O(N^3) product with C.
-    A moment table of shape (N, M) gives weights of shape (M, N), one row per
-    point, stored C-contiguous like every matrix the solver combines them
-    with; one moment vector gives one weight vector.
+    A moment table of shape (N, M) gives C-contiguous weights of shape
+    (M, N), one row per point; one moment vector gives one weight vector.
     """
     W = scipy.fft.dct(moments.T, type=3, axis=-1)
     W /= moments.shape[0]
@@ -102,46 +100,38 @@ def chebyshev_grid(N):
     return ChebGrid(N)
 
 
+def _recurrence(tau, nmax, y0, y1, source=None):
+    """Rows n < nmax of y_{n+1} = 2 tau y_n - y_{n-1} (+ source[n]); y0 = 1, y1 = tau give T_n.
+
+    Rows are written in place, as views also when tau is a scalar.
+    """
+    tau = np.asarray(tau, dtype=float)
+    y = np.empty((nmax,) + tau.shape)
+    y[0] = y0
+    if nmax > 1:
+        y[1] = y1
+    tau2 = 2.0 * tau
+    for n in range(1, nmax - 1):
+        np.multiply(tau2, y[n], out=y[n + 1, ...])
+        y[n + 1, ...] -= y[n - 1]
+        if source is not None:
+            y[n + 1, ...] += source[n]
+    return y
+
+
 def _pv_g_moments(tau, nmax):
     """Smooth parts g_n of the PV moments, n = 0..nmax-1.
 
-    rho_n(tau) = PV int T_n(t)/(t - tau) dt splits as
-    T_n(tau) log((1-tau)/(1+tau)) + g_n(tau) with g_n polynomial in tau:
-    g_0 = 0, g_1 = 2, g_{n+1} = 2 tau g_n - g_{n-1} + 2 mu_n.
-    Valid on the whole closed interval; |g_n| grows at most linearly in n.
+    rho_n(tau) = PV int T_n(t)/(t - tau) dt = T_n(tau) log((1-tau)/(1+tau))
+    + g_n(tau), g_0 = 0, g_1 = 2, g_{n+1} = 2 tau g_n - g_{n-1} + 2 mu_n:
+    polynomials, valid on the closed interval, growing at most linearly in n.
     """
-    tau = np.asarray(tau, dtype=float)
-    mu = _plain_moments(max(nmax, 2))
-    g = np.zeros((nmax,) + tau.shape)
-    if nmax > 1:
-        g[1] = 2.0
-    tau2 = 2.0 * tau
-    # g[n, ...] is a view of row n also when tau is a scalar
-    for n in range(1, nmax - 1):
-        np.multiply(tau2, g[n], out=g[n + 1, ...])
-        g[n + 1, ...] -= g[n - 1]
-        g[n + 1, ...] += 2.0 * mu[n]
-    return g
-
-
-def _chebyshev_T_table(tau, nmax):
-    """T_n(tau) for n = 0..nmax-1, tau scalar or array."""
-    tau = np.asarray(tau, dtype=float)
-    T = np.empty((nmax,) + tau.shape)
-    T[0] = 1.0
-    if nmax > 1:
-        T[1] = tau
-    tau2 = 2.0 * tau
-    for n in range(1, nmax - 1):
-        np.multiply(tau2, T[n], out=T[n + 1, ...])
-        T[n + 1, ...] -= T[n - 1]
-    return T
+    return _recurrence(tau, nmax, 0.0, 2.0, 2.0 * _plain_moments(max(nmax, 2)))
 
 
 def _pv_moments(tau, nmax):
     """PV moments rho_n(tau) = PV int T_n(t)/(t - tau) dt, |tau| < 1."""
-    tau = np.asarray(tau, dtype=float)
-    rho = _chebyshev_T_table(tau, nmax)
+    rho = _recurrence(tau, nmax, 1.0, tau)
     rho *= np.log((1.0 - tau) / (1.0 + tau))
     rho += _pv_g_moments(tau, nmax)
     return rho
@@ -170,7 +160,7 @@ def _log_moments(tau, nmax):
     log_m = np.where(one_m > 0.0, np.log(np.where(one_m > 0.0, one_m, 1.0)), 0.0)
     log_p = np.where(one_p > 0.0, np.log(np.where(one_p > 0.0, one_p, 1.0)), 0.0)
 
-    T = _chebyshev_T_table(tau, nmax + 1)
+    T = _recurrence(tau, nmax + 1, 1.0, tau)
     lam = np.empty((nmax,) + tau.shape)
     # n = 0: closed form, finite at the endpoints
     lam[0] = one_m * log_m + one_p * log_p - 2.0
@@ -231,39 +221,48 @@ def weights_log(grid, tau):
 
 
 def pv_weight_table(grid):
-    """PV and finite-part weights at every mesh point, from one set of PV moments.
+    """PV and finite-part weights at every mesh point, in closed form.
 
     Returns (W, eta) with W[i, j] = omega_j(t_i) and eta[i, j] = eta_j(t_i) =
-    d omega_j/d tau at tau = t_i, so that sum_j eta_j(tau) f(t_j) =
-    FP int f(t)/(t - tau)^2 dt.  Integrating the finite part by parts gives
-    the moments of eta,
+    d omega_j/d tau at t_i, so sum_j eta_j(tau) f(t_j) = FP int f(t)/(t-tau)^2 dt.
+    With l_j the cardinal functions and L(tau) = log((1-tau)/(1+tau)) =
+    PV int dt/(t-tau), omega_j - l_j L is a polynomial of degree N - 2, which
+    the plain rule integrates exactly.  So with c_ij = 1/(t_i - t_j),
+    D_ij = l_j'(t_i) = (q_j/q_i) c_ij and q_i = (-1)^i sin theta_i, for i != j
 
-        FP int T_n(t)/(t - tau)^2 dt = PV int T_n'(t)/(t - tau) dt
-                                       - 1/(1 - tau) - (-1)^n/(1 + tau),
+        W_ij = w_i D_ij - w_j c_ij,        eta_ij = W_ii D_ij - W_ij c_ij,
 
-    and T_n' = 2n sum' T_m over m < n with n - m odd, T_0 halved, turns the
-    PV integral into 2n S_{n-1}, where S_k = rho_k + rho_{k-2} + ... (rho_0
-    halved) is the running sum of the PV moments over one parity.  Both
-    tables are DCT-III transforms of their moments, O(N^2 log N).
+    W_ii = L(t_i) + w_i t_i/(2 sin^2 theta_i) + sum_k w_k c_ik, and eta_ii is
+    -2/sin^2 theta_i minus the rest of row i, since sum_j eta_j = L' (the
+    negative sum trick of Baltensperger & Trummer, SIAM J. Sci. Comput. 24
+    (2003) 1465).  L(t_i) and 1 - t_i^2 come from theta_i, accurate near
+    the ends.  O(N^2), in cache-sized blocks of rows; the moment and DCT-III
+    build it replaced is the test oracle tests/assembly_oracle.pv_weight_table.
     """
-    t = grid.nodes
     N = grid.N
-    rho = _pv_moments(t, N)
-    W = _cardinal_weights(rho)
-    rho[0] *= 0.5
-    # fp[n] = 2n S_{n-1}, the running sums written one row down
-    fp = np.empty_like(rho)
-    fp[0] = 0.0
-    np.cumsum(rho[0:N - 1:2], axis=0, out=fp[1::2])
-    np.cumsum(rho[1:N - 1:2], axis=0, out=fp[2::2])
-    del rho
-    fp[1:] *= 2.0 * np.arange(1.0, N)[:, None]
-    fp -= 1.0 / (1.0 - t)
-    # (-1)^n / (1 + t), subtracted on even rows and added on odd ones
-    r = 1.0 / (1.0 + t)
-    fp[0::2] -= r
-    fp[1::2] += r
-    return W, _cardinal_weights(fp)
+    t, w = grid.nodes, grid.plain_weights
+    theta = np.pi * (np.arange(N) + 0.5) / N
+    q = np.sin(theta) * (-1.0) ** np.arange(N)
+    W_diag = 2.0 * np.log(np.tan(0.5 * theta)) + w * t / (2.0 * q * q)
+    eta_diag = -2.0 / (q * q)
+    W, eta = np.empty((N, N)), np.empty((N, N))
+    rows = max(1, (1 << 15) // N)
+    for i in range(0, N, rows):
+        b = slice(i, i + rows)
+        c = np.subtract.outer(t[b], t)
+        c.flat[i::N + 1] = np.inf    # so that c_ii = 0
+        np.reciprocal(c, out=c)
+        Wb = np.multiply.outer(w[b] / q[b], q, out=W[b])
+        Wb -= w
+        Wb *= c
+        W_diag[b] += c @ w
+        eta_b = np.multiply.outer(W_diag[b] / q[b], q, out=eta[b])
+        eta_b -= Wb
+        eta_b *= c
+        eta_diag[b] -= eta_b.sum(axis=1)
+    W.flat[::N + 1] = W_diag
+    eta.flat[::N + 1] = eta_diag
+    return W, eta
 
 
 def log_weight_table(grid):

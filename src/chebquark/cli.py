@@ -9,8 +9,8 @@ and grades the output against the stored references.
 Configuration files are plain-text key-value documents in INI form; all
 sections are merged, so sections serve only as visual grouping.  Command
 line flags override file values.  Exit status is 0 when every requested
-level was produced and passed the acceptance filters, 2 on configuration
-errors, and 3 on numerical failures.
+level was produced, passed the acceptance filters and, in `compare`,
+agrees across solvers; 2 on configuration errors; 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ POTENTIALS = ("linear", "coulomb", "cornell")
 FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "residual", "imag")
+
+COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
 # about 70 bytes * N^2 at any ell and on either eigensolver path (64-70
@@ -262,15 +264,6 @@ def report_to_json(report):
     return json.dumps(asdict(report), indent=2)
 
 
-def _row(ell, n, N, sigma, epsilon, mass_gev, residual, imag):
-    return {
-        "ell": ell, "n": n, "N": N, "sigma": sigma,
-        "epsilon": float(epsilon),
-        "mass_gev": None if mass_gev is None else float(mass_gev),
-        "residual": float(residual), "imag": float(imag),
-    }
-
-
 def _fail(report, message):
     report.status = EXIT_NUMERICAL
     report.diagnostics.append(message)
@@ -282,9 +275,11 @@ def _fail(report, message):
 def _solve_wave(report, wave):
     """Solve one partial wave, append its rows and return them; flag too few levels."""
     levels, complete = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
-    rows = [_row(lv.ell, lv.n, wave.N, wave.sigma, lv.epsilon,
-                 None if wave.scales is None else wave.scales.mass_gev(lv.epsilon),
-                 lv.residual_norm, lv.imag_part) for lv in levels]
+    rows = [{"ell": lv.ell, "n": lv.n, "N": wave.N, "sigma": wave.sigma,
+             "epsilon": float(lv.epsilon),
+             "mass_gev": None if wave.scales is None else float(wave.scales.mass_gev(lv.epsilon)),
+             "residual": float(lv.residual_norm), "imag": float(lv.imag_part)}
+            for lv in levels]
     report.rows.extend(rows)
     if not complete:
         _fail(report, f"{wave.label}: only {len(levels)} of {wave.levels} "
@@ -302,10 +297,13 @@ def _run_solve(cfg):
         rows = _solve_wave(report, wave)
         if cfg.command != "compare":
             continue
+        # energy unit: s^(1/3) with a linear term, the Coulomb binding alpha^2/(4 s)
+        p = wave.problem
+        unit = max(p.s ** (1.0 / 3.0) if p.linear else 0.0, p.alpha ** 2 / (4.0 * p.s))
         for row in rows:
             n, eps = row["n"], row["epsilon"]
             try:
-                eps_r = radial.solve_radial(wave.problem, n)
+                eps_r = radial.solve_radial(p, n)
             except RuntimeError as exc:
                 _fail(report, f"ell={ell} n={n}: coordinate solver failed: {exc}")
                 continue
@@ -314,6 +312,9 @@ def _run_solve(cfg):
                            "coordinate": float(eps_r), "delta": float(delta)})
             report.diagnostics.append(
                 f"ell={ell} n={n}: momentum {eps:.7g} coordinate {eps_r:.7g} delta {delta:.2e}")
+            if abs(delta) > COMPARE_TOL * unit:
+                _fail(report, f"ell={ell} n={n}: the solvers disagree by more than "
+                              f"{COMPARE_TOL:g} of the energy unit {unit:.3g}")
     if cfg.command == "compare":
         report.extra["compare"] = paired
     return report

@@ -307,11 +307,12 @@ def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
     """The lowest `count` physical bound levels, indexed and normalized.
 
     `H` is the matrix the eigenpairs were computed from, x and J the mapped
-    momenta and Jacobian at the grid nodes.  Eigenpairs are
-    visited in stable ascending order of real part, and the first `count`
-    that pass four filters are accepted.  (1) The imaginary part must be
-    negligible against the real part.  (2) The real part must lie above the
-    variational floor of the physical spectrum.  (3) The quadrature density
+    momenta and Jacobian at the grid nodes.  Eigenpairs are visited in
+    stable ascending order of real part, and the first `count` that pass
+    four filters are accepted.  (1) The imaginary part must be negligible
+    against the real part.  (2) The real part must lie above the variational
+    floor of the physical spectrum and, without a linear term, below the
+    continuum threshold 0.  (3) The quadrature density
     w_j J_j x_j^2 |phi_j|^2 must not be concentrated on the extreme mesh
     points: discretizing the continuum produces corner modes pinned to the
     largest or smallest momenta, while genuine bound states decay at both
@@ -338,7 +339,7 @@ def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
         lam = evals[i]
         if abs(lam.imag) > IMAG_TOL * max(1.0, abs(lam.real)):
             continue
-        if lam.real < floor:
+        if lam.real < floor or (not problem.linear and lam.real >= 0.0):
             continue
         v = np.real(evecs[:, i])
         nrm = np.linalg.norm(v)
@@ -389,12 +390,11 @@ def solve_levels(problem, N, sigma=1.0, count=5):
     sigma is the scale of the rational map (see mapped_nodes); a scale that
     is not positive and finite is a ValueError.  The weight tables come from
     the grid, which builds each once per mesh order, so a loop over ell at
-    fixed N reuses them.  From
-    N = ARNOLDI_MIN_N only the 2 count eigenpairs nearest the spectrum floor
-    are computed; their levels are kept when all `count` pass the filters
-    and the disc of returned eigenvalues provably holds every candidate up
-    to the top level (see _disc_covers).  Otherwise, and below that N, all
-    eigenpairs come from the dense solver.
+    fixed N reuses them.  From N = ARNOLDI_MIN_N only the 2 count eigenpairs
+    nearest the spectrum floor are computed; their levels are kept when all
+    `count` pass the filters and the disc of returned eigenvalues provably
+    holds every candidate up to the top level (see _disc_covers).
+    Otherwise, and below that N, all eigenpairs come from the dense solver.
     """
     grid = cheb.chebyshev_grid(N)
     # an overflowing kernel shows up as a non-finite H, which solve_spectrum

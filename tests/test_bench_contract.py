@@ -50,15 +50,19 @@ def test_exported_name_resolves(name):
     assert getattr(chebquark, name, None) is not None
 
 
-# probes whose spans feed kernels.legendre_ms and cheb.table_builds
-CALLED_ONCE = ("kernels.legendre_P", "kernels.w_poly", "cheb.pv_moments", "cheb.log_moments")
+# probes whose spans feed kernels.legendre_ms, cheb.tables_ms and
+# cheb.table_builds; the PV table is built without PV moments over the mesh
+CALLED_ONCE = ("kernels.legendre_P", "kernels.w_poly", "cheb.pv_weight_table",
+               "cheb.log_moments")
+NEVER_CALLED = ("cheb.pv_moments",)
 
 
 def test_solve_calls_through_the_probed_attributes(monkeypatch):
     # a traced run sees only the calls made through these attributes; one
     # Cornell ell = 2 solve on a fresh grid makes each exactly once (the
     # moments counted as the probe counts them, over a whole mesh)
-    calls = dict.fromkeys(CALLED_ONCE, 0)
+    want = {**dict.fromkeys(CALLED_ONCE, 1), **dict.fromkeys(NEVER_CALLED, 0)}
+    calls = dict.fromkeys(want, 0)
     for name, module, attr, count in spans.PROBES:
         if name not in calls:
             continue
@@ -72,4 +76,4 @@ def test_solve_calls_through_the_probed_attributes(monkeypatch):
         monkeypatch.setattr(mod, attr, counted)
     monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
     momentum.solve_levels(refs.cornell_params("charm", 2), 40, 1.0, 3)
-    assert calls == dict.fromkeys(CALLED_ONCE, 1)
+    assert calls == want

@@ -204,16 +204,17 @@ class TestSingularRules:
 
     @pytest.mark.parametrize("N", (8, 80, 800))
     def test_finite_part_table_matches_differentiation_oracle(self, N):
-        # the earlier construction: PV rule on G_j' = sum_k D_kj G_k, minus
+        # the moment build, the oracle of the closed forms, against the
+        # construction before it: PV rule on G_j' = sum_k D_kj G_k, minus
         # the boundary terms of the integration by parts
-        grid = cheb.ChebGrid(N)
-        t = grid.nodes
+        t = cheb.ChebGrid(N).nodes
+        pv, fp = assembly_oracle.pv_weight_table(t)
         C, _ = coefficient_matrix(N)
         g_hi = C.sum(axis=0)                                   # G_j(1)
         g_lo = ((-1.0) ** np.arange(N)) @ C                    # G_j(-1)
-        want = (grid.pv_table @ diff_matrix(N)
+        want = (pv @ diff_matrix(N)
                 - np.outer(1.0 / (1.0 - t), g_hi) - np.outer(1.0 / (1.0 + t), g_lo))
-        assert np.max(np.abs(grid.fp_table - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(fp - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_weight_tables_match_single_point_rules(self):
         grid = cheb.chebyshev_grid(20)
@@ -227,13 +228,14 @@ class TestSingularRules:
 
 
 class TestCardinalProducts:
-    """The weight tables are DCT-III transforms of moment tables."""
+    """The log table and the oracle PV table are DCT-III transforms of moment tables."""
 
     @pytest.mark.parametrize("N", (8, 80, 800))
     def test_tables_match_coefficient_products(self, N):
         grid = cheb.ChebGrid(N)
         C, _ = coefficient_matrix(N)
-        for got, moments in ((cheb.pv_weight_table(grid)[0], cheb._pv_moments(grid.nodes, N)),
+        for got, moments in ((assembly_oracle.pv_weight_table(grid.nodes)[0],
+                              cheb._pv_moments(grid.nodes, N)),
                              (cheb.log_weight_table(grid), cheb._log_moments(grid.nodes, N))):
             want = moments.T @ C
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -247,11 +249,13 @@ class TestBuildOracle:
     @pytest.mark.parametrize("N", (8, 80, 800))
     def test_tables_bit_identical_and_c_contiguous(self, N):
         grid = cheb.ChebGrid(N)
-        pv, fp = assembly_oracle.pv_weight_table(grid.nodes)
-        for got, want in ((grid.pv_table, pv), (grid.fp_table, fp),
-                          (grid.log_table, assembly_oracle.log_weight_table(grid.nodes))):
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, want)
+        for table in (grid.pv_table, grid.fp_table, grid.log_table):
+            assert table.flags.c_contiguous
+        assert np.array_equal(grid.log_table, assembly_oracle.log_weight_table(grid.nodes))
+        # the PV moments over the whole mesh, from which the oracle builds
+        # the PV and finite-part tables
+        assert np.array_equal(cheb._pv_moments(grid.nodes, N),
+                              assembly_oracle.pv_moments(grid.nodes, N))
 
     @pytest.mark.parametrize("N", (2, 3, 32))
     def test_single_point_rules_bit_identical(self, N):
@@ -263,3 +267,51 @@ class TestBuildOracle:
         for tau in (-1.0, -0.55, 0.0, 0.98, 1.0):
             assert np.array_equal(cheb.weights_log(grid, tau),
                                   assembly_oracle.weights_log(N, tau))
+
+
+def reference_rows(mp, N, rows):
+    """Rows of the PV and finite-part tables at N exact Chebyshev nodes, to 40 digits.
+
+    The closed forms of `cheb.pv_weight_table` evaluated in 40-digit
+    arithmetic, with the plain weights from Fejer's first rule and both
+    diagonals from the row sums L(t_i) and -2/(1 - t_i^2): exact
+    identities, so what is left is the rounding of the float builds.
+    """
+    with mp.workdps(40):
+        t = [mp.cospi(mp.mpf(2 * i + 1) / (2 * N)) for i in range(N)]
+        q = [(-1) ** i * mp.sinpi(mp.mpf(2 * i + 1) / (2 * N)) for i in range(N)]
+        cos = [mp.cospi(mp.mpf(m) / N) for m in range(2 * N)]    # cos(pi m / N)
+        w = [2 * (1 - 2 * mp.fsum(cos[k * (2 * j + 1) % (2 * N)] / (4 * k * k - 1)
+                                  for k in range(1, N // 2 + 1))) / N for j in range(N)]
+        pv, fp = [], []
+        for i in rows:
+            c = [0 if j == i else 1 / (t[i] - t[j]) for j in range(N)]
+            W = [(w[i] * q[j] / q[i] - w[j]) * c[j] for j in range(N)]
+            W[i] = mp.log((1 - t[i]) / (1 + t[i])) - mp.fsum(W)
+            eta = [(W[i] * q[j] / q[i] - W[j]) * c[j] for j in range(N)]
+            eta[i] = -2 / (1 - t[i] ** 2) - mp.fsum(eta)
+            pv.append([float(x) for x in W])
+            fp.append([float(x) for x in eta])
+    return np.array(pv), np.array(fp)
+
+
+class TestClosedForms:
+    """The closed-form PV and finite-part tables against the moment build and 40 digits."""
+
+    @pytest.mark.parametrize("N", (8, 80, 800))
+    def test_tables_match_moment_build(self, N):
+        grid = cheb.ChebGrid(N)
+        oracle = assembly_oracle.pv_weight_table(grid.nodes)
+        for got, want in zip((grid.pv_table, grid.fp_table), oracle):
+            assert np.max(np.abs(got - want)) <= 5e-11 * np.max(np.abs(want))
+
+    def test_no_less_accurate_than_moment_build(self):
+        mp = pytest.importorskip("mpmath")
+        N = 300
+        rows = [0, N // 2, N - 1]
+        grid = cheb.ChebGrid(N)
+        oracle = assembly_oracle.pv_weight_table(grid.nodes)
+        for got, want, exact in zip((grid.pv_table, grid.fp_table), oracle,
+                                    reference_rows(mp, N, rows)):
+            err = np.max(np.abs(got[rows] - exact))
+            assert err <= 1.5 * np.max(np.abs(want[rows] - exact))

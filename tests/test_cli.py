@@ -111,6 +111,38 @@ class TestCommands:
         assert abs(pair["delta"]) < 1e-5
         assert abs(pair["momentum"] - 4.248182) < 1e-4
 
+    @pytest.mark.parametrize("s", ("1e-8", "1e-5"))
+    def test_compare_fails_when_the_solvers_disagree(self, s):
+        # N = 80 at sigma = 1 does not resolve small s: at s = 1e-8 momentum
+        # 0.1209 against coordinate 0.005037; at s = 1e-5 a delta of 7.3e-7,
+        # below 1e-5 but above 1e-5 of the energy unit s^(1/3) = 0.0215
+        cfg = cli.parse_config("command = compare\npotential = linear\n"
+                               f"s = {s}\nell = 0\nlevels = 1\nN = 80\n")
+        report = cli.run(cfg)
+        assert report.status == cli.EXIT_NUMERICAL
+        assert abs(report.extra["compare"][0]["delta"]) > cli.COMPARE_TOL * float(s) ** (1 / 3)
+        assert "the solvers disagree" in report.diagnostics[-1]
+
+    def test_coulomb_continuum_is_not_a_bound_level(self):
+        # 40 levels at N = 80: from n = 17 on the eigenvalues lie above the
+        # continuum threshold 0 and used to be returned as levels
+        cfg = cli.parse_config("command = solve\npotential = coulomb\nalpha = 1\ns = 1\n"
+                               "ell = 0\nN = 80\nsigma = 0.5\nlevels = 40\n")
+        report = cli.run(cfg)
+        assert report.status == cli.EXIT_NUMERICAL
+        assert report.rows and all(row["epsilon"] < 0.0 for row in report.rows)
+        assert f"only {len(report.rows)} of 40 levels passed the filters" in report.diagnostics[-1]
+
+    def test_compare_weak_coulomb_finds_no_continuum_levels(self):
+        # alpha = 1e-8: the true levels (-2.5e-17 ...) are out of reach at
+        # N = 80, and the positive eigenvalues 8.05e-4 ... are continuum
+        cfg = cli.parse_config("command = compare\npotential = coulomb\nalpha = 1e-8\ns = 1\n"
+                               "ell = 0\nN = 80\nlevels = 3\n")
+        report = cli.run(cfg)
+        assert report.status == cli.EXIT_NUMERICAL
+        assert report.rows == [] and report.extra["compare"] == []
+        assert report.diagnostics == ["ell=0: only 0 of 3 levels passed the filters"]
+
     def test_scan_diffs_recorded(self):
         cfg = cli.parse_config(
             "command = scan\npotential = linear\ns = 1\nell = 0\nlevels = 1\nN = 40 80\n")

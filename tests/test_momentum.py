@@ -148,8 +148,9 @@ class TestAssembly:
     @pytest.mark.parametrize("case", ("coulomb", "cornell", "linear", "salpeter"))
     def test_bit_identical_to_vectorized_assembly(self, case, N):
         # same floating-point operations in the same order as the
-        # whole-matrix formulas, on tables from the earlier builds; H adds
-        # the same kinetic diagonal to both
+        # whole-matrix formulas, on the log table from the earlier build and
+        # the grid's own PV and finite-part tables; H adds the same kinetic
+        # diagonal to both
         make_params, sigma = SELECTION_CASES[case]
         grid = cheb.chebyshev_grid(N)
         oracle = oracle_grid(N)
@@ -244,7 +245,7 @@ def select_all_then_sort(eigenpairs, params, grid, sigma, count):
     for lam, vec in zip(evals, evecs.T):
         if abs(lam.imag) > mom.IMAG_TOL * max(1.0, abs(lam.real)):
             continue
-        if lam.real < floor:
+        if lam.real < floor or (not params.linear and lam.real >= 0.0):
             continue
         v = np.real(vec)
         nrm = np.linalg.norm(v)
@@ -324,7 +325,8 @@ class TestSelection:
                            select_all_then_sort(pairs, params, grid, sigma, 5))
 
     def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
-        calls = {"assemble": 0, "pv": 0, "log": 0}
+        # "pv" counts PV table builds; none computes PV moments over the mesh
+        calls = {"assemble": 0, "pv": 0, "pv_moments": 0, "log": 0}
 
         def counting(key, fn, whole_mesh_only=False):
             def wrapped(*args, **kwargs):
@@ -336,7 +338,9 @@ class TestSelection:
 
         monkeypatch.setattr(mom, "assemble_potential",
                             counting("assemble", mom.assemble_potential))
-        monkeypatch.setattr(cheb, "_pv_moments", counting("pv", cheb._pv_moments, True))
+        monkeypatch.setattr(cheb, "pv_weight_table", counting("pv", cheb.pv_weight_table))
+        monkeypatch.setattr(cheb, "_pv_moments",
+                            counting("pv_moments", cheb._pv_moments, True))
         monkeypatch.setattr(cheb, "_log_moments", counting("log", cheb._log_moments, True))
         # a private grid cache, so the tables are built inside this test
         monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
@@ -348,11 +352,11 @@ class TestSelection:
             assert calls["assemble"] == before + 1
             # no term of the linear ell = 0 kernel reads the log table
             if ell == 0:
-                assert calls == {"assemble": 1, "pv": 1, "log": 0}
-        assert calls == {"assemble": 4, "pv": 1, "log": 1}
+                assert calls == {"assemble": 1, "pv": 1, "pv_moments": 0, "log": 0}
+        assert calls == {"assemble": 4, "pv": 1, "pv_moments": 0, "log": 1}
         # pure Coulomb has no double pole, so it builds no principal value table
         mom.solve_levels(refs.coulomb_params(0), 50, sigma, 1)
-        assert calls == {"assemble": 5, "pv": 1, "log": 2}
+        assert calls == {"assemble": 5, "pv": 1, "pv_moments": 0, "log": 2}
 
 
 def dense_levels(params, N, sigma, count):
