@@ -39,7 +39,7 @@ COMMANDS = ("solve", "scan", "compare", "reproduce")
 POTENTIALS = ("linear", "coulomb", "cornell")
 FORMATS = ("csv", "json", "pretty")
 
-CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "residual", "imag")
+CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "imag")
 
 COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 at s = 1
 
@@ -163,23 +163,34 @@ def parse_config(text):
 def build_config(raw):
     """Validate a flat mapping of key-value strings and fill defaults.
 
-    Unknown keys, and for `reproduce` every key that the stored campaign
-    fixes, are rejected with a message listing them.
+    Unknown keys, and keys that the configured run would ignore, are
+    rejected with a message listing them.
     """
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    if raw.get("command") == "reproduce":
-        unused = sorted(set(raw) - {"command", "table", "format", "out"})
-        if unused:
-            raise ConfigError("command 'reproduce' takes only command, table, format and out; "
-                              f"remove: {', '.join(unused)}")
     cfg = RunConfig()
     for key, text in raw.items():
         attr, parse = _FIELDS[key]
         setattr(cfg, attr, text if parse is None else parse(text, key))
+    unused = ", ".join(sorted(_ignored_keys(cfg, raw)))
+    if unused:
+        raise ConfigError(
+            f"the run ignores {unused}: reproduce reads only command, table, format and out; "
+            "otherwise table is for reproduce, alpha for coulomb and cornell, s for "
+            f"dimensionless runs and mass for runs with beta; remove: {unused}")
     _validate(cfg)
     return cfg
+
+
+def _ignored_keys(cfg, raw):
+    """The keys of raw that the configured run would not read."""
+    if cfg.command == "reproduce":
+        return set(raw) - {"command", "table", "format", "out"}
+    ignored = {"table", "s" if cfg.physical or cfg.potential == "cornell" else "mass"}
+    if cfg.potential == "linear":
+        ignored.add("alpha")
+    return set(raw) & ignored
 
 
 def _validate(cfg):
@@ -278,7 +289,7 @@ def _solve_wave(report, wave):
     rows = [{"ell": lv.ell, "n": lv.n, "N": wave.N, "sigma": wave.sigma,
              "epsilon": float(lv.epsilon),
              "mass_gev": None if wave.scales is None else float(wave.scales.mass_gev(lv.epsilon)),
-             "residual": float(lv.residual_norm), "imag": float(lv.imag_part)}
+             "imag": float(lv.imag_part)}
             for lv in levels]
     report.rows.extend(rows)
     if not complete:
@@ -380,13 +391,12 @@ def emit_csv(report):
 
 def emit_pretty(report):
     lines = [f"command: {report.command}"]
-    header = f"{'ell':>4} {'n':>3} {'N':>5} {'sigma':>7} {'epsilon':>14} {'M [GeV]':>10} {'residual':>9}"
+    header = f"{'ell':>4} {'n':>3} {'N':>5} {'sigma':>7} {'epsilon':>14} {'M [GeV]':>10}"
     lines.append(header)
     for row in report.rows:
         mass = "" if row["mass_gev"] is None else f"{row['mass_gev']:.4f}"
         lines.append(f"{row['ell']:>4} {row['n']:>3} {row['N']:>5} "
-                     f"{row['sigma']:>7.3g} {row['epsilon']:>14.7g} "
-                     f"{mass:>10} {row['residual']:>9.1e}")
+                     f"{row['sigma']:>7.3g} {row['epsilon']:>14.7g} {mass:>10}".rstrip())
     lines.extend(report.diagnostics)
     lines.append(f"status: {report.status}")
     return "\n".join(lines) + "\n"
@@ -425,9 +435,9 @@ def main(argv=None):
         raw = {}
         if args.config:
             try:
-                with open(args.config) as fh:
+                with open(args.config, encoding="utf-8") as fh:
                     raw = _read_raw(fh.read())
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
         # command line flags override file values
         for key in ("command", "table", "ell", "levels", "N", "sigma", "format", "out"):
@@ -447,8 +457,12 @@ def main(argv=None):
 
     text = emit(report, cfg.format)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"configuration error: cannot write output file: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return report.status

@@ -49,7 +49,6 @@ class BoundLevel:
     n: int
     epsilon: float
     mesh_values: np.ndarray
-    residual_norm: float
     imag_part: float
 
 
@@ -194,14 +193,14 @@ ARNOLDI_MIN_N = 100
 ARNOLDI_NCV = 40
 
 
-def solve_spectrum(H, scale, shift=None, k=None):
-    """Eigenvalues and right eigenvectors of the Hamiltonian.
+def solve_spectrum(Hs, scale, shift=None, k=None):
+    """Eigenvalues and right eigenvectors of H, from its similar matrix Hs.
 
-    Both paths diagonalize the similar matrix Hs = diag(scale) H diag(scale)^-1,
-    exact in floating point for powers of two (see similarity_scale), and map
-    the eigenvectors back; both are deterministic for fixed input.  With the
-    similarity scale the eigenvalues carry about 1e-13 of rounding where those
-    of H carry 1e-10 (linear ell = 0, N = 200).
+    Hs = diag(scale) H diag(scale)^-1 is exact in floating point for powers
+    of two (see similarity_scale); the eigenvectors are mapped back to those
+    of H.  Both paths are deterministic for fixed input and leave Hs
+    unchanged.  With the similarity scale the eigenvalues carry about 1e-13
+    of rounding where those of H carry 1e-10 (linear ell = 0, N = 200).
 
     Without a shift: all N eigenpairs from the LAPACK non-symmetric QR solver.
     With a shift and k: the k eigenpairs nearest the shift, by ARPACK's
@@ -210,24 +209,15 @@ def solve_spectrum(H, scale, shift=None, k=None):
     from a fixed start vector (a random one moves energies by 5e-14 from run
     to run); None when the shifted matrix is singular or the iteration
     fails, so that the caller can fall back to the dense solver.
-
-    A matrix with an infinite or NaN entry, which an extreme mapping scale or
-    a high ell overflows to, is a numerical failure (RuntimeError).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = np.multiply(scale[:, None], H)
-        H /= scale
-    if not np.all(np.isfinite(H)):
-        raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
-                           "or underflow at this ell or mapping scale sigma")
     if k is not None:
-        pairs = _shift_invert_arnoldi(H, shift, k)
+        pairs = _shift_invert_arnoldi(Hs, shift, k)
         if pairs is None:
             return None
         evals, evecs = pairs
     else:
         try:
-            evals, evecs = scipy.linalg.eig(H, check_finite=False)
+            evals, evecs = scipy.linalg.eig(Hs, check_finite=False)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
             raise RuntimeError(f"eigenvalue solver failed to converge: {exc}") from exc
     evecs /= scale[:, None]
@@ -284,7 +274,6 @@ def _shift_invert_arnoldi(Hs, shift, k):
 
 
 IMAG_TOL = 1e-8
-RESIDUAL_TOL = 1e-8
 
 
 def spectrum_floor(problem):
@@ -303,22 +292,19 @@ def spectrum_floor(problem):
     return floor - 1e-6 * max(1.0, abs(floor))
 
 
-def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
+def select_bound_states(eigenpairs, problem, grid, x, J, count):
     """The lowest `count` physical bound levels, indexed and normalized.
 
-    `H` is the matrix the eigenpairs were computed from, x and J the mapped
-    momenta and Jacobian at the grid nodes.  Eigenpairs are visited in
-    stable ascending order of real part, and the first `count` that pass
-    four filters are accepted.  (1) The imaginary part must be negligible
-    against the real part.  (2) The real part must lie above the variational
-    floor of the physical spectrum and, without a linear term, below the
-    continuum threshold 0.  (3) The quadrature density
-    w_j J_j x_j^2 |phi_j|^2 must not be concentrated on the extreme mesh
-    points: discretizing the continuum produces corner modes pinned to the
-    largest or smallest momenta, while genuine bound states decay at both
-    ends.  (4) The scaled residual ||H v - eps v|| / (||v|| max|H|) must be
-    small; the raw residual is meaningless for ell >= 2, where kernel
-    cancellations blow the matrix corners up by many orders of magnitude.
+    x and J are the mapped momenta and Jacobian at the grid nodes.
+    Eigenpairs are visited in stable ascending order of real part, and the
+    first `count` that pass three filters are accepted.  (1) The imaginary
+    part must be negligible against the real part.  (2) The real part must
+    lie above the variational floor of the physical spectrum and, without a
+    linear term, below the continuum threshold 0.  (3) The quadrature
+    density w_j J_j x_j^2 |phi_j|^2 must not be concentrated on the extreme
+    mesh points: discretizing the continuum produces corner modes pinned to
+    the largest or smallest momenta, while genuine bound states decay at
+    both ends.  The filters read the eigenpairs alone.
     Each filter looks at one eigenpair only, so stopping at `count` gives
     the same levels as filtering every eigenpair and sorting the survivors.
     Accepted levels are indexed n = 0, 1, ... and normalized to unit
@@ -327,7 +313,6 @@ def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
     `count` levels passed the filters.
     """
     evals, evecs = eigenpairs
-    hscale = max(1.0, _abs_max(H, axis=None))
     density_weights = grid.plain_weights * J * x * x
     corner = max(3, grid.N // 10)
 
@@ -342,20 +327,11 @@ def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
         if lam.real < floor or (not problem.linear and lam.real >= 0.0):
             continue
         v = np.real(evecs[:, i])
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
         density = density_weights * v * v
         total = density.sum()
         if total <= 0.0:
             continue
         if max(density[:corner].sum(), density[-corner:].sum()) > 0.5 * total:
-            continue
-        # the kernel corners at high ell can overflow the residual norm to
-        # infinity, which the filter rejects like any large residual
-        with np.errstate(over="ignore"):
-            resid = np.linalg.norm(H @ v - lam.real * v) / (nrm * hscale)
-        if resid > RESIDUAL_TOL:
             continue
         v = v / math.sqrt(total)
         # deterministic sign: largest-magnitude mesh value positive
@@ -364,7 +340,7 @@ def select_bound_states(eigenpairs, H, problem, grid, x, J, count):
         v.setflags(write=False)
         levels.append(BoundLevel(
             ell=problem.ell, n=len(levels), epsilon=lam.real, mesh_values=v,
-            residual_norm=resid, imag_part=abs(lam.imag),
+            imag_part=abs(lam.imag),
         ))
     return levels, len(levels) >= count
 
@@ -385,7 +361,7 @@ def _disc_covers(evals, shift, top):
 
 
 def solve_levels(problem, N, sigma=1.0, count=5):
-    """Lowest `count` levels: assemble H once, diagonalize, select lazily.
+    """Lowest `count` levels: assemble H once, scale it in place, diagonalize, select lazily.
 
     sigma is the scale of the rational map (see mapped_nodes); a scale that
     is not positive and finite is a ValueError.  The weight tables come from
@@ -397,19 +373,25 @@ def solve_levels(problem, N, sigma=1.0, count=5):
     Otherwise, and below that N, all eigenpairs come from the dense solver.
     """
     grid = cheb.chebyshev_grid(N)
-    # an overflowing kernel shows up as a non-finite H, which solve_spectrum
-    # reports as one numerical failure
+    scale = similarity_scale(grid)
+    # an overflowing kernel shows up as a non-finite H: one numerical failure
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, J = mapped_nodes(grid.nodes, sigma)
         H = assemble_potential(problem, grid, sigma, x, J)
         H.flat[::N + 1] += kinetic_diagonal(problem, x)
-    scale = similarity_scale(grid)
+        # the similar matrix d H d^-1 that both eigensolver paths take, in place
+        np.multiply(scale[:, None], H, out=H)
+        H /= scale
+    # max and min propagate NaN, so this reads every entry without an N x N mask
+    if not math.isfinite(_abs_max(H, axis=None)):
+        raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
+                           "or underflow at this ell or mapping scale sigma")
     if N >= ARNOLDI_MIN_N and 0 < 2 * count < N - 1:
         floor = spectrum_floor(problem)
         pairs = solve_spectrum(H, scale, floor, 2 * count)
         if pairs is not None:
-            levels, complete = select_bound_states(pairs, H, problem, grid, x, J, count)
+            levels, complete = select_bound_states(pairs, problem, grid, x, J, count)
             if complete and _disc_covers(pairs[0], floor, levels[-1].epsilon):
                 return levels, complete
     pairs = solve_spectrum(H, scale)
-    return select_bound_states(pairs, H, problem, grid, x, J, count)
+    return select_bound_states(pairs, problem, grid, x, J, count)

@@ -85,7 +85,7 @@ class TestReports:
     def test_csv_schema(self):
         text = cli.emit_csv(self.report)
         header = text.splitlines()[0]
-        assert header == "ell,n,N,sigma,epsilon,mass_gev,residual,imag"
+        assert header == "ell,n,N,sigma,epsilon,mass_gev,imag"
         # dimensionless run leaves the mass column empty
         assert text.splitlines()[1].split(",")[5] == ""
 
@@ -94,7 +94,7 @@ class TestReports:
         back = json.loads(text)
         for a, b in zip(self.report.rows, back["rows"], strict=True):
             assert a["epsilon"] == b["epsilon"]
-            assert a["residual"] == b["residual"]
+            assert a["imag"] == b["imag"]
         assert json.dumps(back, indent=2) == text
 
     def test_pretty_contains_status(self):
@@ -150,13 +150,12 @@ class TestCommands:
         assert report.status == cli.EXIT_OK
         assert "0" in report.extra["successive_differences"]
 
-    def test_scan_rows_carry_measured_residuals(self):
+    def test_scan_rows_equal_solve_rows(self):
         text = "potential = linear\ns = 1\nell = 1\nlevels = 2\n"
         scan = cli.run(cli.parse_config(text + "command = scan\nN = 40 60\n"))
         solve = cli.run(cli.parse_config(text + "command = solve\nN = 60\n"))
         at_60 = [row for row in scan.rows if row["N"] == 60]
         assert at_60 == solve.rows
-        assert all(row["residual"] > 0.0 for row in scan.rows)
 
     def test_scan_marks_missing_levels(self, monkeypatch):
         solve_levels = mom.solve_levels
@@ -261,10 +260,10 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
 
-    def test_overflowing_residual_is_rejected_silently(self, tmp_path, capsys):
-        # at ell = 30 the residual norm of some eigenpairs overflows; the
-        # filter must reject them without a floating-point warning, which
-        # the suite turns into an error.  The levels are not graded here.
+    def test_ell30_n100_prints_no_floating_point_warning(self, tmp_path, capsys):
+        # the kernel corners lift max|H| to 6e242 here; no step may print a
+        # floating-point warning, which the suite turns into an error.  The
+        # levels are not graded here.
         path = tmp_path / "run.cfg"
         path.write_text("potential = linear\n")
         cli.main(["--config", str(path), "--ell", "30", "--N", "100", "--levels", "2"])
@@ -283,6 +282,32 @@ class TestMain:
         assert cli.main(["--command", "reproduce", "--table", "1", "--N", "40",
                          "--sigma", "3", "--levels", "1"]) == cli.EXIT_CONFIG
         assert "remove: N, levels, sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("text", "field"), (
+        ("potential = linear\nalpha = 0.5\n", "alpha"),
+        ("potential = cornell\nalpha = 0.5\nbeta = 0.1694\nmass = 1.37\ns = 1\n", "s"),
+        ("potential = coulomb\nalpha = 1\nbeta = 0.1694\nmass = 1.37\ns = 1\n", "s"),
+        ("potential = linear\nmass = 1.37\n", "mass"),
+        ("potential = coulomb\nalpha = 1\nmass = 1.37\n", "mass"),
+        ("potential = linear\ntable = 2\n", "table"),
+    ))
+    def test_rejects_fields_the_run_ignores(self, text, field, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.rstrip().endswith(f"remove: {field}")
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("potential = linear\n# \u00e9\n".encode("latin-1"))
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "rows.csv"
+        assert cli.main(["--N", "20", "--levels", "1", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: cannot write output file")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("N", ("100 50", "50 50"))
     def test_scan_requires_increasing_n(self, N, capsys):
