@@ -53,24 +53,23 @@ class ChebGrid:
         return _read_only(_cardinal_weights(_plain_moments(self.N)))
 
     @cached_property
-    def _pv_tables(self):
-        """The PV and finite-part tables, from their closed forms at the nodes."""
-        return tuple(_read_only(table) for table in pv_weight_table(self))
-
-    @property
-    def pv_table(self):
-        """PV weights at every node, W[i, j] = omega_j(t_i) (see pv_weight_table)."""
-        return self._pv_tables[0]
-
-    @property
-    def fp_table(self):
-        """Finite-part weights at every node, eta_j(t_i) (see pv_weight_table)."""
-        return self._pv_tables[1]
+    def q0_table(self):
+        """Rule Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i) for log|(1 - t_i t)/(t - t_i)|."""
+        t = self.nodes
+        Q = np.multiply(t[:, None], t)
+        np.subtract(1.0, Q, out=Q)
+        np.log(Q, out=Q)
+        Q *= self.plain_weights
+        Q -= log_weight_table(self)
+        return _read_only(Q)
 
     @cached_property
-    def log_table(self):
-        """Log weights at every node, W[i, j] = Omega_j(t_i) (see log_weight_table)."""
-        return _read_only(log_weight_table(self))
+    def pole_table(self):
+        """Double-pole rule (1 - t_j) eta_j(t_i) + omega_j(t_i), by parts (see momentum)."""
+        W, eta = pv_weight_table(self)
+        eta *= 1.0 - self.nodes
+        eta += W
+        return _read_only(eta)
 
     def __repr__(self):
         return f"ChebGrid(N={self.N})"

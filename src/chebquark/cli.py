@@ -44,10 +44,10 @@ CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "imag")
 COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
-# about 70 bytes * N^2 at any ell and on either eigensolver path (64-70
+# at most 70 bytes * N^2 at any ell and on either eigensolver path (64-69
 # measured at N = 800 and 1600, linear ell = 2 and 7), about 1.1 GB at this
-# bound; the three weight tables keep 24 of it and the assembly takes 44
-# (tracemalloc, weight tables built).
+# bound; the grid's two kernel rules keep 16 of it and the assembly takes 44
+# (tracemalloc, rules built).
 MAX_N = 4000
 
 
@@ -210,9 +210,11 @@ def _validate(cfg):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
-                          f"about 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
+                          f"up to 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
     if any(l < 0 for l in cfg.ell):
         raise ConfigError("field 'ell' entries must be nonnegative")
+    if len(set(cfg.ell)) < len(cfg.ell):
+        raise ConfigError("field 'ell' entries must be distinct")
     if cfg.command == "scan":
         if any(a >= b for a, b in zip(cfg.N, cfg.N[1:])):
             raise ConfigError("command 'scan' requires field 'N' strictly increasing")
@@ -233,10 +235,8 @@ def _validate(cfg):
     else:
         if cfg.s <= 0.0:
             raise ConfigError("dimensionless runs require field 's' > 0")
-    if cfg.potential == "coulomb" and cfg.alpha <= 0.0:
-        raise ConfigError("potential 'coulomb' requires field 'alpha' > 0")
-    if cfg.potential == "cornell" and cfg.alpha <= 0.0:
-        raise ConfigError("potential 'cornell' requires field 'alpha' > 0")
+    if cfg.potential != "linear" and cfg.alpha <= 0.0:
+        raise ConfigError(f"potential {cfg.potential!r} requires field 'alpha' > 0")
     if cfg.kinetic == "salpeter":
         if cfg.command == "compare":
             raise ConfigError("compare supports only the nonrelativistic kinetic mode")
@@ -248,7 +248,7 @@ def _problem(cfg, ell):
     """The partial wave ell of the configured potential."""
     return Problem(
         ell=ell,
-        alpha=0.0 if cfg.potential == "linear" else cfg.alpha,
+        alpha=cfg.alpha,
         linear=cfg.potential != "coulomb",
         s=cfg.s,
         kinetic=cfg.kinetic,
@@ -332,7 +332,7 @@ def _run_solve(cfg):
 
 
 def _run_scan(cfg):
-    """`solve` at each N of the list, with each level's successive differences."""
+    """`solve` at each N of the list, reporting each level's successive differences."""
     report = Report("scan")
     diffs = {}
     for ell in cfg.ell:
@@ -344,6 +344,11 @@ def _run_scan(cfg):
             eps.append([found.get(n) for n in range(cfg.levels)])
         diffs[str(ell)] = [[None if a is None or b is None else abs(b - a)
                             for a, b in zip(lo, hi)] for lo, hi in zip(eps, eps[1:])]
+        for n in range(cfg.levels):
+            report.diagnostics.extend(
+                f"ell={ell} n={n}: N {lo} -> {hi} changes eps by {step[n]:.1e}"
+                for lo, hi, step in zip(cfg.N, cfg.N[1:], diffs[str(ell)])
+                if step[n] is not None)
     report.extra["successive_differences"] = diffs
     return report
 

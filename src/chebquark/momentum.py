@@ -73,7 +73,8 @@ def assemble_potential(problem, grid, sigma, x, J):
     h = (1-t)/(2 sigma), integrating it by parts in t leaves
     h [FP int F phi (1-t')/(t'-t)^2 dt' + PV int F phi/(t'-t) dt'], whose
     boundary terms vanish (F = 0 at x' = 0, the integrand carries 1-t');
-    eta and omega are the grid's finite-part and principal value tables.
+    eta and omega are the finite-part and principal value weights.  Both
+    bracketed rules are free of sigma: the grid's q0_table and pole_table.
     All diagonal entries are finite.
     """
     ell = problem.ell
@@ -95,12 +96,7 @@ def assemble_potential(problem, grid, sigma, x, J):
 
     if problem.alpha > 0.0 or (problem.linear and ell >= 1):
         # log|(x'+x)/(x'-x)| weights [w_j log S_ij - Omega_j(t_i)] J_j
-        logw = np.multiply(t[:, None], t)
-        np.subtract(1.0, logw, out=logw)
-        np.log(logw, out=logw)
-        logw *= grid.plain_weights
-        logw -= grid.log_table
-        logw *= J
+        logw = np.multiply(grid.q0_table, J)
 
     terms = []
     if problem.linear and ell >= 1:
@@ -131,8 +127,6 @@ def assemble_potential(problem, grid, sigma, x, J):
     if problem.linear:
         # double pole: -(4/pi) FP int F phi dx'/(x'-x)^2 with the factor
         # F = x'^2 P_ell(z) / (x'+x)^2
-        pole = np.multiply(grid.fp_table, 1.0 - t)
-        pole += grid.pv_table
         F = np.add(xc, x)
         np.square(F, out=F)
         if ell >= 1:
@@ -141,10 +135,9 @@ def assemble_potential(problem, grid, sigma, x, J):
             del p
         else:
             np.divide(x ** 2, F, out=F)
-        pole *= F
-        del F
-        pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
-        terms.append(pole)
+        F *= grid.pole_table
+        F *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
+        terms.append(F)
 
     if problem.alpha > 0.0:
         terms.append(coul)

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.fft
 
+from chebquark import cheb
 from chebquark.cheb import _plain_moments
 from kernel_oracle import coulomb_log_regular, linear_log_regular, pv_factor
 
@@ -64,17 +65,14 @@ def assemble_potential(problem, grid, sigma, x, J):
     wl, dwl = w_poly(problem.ell, z) if problem.ell >= 1 else (0.0, 0.0)
     del z
 
-    logw = np.log(1.0 - np.outer(t, t))
-    logw *= grid.plain_weights
-    logw -= grid.log_table
+    logw = q0_rule(grid)
     logw *= J
 
     V = np.zeros((grid.N, grid.N))
     if problem.linear:
         if problem.ell >= 1:
             V += linear_log_regular(x[:, None], dp, dwl, logw, regw)
-        pole = grid.fp_table * (1.0 - t)
-        pole += grid.pv_table
+        pole = pole_rule(grid)
         pole *= pv_factor(x[:, None], x[None, :], p)
         pole *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
         V += pole
@@ -83,6 +81,21 @@ def assemble_potential(problem, grid, sigma, x, J):
         V += coulomb_log_regular(problem.alpha, x[:, None], x[None, :],
                                  p, wl, logw, regw)
     return V
+
+
+def q0_rule(grid):
+    """Log-kernel weights w_j log(1 - t_i t_j) - Omega_j(t_i), as each solve formed them."""
+    Q = np.log(1.0 - np.outer(grid.nodes, grid.nodes))
+    Q *= grid.plain_weights
+    Q -= grid.log_table
+    return Q
+
+
+def pole_rule(grid):
+    """Double-pole weights (1 - t_j) eta_j(t_i) + omega_j(t_i), as each solve formed them."""
+    pole = grid.fp_table * (1.0 - grid.nodes)
+    pole += grid.pv_table
+    return pole
 
 
 def _cardinal_weights(moments):
@@ -175,13 +188,15 @@ def log_weight_table(nodes):
 
 
 def oracle_grid(grid):
-    """A stand-in for `grid` whose plain weights and log table come from the builds above.
+    """A stand-in for `grid` with the three raw tables that `q0_rule` and `pole_rule` read.
 
-    The PV and finite-part tables are the grid's own: their closed forms do
-    not round like the moment build, which `pv_weight_table` keeps as their
-    oracle within a tolerance.
+    The plain weights and the log table come from the builds above.  The PV
+    and finite-part tables are the closed forms of `cheb.pv_weight_table`:
+    they do not round like the moment build, which `pv_weight_table` keeps
+    as their oracle within a tolerance.
     """
+    pv_table, fp_table = cheb.pv_weight_table(grid)
     return SimpleNamespace(N=grid.N, nodes=grid.nodes,
                            plain_weights=_cardinal_weights(_plain_moments(grid.N)),
-                           pv_table=grid.pv_table, fp_table=grid.fp_table,
+                           pv_table=pv_table, fp_table=fp_table,
                            log_table=log_weight_table(grid.nodes))

@@ -182,25 +182,23 @@ class TestSingularRules:
             assert abs(w @ f(grid.nodes) - exact) < 1e-11
 
     def test_grid_keeps_one_read_only_table_of_each_kind(self):
+        # the log-kernel and double-pole rules, built once per grid
         grid = cheb.ChebGrid(24)
-        pv, fp = cheb.pv_weight_table(grid)
-        for table, want in ((grid.pv_table, pv), (grid.fp_table, fp),
-                            (grid.log_table, cheb.log_weight_table(grid))):
-            assert np.array_equal(table, want)
+        for name in ("q0_table", "pole_table"):
+            table = getattr(grid, name)
+            assert table is getattr(grid, name)
             assert not table.flags.writeable
-        assert grid.pv_table is grid.pv_table
-        assert grid.fp_table is grid.fp_table
-        assert grid.log_table is grid.log_table
+            assert table.flags.c_contiguous
 
     @pytest.mark.parametrize("N", (8, 32, 128))
     def test_finite_part_table_monomials(self, N):
         # eta_j(t_i) integrates t^m/(t - t_i)^2 exactly for m < N
         grid = cheb.ChebGrid(N)
         t = grid.nodes
-        assert not grid.fp_table.flags.writeable
+        fp = cheb.pv_weight_table(grid)[1]
         for m in range(N):
             want = analytic_fp(m, t)
-            assert np.all(np.abs(grid.fp_table @ t**m - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+            assert np.all(np.abs(fp @ t**m - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("N", (8, 80, 800))
     def test_finite_part_table_matches_differentiation_oracle(self, N):
@@ -249,13 +247,23 @@ class TestBuildOracle:
     @pytest.mark.parametrize("N", (8, 80, 800))
     def test_tables_bit_identical_and_c_contiguous(self, N):
         grid = cheb.ChebGrid(N)
-        for table in (grid.pv_table, grid.fp_table, grid.log_table):
+        log_table = cheb.log_weight_table(grid)
+        for table in (*cheb.pv_weight_table(grid), log_table):
             assert table.flags.c_contiguous
-        assert np.array_equal(grid.log_table, assembly_oracle.log_weight_table(grid.nodes))
+        assert np.array_equal(log_table, assembly_oracle.log_weight_table(grid.nodes))
         # the PV moments over the whole mesh, from which the oracle builds
         # the PV and finite-part tables
         assert np.array_equal(cheb._pv_moments(grid.nodes, N),
                               assembly_oracle.pv_moments(grid.nodes, N))
+
+    @pytest.mark.parametrize("N", (2, 8, 80, 800))
+    def test_kernel_rules_match_per_solve_formation(self, N):
+        # the grid's two rules equal their per-solve formation from the PV,
+        # finite-part and log tables, kept in the oracle
+        grid = cheb.ChebGrid(N)
+        oracle = assembly_oracle.oracle_grid(grid)
+        assert np.array_equal(grid.q0_table, assembly_oracle.q0_rule(oracle))
+        assert np.array_equal(grid.pole_table, assembly_oracle.pole_rule(oracle))
 
     @pytest.mark.parametrize("N", (2, 3, 32))
     def test_single_point_rules_bit_identical(self, N):
@@ -302,7 +310,7 @@ class TestClosedForms:
     def test_tables_match_moment_build(self, N):
         grid = cheb.ChebGrid(N)
         oracle = assembly_oracle.pv_weight_table(grid.nodes)
-        for got, want in zip((grid.pv_table, grid.fp_table), oracle):
+        for got, want in zip(cheb.pv_weight_table(grid), oracle):
             assert np.max(np.abs(got - want)) <= 5e-11 * np.max(np.abs(want))
 
     def test_no_less_accurate_than_moment_build(self):
@@ -311,7 +319,7 @@ class TestClosedForms:
         rows = [0, N // 2, N - 1]
         grid = cheb.ChebGrid(N)
         oracle = assembly_oracle.pv_weight_table(grid.nodes)
-        for got, want, exact in zip((grid.pv_table, grid.fp_table), oracle,
+        for got, want, exact in zip(cheb.pv_weight_table(grid), oracle,
                                     reference_rows(mp, N, rows)):
             err = np.max(np.abs(got[rows] - exact))
             assert err <= 1.5 * np.max(np.abs(want[rows] - exact))

@@ -166,8 +166,23 @@ class TestCommands:
             "command = scan\npotential = linear\ns = 1\nell = 1\nlevels = 2\nN = 40 60 80\n"))
         assert report.status == cli.EXIT_NUMERICAL
         assert [(r["N"], r["n"]) for r in report.rows] == [(40, 0), (40, 1), (60, 0), (80, 0), (80, 1)]
-        assert report.diagnostics == ["ell=1 N=60: only 1 of 2 levels passed the filters"]
-        assert [pair[1] for pair in report.extra["successive_differences"]["1"]] == [None, None]
+        # level 1 is missing at N = 60, so neither of its differences is printed
+        diffs = report.extra["successive_differences"]["1"]
+        assert [pair[1] for pair in diffs] == [None, None]
+        assert report.diagnostics == [
+            "ell=1 N=60: only 1 of 2 levels passed the filters",
+            f"ell=1 n=0: N 40 -> 60 changes eps by {diffs[0][0]:.1e}",
+            f"ell=1 n=0: N 60 -> 80 changes eps by {diffs[1][0]:.1e}"]
+
+    def test_scan_prints_each_successive_difference(self):
+        cfg = cli.parse_config(
+            "command = scan\npotential = linear\ns = 1\nell = 0 2\nlevels = 2\nN = 40 60 80\n")
+        report = cli.run(cfg)
+        diffs = report.extra["successive_differences"]
+        assert report.diagnostics == [
+            f"ell={ell} n={n}: N {lo} -> {hi} changes eps by {diffs[str(ell)][k][n]:.1e}"
+            for ell in (0, 2) for n in range(2) for k, (lo, hi) in enumerate(((40, 60), (60, 80)))]
+        assert "ell=2 n=1: N 60 -> 80 changes eps by" in cli.emit_pretty(report)
 
     def test_deterministic_rerun(self):
         cfg = cli.parse_config(
@@ -313,6 +328,12 @@ class TestMain:
     def test_scan_requires_increasing_n(self, N, capsys):
         assert cli.main(["--command", "scan", "--N", N]) == cli.EXIT_CONFIG
         assert "'N' strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, ell", (("solve", "0,0"), ("scan", "1,1"),
+                                              ("compare", "0 1 0")))
+    def test_repeated_ell_rejected(self, command, ell, capsys):
+        assert cli.main(["--command", command, "--ell", ell, "--N", "40"]) == cli.EXIT_CONFIG
+        assert "field 'ell' entries must be distinct" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ("solve", "compare"))
     def test_single_order_commands_reject_a_list_of_n(self, command, capsys):

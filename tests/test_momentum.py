@@ -99,16 +99,18 @@ class TestAssembly:
         grid = cheb.chebyshev_grid(10)
         sigma = 0.8
         t, w = grid.nodes, grid.plain_weights
+        pv, fp = cheb.pv_weight_table(grid)
+        lg = cheb.log_weight_table(grid)
         x, J = mom.mapped_nodes(t, sigma)
         V = np.zeros((grid.N, grid.N))
         for i in range(grid.N):
             h = (1.0 - t[i]) / (2.0 * sigma)
             for j in range(grid.N):
                 kp = kernel_pieces(ell, x[i], x[j], problem.alpha)
-                log_w = (w[j] * np.log(1.0 - t[i] * t[j]) - grid.log_table[i, j]) * J[j]
+                log_w = (w[j] * np.log(1.0 - t[i] * t[j]) - lg[i, j]) * J[j]
                 reg_w = w[j] * J[j]
                 if problem.linear:
-                    fp_w = h * ((1.0 - t[j]) * grid.fp_table[i, j] + grid.pv_table[i, j])
+                    fp_w = h * ((1.0 - t[j]) * fp[i, j] + pv[i, j])
                     V[i, j] += (kp.linear_log_coeff * log_w + kp.linear_regular * reg_w
                                 + kp.pv_factor * fp_w)
                 V[i, j] += kp.coulomb_log_coeff * log_w + kp.coulomb_regular * reg_w
@@ -130,7 +132,7 @@ class TestAssembly:
         # at most five live at once (44.1 bytes * N^2 measured)
         N = 400
         grid = cheb.chebyshev_grid(N)
-        for table in ("plain_weights", "pv_table", "fp_table", "log_table"):
+        for table in ("plain_weights", "q0_table", "pole_table"):
             getattr(grid, table)
         x, J = mom.mapped_nodes(grid.nodes, 1.0)
         peaks = []
@@ -143,6 +145,19 @@ class TestAssembly:
                 tracemalloc.stop()
         assert peaks[1] <= 48.5
         assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_grid_keeps_only_the_two_kernel_rules(self, monkeypatch):
+        # a Cornell ell = 2 solve reads every kernel term; afterwards its
+        # fresh grid holds two N x N arrays, the rules assembly reads
+        monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
+        N = 40
+        mom.solve_levels(refs.cornell_params("charm", 2), N, 1.0, 3)
+        grid = cheb.chebyshev_grid(N)
+        assert sorted(vars(grid)) == ["N", "nodes", "plain_weights", "pole_table", "q0_table"]
+        for table in (grid.q0_table, grid.pole_table):
+            assert table.shape == (N, N)
+            assert not table.flags.writeable
+            assert table.flags.c_contiguous
 
     @pytest.mark.parametrize("N", (20, 80, 300))
     @pytest.mark.parametrize("case", ("coulomb", "cornell", "linear", "salpeter"))
