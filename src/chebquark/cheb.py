@@ -23,6 +23,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft
 
+# Entries per row block of the N x N builds here and in momentum.solve_levels:
+# the buffers of a block stay in cache.
+BLOCK_ELEMENTS = 1 << 15
+
 
 def _plain_moments(nmax):
     """Moments mu_n = int_{-1}^{1} T_n(t) dt for n = 0..nmax-1."""
@@ -245,7 +249,7 @@ def pv_weight_table(grid):
     W_diag = 2.0 * np.log(np.tan(0.5 * theta)) + w * t / (2.0 * q * q)
     eta_diag = -2.0 / (q * q)
     W, eta = np.empty((N, N)), np.empty((N, N))
-    rows = max(1, (1 << 15) // N)
+    rows = max(1, BLOCK_ELEMENTS // N)
     for i in range(0, N, rows):
         b = slice(i, i + rows)
         c = np.subtract.outer(t[b], t)

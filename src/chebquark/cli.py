@@ -44,10 +44,12 @@ CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "imag")
 COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
-# at most 70 bytes * N^2 at any ell and on either eigensolver path (64-69
-# measured at N = 800 and 1600, linear ell = 2 and 7), about 1.1 GB at this
-# bound; the grid's two kernel rules keep 16 of it and the assembly takes 44
-# (tracemalloc, rules built).
+# at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound.  Measured
+# at N = 1600, linear ell = 2 and 7: 68 when the solve ends on the dense
+# path, set by LAPACK's copy and the complex eigenvectors, and 46 on the
+# Arnoldi path, set by the weight-table build (79 and 60 at N = 800, where
+# fixed costs add).  Of that, the grid's two kernel rules keep 16, and H
+# with the Arnoldi path's factored copy take 16 (tracemalloc, rules built).
 MAX_N = 4000
 
 
@@ -461,6 +463,10 @@ def main(argv=None):
         return EXIT_NUMERICAL
 
     text = emit(report, cfg.format)
+    if cfg.format == "csv":
+        # CSV rows carry no diagnostics: failure reasons and grades go to stderr
+        for line in report.diagnostics:
+            print(line, file=sys.stderr)
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:

@@ -65,30 +65,15 @@ class Problem:
             raise ValueError("salpeter mode needs a positive quark mass am")
 
 
-# Elements per block of the Legendre recurrences: the rolling buffers of a
-# block stay in cache, and their size does not depend on ell or on z.
-_BLOCK = 1 << 14
-
-
-def _blocks(z, *outs):
-    """Yield four block buffers for _bonnet and matching flat blocks of z and outs.
-
-    The arrays outs have z's shape; the buffers are shared by all blocks.
-    """
-    flat = [a.reshape(-1) for a in (z,) + outs]
-    buffers = np.empty((4, min(z.size, _BLOCK)))
-    for start in range(0, z.size, _BLOCK):
-        yield buffers, *(a[start:start + _BLOCK] for a in flat)
-
-
-def _bonnet(ell, z, buffers):
-    """Yield (m, P_m(z), P'_m(z)) for m = 0..ell, z one block.
+def _bonnet(ell, z):
+    """Yield (m, P_m(z), P'_m(z)) for m = 0..ell.
 
     Values by the Bonnet recurrence (m+1) P_{m+1} = (2m+1) z P_m - m P_{m-1},
     derivatives by P'_{m+1} = z P'_m + (m+1) P_m, which needs no special case
     at z = 1 and no cancellation near it.  P_0 = 1, P'_0 = 0 and P'_1 = 1 are
     yielded as scalars and P_1 as z itself; from m = 2 on the values rotate
-    through the four `buffers` and are overwritten by the next step.
+    through four buffers of z's shape and are overwritten by the next step.
+    Assembly hands z in cache-sized row blocks, so the buffers stay in cache.
     """
     yield 0, 1.0, 0.0
     if ell == 0:
@@ -96,9 +81,9 @@ def _bonnet(ell, z, buffers):
     yield 1, z, 1.0
     if ell == 1:
         return
-    pprev, p, dp, t = (b[:z.size] for b in buffers)
+    pprev, p, dp, t = (np.empty(z.shape) for _ in range(4))
     # the step from m = 1, where m P_0 = 1 and z P'_1 = z
-    pprev[:] = z
+    pprev[...] = z
     np.multiply(z, 3.0, out=p)
     p *= z
     p -= 1.0
@@ -125,11 +110,11 @@ def legendre_P(ell, z):
     if ell < 0:
         raise ValueError("orbital momentum must be nonnegative")
     z = np.asarray(z, dtype=float)
-    p, dp = np.empty(z.shape), np.empty(z.shape)
-    for buffers, zb, pb, dpb in _blocks(z, p, dp):
-        for _, pm, dpm in _bonnet(ell, zb, buffers):
-            pass
-        pb[:], dpb[:] = pm, dpm
+    for _, p, dp in _bonnet(ell, z):
+        pass
+    if ell < 2:
+        # scalars, or P_1 = z itself
+        return np.broadcast_to(p, z.shape).copy(), np.full(z.shape, dp)
     return p, dp
 
 
@@ -145,10 +130,9 @@ def w_poly(ell, z):
         raise ValueError("polynomial remainder exists only for ell >= 1")
     z = np.asarray(z, dtype=float)
     w, dw = np.zeros(z.shape), np.zeros(z.shape)
-    for buffers, zb, wb, dwb in _blocks(z, w, dw):
-        for m, p, dp in _bonnet(ell - 1, zb, buffers):
-            if (ell - 1 - m) % 2 == 0:
-                c = 2.0 * (2 * m + 1) / ((ell - m) * (ell + m + 1))
-                wb += c * p
-                dwb += c * dp
+    for m, p, dp in _bonnet(ell - 1, z):
+        if (ell - 1 - m) % 2 == 0:
+            c = 2.0 * (2 * m + 1) / ((ell - m) * (ell + m + 1))
+            w += c * p
+            dw += c * dp
     return w, dw

@@ -55,13 +55,16 @@ class BoundLevel:
 # ---------------------------------------------------------------------------
 # assembly
 
-def assemble_potential(problem, grid, sigma, x, J):
-    """Potential matrix V with (V X)_i = the discretized right-hand side.
+def assemble_potential(problem, grid, sigma, x, J, rows=slice(None)):
+    """Rows `rows` of the potential matrix V, with (V X)_i = the discretized right-hand side.
 
     x, J = mapped_nodes(grid.nodes, sigma) are the momenta and the Jacobian
-    at the mesh points, which the caller computes once per solve; h below
-    is formed from sigma itself, in fewer roundings than from J.  The
-    quadrature substitutions at mesh point t_i:
+    at all mesh points, which the caller computes once per solve; h below
+    is formed from sigma itself, in fewer roundings than from J.  `rows` is
+    a slice of step 1: solve_levels fills H in cache-sized row blocks, and
+    the default, every row, is the whole matrix the tests compare against.
+    Each entry takes the same floating-point operations whichever rows are
+    asked for.  The quadrature substitutions at mesh point t_i:
 
       regular:     dx'                      -> w_j J_j
       log kernel:  log|(x'+x)/(x'-x)| dx'   -> [w_j log S_ij - Omega_j(t_i)] J_j
@@ -78,25 +81,27 @@ def assemble_potential(problem, grid, sigma, x, J):
     All diagonal entries are finite.
     """
     ell = problem.ell
-    t = grid.nodes
-    xc = x[:, None]
+    N = grid.N
+    i0 = rows.indices(N)[0]
+    t = grid.nodes[rows]
+    xc = x[rows, None]
     regw = grid.plain_weights * J
 
-    # Each N x N term is formed in place, in the rounding order of its
-    # kernel formula, and a buffer is dropped once no later term reads it.
+    # Each term is formed in place, in the rounding order of its kernel
+    # formula, and a buffer is dropped once no later term reads it.
     # P_0 = 1 and w_{-1} = 0, so ell = 0 needs no z.
     if ell >= 1:
-        # z = (x^2 + x'^2)/(2 x x') with an exact diagonal
+        # z = (x^2 + x'^2)/(2 x x') with an exact diagonal, at offset i0 in a block
         z = xc ** 2 + x ** 2
         z /= 2.0 * xc * x
-        np.fill_diagonal(z, 1.0)
+        z.flat[i0::N + 1] = 1.0
         p, dp = legendre_P(ell, z)
         w, dw = w_poly(ell, z)
         del z
 
     if problem.alpha > 0.0 or (problem.linear and ell >= 1):
         # log|(x'+x)/(x'-x)| weights [w_j log S_ij - Omega_j(t_i)] J_j
-        logw = np.multiply(grid.q0_table, J)
+        logw = np.multiply(grid.q0_table[rows], J)
 
     terms = []
     if problem.linear and ell >= 1:
@@ -135,7 +140,7 @@ def assemble_potential(problem, grid, sigma, x, J):
             del p
         else:
             np.divide(x ** 2, F, out=F)
-        F *= grid.pole_table
+        F *= grid.pole_table[rows]
         F *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
         terms.append(F)
 
@@ -173,17 +178,21 @@ def similarity_scale(grid):
 
 # Mesh order from which solve_levels asks ARPACK for the levels near the
 # spectrum floor before it falls back to the dense QR solver.  Measured on a
-# 2-core x86 machine, one BLAS thread, eigensolve alone, dense vs Arnoldi:
-# with a linear term the two break even at N = 100 (2.7 vs 3.3 ms linear,
-# 4.7 vs 3.5 ms Cornell) and Arnoldi wins above (35 vs 10 ms at N = 300,
-# 450 vs 50 ms at N = 800); pure Coulomb converges slowly and breaks even
-# only near N = 400 (2.4 vs 15 ms at N = 100, 28 vs 33 ms at N = 300).  From
-# N = 100 the dense solver also loses high-ell levels that the Arnoldi path
-# keeps (linear ell = 10, N = 100: 9e-3 vs 2e-7; ell = 4, N = 300: 3e-3 vs
-# 3e-10), so the bound is the linear break-even.
+# 2-core x86 machine, one BLAS thread, eigensolve alone for 5 levels (k = 7),
+# dense vs Arnoldi: with a linear term the two break even near N = 80 (2.9
+# vs 3.2 ms linear ell = 0, 3.4 vs 3.4 ms ell = 2) and Arnoldi wins from
+# N = 100 (4.7 vs 3.4 ms; 32 vs 7 ms at N = 300); pure Coulomb converges
+# slowly and breaks even between N = 200 and 300 (4.0 vs 12 ms at N = 100,
+# 12 vs 15 ms at N = 200, 37 vs 25 ms at N = 300).  From N = 100 the dense
+# solver also loses high-ell levels that the Arnoldi path keeps (linear
+# ell = 10, N = 100: 9e-3 vs 2e-7; ell = 4, N = 300: 3e-3 vs 3e-10), so the
+# bound is where Arnoldi wins with a linear term.
 ARNOLDI_MIN_N = 100
-# Arnoldi basis size (raised to 2k + 1 for large k); 25 to 80 timed alike
-ARNOLDI_NCV = 40
+# Arnoldi basis size (raised to 2k + 1 for large k).  On the four N = 800
+# benchmark solves (k = 7 and 5), ncv = 12, 16, 20, 30 and 40 need 202, 200,
+# 197, 209 and 219 inverse applications in all; 20 and 30 time alike, 40
+# takes 10-15% longer and 12-16 restart more often.
+ARNOLDI_NCV = 20
 
 
 def solve_spectrum(Hs, scale, shift=None, k=None):
@@ -230,13 +239,14 @@ def _abs_max(A, axis):
 def _shift_invert_arnoldi(Hs, shift, k):
     """The k eigenpairs of Hs nearest the shift, or None if ARPACK cannot deliver.
 
-    Hs - shift is equilibrated by power-of-two row and column scales before
-    its LU factorization.  Without that, the z^ell growth of the kernel
-    corners (max|Hs| = 1e18 for Coulomb ell = 2 at N = 800) costs the
-    factorization, and so the levels, 1e-8 of relative accuracy; with it
-    they are within 1e-10 of the exact hydrogen levels there.  The
-    normwise backward error of the dense QR solver meets the same corners
-    at higher ell, where this iteration is the more accurate of the two.
+    Its one N x N copy, Hs - shift equilibrated by power-of-two row and
+    column scales, is factored in place.  Without the scales, the z^ell
+    growth of the kernel corners (max|Hs| = 1e18 for Coulomb ell = 2 at
+    N = 800) costs the factorization, and so the levels, 1e-8 of relative
+    accuracy; with them they are within 1e-10 of the exact hydrogen levels
+    there.  The normwise backward error of the dense QR solver meets the
+    same corners at higher ell, where this iteration is the more accurate
+    of the two.
     """
     N = len(Hs)
     A = Hs.copy()
@@ -249,12 +259,15 @@ def _shift_invert_arnoldi(Hs, shift, k):
         # lu_factor only warns on an exactly singular factor
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
         try:
-            lu = scipy.linalg.lu_factor(A, overwrite_a=True, check_finite=False)
+            # A.T is F-contiguous, so LAPACK factors it in A's own memory;
+            # the solves below then use the transposed factors (trans = 1)
+            lu = scipy.linalg.lu_factor(A.T, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgWarning:
             return None
     inverse = scipy.sparse.linalg.LinearOperator(
         (N, N), dtype=float,
-        matvec=lambda b: cols * scipy.linalg.lu_solve(lu, rows * b, check_finite=False))
+        matvec=lambda b: cols * scipy.linalg.lu_solve(lu, rows * b, trans=1,
+                                                      check_finite=False))
     try:
         evals, evecs = scipy.sparse.linalg.eigs(
             Hs, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N),
@@ -354,34 +367,45 @@ def _disc_covers(evals, shift, top):
 
 
 def solve_levels(problem, N, sigma=1.0, count=5):
-    """Lowest `count` levels: assemble H once, scale it in place, diagonalize, select lazily.
+    """Lowest `count` levels: write H once, in row blocks, diagonalize, select lazily.
 
     sigma is the scale of the rational map (see mapped_nodes); a scale that
     is not positive and finite is a ValueError.  The weight tables come from
     the grid, which builds each once per mesh order, so a loop over ell at
-    fixed N reuses them.  From N = ARNOLDI_MIN_N only the 2 count eigenpairs
-    nearest the spectrum floor are computed; their levels are kept when all
-    `count` pass the filters and the disc of returned eigenvalues provably
-    holds every candidate up to the top level (see _disc_covers).
-    Otherwise, and below that N, all eigenpairs come from the dense solver.
+    fixed N reuses them.  The similar matrix d H d^-1 is written once, in
+    blocks of about 2^15 entries: each block's potential rows, kinetic
+    diagonal and scaling are formed while its buffers are in cache, so H
+    and the Arnoldi path's factored copy are the only N x N arrays of a
+    solve.  From N = ARNOLDI_MIN_N only the count + 2 eigenpairs nearest the
+    spectrum floor are computed; their levels are kept when all `count` pass
+    the filters and the disc of returned eigenvalues provably holds every
+    candidate up to the top level (see _disc_covers).  Otherwise, and below
+    that N, all eigenpairs come from the dense solver.
     """
     grid = cheb.chebyshev_grid(N)
     scale = similarity_scale(grid)
+    H = np.empty((N, N))
     # an overflowing kernel shows up as a non-finite H: one numerical failure
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, J = mapped_nodes(grid.nodes, sigma)
-        H = assemble_potential(problem, grid, sigma, x, J)
-        H.flat[::N + 1] += kinetic_diagonal(problem, x)
-        # the similar matrix d H d^-1 that both eigensolver paths take, in place
-        np.multiply(scale[:, None], H, out=H)
-        H /= scale
+        kinetic = kinetic_diagonal(problem, x)
+        # the similar matrix d H d^-1 that both eigensolver paths take; for
+        # powers of two, times 1/d rounds exactly like the division by d
+        unscale = 1.0 / scale
+        block = max(1, cheb.BLOCK_ELEMENTS // N)
+        for i in range(0, N, block):
+            rows = slice(i, i + block)
+            V = assemble_potential(problem, grid, sigma, x, J, rows)
+            V.flat[i::N + 1] += kinetic[rows]
+            Hb = np.multiply(scale[rows, None], V, out=H[rows])
+            Hb *= unscale
     # max and min propagate NaN, so this reads every entry without an N x N mask
     if not math.isfinite(_abs_max(H, axis=None)):
         raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
                            "or underflow at this ell or mapping scale sigma")
-    if N >= ARNOLDI_MIN_N and 0 < 2 * count < N - 1:
+    if N >= ARNOLDI_MIN_N and 0 < count < N - 3:
         floor = spectrum_floor(problem)
-        pairs = solve_spectrum(H, scale, floor, 2 * count)
+        pairs = solve_spectrum(H, scale, floor, count + 2)
         if pairs is not None:
             levels, complete = select_bound_states(pairs, problem, grid, x, J, count)
             if complete and _disc_covers(pairs[0], floor, levels[-1].epsilon):

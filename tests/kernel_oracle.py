@@ -1,7 +1,7 @@
 """Scalar kernel oracle: the partial-wave kernels at one point (x, x').
 
-`momentum.assemble_potential` evaluates the kernel formulas below on whole
-matrices, in place; this module evaluates them one entry at a time,
+`momentum.assemble_potential` evaluates the kernel formulas below on blocks
+of matrix rows, in place; this module evaluates them one entry at a time,
 grouped by singularity, so that the tests can rebuild the assembled matrix
 entry by entry and check each grouping against Q_ell.
 """

@@ -366,6 +366,16 @@ class TestMain:
         assert lines[0].startswith("ell,n,N")
         assert len(lines) == 2
 
+    def test_csv_failure_says_why_on_stderr(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("potential = linear\ns = 1\n")
+        code = cli.main(["--config", str(cfgfile), "--N", "4", "--levels", "2",
+                         "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.out.splitlines() == [",".join(cli.CSV_FIELDS)]
+        assert "ell=0: only 0 of 2 levels passed the filters" in captured.err.splitlines()
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("potential = linear\ns = 1\nell = 0\nlevels = 3\nN = 60\n")

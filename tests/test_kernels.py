@@ -69,8 +69,8 @@ class TestLegendreP:
 class TestRecurrenceOracle:
     @pytest.mark.parametrize("ell", range(9))
     def test_bit_identical_to_generator_recurrence(self, ell):
-        # blocks of the flattened argument, a strided view and a scalar
-        z = np.linspace(1.0, 40.0, 3 * (kernels._BLOCK + 7)).reshape(3, -1)
+        # a matrix, a strided view and a scalar
+        z = np.linspace(1.0, 40.0, 3 * ((1 << 14) + 7)).reshape(3, -1)
         pairs = [(kernels.legendre_P, assembly_oracle.legendre_P)]
         if ell >= 1:
             pairs.append((kernels.w_poly, assembly_oracle.w_poly))

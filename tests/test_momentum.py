@@ -127,24 +127,25 @@ class TestAssembly:
         np.testing.assert_allclose(S, 1.0 - t[i] * t[j], rtol=1e-13)
         np.testing.assert_allclose(2.0 * x / J, 1.0 - t * t, rtol=1e-13)
 
-    def test_assembly_memory_does_not_grow_with_ell(self):
-        # the kernel tables of any ell take a fixed number of N x N arrays:
-        # at most five live at once (44.1 bytes * N^2 measured)
-        N = 400
+    def test_solve_memory_does_not_grow_with_ell(self):
+        # H and the eigensolver's copy of it, which LAPACK factors in place,
+        # are the only N x N arrays of a solve; assembly adds at most eleven
+        # row-block buffers (ell = 7) and ARPACK its N x ncv basis
+        N = 800
         grid = cheb.chebyshev_grid(N)
         for table in ("plain_weights", "q0_table", "pole_table"):
             getattr(grid, table)
-        x, J = mom.mapped_nodes(grid.nodes, 1.0)
+        block_bytes = cheb.BLOCK_ELEMENTS * 8
         peaks = []
-        for ell in (2, 7):
+        for ell in (0, 2, 7):
             tracemalloc.start()
             try:
-                mom.assemble_potential(refs.linear_params(ell), grid, 1.0, x, J)
-                peaks.append(tracemalloc.get_traced_memory()[1] / N**2)
+                mom.solve_levels(refs.linear_params(ell), N, 1.0, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 48.5
-        assert peaks[1] <= 1.05 * peaks[0]
+        assert max(peaks) <= 16 * N**2 + 12 * block_bytes
+        assert peaks[2] <= 1.05 * peaks[0]
 
     def test_grid_keeps_only_the_two_kernel_rules(self, monkeypatch):
         # a Cornell ell = 2 solve reads every kernel term; afterwards its
@@ -176,6 +177,28 @@ class TestAssembly:
             want = assembly_oracle.assemble_potential(params, oracle, sigma, x, J)
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", (80, 300, 800))
+    @pytest.mark.parametrize("case", ("coulomb", "cornell", "linear", "salpeter"))
+    def test_row_blocks_equal_the_whole_matrix(self, case, N, monkeypatch):
+        # solve_levels writes d H d^-1 in row blocks: one block at N = 80, a
+        # ragged last block at N = 300, twenty at N = 800
+        class Handed(Exception):
+            pass
+
+        def handed(Hs, *args, **kwargs):
+            raise Handed(Hs)
+
+        monkeypatch.setattr(mom, "solve_spectrum", handed)
+        make_params, sigma = SELECTION_CASES[case]
+        grid = cheb.chebyshev_grid(N)
+        x, J = mom.mapped_nodes(grid.nodes, sigma)
+        for ell in range(8):
+            params = make_params(ell)
+            with pytest.raises(Handed) as got:
+                mom.solve_levels(params, N, sigma, 5)
+            assert np.array_equal(got.value.args[0],
+                                  scaled_hamiltonian(params, grid, sigma, x, J))
 
 
 @functools.cache
@@ -430,7 +453,7 @@ class TestArnoldi:
         make_params, sigma = SELECTION_CASES[case]
         params = make_params(ell)
         got, ok = mom.solve_levels(params, N, sigma, 5)
-        assert eigensolves == [10]
+        assert eigensolves == [7]
         want, want_ok = dense_levels(params, N, sigma, 5)
         assert ok and want_ok
         for a, b in zip(got, want, strict=True):
@@ -500,15 +523,15 @@ class TestArnoldi:
         params = SELECTION_CASES["coulomb"][0](1)
         first = mom.solve_levels(params, 400, 0.5, 5)
         assert_same_levels(mom.solve_levels(params, 400, 0.5, 5), first)
-        assert eigensolves == [10, 10]
+        assert eigensolves == [7, 7]
 
     def test_dense_below_threshold_and_for_many_levels(self, eigensolves):
         mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N - 1, 1.0, 5)
         mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, 1.0, 5)
-        # ARPACK needs k < N - 1
+        # ARPACK needs k = count + 2 < N - 1
         mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, 1.0,
-                         mom.ARNOLDI_MIN_N // 2)
-        assert eigensolves == [mom.ARNOLDI_MIN_N - 1, 10, mom.ARNOLDI_MIN_N]
+                         mom.ARNOLDI_MIN_N - 3)
+        assert eigensolves == [mom.ARNOLDI_MIN_N - 1, 7, mom.ARNOLDI_MIN_N]
 
 
 @functools.cache
