@@ -13,11 +13,13 @@ three singular rules are provided:
 All four rules are interpolatory, exact for polynomials of degree < N.  The
 PV and finite-part tables at the mesh points have closed forms (see
 pv_weight_table); the log weights and the PV weights at one point are a
-DCT-III of Chebyshev moments from recurrences bounded on [-1, 1].
+DCT-III of Chebyshev moments from recurrences bounded on [-1, 1].  Tables
+at the exactly odd mesh are computed on their top ceil(N/2) rows and mirrored.
 """
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,15 +42,16 @@ def _plain_moments(nmax):
 class ChebGrid:
     """Chebyshev mesh of order N with all derived tables cached immutably.
 
-    Nodes are the N zeros of T_N in decreasing order,
-    t_i = cos(pi (i + 1/2) / N) for i = 0..N-1 (0-based).
+    Nodes are the N zeros of T_N in decreasing order, t_i = cos(pi (i + 1/2) / N)
+    for i = 0..N-1 (0-based), computed as sin(pi (N - 1 - 2i) / (2N)), which
+    is exactly odd: t_{N-1-i} = -t_i, and t = 0 in the middle for odd N.
     """
 
     def __init__(self, N):
-        if N < 2:
-            raise ValueError(f"grid order must be >= 2, got {N}")
+        if not isinstance(N, numbers.Integral) or N < 2:
+            raise ValueError(f"grid order must be an integer >= 2, got {N!r}")
         self.N = int(N)
-        self.nodes = np.cos(np.pi * (np.arange(self.N) + 0.5) / self.N)
+        self.nodes = np.sin(np.pi * np.arange(N - 1, -N, -2) / (2 * self.N))
         self.nodes.setflags(write=False)
 
     @cached_property
@@ -60,20 +63,19 @@ class ChebGrid:
     def q0_table(self):
         """Rule Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i) for log|(1 - t_i t)/(t - t_i)|."""
         t = self.nodes
-        Q = np.multiply(t[:, None], t)
-        np.subtract(1.0, Q, out=Q)
-        np.log(Q, out=Q)
-        Q *= self.plain_weights
-        Q -= log_weight_table(self)
-        return _read_only(Q)
+        h = (self.N + 1) // 2
+        Q = log_weight_table(self)
+        L = np.multiply.outer(t[:h], t)
+        np.subtract(1.0, L, out=L)
+        np.log(L, out=L)
+        L *= self.plain_weights
+        np.subtract(L, Q[:h], out=Q[:h])
+        return _read_only(_mirror(Q, 1.0))
 
     @cached_property
     def pole_table(self):
         """Double-pole rule (1 - t_j) eta_j(t_i) + omega_j(t_i), by parts (see momentum)."""
-        W, eta = pv_weight_table(self)
-        eta *= 1.0 - self.nodes
-        eta += W
-        return _read_only(eta)
+        return _read_only(pv_weight_table(self, pole=True))
 
     def __repr__(self):
         return f"ChebGrid(N={self.N})"
@@ -84,32 +86,40 @@ def _read_only(a):
     return a
 
 
+def _mirror(a, sign):
+    """Set a.flat[-1 - k] = sign a.flat[k] on the back half of C-contiguous a."""
+    f = a.reshape(-1)
+    k = f.size // 2
+    np.multiply(f[:k][::-1], sign, out=f[f.size - k:])
+    return a
+
+
 def _cardinal_weights(moments):
     """Weights sum_n moments[n, ...] C[n, j] of the cardinal functions G_j.
 
     With C[n, j] = (2/N) cos(n theta_j), first row halved, this is a DCT-III
     along n, O(N^2 log N) for a table instead of the O(N^3) product with C.
-    A moment table of shape (N, M) gives C-contiguous weights of shape
-    (M, N), one row per point; one moment vector gives one weight vector.
+    In the moments' memory: a moment table of shape (N, M) gives weights of
+    shape (M, N), one row per point; one moment vector gives one weight vector.
     """
-    W = scipy.fft.dct(moments.T, type=3, axis=-1)
+    W = scipy.fft.dct(moments.T, type=3, axis=-1, overwrite_x=True)
     W /= moments.shape[0]
     return W
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def chebyshev_grid(N):
     """Shared, immutable grid of order N (tables are computed once)."""
     return ChebGrid(N)
 
 
-def _recurrence(tau, nmax, y0, y1, source=None):
+def _recurrence(tau, nmax, y0, y1, source=None, out=None):
     """Rows n < nmax of y_{n+1} = 2 tau y_n - y_{n-1} (+ source[n]); y0 = 1, y1 = tau give T_n.
 
-    Rows are written in place, as views also when tau is a scalar.
+    Rows are written in place (into `out` if given), as views also when tau is a scalar.
     """
     tau = np.asarray(tau, dtype=float)
-    y = np.empty((nmax,) + tau.shape)
+    y = np.empty((nmax,) + tau.shape) if out is None else out
     y[0] = y0
     if nmax > 1:
         y[1] = y1
@@ -122,14 +132,14 @@ def _recurrence(tau, nmax, y0, y1, source=None):
     return y
 
 
-def _pv_g_moments(tau, nmax):
+def _pv_g_moments(tau, nmax, out=None):
     """Smooth parts g_n of the PV moments, n = 0..nmax-1.
 
     rho_n(tau) = PV int T_n(t)/(t - tau) dt = T_n(tau) log((1-tau)/(1+tau))
     + g_n(tau), g_0 = 0, g_1 = 2, g_{n+1} = 2 tau g_n - g_{n-1} + 2 mu_n:
     polynomials, valid on the closed interval, growing at most linearly in n.
     """
-    return _recurrence(tau, nmax, 0.0, 2.0, 2.0 * _plain_moments(max(nmax, 2)))
+    return _recurrence(tau, nmax, 0.0, 2.0, 2.0 * _plain_moments(max(nmax, 2)), out)
 
 
 def _pv_moments(tau, nmax):
@@ -140,7 +150,7 @@ def _pv_moments(tau, nmax):
     return rho
 
 
-def _log_moments(tau, nmax):
+def _log_moments(tau, nmax, out=None):
     """Log-kernel moments Lambda_n(tau) = int T_n(t) log|t - tau| dt.
 
     Built by integrating by parts against the PV moments.  With the
@@ -154,7 +164,7 @@ def _log_moments(tau, nmax):
     formula is finite on the whole closed interval (0 * log 0 = 0).  For
     n >= 2, A_n = (T_{n+1}/(n+1) - T_{n-1}/(n-1))/2, and the PV integral is
     the same combination of the g moments; both are formed for all n at
-    once, in the buffers of the T and g tables.
+    once, into `out` if given, the T and then the g table in one buffer.
     """
     tau = np.asarray(tau, dtype=float)
     one_m = 1.0 - tau
@@ -164,7 +174,7 @@ def _log_moments(tau, nmax):
     log_p = np.where(one_p > 0.0, np.log(np.where(one_p > 0.0, one_p, 1.0)), 0.0)
 
     T = _recurrence(tau, nmax + 1, 1.0, tau)
-    lam = np.empty((nmax,) + tau.shape)
+    lam = np.empty((nmax,) + tau.shape) if out is None else out
     # n = 0: closed form, finite at the endpoints
     lam[0] = one_m * log_m + one_p * log_p - 2.0
     if nmax > 1:
@@ -173,9 +183,7 @@ def _log_moments(tau, nmax):
         lam[1] = (0.5 - a1) * log_m + (a1 - 0.5) * log_p - tau
     if nmax <= 2:
         return lam
-    # n = 2..nmax-1 as a column, k = 1..nmax as the divisors of T_k and g_k.
-    # The g table is built once the T table is released: three tables are
-    # live only for the last, unbroadcast steps, which take no buffers.
+    # n = 2..nmax-1 as a column, k = 1..nmax as the divisors of T_k and g_k
     n = np.arange(2.0, nmax).reshape((-1,) + (1,) * tau.ndim)
     k = np.arange(1.0, nmax + 1).reshape((-1,) + (1,) * tau.ndim)
     an_hi = -1.0 / (n * n - 1.0)
@@ -190,12 +198,13 @@ def _log_moments(tau, nmax):
     np.subtract(an_hi, an, out=an)
     an *= log_m
     an += piece
-    del T, piece
-    g = _pv_g_moments(tau, nmax + 1)
+    g = _pv_g_moments(tau, nmax + 1, out=T)
     g[1:] /= k
-    reg = np.subtract(g[3:], g[1:-2])
-    reg *= 0.5
-    an -= reg
+    rows = max(1, BLOCK_ELEMENTS // g[0].size)
+    for i in range(0, nmax - 2, rows):
+        reg = np.subtract(g[3:][i:i + rows], g[1:-2][i:i + rows])    # blocks, no third table
+        reg *= 0.5
+        an[i:i + rows] -= reg
     return lam
 
 
@@ -223,7 +232,7 @@ def weights_log(grid, tau):
     return _cardinal_weights(_log_moments(np.float64(tau), grid.N))
 
 
-def pv_weight_table(grid):
+def pv_weight_table(grid, pole=False):
     """PV and finite-part weights at every mesh point, in closed form.
 
     Returns (W, eta) with W[i, j] = omega_j(t_i) and eta[i, j] = eta_j(t_i) =
@@ -239,23 +248,27 @@ def pv_weight_table(grid):
     -2/sin^2 theta_i minus the rest of row i, since sum_j eta_j = L' (the
     negative sum trick of Baltensperger & Trummer, SIAM J. Sci. Comput. 24
     (2003) 1465).  L(t_i) and 1 - t_i^2 come from theta_i, accurate near
-    the ends.  O(N^2), in cache-sized blocks of rows; the moment and DCT-III
-    build it replaced is the test oracle tests/assembly_oracle.pv_weight_table.
+    the ends.  O(N^2), in cache-sized blocks of the top ceil(N/2) rows, then
+    mirrored: W[N-1-i, N-1-j] = -W[i, j], eta[N-1-i, N-1-j] = eta[i, j].
+    pole=True returns ChebGrid.pole_table, (1 - t_j) eta_ij + W_ij, alone.
+    The moment and DCT-III build is the oracle tests/assembly_oracle.pv_weight_table.
     """
     N = grid.N
+    h = (N + 1) // 2
     t, w = grid.nodes, grid.plain_weights
     theta = np.pi * (np.arange(N) + 0.5) / N
     q = np.sin(theta) * (-1.0) ** np.arange(N)
     W_diag = 2.0 * np.log(np.tan(0.5 * theta)) + w * t / (2.0 * q * q)
     eta_diag = -2.0 / (q * q)
-    W, eta = np.empty((N, N)), np.empty((N, N))
+    eta = np.empty((N, N))    # the finite-part table, or the double-pole rule
+    W = None if pole else np.empty((N, N))
     rows = max(1, BLOCK_ELEMENTS // N)
-    for i in range(0, N, rows):
-        b = slice(i, i + rows)
+    for i in range(0, h, rows):
+        b = slice(i, min(i + rows, h))
         c = np.subtract.outer(t[b], t)
         c.flat[i::N + 1] = np.inf    # so that c_ii = 0
         np.reciprocal(c, out=c)
-        Wb = np.multiply.outer(w[b] / q[b], q, out=W[b])
+        Wb = np.multiply.outer(w[b] / q[b], q, out=None if pole else W[b])
         Wb -= w
         Wb *= c
         W_diag[b] += c @ w
@@ -263,11 +276,23 @@ def pv_weight_table(grid):
         eta_b -= Wb
         eta_b *= c
         eta_diag[b] -= eta_b.sum(axis=1)
-    W.flat[::N + 1] = W_diag
-    eta.flat[::N + 1] = eta_diag
-    return W, eta
+        Wb.flat[i::N + 1] = W_diag[b]
+        eta_b.flat[i::N + 1] = eta_diag[b]
+        if b.stop > N // 2:    # the middle row of odd N, at t = 0, is its own image
+            _mirror(Wb[-1], -1.0)[N // 2] = 0.0
+            _mirror(eta_b[-1], 1.0)
+        if pole:
+            back = np.multiply(eta_b, 1.0 + t, out=c)
+            back -= Wb
+            eta_b *= 1.0 - t
+            eta_b += Wb
+            eta[N - b.stop:N - i] = back[::-1, ::-1]
+    return eta if pole else (_mirror(W, -1.0), _mirror(eta, 1.0))
 
 
 def log_weight_table(grid):
-    """Matrix W with W[i, j] = Omega_j(t_i): log weights at every mesh point."""
-    return _cardinal_weights(_log_moments(grid.nodes, grid.N))
+    """Log weights W[i, j] = Omega_j(t_i): top rows, formed in the back ones, then mirrored."""
+    N, h = grid.N, (grid.N + 1) // 2
+    W = np.empty((N, N))
+    W[:h] = _cardinal_weights(_log_moments(grid.nodes[:h], N, out=W[N // 2:].reshape(N, h)))
+    return _mirror(W, 1.0)

@@ -44,12 +44,12 @@ CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "imag")
 COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
-# at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound.  Measured
-# at N = 1600, linear ell = 2 and 7: 68 when the solve ends on the dense
-# path, set by LAPACK's copy and the complex eigenvectors, and 46 on the
-# Arnoldi path, set by the weight-table build (79 and 60 at N = 800, where
-# fixed costs add).  Of that, the grid's two kernel rules keep 16, and H
-# with the Arnoldi path's factored copy take 16 (tracemalloc, rules built).
+# at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound; the dense
+# path sets it, with LAPACK's copy and the complex eigenvectors.  Over a
+# forked child's RSS before the grid, at N = 1600, linear ell = 2 and 7: 56
+# on the dense path and 42 on the Arnoldi path, where the eigensolve sets it
+# (67 and 55 at N = 800).  Of that, the grid's two kernel rules keep 16, and
+# H with the Arnoldi path's factored copy take 16 (tracemalloc, rules built).
 MAX_N = 4000
 
 

@@ -10,7 +10,10 @@ floating-point operations in the same order, so the tests require equal
 results, not close ones.  The one exception is `pv_weight_table`, the
 moment build of the PV and finite-part tables: their closed forms in
 `cheb.pv_weight_table` round differently, so the tests hold them to a
-tolerance against it.
+tolerance against it.  The log table and the log-kernel rule are built
+whole here and then given the library's one change of arithmetic, its
+mirror step: the back half, in flat order, is replaced by the front half
+reversed (`mirrored`), which the exactly odd mesh makes an identity.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def q0_rule(grid):
     Q = np.log(1.0 - np.outer(grid.nodes, grid.nodes))
     Q *= grid.plain_weights
     Q -= grid.log_table
-    return Q
+    return mirrored(Q)
 
 
 def pole_rule(grid):
@@ -183,8 +186,16 @@ def pv_weight_table(nodes):
     return W, _cardinal_weights(fp)
 
 
+def mirrored(a):
+    """`a` with a.flat[-1 - k] = a.flat[k] for every k < a.size // 2."""
+    f = a.ravel().copy()
+    k = f.size // 2
+    f[f.size - k:] = f[:k][::-1]
+    return f.reshape(a.shape)
+
+
 def log_weight_table(nodes):
-    return _cardinal_weights(log_moments(nodes, len(nodes)))
+    return mirrored(_cardinal_weights(log_moments(nodes, len(nodes))))
 
 
 def oracle_grid(grid):

@@ -1,5 +1,7 @@
 """Mesh, interpolation, differentiation and quadrature rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -74,6 +76,12 @@ class TestGrid:
     def test_order_too_small(self):
         with pytest.raises(ValueError):
             cheb.ChebGrid(1)
+
+    def test_order_must_be_integral(self):
+        for N in (80.7, 80.0, "80"):
+            with pytest.raises(ValueError):
+                cheb.ChebGrid(N)
+        assert cheb.ChebGrid(np.int64(9)).N == 9
 
     def test_grid_cache_returns_same_object(self):
         assert cheb.chebyshev_grid(16) is cheb.chebyshev_grid(16)
@@ -256,7 +264,7 @@ class TestBuildOracle:
         assert np.array_equal(cheb._pv_moments(grid.nodes, N),
                               assembly_oracle.pv_moments(grid.nodes, N))
 
-    @pytest.mark.parametrize("N", (2, 8, 80, 800))
+    @pytest.mark.parametrize("N", (2, 3, 8, 80, 81, 800))
     def test_kernel_rules_match_per_solve_formation(self, N):
         # the grid's two rules equal their per-solve formation from the PV,
         # finite-part and log tables, kept in the oracle
@@ -323,3 +331,74 @@ class TestClosedForms:
                                     reference_rows(mp, N, rows)):
             err = np.max(np.abs(got[rows] - exact))
             assert err <= 1.5 * np.max(np.abs(want[rows] - exact))
+
+
+def reference_q0(mp, N):
+    """The log-kernel rule q0_table at N exact Chebyshev nodes, to 40 digits.
+
+    Each cardinal function l_j is expanded in monomials, which the plain
+    weight and the log integral Omega_j(t_i) = int l_j(t) log|t - t_i| dt
+    then integrate in closed form (analytic_plain, analytic_log).
+    """
+    with mp.workdps(40):
+        t = [mp.cospi(mp.mpf(2 * i + 1) / (2 * N)) for i in range(N)]
+        plain = [mp.mpf(0) if m % 2 else mp.mpf(2) / (m + 1) for m in range(N)]
+
+        def log_monomial(m, tau):
+            bnd = ((1 - tau ** (m + 1)) * mp.log(1 - tau)
+                   - ((-1) ** (m + 1) - tau ** (m + 1)) * mp.log(1 + tau))
+            return (bnd - mp.fsum(tau ** k * plain[m - k] for k in range(m + 1))) / (m + 1)
+
+        logs = [[log_monomial(m, tau) for m in range(N)] for tau in t]
+        Q = np.empty((N, N))
+        for j in range(N):
+            c = [mp.mpf(1)]
+            for k in range(N):
+                if k != j:    # times (t - t_k)/(t_j - t_k)
+                    c = [((c[m - 1] if m else 0) - t[k] * (c[m] if m < len(c) else 0))
+                         / (t[j] - t[k]) for m in range(len(c) + 1)]
+            w = mp.fsum(a * b for a, b in zip(c, plain))
+            for i in range(N):
+                omega = mp.fsum(a * b for a, b in zip(c, logs[i]))
+                Q[i, j] = float(w * mp.log(1 - t[i] * t[j]) - omega)
+    return Q
+
+
+class TestMirror:
+    """The tables at the mesh points are their top rows and the mirror image of them."""
+
+    @pytest.mark.parametrize("N", (2, 3, 8, 9, 80, 81, 800))
+    def test_tables_are_exact_mirror_images(self, N):
+        grid = cheb.ChebGrid(N)
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+        pv, fp = cheb.pv_weight_table(grid)
+        for table in (grid.q0_table, cheb.log_weight_table(grid), fp):
+            assert np.array_equal(table, table[::-1, ::-1])
+        assert np.array_equal(pv, -pv[::-1, ::-1])
+
+    @pytest.mark.parametrize("N", (10, 11, 16))
+    def test_q0_table_both_halves_to_40_digits(self, N):
+        mp = pytest.importorskip("mpmath")
+        err = np.abs(cheb.ChebGrid(N).q0_table - reference_q0(mp, N))
+        h = (N + 1) // 2
+        # the mirrored bottom rows are as accurate as the computed top rows
+        # (4.1e-16 at N = 16; a whole-mesh build's bottom rows miss by 7.8e-16)
+        assert err[:h].max() <= 6e-16
+        assert err[h:].max() <= 6e-16
+
+    def test_rules_build_in_bounded_memory(self):
+        # a fresh grid at N = 800 keeps 8 bytes * N^2 per rule; the log
+        # rule's build holds at most as much again, and the pole rule's
+        # blocks a few times 2^15 entries (32 bytes * N^2 before the mirror)
+        N = 800
+        grid = cheb.ChebGrid(N)
+        tracemalloc.start()
+        try:
+            grid.q0_table
+            q0_peak = tracemalloc.get_traced_memory()[1]
+            grid.pole_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q0_peak <= 16 * N**2
+        assert peak <= 24 * N**2

@@ -47,6 +47,13 @@ class TestMapping:
             with pytest.raises(ValueError):
                 mom.solve_levels(refs.linear_params(0), 8, sigma, 1)
 
+    def test_rejects_non_integral_order(self):
+        # also once the grid of the integral order is cached
+        mom.solve_levels(refs.linear_params(0), 80, 1.0, 2)
+        for N in (80.0, 80.7):
+            with pytest.raises(ValueError):
+                mom.solve_levels(refs.linear_params(0), N, 1.0, 2)
+
 
 class TestParams:
     def test_salpeter_needs_masses(self):
