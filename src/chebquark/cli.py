@@ -6,11 +6,13 @@ configuration, `scan` tabulates them against a list of mesh orders,
 side, and `reproduce` reruns one of the three stored benchmark campaigns
 and grades the output against the stored references.
 
-Configuration files are plain-text key-value documents in INI form; all
-sections are merged, so sections serve only as visual grouping.  Command
-line flags override file values.  Exit status is 0 when every requested
-level was produced, passed the acceptance filters and, in `compare`,
-agrees across solvers; 2 on configuration errors; 3 on numerical failures.
+Configuration files are plain-text key-value documents in INI form with
+literal values; all sections, `[DEFAULT]` too, are merged, so sections serve
+only as visual grouping.  Command line flags override file values.  The
+validated configuration holds the partial waves to solve, whose
+`kernels.Problem` checks the physics.  Exit status is 0 when every requested
+level was produced, passed the acceptance filters and, in `compare`, agrees
+across solvers; 2 on configuration errors; 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -19,17 +21,19 @@ import argparse
 import configparser
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import momentum as mom
 from . import radial
 from . import references as refs
-from .kernels import KINETIC_MODES, Problem
+from .kernels import Problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,33 +63,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Validated run description with all defaults filled in."""
+    """Validated run: its command, where its report goes, the partial waves it solves."""
 
-    command: str = "solve"
-    potential: str = "linear"
-    alpha: float = 0.0
-    s: float = 1.0
-    beta: float | None = None          # GeV^2, physical runs only
-    mass_gev: float | None = None      # quark mass, physical runs only
-    ell: tuple = (0,)
-    levels: int = 5
-    N: tuple = (100,)
-    sigma: float = 1.0
-    kinetic: str = "nonrelativistic"
-    format: str = "pretty"
-    out: str | None = None
-    table: int | None = None
-
-    @property
-    def physical(self):
-        """True when energies carry GeV units (beta and quark mass given)."""
-        return self.beta is not None
-
-    @property
-    def scales(self):
-        if not self.physical:
-            return None
-        return refs.PhysicalScales(self.mass_gev, self.beta)
+    command: str
+    format: str
+    out: str | None
+    table: int | None
+    waves: tuple
 
 
 def _parse_int_list(text, name):
@@ -115,28 +99,30 @@ def _parse_float(text, name):
     return value
 
 
-# configuration key -> (RunConfig attribute, parser); None keeps the string
+# configuration key -> (parser, default); a parser of None keeps the string
 _FIELDS = {
-    "command": ("command", None),
-    "potential": ("potential", None),
-    "alpha": ("alpha", _parse_float),
-    "s": ("s", _parse_float),
-    "beta": ("beta", _parse_float),
-    "mass": ("mass_gev", _parse_float),
-    "ell": ("ell", _parse_int_list),
-    "levels": ("levels", _parse_int),
-    "N": ("N", _parse_int_list),
-    "sigma": ("sigma", _parse_float),
-    "kinetic": ("kinetic", None),
-    "format": ("format", None),
-    "out": ("out", None),
-    "table": ("table", _parse_int),
+    "command": (None, "solve"),
+    "potential": (None, "linear"),
+    "alpha": (_parse_float, 0.0),
+    "s": (_parse_float, 1.0),
+    "beta": (_parse_float, None),         # GeV^2, physical runs only
+    "mass": (_parse_float, None),         # quark mass in GeV, physical runs only
+    "ell": (_parse_int_list, (0,)),
+    "levels": (_parse_int, 5),
+    "N": (_parse_int_list, (100,)),
+    "sigma": (_parse_float, 1.0),
+    "kinetic": (None, "nonrelativistic"),
+    "format": (None, "pretty"),
+    "out": (None, None),
+    "table": (_parse_int, None),
 }
 
 
 def _read_raw(text):
     """Key-value strings of a configuration document, sections merged."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # literal values; no header can name the section "", so [DEFAULT] is an ordinary one
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="")
     parser.optionxform = str
     body = text if text.lstrip().startswith("[") else "[run]\n" + text
     try:
@@ -163,7 +149,7 @@ def parse_config(text):
 
 
 def build_config(raw):
-    """Validate a flat mapping of key-value strings and fill defaults.
+    """Validate a flat mapping of key-value strings and build the run's partial waves.
 
     Unknown keys, and keys that the configured run would ignore, are
     rejected with a message listing them.
@@ -171,10 +157,11 @@ def build_config(raw):
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    cfg = RunConfig()
+    cfg = SimpleNamespace(**{key: default for key, (_, default) in _FIELDS.items()})
     for key, text in raw.items():
-        attr, parse = _FIELDS[key]
-        setattr(cfg, attr, text if parse is None else parse(text, key))
+        parse = _FIELDS[key][0]
+        setattr(cfg, key, text if parse is None else parse(text, key))
+    cfg.physical = cfg.beta is not None or cfg.potential == "cornell"   # energies in GeV
     unused = ", ".join(sorted(_ignored_keys(cfg, raw)))
     if unused:
         raise ConfigError(
@@ -182,14 +169,15 @@ def build_config(raw):
             "otherwise table is for reproduce, alpha for coulomb and cornell, s for "
             f"dimensionless runs and mass for runs with beta; remove: {unused}")
     _validate(cfg)
-    return cfg
+    waves = refs.campaign(cfg.table) if cfg.command == "reproduce" else _waves(cfg)
+    return RunConfig(cfg.command, cfg.format, cfg.out, cfg.table, tuple(waves))
 
 
 def _ignored_keys(cfg, raw):
     """The keys of raw that the configured run would not read."""
     if cfg.command == "reproduce":
         return set(raw) - {"command", "table", "format", "out"}
-    ignored = {"table", "s" if cfg.physical or cfg.potential == "cornell" else "mass"}
+    ignored = {"table", "s" if cfg.physical else "mass"}
     if cfg.potential == "linear":
         ignored.add("alpha")
     return set(raw) & ignored
@@ -200,8 +188,6 @@ def _validate(cfg):
         raise ConfigError(f"field 'command' must be one of {COMMANDS}, got {cfg.command!r}")
     if cfg.potential not in POTENTIALS:
         raise ConfigError(f"field 'potential' must be one of {POTENTIALS}, got {cfg.potential!r}")
-    if cfg.kinetic not in KINETIC_MODES:
-        raise ConfigError(f"field 'kinetic' has invalid value {cfg.kinetic!r}")
     if cfg.format not in FORMATS:
         raise ConfigError(f"field 'format' must be one of {FORMATS}, got {cfg.format!r}")
     if cfg.sigma <= 0.0:
@@ -213,8 +199,6 @@ def _validate(cfg):
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
                           f"up to 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
-    if any(l < 0 for l in cfg.ell):
-        raise ConfigError("field 'ell' entries must be nonnegative")
     if len(set(cfg.ell)) < len(cfg.ell):
         raise ConfigError("field 'ell' entries must be distinct")
     if cfg.command == "scan":
@@ -227,16 +211,11 @@ def _validate(cfg):
         if cfg.table not in (1, 2, 3):
             raise ConfigError("command 'reproduce' requires field 'table' in {1, 2, 3}")
         return
-    if cfg.physical or cfg.potential == "cornell":
+    if cfg.physical:
         if cfg.beta is None or cfg.beta <= 0.0:
             raise ConfigError("physical runs require field 'beta' > 0 (GeV^2)")
-        if cfg.mass_gev is None or cfg.mass_gev <= 0.0:
+        if cfg.mass is None or cfg.mass <= 0.0:
             raise ConfigError("physical runs require field 'mass' > 0 (GeV)")
-        # unit conversion a = 1/sqrt(beta): s = sqrt(beta)/m for equal masses
-        cfg.s = cfg.scales.s
-    else:
-        if cfg.s <= 0.0:
-            raise ConfigError("dimensionless runs require field 's' > 0")
     if cfg.potential != "linear" and cfg.alpha <= 0.0:
         raise ConfigError(f"potential {cfg.potential!r} requires field 'alpha' > 0")
     if cfg.kinetic == "salpeter":
@@ -246,16 +225,22 @@ def _validate(cfg):
             raise ConfigError("salpeter kinetic mode requires physical parameters")
 
 
-def _problem(cfg, ell):
-    """The partial wave ell of the configured potential."""
-    return Problem(
-        ell=ell,
-        alpha=cfg.alpha,
-        linear=cfg.potential != "coulomb",
-        s=cfg.s,
-        kinetic=cfg.kinetic,
-        am=cfg.scales.am if cfg.kinetic == "salpeter" else 0.0,
-    )
+def _waves(cfg):
+    """One partial wave per ell, and per ell and N in `scan`; `Problem` checks the physics."""
+    # unit conversion a = 1/sqrt(beta): s = sqrt(beta)/m for equal masses
+    scales = refs.PhysicalScales(cfg.mass, cfg.beta) if cfg.physical else None
+    for ell in cfg.ell:
+        try:
+            problem = Problem(ell=ell, alpha=cfg.alpha, linear=cfg.potential != "coulomb",
+                              s=cfg.s if scales is None else scales.s, kinetic=cfg.kinetic,
+                              am=scales.am if cfg.kinetic == "salpeter" else 0.0)
+        except ValueError as exc:
+            raise ConfigError(str(exc) if scales is None else
+                              f"{exc} (beta = {cfg.beta:g} GeV^2 and mass = {cfg.mass:g} GeV "
+                              f"give s = {scales.s:g} and am = {scales.am:g})")
+        for N in cfg.N:
+            label = f"ell={ell} N={N}" if cfg.command == "scan" else f"ell={ell}"
+            yield refs.PartialWave(label, problem, N, cfg.sigma, cfg.levels, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +289,7 @@ def _run_solve(cfg):
     """`solve`, and `compare`, which pairs each level with the coordinate solver's."""
     report = Report(cfg.command)
     paired = []
-    for ell in cfg.ell:
-        wave = refs.PartialWave(f"ell={ell}", _problem(cfg, ell), cfg.N[0], cfg.sigma,
-                                cfg.levels, cfg.scales)
+    for wave in cfg.waves:
         rows = _solve_wave(report, wave)
         if cfg.command != "compare":
             continue
@@ -318,15 +301,15 @@ def _run_solve(cfg):
             try:
                 eps_r = radial.solve_radial(p, n)
             except RuntimeError as exc:
-                _fail(report, f"ell={ell} n={n}: coordinate solver failed: {exc}")
+                _fail(report, f"{wave.label} n={n}: coordinate solver failed: {exc}")
                 continue
             delta = eps - eps_r
-            paired.append({"ell": ell, "n": n, "momentum": eps,
+            paired.append({"ell": p.ell, "n": n, "momentum": eps,
                            "coordinate": float(eps_r), "delta": float(delta)})
-            report.diagnostics.append(
-                f"ell={ell} n={n}: momentum {eps:.7g} coordinate {eps_r:.7g} delta {delta:.2e}")
+            report.diagnostics.append(f"{wave.label} n={n}: momentum {eps:.7g} "
+                                      f"coordinate {eps_r:.7g} delta {delta:.2e}")
             if abs(delta) > COMPARE_TOL * unit:
-                _fail(report, f"ell={ell} n={n}: the solvers disagree by more than "
+                _fail(report, f"{wave.label} n={n}: the solvers disagree by more than "
                               f"{COMPARE_TOL:g} of the energy unit {unit:.3g}")
     if cfg.command == "compare":
         report.extra["compare"] = paired
@@ -337,19 +320,19 @@ def _run_scan(cfg):
     """`solve` at each N of the list, reporting each level's successive differences."""
     report = Report("scan")
     diffs = {}
-    for ell in cfg.ell:
+    for ell, waves in itertools.groupby(cfg.waves, lambda wave: wave.problem.ell):
+        waves = list(waves)
+        levels = range(waves[0].levels)
         eps = []
-        for N in cfg.N:
-            wave = refs.PartialWave(f"ell={ell} N={N}", _problem(cfg, ell), N, cfg.sigma,
-                                    cfg.levels, cfg.scales)
+        for wave in waves:
             found = {row["n"]: row["epsilon"] for row in _solve_wave(report, wave)}
-            eps.append([found.get(n) for n in range(cfg.levels)])
+            eps.append([found.get(n) for n in levels])
         diffs[str(ell)] = [[None if a is None or b is None else abs(b - a)
                             for a, b in zip(lo, hi)] for lo, hi in zip(eps, eps[1:])]
-        for n in range(cfg.levels):
+        for n in levels:
             report.diagnostics.extend(
-                f"ell={ell} n={n}: N {lo} -> {hi} changes eps by {step[n]:.1e}"
-                for lo, hi, step in zip(cfg.N, cfg.N[1:], diffs[str(ell)])
+                f"ell={ell} n={n}: N {lo.N} -> {hi.N} changes eps by {step[n]:.1e}"
+                for lo, hi, step in zip(waves, waves[1:], diffs[str(ell)])
                 if step[n] is not None)
     report.extra["successive_differences"] = diffs
     return report
@@ -359,7 +342,7 @@ def _run_reproduce(cfg):
     """Rerun a stored campaign and grade each level against its reference."""
     report = Report("reproduce")
     report.extra["table"] = cfg.table
-    for wave in refs.campaign(cfg.table):
+    for wave in cfg.waves:
         quantity = "eps" if wave.scales is None else "mass"
         for row in _solve_wave(report, wave):
             value = row["epsilon"] if wave.scales is None else row["mass_gev"]
@@ -388,11 +371,8 @@ def emit_csv(report):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
     writer.writeheader()
-    for row in report.rows:
-        out = dict(row)
-        if out["mass_gev"] is None:
-            out["mass_gev"] = ""
-        writer.writerow(out)
+    # a dimensionless run's mass_gev is None, which csv writes as an empty field
+    writer.writerows(report.rows)
     return buf.getvalue()
 
 

@@ -55,12 +55,12 @@ def interpolate(grid, values, t):
 
 
 def wavefunction_at(level, grid, sigma, x):
-    """Interpolate the mesh wavefunction of a level to an arbitrary x > 0.
+    """Interpolate the mesh wavefunction of a level to an arbitrary x > 0, or to an array of them.
 
     sigma is the scale of the rational map x = sigma (1+t)/(1-t) the level
     was solved on.
     """
-    if x <= 0.0:
+    if np.any(np.asarray(x) <= 0.0):
         raise ValueError("momentum must be positive")
     t = (x - sigma) / (x + sigma)
     return interpolate(grid, level.mesh_values, t)

@@ -14,23 +14,23 @@ class TestParseConfig:
     def test_minimal_linear_run(self):
         cfg = cli.parse_config("potential = linear\ns = 1\nell = 0\n")
         assert cfg.command == "solve"
-        assert cfg.sigma == 1.0
-        assert cfg.N == (100,)
+        assert [w.sigma for w in cfg.waves] == [1.0]
+        assert [w.N for w in cfg.waves] == [100]
         assert cfg.format == "pretty"
 
     def test_sections_are_merged(self):
         text = "[run]\ncommand = scan\nN = 50 100\n[potential]\npotential = linear\nell = 0 1\n"
         cfg = cli.parse_config(text)
         assert cfg.command == "scan"
-        assert cfg.N == (50, 100)
-        assert cfg.ell == (0, 1)
+        # scan solves each ell at each N
+        assert [(w.problem.ell, w.N) for w in cfg.waves] == [(0, 50), (0, 100), (1, 50), (1, 100)]
 
     def test_charm_physical_conversion(self):
         cfg = cli.parse_config(
             "potential = cornell\nalpha = 0.50667\nbeta = 0.1694\nmass = 1.37\n")
         # s = sqrt(beta)/m for equal-mass quarkonium, a = 1/sqrt(beta)
-        assert abs(cfg.s - 0.1694**0.5 / 1.37) < 1e-15
-        assert cfg.physical
+        assert abs(cfg.waves[0].problem.s - 0.1694**0.5 / 1.37) < 1e-15
+        assert cfg.waves[0].scales is not None
 
     def test_unknown_keys_listed(self):
         with pytest.raises(cli.ConfigError, match="bogus"):
@@ -63,12 +63,27 @@ class TestParseConfig:
         # the annotated example in README.md, inline comments included
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         cfg = cli.parse_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-        assert (cfg.command, cfg.N, cfg.ell, cfg.out) == ("solve", (100,), (0, 1, 2), "results.csv")
-        assert cfg.physical
+        assert (cfg.command, cfg.out) == ("solve", "results.csv")
+        assert [(w.problem.ell, w.N) for w in cfg.waves] == [(0, 100), (1, 100), (2, 100)]
+        assert all(w.scales is not None for w in cfg.waves)
 
     def test_reproduce_requires_table(self):
         with pytest.raises(cli.ConfigError, match="table"):
             cli.parse_config("command = reproduce\n")
+
+    @pytest.mark.parametrize("text", (
+        "[DEFAULT]\npotential = coulomb\nalpha = 1\nN = 40\nlevels = 1\n",
+        "[DEFAULT]\npotential = coulomb\nalpha = 1\n[run]\nN = 40\nlevels = 1\n",
+        "[DEFAULT]\npotential = coulomb\n[run]\nalpha = 1\nN = 40\n[more]\nlevels = 1\n",
+    ), ids=("alone", "one-other", "two-others"))
+    def test_default_section_is_merged(self, text):
+        (wave,) = cli.parse_config(text).waves
+        assert (wave.N, wave.levels) == (40, 1)
+        assert wave.problem == refs.coulomb_params(0, alpha=1.0, s=1.0)
+
+    def test_default_section_key_repeated_elsewhere_rejected(self):
+        with pytest.raises(cli.ConfigError, match="duplicate key 'N'"):
+            cli.parse_config("[DEFAULT]\nN = 40\n[run]\nN = 50\n")
 
 
 class TestReports:
@@ -349,6 +364,39 @@ class TestMain:
         Path("scan.cfg").write_text(printf.split("'")[1].replace("\\n", "\n"))
         assert cli.main(command.split()[1:]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("command: scan\n")
+
+    @pytest.mark.parametrize(("text", "message"), (
+        ("potential = cornell\nalpha = 0.5\nbeta = 1e300\nmass = 1e-300\n",
+         "s must be finite (beta = 1e+300 GeV^2 and mass = 1e-300 GeV give s = inf"),
+        ("potential = linear\nbeta = 1e-300\nmass = 1e300\n",
+         "s must be positive (beta = 1e-300 GeV^2 and mass = 1e+300 GeV give s = 0"),
+        ("potential = cornell\nalpha = 0.5\nkinetic = salpeter\nbeta = 1e-18\nmass = 1e300\n",
+         "am must be finite (beta = 1e-18 GeV^2 and mass = 1e+300 GeV "
+         "give s = 1e-309 and am = inf)"),
+        ("potential = linear\nell = -1\n", "orbital momentum must be a nonnegative integer"),
+        ("potential = linear\ns = -1\n", "kinetic coefficient s must be positive"),
+        ("potential = linear\nkinetic = bogus\n", "unknown kinetic mode 'bogus'"),
+    ), ids=("s-overflow", "s-underflow", "am-overflow", "ell", "s", "kinetic"))
+    def test_rejected_physics_exit_code(self, text, message, tmp_path, capsys):
+        # Problem is the one check of these values; on a physical run the
+        # message names the beta and mass that give the derived s and am
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+        assert message in err
+
+    def test_percent_in_output_path(self, tmp_path, capsys):
+        # values are literal: no %-interpolation, so %% stays two characters
+        # and %(potential)s is not substituted
+        name = "rows%1%%2%(potential)s.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"potential = linear\nN = 20\nlevels = 1\nout = {tmp_path}/{name}\n")
+        assert cli.main(["--config", str(cfgfile)]) == cli.EXIT_OK
+        assert (tmp_path / name).read_text().startswith("command: solve\n")
+        capsys.readouterr()
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["--config", "/no/such/file.cfg"]) == cli.EXIT_CONFIG

@@ -409,11 +409,15 @@ class TestSelection:
         assert calls == {"assemble": 5, "pv": 1, "pv_moments": 0, "log": 2}
 
 
-def dense_levels(params, N, sigma, count):
-    """Levels selected from all N eigenpairs of the dense solver: the oracle."""
+def dense_levels(params, N, sigma, count, Hs=None):
+    """Levels selected from all N eigenpairs of the dense solver: the oracle.
+
+    Hs, d H d^-1, is assembled here unless the caller already holds it.
+    """
     grid = cheb.chebyshev_grid(N)
     x, J = mom.mapped_nodes(grid.nodes, sigma)
-    Hs = scaled_hamiltonian(params, grid, sigma, x, J)
+    if Hs is None:
+        Hs = scaled_hamiltonian(params, grid, sigma, x, J)
     pairs = mom.solve_spectrum(Hs, mom.similarity_scale(grid))
     return mom.select_bound_states(pairs, params, grid, x, J, count)
 
@@ -456,12 +460,22 @@ class TestArnoldi:
     @pytest.mark.parametrize(("case", "ell", "N"), [
         (case, ell, N) for N in (400, 800) for ell in range(3) for case in sorted(SELECTION_CASES)
         if (case, ell, N) != ("salpeter", 2, 800)])
-    def test_matches_dense(self, case, ell, N, eigensolves):
+    def test_matches_dense(self, case, ell, N, eigensolves, monkeypatch):
+        # the dense reference solves the matrix the Arnoldi path was handed,
+        # so each case assembles it once; test_row_blocks_equal_the_whole_matrix
+        # checks the matrix solve_levels hands over against the whole-matrix formula
+        handed, spy = [], mom.solve_spectrum
+
+        def record(Hs, *args, **kwargs):
+            handed.append(Hs)
+            return spy(Hs, *args, **kwargs)
+
+        monkeypatch.setattr(mom, "solve_spectrum", record)
         make_params, sigma = SELECTION_CASES[case]
         params = make_params(ell)
         got, ok = mom.solve_levels(params, N, sigma, 5)
         assert eigensolves == [7]
-        want, want_ok = dense_levels(params, N, sigma, 5)
+        want, want_ok = dense_levels(params, N, sigma, 5, handed[0])
         assert ok and want_ok
         for a, b in zip(got, want, strict=True):
             assert a.n == b.n
@@ -582,8 +596,8 @@ class TestWavefunction:
     def test_nodal_counts(self):
         x = np.linspace(0.05, 8.0, 1200)
         for lv in self.levels:
-            vals = np.array([wavefunction_at(lv, self.grid, self.sigma, xi)
-                             for xi in x])
+            # all points at once, bit for bit the values of one call per point
+            vals = wavefunction_at(lv, self.grid, self.sigma, x)
             signs = np.sign(vals[np.abs(vals) > 1e-6])
             flips = int(np.sum(signs[1:] != signs[:-1]))
             assert flips == lv.n
