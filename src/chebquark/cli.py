@@ -6,9 +6,10 @@ configuration, `scan` tabulates them against a list of mesh orders,
 side, and `reproduce` reruns one of the three stored benchmark campaigns
 and grades the output against the stored references.
 
-Configuration files are plain-text key-value documents in INI form with
-literal values; all sections, `[DEFAULT]` too, are merged, so sections serve
-only as visual grouping.  Command line flags override file values.  The
+Configuration files are plain-text `key = value` lines with literal
+values; `[name]` headers only group them, as all sections are merged.  Each
+command line flag carries the text of its configuration key and overrides
+the file's value, and both meet the same parser and checks.  The
 validated configuration holds the partial waves to solve, whose
 `kernels.Problem` checks the physics.  Exit status is 0 when every requested
 level was produced, passed the acceptance filters and, in `compare`, agrees
@@ -18,12 +19,12 @@ across solvers; 2 on configuration errors; 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
@@ -54,6 +55,8 @@ COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 a
 # on the dense path and 42 on the Arnoldi path, where the eigensolve sets it
 # (67 and 55 at N = 800).  Of that, the grid's two kernel rules keep 16, and
 # H with the Arnoldi path's factored copy take 16 (tracemalloc, rules built).
+# The bound is per solve: the grid of each mesh order a run solves keeps its
+# rules, so a scan also holds up to 16 bytes * N^2 for each smaller N.
 MAX_N = 4000
 
 
@@ -119,32 +122,30 @@ _FIELDS = {
 
 
 def _read_raw(text):
-    """Key-value strings of a configuration document, sections merged."""
-    # literal values; no header can name the section "", so [DEFAULT] is an ordinary one
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
-                                       default_section="")
-    parser.optionxform = str
-    body = text if text.lstrip().startswith("[") else "[run]\n" + text
-    try:
-        parser.read_string(body)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed configuration: {exc}")
+    """Key-value strings of a configuration document, sections merged.
 
+    The grammar: blank lines; `#` comments at line start or after
+    whitespace; `[name]` headers, which only group; `key = value` lines,
+    split at the first `=`, each key once, with literal values.  A leading
+    byte-order mark is dropped; any other line is an error naming its line.
+    """
     raw = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            if key in raw:
-                raise ConfigError(f"duplicate key {key!r}")
-            raw[key] = value.strip()
+    for k, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        body = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if not body or re.fullmatch(r"\[.+\]", body):
+            continue
+        key, eq, value = (part.strip() for part in body.partition("="))
+        if not (eq and key):
+            raise ConfigError(f"malformed configuration: line {k}: {line.strip()!r} is not "
+                              "'key = value', '[name]' or a '#' comment")
+        if key in raw:
+            raise ConfigError(f"duplicate key {key!r} on line {k}")
+        raw[key] = value
     return raw
 
 
 def parse_config(text):
-    """Parse a key-value document into a validated RunConfig.
-
-    The document uses INI syntax; a leading section header is optional and
-    all sections are merged into a single namespace.
-    """
+    """Parse a key-value document (see _read_raw) into a validated RunConfig."""
     return build_config(_read_raw(text))
 
 
@@ -184,12 +185,10 @@ def _ignored_keys(cfg, raw):
 
 
 def _validate(cfg):
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"field 'command' must be one of {COMMANDS}, got {cfg.command!r}")
-    if cfg.potential not in POTENTIALS:
-        raise ConfigError(f"field 'potential' must be one of {POTENTIALS}, got {cfg.potential!r}")
-    if cfg.format not in FORMATS:
-        raise ConfigError(f"field 'format' must be one of {FORMATS}, got {cfg.format!r}")
+    for name, allowed in (("command", COMMANDS), ("potential", POTENTIALS), ("format", FORMATS)):
+        value = getattr(cfg, name)
+        if value not in allowed:
+            raise ConfigError(f"field {name!r} must be one of {allowed}, got {value!r}")
     if cfg.sigma <= 0.0:
         raise ConfigError("field 'sigma' must be positive")
     if cfg.levels < 1:
@@ -400,37 +399,31 @@ def emit(report, fmt):
 # ---------------------------------------------------------------------------
 # entry point
 
-def _build_argparser():
+# command line flag -> (metavar, help); each takes the text of its configuration key
+FLAGS = {"command": ("|".join(COMMANDS), None), "table": ("1|2|3", None),
+         "ell": (None, "orbital momenta, e.g. '0,1,2'"), "levels": (None, None),
+         "N": (None, "mesh order, or list for scans, e.g. '50,100,200'"), "sigma": (None, None),
+         "format": ("|".join(FORMATS), None), "out": (None, "output path (default: stdout)")}
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="chebquark",
         description="Momentum-space Coulomb-plus-linear bound states on a Chebyshev mesh")
     ap.add_argument("--config", help="path to a key-value configuration file")
-    ap.add_argument("--command", choices=COMMANDS)
-    ap.add_argument("--table", type=int, choices=(1, 2, 3))
-    ap.add_argument("--ell", help="orbital momenta, e.g. '0,1,2'")
-    ap.add_argument("--levels", type=int)
-    ap.add_argument("--N", help="mesh order, or list for scans, e.g. '50,100,200'")
-    ap.add_argument("--sigma", type=float)
-    ap.add_argument("--format", choices=FORMATS)
-    ap.add_argument("--out", help="output path (default: stdout)")
-    return ap
-
-
-def main(argv=None):
-    args = _build_argparser().parse_args(argv)
+    for name, (metavar, help_text) in FLAGS.items():
+        ap.add_argument(f"--{name}", metavar=metavar, help=help_text)
+    args = vars(ap.parse_args(argv))
     try:
         raw = {}
-        if args.config:
+        if args["config"]:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(args["config"], encoding="utf-8") as fh:
                     raw = _read_raw(fh.read())
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
-        # command line flags override file values
-        for key in ("command", "table", "ell", "levels", "N", "sigma", "format", "out"):
-            value = getattr(args, key)
-            if value is not None and value != "":
-                raw[key] = str(value)
+        # command line flags override file values, as the same text
+        raw.update((key, args[key]) for key in FLAGS if args[key] is not None)
         cfg = build_config(raw)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from . import cheb
-from .kernels import legendre_P, w_poly
+from .kernels import _bonnet, legendre_P, w_poly
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,15 @@ def solve_levels(problem, N, sigma=1.0, count=5):
     scale = similarity_scale(grid)
     H = np.empty((N, N))
     # an overflowing kernel shows up as a non-finite H: one numerical failure
+    overflow = RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
+                            "or underflow at this ell or mapping scale sigma")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, J = mapped_nodes(grid.nodes, sigma)
+        # z is largest at the corner [0, N-1], where assembly's P_ell makes H non-finite
+        # once it overflows: the same recurrence there ends a hopeless ell in <= 201 steps
+        z = (x[:1] ** 2 + x[-1:] ** 2) / (2.0 * x[:1] * x[-1:])
+        if not all(np.isfinite(p).all() for _, p, _ in _bonnet(problem.ell, z)):
+            raise overflow
         kinetic = kinetic_diagonal(problem, x)
         # the similar matrix d H d^-1 that both eigensolver paths take; for
         # powers of two, times 1/d rounds exactly like the division by d
@@ -401,8 +408,7 @@ def solve_levels(problem, N, sigma=1.0, count=5):
             Hb *= unscale
     # max and min propagate NaN, so this reads every entry without an N x N mask
     if not math.isfinite(_abs_max(H, axis=None)):
-        raise RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
-                           "or underflow at this ell or mapping scale sigma")
+        raise overflow
     if N >= ARNOLDI_MIN_N and 0 < count < N - 3:
         floor = spectrum_floor(problem)
         pairs = solve_spectrum(H, scale, floor, count + 2)

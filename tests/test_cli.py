@@ -85,6 +85,26 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="duplicate key 'N'"):
             cli.parse_config("[DEFAULT]\nN = 40\n[run]\nN = 50\n")
 
+    def test_repeated_header_is_merged(self):
+        cfg = cli.parse_config("[run]\nN = 40\n[potential]\nell = 1\n[run]\nlevels = 2\n")
+        assert [(w.problem.ell, w.N, w.levels) for w in cfg.waves] == [(1, 40, 2)]
+
+    @pytest.mark.parametrize("header", ("", "[run]\n"))
+    def test_byte_order_mark_is_dropped(self, header):
+        text = header + "potential = linear\nN = 40\n"
+        assert cli.parse_config("\ufeff" + text) == cli.parse_config(text)
+
+    @pytest.mark.parametrize(("text", "line"), (
+        ("potential = linear\nN: 40\n", 2),
+        ("[run]\n; a comment\nN = 40\n", 2),
+        ("# a comment\n\nN = 40\n    80\n", 4),
+        ("[run]\nN = 40\nlevels\n", 3),
+        ("= 40\n", 1),
+    ), ids=("colon", "semicolon-comment", "continuation", "no-value", "no-key"))
+    def test_malformed_line_named_by_number(self, text, line):
+        with pytest.raises(cli.ConfigError, match=f"^malformed configuration: line {line}: "):
+            cli.parse_config(text)
+
 
 class TestReports:
     def setup_method(self):
@@ -397,6 +417,43 @@ class TestMain:
         assert cli.main(["--config", str(cfgfile)]) == cli.EXIT_OK
         assert (tmp_path / name).read_text().startswith("command: solve\n")
         capsys.readouterr()
+
+    @pytest.mark.parametrize("header", ("", "[run]\n"))
+    def test_byte_order_mark_config_runs(self, header, tmp_path, capsys):
+        # as some editors save UTF-8
+        path = tmp_path / "run.cfg"
+        path.write_bytes(("\ufeff" + header + "N = 20\nlevels = 1\n").encode("utf-8"))
+        assert cli.main(["--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("command: solve\n")
+
+    @pytest.mark.parametrize(("header", "line"), (("", 2), ("[run]\n", 3)))
+    def test_malformed_line_is_one_stderr_line(self, header, line, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(header + "N = 20\nlevels: 1\n")
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: malformed configuration: line {line}: 'levels: 1' is not "
+            "'key = value', '[name]' or a '#' comment"]
+
+    @pytest.mark.parametrize(("flag", "value", "message"), (
+        ("--ell", "", "field 'ell' is empty"),
+        ("--N", "", "field 'N' is empty"),
+        ("--table", "4", "remove: table"),
+        ("--levels", "1.5", "field 'levels' must be an integer"),
+        ("--sigma", "abc", "field 'sigma' must be a number"),
+        ("--format", "xml", "field 'format' must be one of"),
+        ("--command", "bogus", "field 'command' must be one of"),
+    ))
+    def test_bad_flag_value_is_one_configuration_error(self, flag, value, message, capsys):
+        # flags carry the same text as file values and meet the same checks
+        assert cli.main([flag, value]) == cli.EXIT_CONFIG
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("configuration error: ") and message in err
+
+    def test_table_flag_checked_like_the_file_value(self, capsys):
+        assert cli.main(["--command", "reproduce", "--table", "4"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: command 'reproduce' requires field 'table' in {1, 2, 3}\n")
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["--config", "/no/such/file.cfg"]) == cli.EXIT_CONFIG

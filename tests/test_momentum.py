@@ -77,6 +77,41 @@ class TestAssembly:
             V = mom.assemble_potential(params, grid, 1.0, *mom.mapped_nodes(grid.nodes, 1.0))
             assert np.all(np.isfinite(V))
 
+    @pytest.mark.parametrize("N", (10, 800))
+    def test_hopeless_ell_fails_before_assembly(self, N, monkeypatch):
+        # P_ell overflows at the kernel corner from ell = 70 at N = 10 and 26
+        # at N = 800; a recurrence run to ell = 10**9 would take minutes
+        def no_recurrence(ell, z):
+            raise AssertionError(f"kernel recurrence run to ell = {ell}")
+        monkeypatch.setattr(mom, "legendre_P", no_recurrence)
+        monkeypatch.setattr(mom, "w_poly", no_recurrence)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            mom.solve_levels(Problem(ell=10**9), N, 1.0, 3)
+
+    @pytest.mark.parametrize(("N", "ell"), ((4, 110), (20, 55), (80, 39)))
+    @pytest.mark.parametrize("case", ("coulomb", "linear", "cornell"))
+    def test_corner_check_stops_only_non_finite_matrices(self, case, N, ell, monkeypatch):
+        # ell is the first at which P_ell overflows at the corner z[0, N-1]:
+        # there the assembled corner entry is non-finite, and one ell lower
+        # the solve still reaches the assembly
+        grid = cheb.chebyshev_grid(N)
+        with np.errstate(all="ignore"):
+            V = mom.assemble_potential(SELECTION_CASES[case][0](ell), grid, 1.0,
+                                       *mom.mapped_nodes(grid.nodes, 1.0))
+        assert not np.isfinite(V[0, N - 1])
+
+        class Assembled(Exception):
+            pass
+
+        def assembled(problem, *args):
+            raise Assembled
+
+        monkeypatch.setattr(mom, "assemble_potential", assembled)
+        with pytest.raises(Assembled):
+            mom.solve_levels(SELECTION_CASES[case][0](ell - 1), N, 1.0, 1)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            mom.solve_levels(SELECTION_CASES[case][0](ell), N, 1.0, 1)
+
     def test_coulomb_attractive_quadratic_form(self):
         grid = cheb.chebyshev_grid(40)
         params = Problem(ell=0, alpha=1.0, linear=False)
