@@ -26,11 +26,12 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
+from . import cheb
 from . import momentum as mom
 from . import radial
 from . import references as refs
@@ -52,11 +53,9 @@ COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 a
 # at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound; the dense
 # path sets it, with LAPACK's copy and the complex eigenvectors.  Over a
 # forked child's RSS before the grid, at N = 1600, linear ell = 2 and 7: 56
-# on the dense path and 42 on the Arnoldi path, where the eigensolve sets it
-# (67 and 55 at N = 800).  Of that, the grid's two kernel rules keep 16, and
-# H with the Arnoldi path's factored copy take 16 (tracemalloc, rules built).
-# The bound is per solve: the grid of each mesh order a run solves keeps its
-# rules, so a scan also holds up to 16 bytes * N^2 for each smaller N.
+# on the dense path and 34 on the Arnoldi path (66 and 47 at N = 800).  Of
+# that, the grid's two kernel rules keep 16, and H, which the Arnoldi path
+# factors in place, takes 8 (tracemalloc, rules built).
 MAX_N = 4000
 
 
@@ -258,7 +257,7 @@ class Report:
 
 def report_to_json(report):
     """Serialize a report; floats survive a round trip bit-exactly."""
-    return json.dumps(asdict(report), indent=2)
+    return json.dumps({f.name: getattr(report, f.name) for f in fields(report)}, indent=2)
 
 
 def _fail(report, message):
@@ -270,8 +269,13 @@ def _fail(report, message):
 # commands
 
 def _solve_wave(report, wave):
-    """Solve one partial wave, append its rows and return them; flag too few levels."""
-    levels, complete = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
+    """Solve one partial wave and add it to the report (see _add_wave)."""
+    return _add_wave(report, wave,
+                     *mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels))
+
+
+def _add_wave(report, wave, levels, complete):
+    """Append one solved partial wave's rows and return them; flag too few levels."""
     rows = [{"ell": lv.ell, "n": lv.n, "N": wave.N, "sigma": wave.sigma,
              "epsilon": float(lv.epsilon),
              "mass_gev": None if wave.scales is None else float(wave.scales.mass_gev(lv.epsilon)),
@@ -318,13 +322,19 @@ def _run_solve(cfg):
 def _run_scan(cfg):
     """`solve` at each N of the list, reporting each level's successive differences."""
     report = Report("scan")
+    # stably N-major, so each N's grid is dropped after the list's last ell
+    solved = {}
+    for wave in sorted(cfg.waves, key=lambda wave: wave.N):
+        solved[wave] = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
+        if wave.problem.ell == cfg.waves[-1].problem.ell:
+            cheb.chebyshev_grid.cache_clear()
     diffs = {}
     for ell, waves in itertools.groupby(cfg.waves, lambda wave: wave.problem.ell):
         waves = list(waves)
         levels = range(waves[0].levels)
         eps = []
         for wave in waves:
-            found = {row["n"]: row["epsilon"] for row in _solve_wave(report, wave)}
+            found = {row["n"]: row["epsilon"] for row in _add_wave(report, wave, *solved[wave])}
             eps.append([found.get(n) for n in levels])
         diffs[str(ell)] = [[None if a is None or b is None else abs(b - a)
                             for a, b in zip(lo, hi)] for lo, hi in zip(eps, eps[1:])]

@@ -8,9 +8,9 @@ for the log|(x'+x)/(x'-x)| pieces, and for the double pole of the linear
 kernel a Hadamard finite-part rule in t, with no subtraction and no
 derivative of the unknown function.  The final object is a dense real
 non-symmetric N x N matrix whose eigenvalues approximate the bound-state
-spectrum.  The lowest levels come from a shift-invert Arnoldi iteration at
-the spectrum floor, certified to select what the whole spectrum would; the
-dense QR solver serves small meshes and every solve the certificate rejects.
+spectrum.  The lowest levels come from shift-invert Arnoldi at the spectrum
+floor on the matrix factored in place, certified to select what the whole
+spectrum would; dense QR serves small meshes and the rejected solves.
 
 Working units: lengths in a, momenta x = k a, energies eps = E a, where a
 is the length scale of the linear term V = -alpha/r + r/a^2.  The kinetic
@@ -200,9 +200,9 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
 
     Hs = diag(scale) H diag(scale)^-1 is exact in floating point for powers
     of two (see similarity_scale); the eigenvectors are mapped back to those
-    of H.  Both paths are deterministic for fixed input and leave Hs
-    unchanged.  With the similarity scale the eigenvalues carry about 1e-13
-    of rounding where those of H carry 1e-10 (linear ell = 0, N = 200).
+    of H.  Both paths are deterministic; the dense one leaves Hs unchanged,
+    the Arnoldi one factors it in place.  With the similarity scale the
+    eigenvalues carry 1e-13 of rounding, those of H 1e-10 (linear, N = 200).
 
     Without a shift: all N eigenpairs from the LAPACK non-symmetric QR solver.
     With a shift and k: the k eigenpairs nearest the shift, by ARPACK's
@@ -236,20 +236,19 @@ def _abs_max(A, axis):
     return np.maximum(A.max(axis=axis), -A.min(axis=axis))
 
 
-def _shift_invert_arnoldi(Hs, shift, k):
-    """The k eigenpairs of Hs nearest the shift, or None if ARPACK cannot deliver.
+def _shift_invert_arnoldi(A, shift, k):
+    """The k eigenpairs of A nearest the shift, or None if ARPACK cannot deliver.
 
-    Its one N x N copy, Hs - shift equilibrated by power-of-two row and
-    column scales, is factored in place.  Without the scales, the z^ell
-    growth of the kernel corners (max|Hs| = 1e18 for Coulomb ell = 2 at
-    N = 800) costs the factorization, and so the levels, 1e-8 of relative
-    accuracy; with them they are within 1e-10 of the exact hydrogen levels
-    there.  The normwise backward error of the dense QR solver meets the
-    same corners at higher ell, where this iteration is the more accurate
-    of the two.
+    A - shift, equilibrated by power-of-two row and column scales, is
+    factored in A's own memory, which holds the factors afterwards, also
+    when None is returned.  Without the scales, the z^ell growth of the
+    kernel corners (max|A| = 1e18 for Coulomb ell = 2 at N = 800) costs
+    the factorization, and so the levels, 1e-8 of relative accuracy; with
+    them they are within 1e-10 of the exact hydrogen levels there.  The
+    normwise backward error of the dense QR solver meets the same corners
+    at higher ell, where this iteration is the more accurate of the two.
     """
-    N = len(Hs)
-    A = Hs.copy()
+    N = len(A)
     A.flat[::N + 1] -= shift
     rows = _power_of_two_inverse(_abs_max(A, axis=1))
     A *= rows[:, None]
@@ -268,9 +267,11 @@ def _shift_invert_arnoldi(Hs, shift, k):
         (N, N), dtype=float,
         matvec=lambda b: cols * scipy.linalg.lu_solve(lu, rows * b, trans=1,
                                                       check_finite=False))
+    # with a real shift ARPACK (mode 3) applies the inverse alone; A holds the factors
+    shape_only = scipy.sparse.linalg.LinearOperator((N, N), matvec=None, dtype=float)
     try:
         evals, evecs = scipy.sparse.linalg.eigs(
-            Hs, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N),
+            shape_only, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N),
             ncv=min(N, max(ARNOLDI_NCV, 2 * k + 1)))
     except scipy.sparse.linalg.ArpackError:
         return None
@@ -366,21 +367,35 @@ def _disc_covers(evals, shift, top):
     return math.hypot(top - shift, IMAG_TOL * max(1.0, abs(shift), abs(top))) < radius
 
 
+def _write_hamiltonian(H, problem, grid, sigma, x, J, scale):
+    """Write d H d^-1 into H in row blocks of about 2^15 entries, each formed in cache."""
+    N = len(H)
+    block = max(1, cheb.BLOCK_ELEMENTS // N)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kinetic = kinetic_diagonal(problem, x)
+        unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
+        for i in range(0, N, block):
+            rows = slice(i, i + block)
+            V = assemble_potential(problem, grid, sigma, x, J, rows)
+            V.flat[i::N + 1] += kinetic[rows]
+            Hb = np.multiply(scale[rows, None], V, out=H[rows])
+            Hb *= unscale
+
+
 def solve_levels(problem, N, sigma=1.0, count=5):
-    """Lowest `count` levels: write H once, in row blocks, diagonalize, select lazily.
+    """Lowest `count` levels: write H in row blocks, diagonalize, select lazily.
 
     sigma is the scale of the rational map (see mapped_nodes); a scale that
     is not positive and finite is a ValueError.  The weight tables come from
     the grid, which builds each once per mesh order, so a loop over ell at
-    fixed N reuses them.  The similar matrix d H d^-1 is written once, in
-    blocks of about 2^15 entries: each block's potential rows, kinetic
-    diagonal and scaling are formed while its buffers are in cache, so H
-    and the Arnoldi path's factored copy are the only N x N arrays of a
-    solve.  From N = ARNOLDI_MIN_N only the count + 2 eigenpairs nearest the
-    spectrum floor are computed; their levels are kept when all `count` pass
-    the filters and the disc of returned eigenvalues provably holds every
-    candidate up to the top level (see _disc_covers).  Otherwise, and below
-    that N, all eigenpairs come from the dense solver.
+    fixed N reuses them.  The similar matrix d H d^-1 that both eigensolver
+    paths take is a solve's one N x N array.  From N = ARNOLDI_MIN_N only
+    the count + 2 eigenpairs nearest the spectrum floor are computed, from
+    an LU factorization in H's memory; their levels are kept when all
+    `count` pass the filters and the disc of returned eigenvalues provably
+    holds every candidate up to the top level (see _disc_covers).
+    Otherwise, and below that N, H is written again if need be and the
+    dense solver takes all its eigenpairs.
     """
     grid = cheb.chebyshev_grid(N)
     scale = similarity_scale(grid)
@@ -395,17 +410,7 @@ def solve_levels(problem, N, sigma=1.0, count=5):
         z = (x[:1] ** 2 + x[-1:] ** 2) / (2.0 * x[:1] * x[-1:])
         if not all(np.isfinite(p).all() for _, p, _ in _bonnet(problem.ell, z)):
             raise overflow
-        kinetic = kinetic_diagonal(problem, x)
-        # the similar matrix d H d^-1 that both eigensolver paths take; for
-        # powers of two, times 1/d rounds exactly like the division by d
-        unscale = 1.0 / scale
-        block = max(1, cheb.BLOCK_ELEMENTS // N)
-        for i in range(0, N, block):
-            rows = slice(i, i + block)
-            V = assemble_potential(problem, grid, sigma, x, J, rows)
-            V.flat[i::N + 1] += kinetic[rows]
-            Hb = np.multiply(scale[rows, None], V, out=H[rows])
-            Hb *= unscale
+    _write_hamiltonian(H, problem, grid, sigma, x, J, scale)
     # max and min propagate NaN, so this reads every entry without an N x N mask
     if not math.isfinite(_abs_max(H, axis=None)):
         raise overflow
@@ -416,5 +421,6 @@ def solve_levels(problem, N, sigma=1.0, count=5):
             levels, complete = select_bound_states(pairs, problem, grid, x, J, count)
             if complete and _disc_covers(pairs[0], floor, levels[-1].epsilon):
                 return levels, complete
+        _write_hamiltonian(H, problem, grid, sigma, x, J, scale)   # over the LU factors
     pairs = solve_spectrum(H, scale)
     return select_bound_states(pairs, problem, grid, x, J, count)

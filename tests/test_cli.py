@@ -1,6 +1,8 @@
 """Configuration parsing, run commands, emission formats, exit codes."""
 
+import functools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,14 @@ class TestReports:
             assert a["imag"] == b["imag"]
         assert json.dumps(back, indent=2) == text
 
+    @pytest.mark.parametrize("command, N", (("solve", "60"), ("scan", "40 60"),
+                                            ("compare", "60")))
+    def test_json_equals_the_asdict_form(self, command, N):
+        report = cli.run(cli.parse_config(
+            f"command = {command}\npotential = linear\ns = 1\nell = 0 1\nlevels = 2\nN = {N}\n"))
+        assert report.rows
+        assert cli.report_to_json(report) == json.dumps(asdict(report), indent=2)
+
     def test_pretty_contains_status(self):
         assert "status: 0" in cli.emit_pretty(self.report)
 
@@ -219,6 +229,27 @@ class TestCommands:
             for ell in (0, 2) for n in range(2) for k, (lo, hi) in enumerate(((40, 60), (60, 80)))]
         assert "ell=2 n=1: N 60 -> 80 changes eps by" in cli.emit_pretty(report)
 
+    def test_scan_solves_n_major_and_releases_each_grid(self, monkeypatch):
+        # each mesh order's grid is built once and dropped after its last ell,
+        # while the report stays ell-major
+        monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
+        solve_levels, solved = mom.solve_levels, []
+
+        def record(problem, N, sigma, count):
+            out = solve_levels(problem, N, sigma, count)
+            info = cheb.chebyshev_grid.cache_info()
+            solved.append((problem.ell, N, info.hits, info.misses))
+            return out
+
+        monkeypatch.setattr(mom, "solve_levels", record)
+        text = "potential = linear\ns = 1\nlevels = 2\n"
+        report = cli.run(cli.parse_config(text + "command = scan\nell = 0 2\nN = 40 60 80\n"))
+        # cache_clear also resets the hit and miss counts
+        assert solved == [(ell, N, ell // 2, 1) for N in (40, 60, 80) for ell in (0, 2)]
+        assert cheb.chebyshev_grid.cache_info().currsize == 0
+        assert report.rows == [row for ell in (0, 2) for N in (40, 60, 80) for row in cli.run(
+            cli.parse_config(text + f"command = solve\nell = {ell}\nN = {N}\n")).rows]
+
     def test_deterministic_rerun(self):
         cfg = cli.parse_config(
             "command = solve\npotential = linear\ns = 1\nell = 0\nlevels = 2\nN = 60\n")
@@ -240,6 +271,7 @@ class TestReproduce:
         for (wave, n), line in zip(levels, report.diagnostics):
             assert line.startswith(f"{wave.label} n={n}: ") and line.endswith(" pass")
             assert " ref " in line and " err " in line and " tol " in line
+        assert cli.report_to_json(report) == json.dumps(asdict(report), indent=2)
 
     def test_masses_identify_their_flavor(self):
         report = cli.run(cli.parse_config("command = reproduce\ntable = 3\n"))
