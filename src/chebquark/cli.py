@@ -11,7 +11,8 @@ values; `[name]` headers only group them, as all sections are merged.  Each
 command line flag carries the text of its configuration key and overrides
 the file's value, and both meet the same parser and checks.  The
 validated configuration holds the partial waves to solve, whose
-`kernels.Problem` checks the physics.  Exit status is 0 when every requested
+`kernels.Problem` checks the physics.  A run solves them N-major and keeps
+one mesh order's grid at a time.  Exit status is 0 when every requested
 level was produced, passed the acceptance filters and, in `compare`, agrees
 across solvers; 2 on configuration errors; 3 on numerical failures.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import re
@@ -47,7 +47,7 @@ FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "imag")
 
-COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 at s = 1
+COMPARE_TOL = 1e-5     # share of the energy unit, see _pair; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
 # at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound; the dense
@@ -55,7 +55,8 @@ COMPARE_TOL = 1e-5     # share of the energy unit, see _run_solve; criterion 6 a
 # forked child's RSS before the grid, at N = 1600, linear ell = 2 and 7: 56
 # on the dense path and 34 on the Arnoldi path (66 and 47 at N = 800).  Of
 # that, the grid's two kernel rules keep 16, and H, which the Arnoldi path
-# factors in place, takes 8 (tracemalloc, rules built).
+# factors in place, takes 8 (tracemalloc, rules built).  It bounds a whole
+# run, which keeps one mesh order's grid at a time.
 MAX_N = 4000
 
 
@@ -190,13 +191,14 @@ def _validate(cfg):
             raise ConfigError(f"field {name!r} must be one of {allowed}, got {value!r}")
     if cfg.sigma <= 0.0:
         raise ConfigError("field 'sigma' must be positive")
-    if cfg.levels < 1:
-        raise ConfigError("field 'levels' must be at least 1")
     if any(N < 2 for N in cfg.N):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
                           f"up to 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
+    if not 1 <= cfg.levels <= min(cfg.N):
+        raise ConfigError(f"field 'levels' must be from 1 to {min(cfg.N)}, the smallest mesh "
+                          f"order N, as a mesh of order N has N eigenvalues; got {cfg.levels}")
     if len(set(cfg.ell)) < len(cfg.ell):
         raise ConfigError("field 'ell' entries must be distinct")
     if cfg.command == "scan":
@@ -268,109 +270,91 @@ def _fail(report, message):
 # ---------------------------------------------------------------------------
 # commands
 
-def _solve_wave(report, wave):
-    """Solve one partial wave and add it to the report (see _add_wave)."""
-    return _add_wave(report, wave,
-                     *mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels))
+def _grade(report, wave, row):
+    """`reproduce`: grade one level against its stored reference."""
+    quantity = "eps" if wave.scales is None else "mass"
+    value = row["epsilon"] if wave.scales is None else row["mass_gev"]
+    ref, tol = wave.references[row["n"]]
+    err = abs(value - ref)
+    line = (f"{wave.label} n={row['n']}: {quantity} {value:.9g} ref {ref:.9g} "
+            f"err {err:.1e} tol {tol:.1e}")
+    if err <= tol:
+        report.diagnostics.append(line + " pass")
+    else:
+        _fail(report, line + " FAIL")
 
 
-def _add_wave(report, wave, levels, complete):
-    """Append one solved partial wave's rows and return them; flag too few levels."""
-    rows = [{"ell": lv.ell, "n": lv.n, "N": wave.N, "sigma": wave.sigma,
-             "epsilon": float(lv.epsilon),
-             "mass_gev": None if wave.scales is None else float(wave.scales.mass_gev(lv.epsilon)),
-             "imag": float(lv.imag_part)}
-            for lv in levels]
-    report.rows.extend(rows)
-    if not complete:
-        _fail(report, f"{wave.label}: only {len(levels)} of {wave.levels} "
-                      "levels passed the filters")
-    return rows
+def _pair(report, wave, row):
+    """`compare`: pair one level with the coordinate solver's."""
+    p, n, eps = wave.problem, row["n"], row["epsilon"]
+    try:
+        eps_r = radial.solve_radial(p, n)
+    except RuntimeError as exc:
+        _fail(report, f"{wave.label} n={n}: coordinate solver failed: {exc}")
+        return
+    delta = eps - eps_r
+    report.extra["compare"].append({"ell": p.ell, "n": n, "momentum": eps,
+                                    "coordinate": float(eps_r), "delta": float(delta)})
+    report.diagnostics.append(f"{wave.label} n={n}: momentum {eps:.7g} "
+                              f"coordinate {eps_r:.7g} delta {delta:.2e}")
+    # energy unit: s^(1/3) with a linear term, the Coulomb binding alpha^2/(4 s)
+    unit = max(p.s ** (1.0 / 3.0) if p.linear else 0.0, p.alpha ** 2 / (4.0 * p.s))
+    if abs(delta) > COMPARE_TOL * unit:
+        _fail(report, f"{wave.label} n={n}: the solvers disagree by more than "
+                      f"{COMPARE_TOL:g} of the energy unit {unit:.3g}")
 
 
-def _run_solve(cfg):
-    """`solve`, and `compare`, which pairs each level with the coordinate solver's."""
-    report = Report(cfg.command)
-    paired = []
-    for wave in cfg.waves:
-        rows = _solve_wave(report, wave)
-        if cfg.command != "compare":
-            continue
-        # energy unit: s^(1/3) with a linear term, the Coulomb binding alpha^2/(4 s)
-        p = wave.problem
-        unit = max(p.s ** (1.0 / 3.0) if p.linear else 0.0, p.alpha ** 2 / (4.0 * p.s))
-        for row in rows:
-            n, eps = row["n"], row["epsilon"]
-            try:
-                eps_r = radial.solve_radial(p, n)
-            except RuntimeError as exc:
-                _fail(report, f"{wave.label} n={n}: coordinate solver failed: {exc}")
-                continue
-            delta = eps - eps_r
-            paired.append({"ell": p.ell, "n": n, "momentum": eps,
-                           "coordinate": float(eps_r), "delta": float(delta)})
-            report.diagnostics.append(f"{wave.label} n={n}: momentum {eps:.7g} "
-                                      f"coordinate {eps_r:.7g} delta {delta:.2e}")
-            if abs(delta) > COMPARE_TOL * unit:
-                _fail(report, f"{wave.label} n={n}: the solvers disagree by more than "
-                              f"{COMPARE_TOL:g} of the energy unit {unit:.3g}")
-    if cfg.command == "compare":
-        report.extra["compare"] = paired
-    return report
-
-
-def _run_scan(cfg):
-    """`solve` at each N of the list, reporting each level's successive differences."""
-    report = Report("scan")
-    # stably N-major, so each N's grid is dropped after the list's last ell
-    solved = {}
-    for wave in sorted(cfg.waves, key=lambda wave: wave.N):
-        solved[wave] = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
-        if wave.problem.ell == cfg.waves[-1].problem.ell:
-            cheb.chebyshev_grid.cache_clear()
-    diffs = {}
-    for ell, waves in itertools.groupby(cfg.waves, lambda wave: wave.problem.ell):
-        waves = list(waves)
-        levels = range(waves[0].levels)
-        eps = []
-        for wave in waves:
-            found = {row["n"]: row["epsilon"] for row in _add_wave(report, wave, *solved[wave])}
-            eps.append([found.get(n) for n in levels])
-        diffs[str(ell)] = [[None if a is None or b is None else abs(b - a)
-                            for a, b in zip(lo, hi)] for lo, hi in zip(eps, eps[1:])]
-        for n in levels:
-            report.diagnostics.extend(
-                f"ell={ell} n={n}: N {lo.N} -> {hi.N} changes eps by {step[n]:.1e}"
-                for lo, hi, step in zip(waves, waves[1:], diffs[str(ell)])
-                if step[n] is not None)
-    report.extra["successive_differences"] = diffs
-    return report
-
-
-def _run_reproduce(cfg):
-    """Rerun a stored campaign and grade each level against its reference."""
-    report = Report("reproduce")
-    report.extra["table"] = cfg.table
-    for wave in cfg.waves:
-        quantity = "eps" if wave.scales is None else "mass"
-        for row in _solve_wave(report, wave):
-            value = row["epsilon"] if wave.scales is None else row["mass_gev"]
-            ref, tol = wave.references[row["n"]]
-            err = abs(value - ref)
-            line = (f"{wave.label} n={row['n']}: {quantity} {value:.9g} ref {ref:.9g} "
-                    f"err {err:.1e} tol {tol:.1e}")
-            if err <= tol:
-                report.diagnostics.append(line + " pass")
-            else:
-                _fail(report, line + " FAIL")
-    return report
+def _add_differences(report, wave, scanned):
+    """`scan`: one ell's successive differences, from its (N, {n: eps}) per mesh order."""
+    ell = wave.problem.ell
+    steps = report.extra["successive_differences"][str(ell)] = [
+        [abs(hi[n] - lo[n]) if n in lo and n in hi else None for n in range(wave.levels)]
+        for (_, lo), (_, hi) in zip(scanned, scanned[1:])]
+    for n in range(wave.levels):
+        report.diagnostics.extend(
+            f"ell={ell} n={n}: N {lo} -> {hi} changes eps by {step[n]:.1e}"
+            for (lo, _), (hi, _), step in zip(scanned, scanned[1:], steps)
+            if step[n] is not None)
 
 
 def run(cfg):
-    """Execute a validated RunConfig and return the Report."""
-    handlers = {"solve": _run_solve, "scan": _run_scan,
-                "compare": _run_solve, "reproduce": _run_reproduce}
-    return handlers[cfg.command](cfg)
+    """Execute a validated RunConfig and return the Report.
+
+    The waves are solved stably N-major, each grid released after its last
+    wave, and reported in their own order: rows, then each level's grade or
+    pairing, and in `scan` an ell's successive differences after its last N.
+    """
+    solved, order = {}, sorted(cfg.waves, key=lambda wave: wave.N)
+    for wave, after in zip(order, order[1:] + [None]):
+        solved[wave] = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
+        if after is None or after.N != wave.N:
+            cheb.chebyshev_grid.cache_clear()
+    extra = {"reproduce": {"table": cfg.table}, "compare": {"compare": []},
+             "scan": {"successive_differences": {}}}
+    report, scanned = Report(cfg.command, extra=extra.get(cfg.command, {})), []
+    for wave in cfg.waves:
+        levels, complete = solved[wave]
+        rows = [{"ell": lv.ell, "n": lv.n, "N": wave.N, "sigma": wave.sigma,
+                 "epsilon": float(lv.epsilon),
+                 "mass_gev": (None if wave.scales is None
+                              else float(wave.scales.mass_gev(lv.epsilon))),
+                 "imag": float(lv.imag_part)}
+                for lv in levels]
+        report.rows.extend(rows)
+        if not complete:
+            _fail(report, f"{wave.label}: only {len(levels)} of {wave.levels} "
+                          "levels passed the filters")
+        for row in rows:
+            if cfg.command == "reproduce":
+                _grade(report, wave, row)
+            elif cfg.command == "compare":
+                _pair(report, wave, row)
+        if cfg.command == "scan":
+            scanned.append((wave.N, {row["n"]: row["epsilon"] for row in rows}))
+            if wave.N == cfg.waves[-1].N:    # every ell of a scan ends at the list's last N
+                _add_differences(report, wave, scanned)
+                scanned = []
+    return report
 
 
 # ---------------------------------------------------------------------------

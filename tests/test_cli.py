@@ -229,10 +229,31 @@ class TestCommands:
             for ell in (0, 2) for n in range(2) for k, (lo, hi) in enumerate(((40, 60), (60, 80)))]
         assert "ell=2 n=1: N 60 -> 80 changes eps by" in cli.emit_pretty(report)
 
+    def test_scan_reports_each_ell_before_the_next(self, monkeypatch):
+        # ell 2 is one level short at N = 60: its line follows ell 0's
+        # differences and precedes its own
+        solve_levels = mom.solve_levels
+        monkeypatch.setattr(mom, "solve_levels", lambda problem, N, sigma, count: (
+            (solve_levels(problem, N, sigma, count - 1)[0], False) if (problem.ell, N) == (2, 60)
+            else solve_levels(problem, N, sigma, count)))
+        report = cli.run(cli.parse_config(
+            "command = scan\npotential = linear\ns = 1\nell = 0 2\nlevels = 2\nN = 40 60 80\n"))
+        assert report.status == cli.EXIT_NUMERICAL
+        diffs = report.extra["successive_differences"]
+        assert [pair[1] for pair in diffs["2"]] == [None, None]
+        assert report.diagnostics == [
+            *(f"ell=0 n={n}: N {lo} -> {hi} changes eps by {diffs['0'][k][n]:.1e}"
+              for n in range(2) for k, (lo, hi) in enumerate(((40, 60), (60, 80)))),
+            "ell=2 N=60: only 1 of 2 levels passed the filters",
+            f"ell=2 n=0: N 40 -> 60 changes eps by {diffs['2'][0][0]:.1e}",
+            f"ell=2 n=0: N 60 -> 80 changes eps by {diffs['2'][1][0]:.1e}"]
+
     def test_scan_solves_n_major_and_releases_each_grid(self, monkeypatch):
-        # each mesh order's grid is built once and dropped after its last ell,
-        # while the report stays ell-major
-        monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
+        # each mesh order's grid is built once and dropped after its last wave,
+        # while the report keeps the waves' order; so in every command
+        built = []
+        monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(
+            lambda N: built.append(N) or cheb.ChebGrid(N)))
         solve_levels, solved = mom.solve_levels, []
 
         def record(problem, N, sigma, count):
@@ -247,8 +268,17 @@ class TestCommands:
         # cache_clear also resets the hit and miss counts
         assert solved == [(ell, N, ell // 2, 1) for N in (40, 60, 80) for ell in (0, 2)]
         assert cheb.chebyshev_grid.cache_info().currsize == 0
+        assert built == [40, 60, 80]
         assert report.rows == [row for ell in (0, 2) for N in (40, 60, 80) for row in cli.run(
             cli.parse_config(text + f"command = solve\nell = {ell}\nN = {N}\n")).rows]
+        # table 2 solves at N = 300, 100, 100, 80 and table 3 six times at N = 80
+        for config in ("command = reproduce\ntable = 2\n", "command = reproduce\ntable = 3\n",
+                       text + "command = solve\nell = 0 1 2\nN = 40\n"):
+            cfg = cli.parse_config(config)
+            built.clear()
+            assert cli.run(cfg).status == cli.EXIT_OK
+            assert built == sorted({wave.N for wave in cfg.waves})
+            assert cheb.chebyshev_grid.cache_info().currsize == 0
 
     def test_deterministic_rerun(self):
         cfg = cli.parse_config(
@@ -358,6 +388,20 @@ class TestMain:
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
         assert "70 bytes * N^2, 1.1 GB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, N", (("solve", "10"), ("scan", "10,20")))
+    @pytest.mark.parametrize("levels", ("11", "1000000"))
+    def test_levels_capped_by_the_smallest_mesh_order(self, command, N, levels, monkeypatch,
+                                                       capsys):
+        # a mesh of order N has N eigenvalues, so no more levels can pass
+        def no_solve(*args):
+            raise AssertionError("solved before levels was checked")
+        monkeypatch.setattr(mom, "solve_levels", no_solve)
+        assert cli.main(["--command", command, "--N", N, "--levels", levels]) == cli.EXIT_CONFIG
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("configuration error: field 'levels' must be from 1 to 10,")
+        assert err.endswith(f"got {levels}")
+        cli.build_config({"command": command, "N": N, "levels": "10"})
 
     def test_reproduce_rejects_fields_it_does_not_use(self, capsys):
         # the stored campaign fixes N, sigma and the level count
