@@ -49,7 +49,7 @@ class BoundLevel:
     n: int
     epsilon: float
     mesh_values: np.ndarray
-    imag_part: float
+    imag_part: float   # |Im| of the eigenvalue: 0.0, since every level is real
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,6 @@ def similarity_scale(grid):
 # ell = 10, N = 100: 9e-3 vs 2e-7; ell = 4, N = 300: 3e-3 vs 3e-10), so the
 # bound is where Arnoldi wins with a linear term.
 ARNOLDI_MIN_N = 100
-# Arnoldi basis size (raised to 2k + 1 for large k).  On the four N = 800
-# benchmark solves (k = 7 and 5), ncv = 12, 16, 20, 30 and 40 need 202, 200,
-# 197, 209 and 219 inverse applications in all; 20 and 30 time alike, 40
-# takes 10-15% longer and 12-16 restart more often.
-ARNOLDI_NCV = 20
 
 
 def solve_spectrum(Hs, scale, shift=None, k=None):
@@ -270,17 +265,15 @@ def _shift_invert_arnoldi(A, shift, k):
     # with a real shift ARPACK (mode 3) applies the inverse alone; A holds the factors
     shape_only = scipy.sparse.linalg.LinearOperator((N, N), matvec=None, dtype=float)
     try:
+        # scipy's default basis, min(N, max(20, 2k + 1)) columns: on the four N = 800
+        # benchmark solves 12-40 columns need 197-219 inverse applications, 20 the fewest
         evals, evecs = scipy.sparse.linalg.eigs(
-            shape_only, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N),
-            ncv=min(N, max(ARNOLDI_NCV, 2 * k + 1)))
+            shape_only, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N))
     except scipy.sparse.linalg.ArpackError:
         return None
     if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
         return None
     return evals, evecs
-
-
-IMAG_TOL = 1e-8
 
 
 def spectrum_floor(problem):
@@ -304,14 +297,15 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
 
     x and J are the mapped momenta and Jacobian at the grid nodes.
     Eigenpairs are visited in stable ascending order of real part, and the
-    first `count` that pass three filters are accepted.  (1) The imaginary
-    part must be negligible against the real part.  (2) The real part must
-    lie above the variational floor of the physical spectrum and, without a
-    linear term, below the continuum threshold 0.  (3) The quadrature
-    density w_j J_j x_j^2 |phi_j|^2 must not be concentrated on the extreme
-    mesh points: discretizing the continuum produces corner modes pinned to
-    the largest or smallest momenta, while genuine bound states decay at
-    both ends.  The filters read the eigenpairs alone.
+    first `count` that pass three filters are accepted.  (1) The eigenvalue
+    must be real: LAPACK and ARPACK return a real eigenvalue of a real matrix
+    with an imaginary part of exactly 0, and a nonzero one is a member of a
+    conjugate pair.  (2) The real part must lie above the variational floor
+    of the physical spectrum and, without a linear term, below the continuum
+    threshold 0.  (3) The quadrature density w_j J_j x_j^2 |phi_j|^2 must not
+    be concentrated on the extreme mesh points: discretizing the continuum
+    produces corner modes pinned to the largest or smallest momenta, while
+    genuine bound states decay at both ends.  The filters read the eigenpairs alone.
     Each filter looks at one eigenpair only, so stopping at `count` gives
     the same levels as filtering every eigenpair and sorting the survivors.
     Accepted levels are indexed n = 0, 1, ... and normalized to unit
@@ -329,7 +323,7 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
         if len(levels) == count:
             break
         lam = evals[i]
-        if abs(lam.imag) > IMAG_TOL * max(1.0, abs(lam.real)):
+        if lam.imag != 0.0:
             continue
         if lam.real < floor or (not problem.linear and lam.real >= 0.0):
             continue
@@ -350,21 +344,6 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
             imag_part=abs(lam.imag),
         ))
     return levels, len(levels) >= count
-
-
-def _disc_covers(evals, shift, top):
-    """True when every eigenvalue that could pass the filters up to `top` is in evals.
-
-    `evals` are the eigenvalues nearest the shift, so every other eigenvalue
-    lies at distance >= R = max|evals - shift|.  One with real part in
-    [shift, top] that passes the imaginary-part filter lies within
-    hypot(top - shift, IMAG_TOL max(1, |shift|, |top|)) of the shift; if that
-    is < R, none is missing, and selection over `evals` equals selection
-    over the whole spectrum (real parts below the shift, the spectrum floor,
-    are rejected anyway).
-    """
-    radius = np.abs(evals - shift).max()
-    return math.hypot(top - shift, IMAG_TOL * max(1.0, abs(shift), abs(top))) < radius
 
 
 def _write_hamiltonian(H, problem, grid, sigma, x, J, scale):
@@ -392,10 +371,10 @@ def solve_levels(problem, N, sigma=1.0, count=5):
     paths take is a solve's one N x N array.  From N = ARNOLDI_MIN_N only
     the count + 2 eigenpairs nearest the spectrum floor are computed, from
     an LU factorization in H's memory; their levels are kept when all
-    `count` pass the filters and the disc of returned eigenvalues provably
-    holds every candidate up to the top level (see _disc_covers).
-    Otherwise, and below that N, H is written again if need be and the
-    dense solver takes all its eigenpairs.
+    `count` pass the filters and the top level lies nearer the shift than
+    the farthest returned eigenvalue: a level below it is real and in [floor,
+    top], so none is missing.  Otherwise, and below that N, H is written
+    again if need be and the dense solver takes all its eigenpairs.
     """
     grid = cheb.chebyshev_grid(N)
     scale = similarity_scale(grid)
@@ -419,7 +398,7 @@ def solve_levels(problem, N, sigma=1.0, count=5):
         pairs = solve_spectrum(H, scale, floor, count + 2)
         if pairs is not None:
             levels, complete = select_bound_states(pairs, problem, grid, x, J, count)
-            if complete and _disc_covers(pairs[0], floor, levels[-1].epsilon):
+            if complete and levels[-1].epsilon - floor < np.abs(pairs[0] - floor).max():
                 return levels, complete
         _write_hamiltonian(H, problem, grid, sigma, x, J, scale)   # over the LU factors
     pairs = solve_spectrum(H, scale)

@@ -33,6 +33,11 @@ class TestReferences:
         assert abs(radial.airy_reference(3) - 5.520560) < 5e-7
         assert abs(radial.airy_reference(5) - 7.944134) < 5e-7
 
+    def test_table2_airy_row_is_the_printed_row(self):
+        # the graded ell = 0 row is built from the Airy zeros; it must read
+        # as the paper printed it
+        assert refs.TABLE2_EXACT[0] == (2.338107, 4.087949, 5.520560, 6.786708, 7.944134)
+
     def test_airy_range(self):
         with pytest.raises(ValueError):
             radial.airy_reference(0)
