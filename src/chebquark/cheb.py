@@ -107,9 +107,13 @@ def _cardinal_weights(moments):
     return W
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def chebyshev_grid(N):
-    """Shared, immutable grid of order N (tables are computed once)."""
+    """Shared, immutable grid of order N, cached for one order at a time.
+
+    A new order evicts the old grid before any of its tables are built, so a
+    caller who alternates N rebuilds them; solve N-major to build each once.
+    """
     return ChebGrid(N)
 
 

@@ -9,12 +9,12 @@ and grades the output against the stored references.
 Configuration files are plain-text `key = value` lines with literal
 values; `[name]` headers only group them, as all sections are merged.  Each
 command line flag carries the text of its configuration key and overrides
-the file's value, and both meet the same parser and checks.  The
-validated configuration holds the partial waves to solve, whose
-`kernels.Problem` checks the physics.  A run solves them N-major and keeps
-one mesh order's grid at a time.  Exit status is 0 when every requested
-level was produced, passed the acceptance filters and, in `compare`, agrees
-across solvers; 2 on configuration errors; 3 on numerical failures.
+the file's value, and both meet the same parser and checks.  The validated
+configuration holds the partial waves to solve, whose `kernels.Problem`
+checks the physics.  A run solves them N-major, so the one-order grid cache
+builds each mesh order once.  Exit status is 0 when every requested level
+was produced, passed the acceptance filters and, in `compare`, agrees across
+solvers; 2 on configuration errors; 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import cheb
 from . import momentum as mom
 from . import radial
 from . import references as refs
@@ -45,7 +44,7 @@ COMMANDS = ("solve", "scan", "compare", "reproduce")
 POTENTIALS = ("linear", "coulomb", "cornell")
 FORMATS = ("csv", "json", "pretty")
 
-CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev", "imag")
+CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev")
 
 COMPARE_TOL = 1e-5     # share of the energy unit, see _pair; criterion 6 at s = 1
 
@@ -56,7 +55,7 @@ COMPARE_TOL = 1e-5     # share of the energy unit, see _pair; criterion 6 at s =
 # on the dense path and 34 on the Arnoldi path (66 and 47 at N = 800).  Of
 # that, the grid's two kernel rules keep 16, and H, which the Arnoldi path
 # factors in place, takes 8 (tracemalloc, rules built).  It bounds a whole
-# run, which keeps one mesh order's grid at a time.
+# run, as the grid cache holds one mesh order.
 MAX_N = 4000
 
 
@@ -304,41 +303,37 @@ def _pair(report, wave, row):
                       f"{COMPARE_TOL:g} of the energy unit {unit:.3g}")
 
 
-def _add_differences(report, wave, scanned):
-    """`scan`: one ell's successive differences, from its (N, {n: eps}) per mesh order."""
-    ell = wave.problem.ell
+def _add_differences(report, waves, solved):
+    """`scan`: one ell's successive differences, over its waves in ascending N."""
+    ell, count = waves[0].problem.ell, waves[0].levels
+    eps = [{lv.n: lv.epsilon for lv in solved[wave][0]} for wave in waves]
     steps = report.extra["successive_differences"][str(ell)] = [
-        [abs(hi[n] - lo[n]) if n in lo and n in hi else None for n in range(wave.levels)]
-        for (_, lo), (_, hi) in zip(scanned, scanned[1:])]
-    for n in range(wave.levels):
+        [abs(hi[n] - lo[n]) if n in lo and n in hi else None for n in range(count)]
+        for lo, hi in zip(eps, eps[1:])]
+    for n in range(count):
         report.diagnostics.extend(
-            f"ell={ell} n={n}: N {lo} -> {hi} changes eps by {step[n]:.1e}"
-            for (lo, _), (hi, _), step in zip(scanned, scanned[1:], steps)
-            if step[n] is not None)
+            f"ell={ell} n={n}: N {lo.N} -> {hi.N} changes eps by {step[n]:.1e}"
+            for lo, hi, step in zip(waves, waves[1:], steps) if step[n] is not None)
 
 
 def run(cfg):
     """Execute a validated RunConfig and return the Report.
 
-    The waves are solved stably N-major, each grid released after its last
-    wave, and reported in their own order: rows, then each level's grade or
+    The waves are solved stably N-major, so each mesh order's grid is built
+    once, and reported in their own order: rows, then each level's grade or
     pairing, and in `scan` an ell's successive differences after its last N.
     """
-    solved, order = {}, sorted(cfg.waves, key=lambda wave: wave.N)
-    for wave, after in zip(order, order[1:] + [None]):
-        solved[wave] = mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
-        if after is None or after.N != wave.N:
-            cheb.chebyshev_grid.cache_clear()
+    solved = {wave: mom.solve_levels(wave.problem, wave.N, wave.sigma, wave.levels)
+              for wave in sorted(cfg.waves, key=lambda wave: wave.N)}
     extra = {"reproduce": {"table": cfg.table}, "compare": {"compare": []},
              "scan": {"successive_differences": {}}}
-    report, scanned = Report(cfg.command, extra=extra.get(cfg.command, {})), []
+    report = Report(cfg.command, extra=extra.get(cfg.command, {}))
     for wave in cfg.waves:
         levels, complete = solved[wave]
         rows = [{"ell": lv.ell, "n": lv.n, "N": wave.N, "sigma": wave.sigma,
                  "epsilon": float(lv.epsilon),
                  "mass_gev": (None if wave.scales is None
-                              else float(wave.scales.mass_gev(lv.epsilon))),
-                 "imag": float(lv.imag_part)}
+                              else float(wave.scales.mass_gev(lv.epsilon)))}
                 for lv in levels]
         report.rows.extend(rows)
         if not complete:
@@ -349,11 +344,9 @@ def run(cfg):
                 _grade(report, wave, row)
             elif cfg.command == "compare":
                 _pair(report, wave, row)
-        if cfg.command == "scan":
-            scanned.append((wave.N, {row["n"]: row["epsilon"] for row in rows}))
-            if wave.N == cfg.waves[-1].N:    # every ell of a scan ends at the list's last N
-                _add_differences(report, wave, scanned)
-                scanned = []
+        if cfg.command == "scan" and wave.N == cfg.waves[-1].N:    # every ell ends there
+            ell = wave.problem.ell
+            _add_differences(report, [w for w in cfg.waves if w.problem.ell == ell], solved)
     return report
 
 

@@ -43,13 +43,12 @@ def mapped_nodes(t, sigma):
 
 @dataclass(frozen=True)
 class BoundLevel:
-    """One accepted bound level: quantum numbers, energy and mesh values."""
+    """One accepted bound level: quantum numbers, energy (a real eigenvalue) and mesh values."""
 
     ell: int
     n: int
     epsilon: float
     mesh_values: np.ndarray
-    imag_part: float   # |Im| of the eigenvalue: 0.0, since every level is real
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,8 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
     the Arnoldi one factors it in place.  With the similarity scale the
     eigenvalues carry 1e-13 of rounding, those of H 1e-10 (linear, N = 200).
 
-    Without a shift: all N eigenpairs from the LAPACK non-symmetric QR solver.
+    Without a shift: all N eigenpairs from the LAPACK non-symmetric QR solver,
+    which raises LinAlgError when it does not converge.
     With a shift and k: the k eigenpairs nearest the shift, by ARPACK's
     shift-invert Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users'
     Guide, SIAM 1998) on an equilibrated LU factorization of Hs - shift,
@@ -207,16 +207,11 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
     to run); None when the shifted matrix is singular or the iteration
     fails, so that the caller can fall back to the dense solver.
     """
-    if k is not None:
-        pairs = _shift_invert_arnoldi(Hs, shift, k)
-        if pairs is None:
-            return None
-        evals, evecs = pairs
-    else:
-        try:
-            evals, evecs = scipy.linalg.eig(Hs, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-            raise RuntimeError(f"eigenvalue solver failed to converge: {exc}") from exc
+    pairs = (scipy.linalg.eig(Hs, check_finite=False) if k is None
+             else _shift_invert_arnoldi(Hs, shift, k))
+    if pairs is None:
+        return None
+    evals, evecs = pairs
     evecs /= scale[:, None]
     return evals, evecs
 
@@ -339,10 +334,8 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
         v.setflags(write=False)
-        levels.append(BoundLevel(
-            ell=problem.ell, n=len(levels), epsilon=lam.real, mesh_values=v,
-            imag_part=abs(lam.imag),
-        ))
+        levels.append(BoundLevel(ell=problem.ell, n=len(levels), epsilon=lam.real,
+                                 mesh_values=v))
     return levels, len(levels) >= count
 
 

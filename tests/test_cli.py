@@ -1,11 +1,12 @@
 """Configuration parsing, run commands, emission formats, exit codes."""
 
-import functools
 import json
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 from chebquark import cheb, cli
 from chebquark import momentum as mom
@@ -122,7 +123,7 @@ class TestReports:
     def test_csv_schema(self):
         text = cli.emit_csv(self.report)
         header = text.splitlines()[0]
-        assert header == "ell,n,N,sigma,epsilon,mass_gev,imag"
+        assert header == "ell,n,N,sigma,epsilon,mass_gev"
         # dimensionless run leaves the mass column empty
         assert text.splitlines()[1].split(",")[5] == ""
 
@@ -130,8 +131,8 @@ class TestReports:
         text = cli.report_to_json(self.report)
         back = json.loads(text)
         for a, b in zip(self.report.rows, back["rows"], strict=True):
+            assert list(b) == list(cli.CSV_FIELDS)
             assert a["epsilon"] == b["epsilon"]
-            assert a["imag"] == b["imag"]
         assert json.dumps(back, indent=2) == text
 
     @pytest.mark.parametrize("command, N", (("solve", "60"), ("scan", "40 60"),
@@ -249,36 +250,45 @@ class TestCommands:
             f"ell=2 n=0: N 60 -> 80 changes eps by {diffs['2'][1][0]:.1e}"]
 
     def test_scan_solves_n_major_and_releases_each_grid(self, monkeypatch):
-        # each mesh order's grid is built once and dropped after its last wave,
-        # while the report keeps the waves' order; so in every command
+        # the grid cache holds one mesh order, so each order's grid is built
+        # once and freed when the next order is asked for, while the report
+        # keeps the waves' order; so in every command
         built = []
-        monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(
-            lambda N: built.append(N) or cheb.ChebGrid(N)))
+
+        class Recorded(cheb.ChebGrid):
+            def __init__(self, N):
+                super().__init__(N)
+                built.append((N, weakref.ref(self)))
+
+        monkeypatch.setattr(cheb, "ChebGrid", Recorded)
         solve_levels, solved = mom.solve_levels, []
 
         def record(problem, N, sigma, count):
             out = solve_levels(problem, N, sigma, count)
+            # at most one grid alive, freed by reference count without a collection
+            assert [M for M, grid in built if grid() is not None] == [N]
             info = cheb.chebyshev_grid.cache_info()
             solved.append((problem.ell, N, info.hits, info.misses))
             return out
 
         monkeypatch.setattr(mom, "solve_levels", record)
         text = "potential = linear\ns = 1\nlevels = 2\n"
+        # a run may start on the previous run's last grid
+        cheb.chebyshev_grid.cache_clear()
         report = cli.run(cli.parse_config(text + "command = scan\nell = 0 2\nN = 40 60 80\n"))
-        # cache_clear also resets the hit and miss counts
-        assert solved == [(ell, N, ell // 2, 1) for N in (40, 60, 80) for ell in (0, 2)]
-        assert cheb.chebyshev_grid.cache_info().currsize == 0
-        assert built == [40, 60, 80]
+        assert solved == [(ell, N, k + ell // 2, k + 1)
+                          for k, N in enumerate((40, 60, 80)) for ell in (0, 2)]
+        assert [N for N, _ in built] == [40, 60, 80]
         assert report.rows == [row for ell in (0, 2) for N in (40, 60, 80) for row in cli.run(
             cli.parse_config(text + f"command = solve\nell = {ell}\nN = {N}\n")).rows]
         # table 2 solves at N = 300, 100, 100, 80 and table 3 six times at N = 80
         for config in ("command = reproduce\ntable = 2\n", "command = reproduce\ntable = 3\n",
                        text + "command = solve\nell = 0 1 2\nN = 40\n"):
             cfg = cli.parse_config(config)
+            cheb.chebyshev_grid.cache_clear()
             built.clear()
             assert cli.run(cfg).status == cli.EXIT_OK
-            assert built == sorted({wave.N for wave in cfg.waves})
-            assert cheb.chebyshev_grid.cache_info().currsize == 0
+            assert [N for N, _ in built] == sorted({wave.N for wave in cfg.waves})
 
     def test_deterministic_rerun(self):
         cfg = cli.parse_config(
@@ -371,6 +381,18 @@ class TestMain:
             == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:")
+
+    def test_failed_dense_eigensolve_exit_code(self, monkeypatch, capsys):
+        # LAPACK's LinAlgError reaches main unwrapped, as one failure line
+        def no_convergence(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eig algorithm did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+        assert mom.ARNOLDI_MIN_N > 40
+        assert cli.main(["--N", "40"]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["numerical failure: eig algorithm did not converge"]
 
     def test_ell30_n100_prints_no_floating_point_warning(self, tmp_path, capsys):
         # the kernel corners lift max|H| to 6e242 here; no step may print a

@@ -1,8 +1,10 @@
 """Momentum-space solver: the rational map, assembly, spectra, wavefunctions."""
 
 import functools
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +204,15 @@ class TestAssembly:
             assert not table.flags.writeable
             assert table.flags.c_contiguous
 
+    def test_grid_cache_holds_one_mesh_order(self):
+        # a solve at a new mesh order frees the previous order's grid and rules
+        mom.solve_levels(refs.linear_params(0), 60, 1.0, 2)
+        old = weakref.ref(cheb.chebyshev_grid(60))
+        mom.solve_levels(refs.linear_params(0), 80, 1.0, 2)
+        gc.collect()
+        assert old() is None
+        assert cheb.chebyshev_grid.cache_info().currsize == 1
+
     @pytest.mark.parametrize("N", (20, 80, 300))
     @pytest.mark.parametrize("case", ("coulomb", "cornell", "linear", "salpeter"))
     def test_bit_identical_to_vectorized_assembly(self, case, N):
@@ -299,14 +310,14 @@ class TestSpectrum:
             eps.append(levels[0].epsilon)
         assert all(a < b for a, b in zip(eps, eps[1:]))
 
-    def test_accepted_levels_real_positive_distinct(self):
+    def test_accepted_levels_real_positive_distinct(self, spectra):
         levels, ok = mom.solve_levels(refs.linear_params(2), 100,
                                       1.0, 5)
         assert ok
         eps = [lv.epsilon for lv in levels]
         assert all(e > 0.0 for e in eps)
         assert all(b - a > 1e-10 for a, b in zip(eps, eps[1:]))
-        assert all(lv.imag_part == 0.0 for lv in levels)
+        assert_real_eigenvalues(levels, spectra)
 
     def test_normalization(self):
         grid = cheb.chebyshev_grid(100)
@@ -342,20 +353,18 @@ def select_all_then_sort(eigenpairs, params, grid, sigma, count):
             continue
         if max(density[:corner].sum(), density[-corner:].sum()) > 0.5 * total:
             continue
-        accepted.append((lam.real, v, abs(lam.imag)))
+        accepted.append((lam.real, v))
 
     accepted.sort(key=lambda item: item[0])
     levels = []
-    for n, (eps, v, im) in enumerate(accepted[:count]):
+    for n, (eps, v) in enumerate(accepted[:count]):
         norm2 = np.sum(grid.plain_weights * J * x * x * v * v)
         if norm2 <= 0.0:
             continue
         v = v / math.sqrt(norm2)
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
-        levels.append(mom.BoundLevel(
-            ell=params.ell, n=n, epsilon=eps, mesh_values=v, imag_part=im,
-        ))
+        levels.append(mom.BoundLevel(ell=params.ell, n=n, epsilon=eps, mesh_values=v))
     return levels, len(levels) >= count
 
 
@@ -373,7 +382,6 @@ def assert_same_levels(got, want):
     for a, b in zip(got[0], want[0]):
         assert (a.ell, a.n) == (b.ell, b.n)
         assert a.epsilon == b.epsilon
-        assert a.imag_part == b.imag_part
         assert np.array_equal(a.mesh_values, b.mesh_values)
 
 
@@ -452,6 +460,30 @@ def dense_levels(params, N, sigma, count, Hs=None):
         Hs = scaled_hamiltonian(params, grid, sigma, x, J)
     pairs = mom.solve_spectrum(Hs, mom.similarity_scale(grid))
     return mom.select_bound_states(pairs, params, grid, x, J, count)
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """The eigenvalues of every spectrum momentum.solve_spectrum returned."""
+    returned, solve_spectrum = [], mom.solve_spectrum
+
+    def spy(*args, **kwargs):
+        out = solve_spectrum(*args, **kwargs)
+        if out is not None:
+            returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(mom, "solve_spectrum", spy)
+    return returned
+
+
+def assert_real_eigenvalues(levels, spectra):
+    """Each level is a returned eigenvalue with imaginary part exactly 0; no two are one."""
+    evals = np.concatenate(spectra)
+    real = evals.real[evals.imag == 0.0]
+    assert all(np.any(real == lv.epsilon) for lv in levels)
+    eps = [lv.epsilon for lv in levels]
+    assert len(set(eps)) == len(eps)
 
 
 @pytest.fixture
@@ -605,14 +637,13 @@ class TestArnoldi:
         assert np.array_equal(dense_input[0], Hs)
         assert_same_levels(got, dense_levels(params, N, 1.0, 5, Hs))
 
-    def test_a_conjugate_pair_is_not_two_levels(self):
+    def test_a_conjugate_pair_is_not_two_levels(self, spectra):
         # the eigensolvers return a real eigenvalue of a real matrix with an
         # imaginary part of exactly 0; here a pair -3.9e-8 +- 1.0e-8 i lies
         # next to the real ones and must not be printed as n = 0 and n = 1
         levels, _ = mom.solve_levels(refs.linear_params(20), 80, 1.0, 2)
-        assert all(lv.imag_part == 0.0 for lv in levels)
-        eps = [lv.epsilon for lv in levels]
-        assert len(set(eps)) == len(eps)
+        assert levels
+        assert_real_eigenvalues(levels, spectra)
 
     def test_bit_reproducible(self, eigensolves):
         params = SELECTION_CASES["coulomb"][0](1)
