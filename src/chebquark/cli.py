@@ -11,10 +11,11 @@ values; `[name]` headers only group them, as all sections are merged.  Each
 command line flag carries the text of its configuration key and overrides
 the file's value, and both meet the same parser and checks.  The validated
 configuration holds the partial waves to solve, whose `kernels.Problem`
-checks the physics.  A run solves them N-major, so the one-order grid cache
-builds each mesh order once.  Exit status is 0 when every requested level
-was produced, passed the acceptance filters and, in `compare`, agrees across
-solvers; 2 on configuration errors; 3 on numerical failures.
+checks the physics and gives `compare`'s energy unit E and the default
+mapping scale sqrt(E/s).  A run solves them N-major, so the one-order grid
+cache builds each mesh order once.  Exit status is 0 when every requested
+level was produced, passed the acceptance filters and, in `compare`, agrees
+across solvers; 2 on configuration errors; 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev")
 
-COMPARE_TOL = 1e-5     # share of the energy unit, see _pair; criterion 6 at s = 1
+COMPARE_TOL = 1e-5     # share of Problem.energy_unit; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
 # at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound; the dense
@@ -112,7 +113,7 @@ _FIELDS = {
     "ell": (_parse_int_list, (0,)),
     "levels": (_parse_int, 5),
     "N": (_parse_int_list, (100,)),
-    "sigma": (_parse_float, 1.0),
+    "sigma": (_parse_float, None),        # default: each wave's Problem.momentum_unit
     "kinetic": (None, "nonrelativistic"),
     "format": (None, "pretty"),
     "out": (None, None),
@@ -120,7 +121,7 @@ _FIELDS = {
 }
 
 
-def _read_raw(text):
+def read_config(text):
     """Key-value strings of a configuration document, sections merged.
 
     The grammar: blank lines; `#` comments at line start or after
@@ -141,11 +142,6 @@ def _read_raw(text):
             raise ConfigError(f"duplicate key {key!r} on line {k}")
         raw[key] = value
     return raw
-
-
-def parse_config(text):
-    """Parse a key-value document (see _read_raw) into a validated RunConfig."""
-    return build_config(_read_raw(text))
 
 
 def build_config(raw):
@@ -188,7 +184,7 @@ def _validate(cfg):
         value = getattr(cfg, name)
         if value not in allowed:
             raise ConfigError(f"field {name!r} must be one of {allowed}, got {value!r}")
-    if cfg.sigma <= 0.0:
+    if cfg.sigma is not None and cfg.sigma <= 0.0:
         raise ConfigError("field 'sigma' must be positive")
     if any(N < 2 for N in cfg.N):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
@@ -237,9 +233,13 @@ def _waves(cfg):
             raise ConfigError(str(exc) if scales is None else
                               f"{exc} (beta = {cfg.beta:g} GeV^2 and mass = {cfg.mass:g} GeV "
                               f"give s = {scales.s:g} and am = {scales.am:g})")
+        sigma = problem.momentum_unit if cfg.sigma is None else cfg.sigma
+        if not 0.0 < sigma < math.inf:
+            raise ConfigError(f"s = {problem.s:g} and alpha = {problem.alpha:g} give the "
+                              f"mapping scale sigma = {sigma:g}; set field 'sigma'")
         for N in cfg.N:
             label = f"ell={ell} N={N}" if cfg.command == "scan" else f"ell={ell}"
-            yield refs.PartialWave(label, problem, N, cfg.sigma, cfg.levels, scales)
+            yield refs.PartialWave(label, problem, N, sigma, cfg.levels, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +296,9 @@ def _pair(report, wave, row):
                                     "coordinate": float(eps_r), "delta": float(delta)})
     report.diagnostics.append(f"{wave.label} n={n}: momentum {eps:.7g} "
                               f"coordinate {eps_r:.7g} delta {delta:.2e}")
-    # energy unit: s^(1/3) with a linear term, the Coulomb binding alpha^2/(4 s)
-    unit = max(p.s ** (1.0 / 3.0) if p.linear else 0.0, p.alpha ** 2 / (4.0 * p.s))
-    if abs(delta) > COMPARE_TOL * unit:
+    if abs(delta) > COMPARE_TOL * p.energy_unit:
         _fail(report, f"{wave.label} n={n}: the solvers disagree by more than "
-                      f"{COMPARE_TOL:g} of the energy unit {unit:.3g}")
+                      f"{COMPARE_TOL:g} of the energy unit {p.energy_unit:.3g}")
 
 
 def _add_differences(report, waves, solved):
@@ -389,7 +387,8 @@ def emit(report, fmt):
 # command line flag -> (metavar, help); each takes the text of its configuration key
 FLAGS = {"command": ("|".join(COMMANDS), None), "table": ("1|2|3", None),
          "ell": (None, "orbital momenta, e.g. '0,1,2'"), "levels": (None, None),
-         "N": (None, "mesh order, or list for scans, e.g. '50,100,200'"), "sigma": (None, None),
+         "N": (None, "mesh order, or list for scans, e.g. '50,100,200'"),
+         "sigma": (None, "mapping scale (default: sqrt(E/s) for the energy unit E)"),
          "format": ("|".join(FORMATS), None), "out": (None, "output path (default: stdout)")}
 
 
@@ -406,7 +405,7 @@ def main(argv=None):
         if args["config"]:
             try:
                 with open(args["config"], encoding="utf-8") as fh:
-                    raw = _read_raw(fh.read())
+                    raw = read_config(fh.read())
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
         # command line flags override file values, as the same text

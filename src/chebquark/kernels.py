@@ -64,6 +64,16 @@ class Problem:
         if self.kinetic == "salpeter" and self.am <= 0.0:
             raise ValueError("salpeter mode needs a positive quark mass am")
 
+    @property
+    def energy_unit(self):
+        """s^(1/3) with a linear term, or the Coulomb binding alpha^2/(4 s) if that is larger."""
+        return max(self.s ** (1.0 / 3.0) if self.linear else 0.0, self.alpha ** 2 / (4.0 * self.s))
+
+    @property
+    def momentum_unit(self):
+        """sqrt(energy_unit / s), the momentum x whose kinetic energy s x^2 is the energy unit."""
+        return math.sqrt(self.energy_unit / self.s)
+
 
 def _bonnet(ell, z):
     """Yield (m, P_m(z), P'_m(z)) for m = 0..ell.

@@ -354,21 +354,22 @@ def _write_hamiltonian(H, problem, grid, sigma, x, J, scale):
             Hb *= unscale
 
 
-def solve_levels(problem, N, sigma=1.0, count=5):
+def solve_levels(problem, N, sigma=None, count=5):
     """Lowest `count` levels: write H in row blocks, diagonalize, select lazily.
 
-    sigma is the scale of the rational map (see mapped_nodes); a scale that
-    is not positive and finite is a ValueError.  The weight tables come from
-    the grid, which builds each once per mesh order, so a loop over ell at
-    fixed N reuses them.  The similar matrix d H d^-1 that both eigensolver
-    paths take is a solve's one N x N array.  From N = ARNOLDI_MIN_N only
-    the count + 2 eigenpairs nearest the spectrum floor are computed, from
-    an LU factorization in H's memory; their levels are kept when all
-    `count` pass the filters and the top level lies nearer the shift than
-    the farthest returned eigenvalue: a level below it is real and in [floor,
-    top], so none is missing.  Otherwise, and below that N, H is written
-    again if need be and the dense solver takes all its eigenpairs.
+    sigma scales the rational map of mapped_nodes, `problem.momentum_unit`
+    by default; one that is not positive and finite is a ValueError.  The
+    weight tables come from the grid, which builds each once per mesh order,
+    so a loop over ell at fixed N reuses them.  The similar matrix d H d^-1
+    that both eigensolver paths take is a solve's one N x N array.  From
+    N = ARNOLDI_MIN_N only the count + 2 eigenpairs nearest the spectrum
+    floor are computed, from an LU factorization in H's memory; their levels
+    are kept when all `count` pass the filters and the top level lies nearer
+    the shift than the farthest returned eigenvalue: a level below it is
+    real and in [floor, top], so none is missing.  Otherwise, and below that
+    N, the dense solver takes all eigenpairs of H, written again if need be.
     """
+    sigma = problem.momentum_unit if sigma is None else sigma
     grid = cheb.chebyshev_grid(N)
     scale = similarity_scale(grid)
     H = np.empty((N, N))

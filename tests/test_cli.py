@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 import scipy.linalg
 
-from chebquark import cheb, cli
+from chebquark import cheb, cli, radial
 from chebquark import momentum as mom
 from chebquark import references as refs
 
 
 class TestParseConfig:
     def test_minimal_linear_run(self):
-        cfg = cli.parse_config("potential = linear\ns = 1\nell = 0\n")
+        cfg = cli.build_config(cli.read_config("potential = linear\ns = 1\nell = 0\n"))
         assert cfg.command == "solve"
         assert [w.sigma for w in cfg.waves] == [1.0]
         assert [w.N for w in cfg.waves] == [100]
@@ -23,56 +23,57 @@ class TestParseConfig:
 
     def test_sections_are_merged(self):
         text = "[run]\ncommand = scan\nN = 50 100\n[potential]\npotential = linear\nell = 0 1\n"
-        cfg = cli.parse_config(text)
+        cfg = cli.build_config(cli.read_config(text))
         assert cfg.command == "scan"
         # scan solves each ell at each N
         assert [(w.problem.ell, w.N) for w in cfg.waves] == [(0, 50), (0, 100), (1, 50), (1, 100)]
 
     def test_charm_physical_conversion(self):
-        cfg = cli.parse_config(
-            "potential = cornell\nalpha = 0.50667\nbeta = 0.1694\nmass = 1.37\n")
+        cfg = cli.build_config(cli.read_config(
+            "potential = cornell\nalpha = 0.50667\nbeta = 0.1694\nmass = 1.37\n"))
         # s = sqrt(beta)/m for equal-mass quarkonium, a = 1/sqrt(beta)
         assert abs(cfg.waves[0].problem.s - 0.1694**0.5 / 1.37) < 1e-15
         assert cfg.waves[0].scales is not None
 
     def test_unknown_keys_listed(self):
         with pytest.raises(cli.ConfigError, match="bogus"):
-            cli.parse_config("bogus = 3\npotential = linear\n")
+            cli.build_config(cli.read_config("bogus = 3\npotential = linear\n"))
 
     def test_invalid_order(self):
         with pytest.raises(cli.ConfigError, match="'N'"):
-            cli.parse_config("potential = linear\nN = 1\n")
+            cli.build_config(cli.read_config("potential = linear\nN = 1\n"))
 
     def test_invalid_value_names_field(self):
         with pytest.raises(cli.ConfigError, match="'sigma'"):
-            cli.parse_config("potential = linear\nsigma = wide\n")
+            cli.build_config(cli.read_config("potential = linear\nsigma = wide\n"))
 
     def test_physical_requires_positive_beta(self):
         with pytest.raises(cli.ConfigError, match="beta"):
-            cli.parse_config("potential = cornell\nalpha = 0.5\nbeta = -1\nmass = 1.37\n")
+            cli.build_config(cli.read_config(
+                "potential = cornell\nalpha = 0.5\nbeta = -1\nmass = 1.37\n"))
 
     @pytest.mark.parametrize("name", ("sigma", "s", "alpha", "beta", "mass"))
     @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
     def test_non_finite_number_rejected(self, name, value):
         with pytest.raises(cli.ConfigError, match=f"'{name}' must be finite"):
-            cli.parse_config(f"potential = linear\n{name} = {value}\n")
+            cli.build_config(cli.read_config(f"potential = linear\n{name} = {value}\n"))
 
     @pytest.mark.parametrize("name", ("levels", "table"))
     def test_non_integer_count_rejected(self, name):
         with pytest.raises(cli.ConfigError, match=f"'{name}' must be an integer"):
-            cli.parse_config(f"potential = linear\n{name} = 2.7\n")
+            cli.build_config(cli.read_config(f"potential = linear\n{name} = 2.7\n"))
 
     def test_readme_example_parses(self):
         # the annotated example in README.md, inline comments included
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        cfg = cli.parse_config(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = cli.build_config(cli.read_config(readme.split("```ini\n", 1)[1].split("```", 1)[0]))
         assert (cfg.command, cfg.out) == ("solve", "results.csv")
         assert [(w.problem.ell, w.N) for w in cfg.waves] == [(0, 100), (1, 100), (2, 100)]
         assert all(w.scales is not None for w in cfg.waves)
 
     def test_reproduce_requires_table(self):
         with pytest.raises(cli.ConfigError, match="table"):
-            cli.parse_config("command = reproduce\n")
+            cli.build_config(cli.read_config("command = reproduce\n"))
 
     @pytest.mark.parametrize("text", (
         "[DEFAULT]\npotential = coulomb\nalpha = 1\nN = 40\nlevels = 1\n",
@@ -80,22 +81,24 @@ class TestParseConfig:
         "[DEFAULT]\npotential = coulomb\n[run]\nalpha = 1\nN = 40\n[more]\nlevels = 1\n",
     ), ids=("alone", "one-other", "two-others"))
     def test_default_section_is_merged(self, text):
-        (wave,) = cli.parse_config(text).waves
+        (wave,) = cli.build_config(cli.read_config(text)).waves
         assert (wave.N, wave.levels) == (40, 1)
         assert wave.problem == refs.coulomb_params(0, alpha=1.0, s=1.0)
 
     def test_default_section_key_repeated_elsewhere_rejected(self):
         with pytest.raises(cli.ConfigError, match="duplicate key 'N'"):
-            cli.parse_config("[DEFAULT]\nN = 40\n[run]\nN = 50\n")
+            cli.build_config(cli.read_config("[DEFAULT]\nN = 40\n[run]\nN = 50\n"))
 
     def test_repeated_header_is_merged(self):
-        cfg = cli.parse_config("[run]\nN = 40\n[potential]\nell = 1\n[run]\nlevels = 2\n")
+        cfg = cli.build_config(cli.read_config(
+            "[run]\nN = 40\n[potential]\nell = 1\n[run]\nlevels = 2\n"))
         assert [(w.problem.ell, w.N, w.levels) for w in cfg.waves] == [(1, 40, 2)]
 
     @pytest.mark.parametrize("header", ("", "[run]\n"))
     def test_byte_order_mark_is_dropped(self, header):
         text = header + "potential = linear\nN = 40\n"
-        assert cli.parse_config("\ufeff" + text) == cli.parse_config(text)
+        assert (cli.build_config(cli.read_config("\ufeff" + text))
+                == cli.build_config(cli.read_config(text)))
 
     @pytest.mark.parametrize(("text", "line"), (
         ("potential = linear\nN: 40\n", 2),
@@ -106,13 +109,13 @@ class TestParseConfig:
     ), ids=("colon", "semicolon-comment", "continuation", "no-value", "no-key"))
     def test_malformed_line_named_by_number(self, text, line):
         with pytest.raises(cli.ConfigError, match=f"^malformed configuration: line {line}: "):
-            cli.parse_config(text)
+            cli.build_config(cli.read_config(text))
 
 
 class TestReports:
     def setup_method(self):
-        cfg = cli.parse_config(
-            "command = solve\npotential = linear\ns = 1\nell = 1\nlevels = 2\nN = 60\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = solve\npotential = linear\ns = 1\nell = 1\nlevels = 2\nN = 60\n"))
         self.report = cli.run(cfg)
 
     def test_solve_rows(self):
@@ -138,8 +141,8 @@ class TestReports:
     @pytest.mark.parametrize("command, N", (("solve", "60"), ("scan", "40 60"),
                                             ("compare", "60")))
     def test_json_equals_the_asdict_form(self, command, N):
-        report = cli.run(cli.parse_config(
-            f"command = {command}\npotential = linear\ns = 1\nell = 0 1\nlevels = 2\nN = {N}\n"))
+        report = cli.run(cli.build_config(cli.read_config(
+            f"command = {command}\npotential = linear\ns = 1\nell = 0 1\nlevels = 2\nN = {N}\n")))
         assert report.rows
         assert cli.report_to_json(report) == json.dumps(asdict(report), indent=2)
 
@@ -149,8 +152,8 @@ class TestReports:
 
 class TestCommands:
     def test_compare_small(self):
-        cfg = cli.parse_config(
-            "command = compare\npotential = linear\ns = 1\nell = 2\nlevels = 1\nN = 80\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = compare\npotential = linear\ns = 1\nell = 2\nlevels = 1\nN = 80\n"))
         report = cli.run(cfg)
         assert report.status == cli.EXIT_OK
         pair = report.extra["compare"][0]
@@ -162,8 +165,9 @@ class TestCommands:
         # N = 80 at sigma = 1 does not resolve small s: at s = 1e-8 momentum
         # 0.1209 against coordinate 0.005037; at s = 1e-5 a delta of 7.3e-7,
         # below 1e-5 but above 1e-5 of the energy unit s^(1/3) = 0.0215
-        cfg = cli.parse_config("command = compare\npotential = linear\n"
-                               f"s = {s}\nell = 0\nlevels = 1\nN = 80\n")
+        cfg = cli.build_config(cli.read_config("command = compare\npotential = linear\n"
+                                               f"s = {s}\nell = 0\nlevels = 1\nN = 80\n"
+                                               "sigma = 1\n"))
         report = cli.run(cfg)
         assert report.status == cli.EXIT_NUMERICAL
         assert abs(report.extra["compare"][0]["delta"]) > cli.COMPARE_TOL * float(s) ** (1 / 3)
@@ -172,34 +176,68 @@ class TestCommands:
     def test_coulomb_continuum_is_not_a_bound_level(self):
         # 40 levels at N = 80: from n = 17 on the eigenvalues lie above the
         # continuum threshold 0 and used to be returned as levels
-        cfg = cli.parse_config("command = solve\npotential = coulomb\nalpha = 1\ns = 1\n"
-                               "ell = 0\nN = 80\nsigma = 0.5\nlevels = 40\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = solve\npotential = coulomb\nalpha = 1\ns = 1\n"
+            "ell = 0\nN = 80\nsigma = 0.5\nlevels = 40\n"))
         report = cli.run(cfg)
         assert report.status == cli.EXIT_NUMERICAL
         assert report.rows and all(row["epsilon"] < 0.0 for row in report.rows)
         assert f"only {len(report.rows)} of 40 levels passed the filters" in report.diagnostics[-1]
 
     def test_compare_weak_coulomb_finds_no_continuum_levels(self):
-        # alpha = 1e-8: the true levels (-2.5e-17 ...) are out of reach at
-        # N = 80, and the positive eigenvalues 8.05e-4 ... are continuum
-        cfg = cli.parse_config("command = compare\npotential = coulomb\nalpha = 1e-8\ns = 1\n"
-                               "ell = 0\nN = 80\nlevels = 3\n")
+        # alpha = 1e-8 at sigma = 1: the true levels (-2.5e-17 ...) are out of
+        # reach at N = 80, and the positive eigenvalues 8.05e-4 ... are continuum
+        cfg = cli.build_config(cli.read_config(
+            "command = compare\npotential = coulomb\nalpha = 1e-8\ns = 1\n"
+            "ell = 0\nN = 80\nlevels = 3\nsigma = 1\n"))
         report = cli.run(cfg)
         assert report.status == cli.EXIT_NUMERICAL
         assert report.rows == [] and report.extra["compare"] == []
         assert report.diagnostics == ["ell=0: only 0 of 3 levels passed the filters"]
 
+    def test_compare_small_s_at_the_derived_sigma(self):
+        # the levels sit near the momentum unit s^(-1/3) = 464, which sigma = 1
+        # does not resolve (above); without sigma the run maps there
+        report = cli.run(cli.build_config(cli.read_config(
+            "command = compare\npotential = linear\ns = 1e-8\nell = 0\nlevels = 2\nN = 80\n")))
+        assert report.status == cli.EXIT_OK
+        assert [row["sigma"] for row in report.rows] == [pytest.approx(464.158883, rel=1e-9)] * 2
+        assert [round(row["epsilon"], 7) for row in report.rows] == [0.0050373, 0.0088072]
+
+    def test_weak_coulomb_levels_at_the_derived_sigma(self):
+        # sigma = alpha/(2 s) = 5e-9, the Bohr momentum
+        report = cli.run(cli.build_config(cli.read_config(
+            "potential = coulomb\nalpha = 1e-8\ns = 1\nell = 0\nN = 80\nlevels = 3\n")))
+        assert report.status == cli.EXIT_OK
+        assert [row["sigma"] for row in report.rows] == [pytest.approx(5e-9, rel=1e-15)] * 3
+        for row in report.rows:
+            exact = radial.hydrogen_energy(row["n"], 0, 1e-8, 0.5)
+            assert abs(row["epsilon"] / exact - 1.0) < 1e-8
+
+    @pytest.mark.parametrize(("text", "sigma"), (
+        ("potential = linear\ns = 1\n", 1.0),
+        ("potential = coulomb\nalpha = 1\ns = 1\n", 0.5),
+        ("potential = cornell\nalpha = 0.50667\nbeta = 0.1694\nmass = 1.37\n", 1.493),
+    ), ids=("linear", "coulomb", "charm"))
+    def test_rows_report_the_derived_sigma(self, text, sigma):
+        cfg = cli.build_config(cli.read_config(text + "ell = 0 1\nN = 40\nlevels = 2\n"))
+        assert [wave.sigma for wave in cfg.waves] == [wave.problem.momentum_unit
+                                                     for wave in cfg.waves]
+        report = cli.run(cfg)
+        assert len(report.rows) == 4
+        assert all(row["sigma"] == pytest.approx(sigma, abs=5e-4) for row in report.rows)
+
     def test_scan_diffs_recorded(self):
-        cfg = cli.parse_config(
-            "command = scan\npotential = linear\ns = 1\nell = 0\nlevels = 1\nN = 40 80\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = scan\npotential = linear\ns = 1\nell = 0\nlevels = 1\nN = 40 80\n"))
         report = cli.run(cfg)
         assert report.status == cli.EXIT_OK
         assert "0" in report.extra["successive_differences"]
 
     def test_scan_rows_equal_solve_rows(self):
         text = "potential = linear\ns = 1\nell = 1\nlevels = 2\n"
-        scan = cli.run(cli.parse_config(text + "command = scan\nN = 40 60\n"))
-        solve = cli.run(cli.parse_config(text + "command = solve\nN = 60\n"))
+        scan = cli.run(cli.build_config(cli.read_config(text + "command = scan\nN = 40 60\n")))
+        solve = cli.run(cli.build_config(cli.read_config(text + "command = solve\nN = 60\n")))
         at_60 = [row for row in scan.rows if row["N"] == 60]
         assert at_60 == solve.rows
 
@@ -208,8 +246,8 @@ class TestCommands:
         monkeypatch.setattr(mom, "solve_levels", lambda problem, N, sigma, count: (
             (solve_levels(problem, N, sigma, count - 1)[0], False) if N == 60
             else solve_levels(problem, N, sigma, count)))
-        report = cli.run(cli.parse_config(
-            "command = scan\npotential = linear\ns = 1\nell = 1\nlevels = 2\nN = 40 60 80\n"))
+        report = cli.run(cli.build_config(cli.read_config(
+            "command = scan\npotential = linear\ns = 1\nell = 1\nlevels = 2\nN = 40 60 80\n")))
         assert report.status == cli.EXIT_NUMERICAL
         assert [(r["N"], r["n"]) for r in report.rows] == [(40, 0), (40, 1), (60, 0), (80, 0), (80, 1)]
         # level 1 is missing at N = 60, so neither of its differences is printed
@@ -221,8 +259,8 @@ class TestCommands:
             f"ell=1 n=0: N 60 -> 80 changes eps by {diffs[1][0]:.1e}"]
 
     def test_scan_prints_each_successive_difference(self):
-        cfg = cli.parse_config(
-            "command = scan\npotential = linear\ns = 1\nell = 0 2\nlevels = 2\nN = 40 60 80\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = scan\npotential = linear\ns = 1\nell = 0 2\nlevels = 2\nN = 40 60 80\n"))
         report = cli.run(cfg)
         diffs = report.extra["successive_differences"]
         assert report.diagnostics == [
@@ -237,8 +275,8 @@ class TestCommands:
         monkeypatch.setattr(mom, "solve_levels", lambda problem, N, sigma, count: (
             (solve_levels(problem, N, sigma, count - 1)[0], False) if (problem.ell, N) == (2, 60)
             else solve_levels(problem, N, sigma, count)))
-        report = cli.run(cli.parse_config(
-            "command = scan\npotential = linear\ns = 1\nell = 0 2\nlevels = 2\nN = 40 60 80\n"))
+        report = cli.run(cli.build_config(cli.read_config(
+            "command = scan\npotential = linear\ns = 1\nell = 0 2\nlevels = 2\nN = 40 60 80\n")))
         assert report.status == cli.EXIT_NUMERICAL
         diffs = report.extra["successive_differences"]
         assert [pair[1] for pair in diffs["2"]] == [None, None]
@@ -275,24 +313,26 @@ class TestCommands:
         text = "potential = linear\ns = 1\nlevels = 2\n"
         # a run may start on the previous run's last grid
         cheb.chebyshev_grid.cache_clear()
-        report = cli.run(cli.parse_config(text + "command = scan\nell = 0 2\nN = 40 60 80\n"))
+        report = cli.run(cli.build_config(cli.read_config(
+            text + "command = scan\nell = 0 2\nN = 40 60 80\n")))
         assert solved == [(ell, N, k + ell // 2, k + 1)
                           for k, N in enumerate((40, 60, 80)) for ell in (0, 2)]
         assert [N for N, _ in built] == [40, 60, 80]
         assert report.rows == [row for ell in (0, 2) for N in (40, 60, 80) for row in cli.run(
-            cli.parse_config(text + f"command = solve\nell = {ell}\nN = {N}\n")).rows]
+            cli.build_config(cli.read_config(
+                text + f"command = solve\nell = {ell}\nN = {N}\n"))).rows]
         # table 2 solves at N = 300, 100, 100, 80 and table 3 six times at N = 80
         for config in ("command = reproduce\ntable = 2\n", "command = reproduce\ntable = 3\n",
                        text + "command = solve\nell = 0 1 2\nN = 40\n"):
-            cfg = cli.parse_config(config)
+            cfg = cli.build_config(cli.read_config(config))
             cheb.chebyshev_grid.cache_clear()
             built.clear()
             assert cli.run(cfg).status == cli.EXIT_OK
             assert [N for N, _ in built] == sorted({wave.N for wave in cfg.waves})
 
     def test_deterministic_rerun(self):
-        cfg = cli.parse_config(
-            "command = solve\npotential = linear\ns = 1\nell = 0\nlevels = 2\nN = 60\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = solve\npotential = linear\ns = 1\nell = 0\nlevels = 2\nN = 60\n"))
         a = cli.run(cfg)
         b = cli.run(cfg)
         assert cli.report_to_json(a) == cli.report_to_json(b)
@@ -301,7 +341,8 @@ class TestCommands:
 class TestReproduce:
     @pytest.mark.parametrize("table, count", ((1, 20), (2, 20), (3, 18)))
     def test_campaign_passes(self, table, count):
-        report = cli.run(cli.parse_config(f"command = reproduce\ntable = {table}\n"))
+        report = cli.run(cli.build_config(cli.read_config(
+            f"command = reproduce\ntable = {table}\n")))
         assert report.status == cli.EXIT_OK
         levels = [(wave, n) for wave in refs.campaign(table) for n in range(wave.levels)]
         assert len(levels) == count
@@ -314,7 +355,7 @@ class TestReproduce:
         assert cli.report_to_json(report) == json.dumps(asdict(report), indent=2)
 
     def test_masses_identify_their_flavor(self):
-        report = cli.run(cli.parse_config("command = reproduce\ntable = 3\n"))
+        report = cli.run(cli.build_config(cli.read_config("command = reproduce\ntable = 3\n")))
         flavors = [flavor for flavor in ("charm", "bottom") for _ in range(9)]
         for flavor, row in zip(flavors, report.rows, strict=True):
             assert row["mass_gev"] == refs.physical_scales(flavor).mass_gev(row["epsilon"])
@@ -322,7 +363,7 @@ class TestReproduce:
     def test_reference_out_of_tolerance_fails(self, monkeypatch):
         exact = refs.TABLE2_EXACT[1]
         monkeypatch.setitem(refs.TABLE2_EXACT, 1, (exact[0] + 1e-5,) + exact[1:])
-        report = cli.run(cli.parse_config("command = reproduce\ntable = 2\n"))
+        report = cli.run(cli.build_config(cli.read_config("command = reproduce\ntable = 2\n")))
         assert report.status == cli.EXIT_NUMERICAL
         failed = [line for line in report.diagnostics if line.endswith(" FAIL")]
         assert len(failed) == 1 and failed[0].startswith("ell=1 n=0: ")
@@ -335,7 +376,7 @@ class TestReproduce:
             return levels[:-1], False
 
         monkeypatch.setattr(mom, "solve_levels", one_short)
-        report = cli.run(cli.parse_config("command = reproduce\ntable = 3\n"))
+        report = cli.run(cli.build_config(cli.read_config("command = reproduce\ntable = 3\n")))
         assert report.status == cli.EXIT_NUMERICAL
         assert len(report.rows) == 12
         assert "bottom ell=2: only 2 of 3 levels passed the filters" in report.diagnostics
@@ -352,6 +393,19 @@ class TestMain:
     def test_non_finite_sigma_exit_code(self, value, capsys):
         assert cli.main(["--sigma", value]) == cli.EXIT_CONFIG
         assert "'sigma' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("text", "message"), (
+        ("potential = coulomb\nalpha = 1\ns = 1e-200\n",
+         "s = 1e-200 and alpha = 1 give the mapping scale sigma = inf"),
+        ("potential = coulomb\nalpha = 1e-170\n",
+         "s = 1 and alpha = 1e-170 give the mapping scale sigma = 0"),
+    ), ids=("inf", "zero"))
+    def test_derived_sigma_out_of_range_exit_code(self, text, message, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"configuration error: {message}; set field 'sigma'"
 
     def test_fractional_levels_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -746,3 +746,40 @@ class TestScanAndScaling:
             for lv in levels:
                 eps_r = radial.solve_radial(params, lv.n)
                 assert abs(lv.epsilon - eps_r) < 1e-3
+
+
+class TestDefaultScale:
+    """Without sigma a solve maps at sqrt(E/s), E the energy unit `compare` grades in."""
+
+    @pytest.mark.parametrize(("problem", "E", "sigma"), (
+        (Problem(), 1.0, 1.0),
+        (Problem(alpha=1.0, linear=False), 0.25, 0.5),
+        (Problem(alpha=4.0), 4.0, 2.0),
+        (Problem(s=1e-8), 1e-8 ** (1.0 / 3.0), 464.1588833612779),
+    ), ids=("linear", "coulomb", "cornell", "small-s"))
+    def test_units(self, problem, E, sigma):
+        assert problem.energy_unit == E
+        assert problem.momentum_unit == pytest.approx(sigma, rel=1e-15)
+        # the kinetic energy s x^2 at the momentum unit is the energy unit
+        assert problem.s * problem.momentum_unit ** 2 == pytest.approx(E, rel=1e-15)
+
+    # problems of ROADMAP item 2's seeded sample (rng 2026), s and alpha
+    # rounded to four figures, whose levels at sigma = 1 are off by 2e-4 to
+    # 0.24 of the energy unit and pass every filter
+    @pytest.mark.parametrize(("ell", "s", "alpha", "N"), (
+        (3, 1.354e-3, 0.0, 80), (2, 1.379e-3, 0.622, 150),
+        (1, 2.914e-4, 0.6439, 80), (2, 3.485e-4, 0.4701, 60),
+    ))
+    def test_sample_problems_silent_at_sigma_one(self, ell, s, alpha, N):
+        problem = Problem(ell=ell, alpha=alpha, s=s)
+        exact = [radial.solve_radial(problem, n) for n in range(3)]
+
+        def errors(sigma):
+            levels, complete = mom.solve_levels(problem, N, sigma, 3)
+            assert complete
+            return [abs(lv.epsilon - e) / problem.energy_unit for lv, e in zip(levels, exact)]
+
+        assert max(errors(1.0)) > 1e-4
+        assert max(errors(None)) < 1e-8
+        assert_same_levels(mom.solve_levels(problem, N, count=3),
+                           mom.solve_levels(problem, N, problem.momentum_unit, 3))

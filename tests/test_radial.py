@@ -143,8 +143,8 @@ class TestMeshRobustness:
 
     def test_compare_reports_disagreeing_orders(self, monkeypatch):
         monkeypatch.setattr(radial, "_ORDERS", (8, 10, 12))
-        cfg = cli.parse_config(
-            "command = compare\npotential = linear\ns = 1\nell = 0\nlevels = 1\nN = 60\n")
+        cfg = cli.build_config(cli.read_config(
+            "command = compare\npotential = linear\ns = 1\nell = 0\nlevels = 1\nN = 60\n"))
         report = cli.run(cfg)
         assert report.status == cli.EXIT_NUMERICAL
         assert report.extra["compare"] == []
