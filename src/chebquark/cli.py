@@ -105,7 +105,7 @@ def _parse_float(text, name):
 # configuration key -> (parser, default); a parser of None keeps the string
 _FIELDS = {
     "command": (None, "solve"),
-    "potential": (None, "linear"),
+    "potential": (None, "linear"),        # cornell is coulomb plus linear; GeV units with beta
     "alpha": (_parse_float, 0.0),
     "s": (_parse_float, 1.0),
     "beta": (_parse_float, None),         # GeV^2, physical runs only
@@ -157,13 +157,13 @@ def build_config(raw):
     for key, text in raw.items():
         parse = _FIELDS[key][0]
         setattr(cfg, key, text if parse is None else parse(text, key))
-    cfg.physical = cfg.beta is not None or cfg.potential == "cornell"   # energies in GeV
+    cfg.physical = cfg.beta is not None   # energies in GeV
     unused = ", ".join(sorted(_ignored_keys(cfg, raw)))
     if unused:
         raise ConfigError(
             f"the run ignores {unused}: reproduce reads only command, table, format and out; "
-            "otherwise table is for reproduce, alpha for coulomb and cornell, s for "
-            f"dimensionless runs and mass for runs with beta; remove: {unused}")
+            "otherwise table is for reproduce, alpha for coulomb and cornell, s for runs "
+            f"without beta and mass for runs with beta; remove: {unused}")
     _validate(cfg)
     waves = refs.campaign(cfg.table) if cfg.command == "reproduce" else _waves(cfg)
     return RunConfig(cfg.command, cfg.format, cfg.out, cfg.table, tuple(waves))
@@ -207,8 +207,8 @@ def _validate(cfg):
             raise ConfigError("command 'reproduce' requires field 'table' in {1, 2, 3}")
         return
     if cfg.physical:
-        if cfg.beta is None or cfg.beta <= 0.0:
-            raise ConfigError("physical runs require field 'beta' > 0 (GeV^2)")
+        if cfg.beta <= 0.0:
+            raise ConfigError("field 'beta' must be positive (GeV^2)")
         if cfg.mass is None or cfg.mass <= 0.0:
             raise ConfigError("physical runs require field 'mass' > 0 (GeV)")
     if cfg.potential != "linear" and cfg.alpha <= 0.0:

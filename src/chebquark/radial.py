@@ -7,18 +7,19 @@ on the regularized Lagrange-Laguerre mesh (Baye, "The Lagrange-mesh method",
 Phys. Rep. 565 (2015) 1): mesh points h x_i with x_i the zeros of L_N, the
 closed-form kinetic matrix of `_mesh` and a diagonal potential, so a level
 is one small symmetric eigenvalue.  The last mesh point sits at the domain
-end of `_r_max`, a fixed point on the level taken in the problem's natural
-units (length s^(1/3) with a linear term, s/alpha without), where its
-margins hold at any s; below zero the margin follows the level's decay
-length sqrt(s/|eps|), so a deep Cornell level, whose Bohr length is far
-below the natural length, stays resolved.  A level is returned only when
-two mesh orders agree to 1e-9 relative (N = 40 checked by 50, else 50
-checked by 60); otherwise the solve raises.  Measured against exact
-hydrogen and Airy levels (<= 1.6e-11) and against the Prüfer shooting
+end of `_r_max`, a margin past the outer turning point (the largest positive
+root of x^2 (V_eff - eps): a cubic with the linear term, a quadratic
+without) in the problem's natural units (length s^(1/3) with a linear term,
+s/alpha without), where its margins hold at any s; below zero the margin
+follows the level's decay length sqrt(s/|eps|), so a deep Cornell level,
+whose Bohr length is far below the natural length, stays resolved.  A level
+is returned only when two mesh orders agree to 1e-9 relative (N = 40 checked
+by 50, else 50 checked by 60); otherwise the solve raises.  Measured against
+exact hydrogen and Airy levels (<= 1.6e-11) and against the Prüfer shooting
 solver it replaced (114 levels: linear ell 0-12, 20 and 30, the table-1
-Coulomb set, charmonium and bottomium ell 0-2: <= 2.9e-11, 2e-10 at ell
-20), at about 1 ms a level.  The references are the hydrogen spectrum and
-the Airy-zero energies of the pure linear potential.
+Coulomb set, charmonium and bottomium ell 0-2: <= 2.9e-11, 2e-10 at ell 20),
+at about 1 ms a level.  The references are the hydrogen spectrum and the
+Airy-zero energies of the pure linear potential.
 """
 
 from __future__ import annotations
@@ -81,31 +82,14 @@ def _coulomb_bracket(problem, n):
 
 
 def _turning_point(problem, eps):
-    """Outer classical turning point of V_eff = V + s l(l+1)/x^2."""
-    s = problem.s
-    ell = problem.ell
+    """Outer classical turning point: the largest x > 0 where V_eff = V + s l(l+1)/x^2 is eps.
 
-    def veff(x):
-        return _potential(problem, x) + s * ell * (ell + 1) / (x * x)
-
-    if problem.linear:
-        hi = max(2.0, abs(eps) + problem.alpha + 1.0 + 2.0)
-    else:
-        # pure Coulomb: the turning point sits near alpha/|eps|, eps < 0
-        hi = 4.0 * problem.alpha / abs(eps) + 10.0
-    x = hi
-    while veff(x) > eps and x > 1e-6:
-        x *= 0.5
-    lo = x
-    if lo == hi:
-        return hi
-    while hi - lo > 1e-9 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if veff(mid) > eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    It is the largest positive real root (imaginary part exactly 0) of x^2 (V_eff - eps);
+    where there is none, x^2 (V_eff - eps) keeps one sign on x > 0 and the point is 0.0.
+    """
+    coeffs = [-eps, -problem.alpha, problem.s * problem.ell * (problem.ell + 1)]
+    roots = np.roots([1.0, *coeffs] if problem.linear else coeffs)
+    return float(max(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)], default=0.0))
 
 
 def _r_max(problem, eps):

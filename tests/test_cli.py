@@ -204,6 +204,17 @@ class TestCommands:
         assert [row["sigma"] for row in report.rows] == [pytest.approx(464.158883, rel=1e-9)] * 2
         assert [round(row["epsilon"], 7) for row in report.rows] == [0.0050373, 0.0088072]
 
+    def test_compare_dimensionless_cornell(self):
+        # potential = cornell without beta runs in the units of s, as linear does
+        report = cli.run(cli.build_config(cli.read_config(
+            "command = compare\npotential = cornell\nalpha = 0.5\ns = 1\nell = 0, 1, 2\n"
+            "N = 100\nlevels = 3\n")))
+        assert report.status == cli.EXIT_OK
+        assert [(pair["ell"], pair["n"]) for pair in report.extra["compare"]] == [
+            (ell, n) for ell in (0, 1, 2) for n in range(3)]
+        assert all(abs(pair["delta"]) < 1e-6 for pair in report.extra["compare"])
+        assert all(row["mass_gev"] is None for row in report.rows)
+
     def test_weak_coulomb_levels_at_the_derived_sigma(self):
         # sigma = alpha/(2 s) = 5e-9, the Bohr momentum
         report = cli.run(cli.build_config(cli.read_config(
@@ -491,6 +502,7 @@ class TestMain:
         ("potential = coulomb\nalpha = 1\nbeta = 0.1694\nmass = 1.37\ns = 1\n", "s"),
         ("potential = linear\nmass = 1.37\n", "mass"),
         ("potential = coulomb\nalpha = 1\nmass = 1.37\n", "mass"),
+        ("potential = cornell\nalpha = 0.5\nmass = 1.37\n", "mass"),
         ("potential = linear\ntable = 2\n", "table"),
     ))
     def test_rejects_fields_the_run_ignores(self, text, field, tmp_path, capsys):

@@ -132,6 +132,33 @@ class TestPruferOracle:
         assert abs(eps / prufer.solve_radial(problem, n) - 1.0) <= 1e-9
 
 
+class TestTurningPoint:
+    def test_narrow_allowed_interval(self):
+        # linear ell 6, alpha 0.5, s 0.1 at its level n = 0, in natural units:
+        # allowed only on (3.15, 5.79), so the outer turning point is 5.79
+        length, energy, unit = radial._natural_units(Problem(ell=6, alpha=0.5, s=0.1))
+        eps = 3.0818558383809878 / energy
+
+        def cubic(x):
+            return x ** 3 - eps * x ** 2 - unit.alpha * x + unit.ell * (unit.ell + 1)
+
+        x = radial._turning_point(unit, eps)
+        scale = x ** 3 + eps * x ** 2 + unit.alpha * x + unit.ell * (unit.ell + 1)
+        assert abs(cubic(x)) <= 1e-14 * scale
+        beyond = x * (1.0 + np.logspace(-6, 3, 50))
+        assert np.all(radial._potential(unit, beyond) + unit.ell * (unit.ell + 1) / beyond ** 2
+                      > eps)
+
+    # forbidden everywhere (V_eff = x > -1), and a Coulomb wave allowed
+    # everywhere at the threshold eps = 0
+    @pytest.mark.parametrize("problem, eps", (
+        (Problem(ell=0, alpha=0.0, s=1.0), -1.0),
+        (Problem(ell=0, alpha=1.0, linear=False, s=1.0), 0.0),
+    ), ids=("linear-forbidden", "coulomb-threshold"))
+    def test_no_positive_root_is_zero(self, problem, eps):
+        assert radial._turning_point(problem, eps) == 0.0
+
+
 class TestMeshRobustness:
     """Every level is right to 1e-9 or the solve raises."""
 
@@ -186,10 +213,15 @@ class TestMeshRobustness:
 
     # a deep Cornell level, Coulomb-like with a Bohr length of 4e-4: a margin
     # of ten natural lengths (0.46 here) would spread the mesh too thin for
-    # two orders to agree
-    def test_deep_cornell_level(self):
-        problem = Problem(ell=0, alpha=0.5, s=1e-4)
-        levels, complete = mom.solve_levels(problem, 200, 1250.0, 2)
+    # two orders to agree; and two levels whose classically allowed interval
+    # is narrower than a factor of 2 (3.15 to 5.79 natural lengths at ell 6)
+    @pytest.mark.parametrize("problem, N, sigma, count", (
+        (Problem(ell=0, alpha=0.5, s=1e-4), 200, 1250.0, 2),
+        (Problem(ell=6, alpha=0.5, s=0.1), 300, None, 1),
+        (Problem(ell=7, alpha=0.5, s=0.1), 300, None, 1),
+    ), ids=("ell0-s1e-4", "ell6-s0.1", "ell7-s0.1"))
+    def test_deep_cornell_level(self, problem, N, sigma, count):
+        levels, complete = mom.solve_levels(problem, N, sigma, count)
         assert complete
         for lv in levels:
             assert abs(radial.solve_radial(problem, lv.n) / lv.epsilon - 1.0) <= 1e-9
