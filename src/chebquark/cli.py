@@ -227,12 +227,10 @@ def _waves(cfg):
     for ell in cfg.ell:
         try:
             problem = Problem(ell=ell, alpha=cfg.alpha, linear=cfg.potential != "coulomb",
-                              s=cfg.s if scales is None else scales.s, kinetic=cfg.kinetic,
-                              am=scales.am if cfg.kinetic == "salpeter" else 0.0)
+                              s=cfg.s if scales is None else scales.s, kinetic=cfg.kinetic)
         except ValueError as exc:
-            raise ConfigError(str(exc) if scales is None else
-                              f"{exc} (beta = {cfg.beta:g} GeV^2 and mass = {cfg.mass:g} GeV "
-                              f"give s = {scales.s:g} and am = {scales.am:g})")
+            raise ConfigError(str(exc) if scales is None else f"{exc} (beta = {cfg.beta:g} "
+                              f"GeV^2 and mass = {cfg.mass:g} GeV give s = {scales.s:g})")
         sigma = problem.momentum_unit if cfg.sigma is None else cfg.sigma
         if not 0.0 < sigma < math.inf:
             raise ConfigError(f"s = {problem.s:g} and alpha = {problem.alpha:g} give the "

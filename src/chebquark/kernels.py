@@ -35,8 +35,8 @@ class Problem:
     is V = -alpha/x + x when `linear` is set and -alpha/x otherwise, so
     alpha = 0 means no Coulomb term.  s = 1/(2 mu a) is the kinetic
     coefficient.  In salpeter mode the kinetic term is the relativistic
-    energy of two quarks of mass am (in units of 1/a) with the rest masses
-    subtracted; the configuration-space solver handles only the
+    energy of two quarks of mass am = 1/s (in units of 1/a) with the rest
+    masses subtracted; the configuration-space solver handles only the
     nonrelativistic mode.
     """
 
@@ -45,12 +45,11 @@ class Problem:
     linear: bool = True
     s: float = 1.0
     kinetic: str = "nonrelativistic"
-    am: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.ell, numbers.Integral) or self.ell < 0:
             raise ValueError(f"orbital momentum must be a nonnegative integer, got {self.ell!r}")
-        for name in ("alpha", "s", "am"):
+        for name in ("alpha", "s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.alpha < 0.0:
@@ -61,8 +60,17 @@ class Problem:
             raise ValueError("kinetic coefficient s must be positive")
         if self.kinetic not in KINETIC_MODES:
             raise ValueError(f"unknown kinetic mode {self.kinetic!r}")
-        if self.kinetic == "salpeter" and self.am <= 0.0:
-            raise ValueError("salpeter mode needs a positive quark mass am")
+        if self.kinetic == "salpeter" and not math.isfinite(self.am):
+            raise ValueError(f"salpeter mode needs a finite quark mass am = 1/s, got {self.am:g}")
+
+    @property
+    def am(self):
+        """Quark mass in units of 1/a: s = 1/(2 mu a) with mu = m/2, so am = 1/s."""
+        return 1.0 / self.s
+
+    def coulomb_level(self, nu):
+        """Hydrogen level -alpha^2/(4 s (nu + ell + 1)^2) of the Coulomb term alone, at real nu."""
+        return -self.alpha * self.alpha / (4.0 * self.s * (nu + self.ell + 1) ** 2)
 
     @property
     def energy_unit(self):

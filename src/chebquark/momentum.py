@@ -8,7 +8,7 @@ for the log|(x'+x)/(x'-x)| pieces, and for the double pole of the linear
 kernel a Hadamard finite-part rule in t, with no subtraction and no
 derivative of the unknown function.  The final object is a dense real
 non-symmetric N x N matrix whose eigenvalues approximate the bound-state
-spectrum.  The lowest levels come from shift-invert Arnoldi at the spectrum
+spectrum.  The lowest levels come from shift-invert Arnoldi near the spectrum
 floor on the matrix factored in place, certified to select what the whole
 spectrum would; dense QR serves small meshes and the rejected solves.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -181,11 +181,12 @@ def similarity_scale(grid):
 # dense vs Arnoldi: with a linear term the two break even near N = 80 (2.9
 # vs 3.2 ms linear ell = 0, 3.4 vs 3.4 ms ell = 2) and Arnoldi wins from
 # N = 100 (4.7 vs 3.4 ms; 32 vs 7 ms at N = 300); pure Coulomb converges
-# slowly and breaks even between N = 200 and 300 (4.0 vs 12 ms at N = 100,
-# 12 vs 15 ms at N = 200, 37 vs 25 ms at N = 300).  From N = 100 the dense
-# solver also loses high-ell levels that the Arnoldi path keeps (linear
-# ell = 10, N = 100: 9e-3 vs 2e-7; ell = 4, N = 300: 3e-3 vs 3e-10), so the
-# bound is where Arnoldi wins with a linear term.
+# slowly and breaks even between N = 200 and 300 at ell = 0 (3.6 vs 12.6 ms
+# at N = 100, 9.5 vs 12.3 at 200, 33 vs 19 at 300) and near 200 at ell = 2
+# (3.3 vs 5.5, 9.4 vs 7.5, 34 vs 9.7).  From N = 100 the dense solver also
+# loses high-ell levels that the Arnoldi path keeps (linear ell = 10, N =
+# 100: 9e-3 vs 2e-7; ell = 4, N = 300: 3e-3 vs 3e-10), so the bound is
+# where Arnoldi wins with a linear term.
 ARNOLDI_MIN_N = 100
 
 
@@ -272,18 +273,13 @@ def _shift_invert_arnoldi(A, shift, k):
 
 
 def spectrum_floor(problem):
-    """Variational lower bound on physical energies, used to cut spurious roots.
+    """Variational lower bound on physical energies, less a slack of 1e-6 max(1, |floor|).
 
-    Dropping the (nonnegative) linear term can only lower the spectrum, and
-    the pure Coulomb ground state is -alpha^2/(4 s) in the nonrelativistic
-    mode.  In salpeter mode the binding energy cannot drop below minus the
-    total rest mass.  Discretization artifacts routinely appear far below
-    these bounds.
+    Dropping the (nonnegative) linear term lowers the spectrum to the Coulomb
+    term's, whose lowest level in this wave is `coulomb_level(0)`; in salpeter
+    mode the binding energy cannot drop below minus the rest mass, -2 am.
     """
-    if problem.kinetic == "salpeter":
-        floor = -2.0 * problem.am
-    else:
-        floor = -problem.alpha * problem.alpha / (4.0 * problem.s)
+    floor = -2.0 * problem.am if problem.kinetic == "salpeter" else problem.coulomb_level(0)
     return floor - 1e-6 * max(1.0, abs(floor))
 
 
@@ -295,12 +291,13 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
     first `count` that pass three filters are accepted.  (1) The eigenvalue
     must be real: LAPACK and ARPACK return a real eigenvalue of a real matrix
     with an imaginary part of exactly 0, and a nonzero one is a member of a
-    conjugate pair.  (2) The real part must lie above the variational floor
-    of the physical spectrum and, without a linear term, below the continuum
+    conjugate pair.  (2) The real part must lie above `spectrum_floor`, the
+    lowest Coulomb level of this partial wave (minus the rest mass in
+    salpeter mode), and, without a linear term, below the continuum
     threshold 0.  (3) The quadrature density w_j J_j x_j^2 |phi_j|^2 must not
     be concentrated on the extreme mesh points: discretizing the continuum
     produces corner modes pinned to the largest or smallest momenta, while
-    genuine bound states decay at both ends.  The filters read the eigenpairs alone.
+    genuine bound states decay at both ends.
     Each filter looks at one eigenpair only, so stopping at `count` gives
     the same levels as filtering every eigenpair and sorting the survivors.
     Accepted levels are indexed n = 0, 1, ... and normalized to unit
@@ -362,12 +359,12 @@ def solve_levels(problem, N, sigma=None, count=5):
     weight tables come from the grid, which builds each once per mesh order,
     so a loop over ell at fixed N reuses them.  The similar matrix d H d^-1
     that both eigensolver paths take is a solve's one N x N array.  From
-    N = ARNOLDI_MIN_N only the count + 2 eigenpairs nearest the spectrum
-    floor are computed, from an LU factorization in H's memory; their levels
-    are kept when all `count` pass the filters and the top level lies nearer
-    the shift than the farthest returned eigenvalue: a level below it is
-    real and in [floor, top], so none is missing.  Otherwise, and below that
-    N, the dense solver takes all eigenpairs of H, written again if need be.
+    N = ARNOLDI_MIN_N the count + 2 eigenpairs nearest a shift at or below
+    the spectrum floor come from an LU factorization in H's memory, and
+    their levels are kept when all `count` pass the filters and the top
+    level lies nearer the shift than the farthest returned eigenvalue (a
+    level below it is real and in [shift, top], so none is missing);
+    otherwise, and below that N, dense QR takes all of H, written again if need be.
     """
     sigma = problem.momentum_unit if sigma is None else sigma
     grid = cheb.chebyshev_grid(N)
@@ -388,11 +385,13 @@ def solve_levels(problem, N, sigma=None, count=5):
     if not math.isfinite(_abs_max(H, axis=None)):
         raise overflow
     if N >= ARNOLDI_MIN_N and 0 < count < N - 3:
-        floor = spectrum_floor(problem)
-        pairs = solve_spectrum(H, scale, floor, count + 2)
+        # with a linear term the lower s-wave floor: from ell = 5 on, where the factors
+        # are numerically singular, the wave's own let more spurious levels pass (ROADMAP item 7)
+        shift = spectrum_floor(replace(problem, ell=0) if problem.linear else problem)
+        pairs = solve_spectrum(H, scale, shift, count + 2)
         if pairs is not None:
             levels, complete = select_bound_states(pairs, problem, grid, x, J, count)
-            if complete and levels[-1].epsilon - floor < np.abs(pairs[0] - floor).max():
+            if complete and levels[-1].epsilon - shift < np.abs(pairs[0] - shift).max():
                 return levels, complete
         _write_hamiltonian(H, problem, grid, sigma, x, J, scale)   # over the LU factors
     pairs = solve_spectrum(H, scale)

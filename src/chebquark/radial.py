@@ -74,13 +74,14 @@ def _potential(problem, x):
 def _coulomb_bracket(problem, n):
     """Pure Coulomb bracket of level n: the hydrogen energies at n -+ 1/2.
 
-    E(nu) = -alpha^2/(4 s (nu + ell + 1)^2); by Sturm ordering only level n
-    lies between E(n - 1/2) and E(n + 1/2), and both lie below the continuum.
+    By Sturm ordering only level n lies between `coulomb_level(n - 1/2)` and
+    `coulomb_level(n + 1/2)`, and both lie below the continuum.
     """
-    return tuple(-problem.alpha ** 2 / (4.0 * problem.s * (n + d + problem.ell + 1) ** 2)
-                 for d in (-0.5, 0.5))
+    return problem.coulomb_level(n - 0.5), problem.coulomb_level(n + 0.5)
 
 
+# one entry: the check in solve_radial asks again for the eps whose domain settled the loop
+@functools.lru_cache(maxsize=1)
 def _turning_point(problem, eps):
     """Outer classical turning point: the largest x > 0 where V_eff = V + s l(l+1)/x^2 is eps.
 

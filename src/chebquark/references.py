@@ -99,11 +99,6 @@ class PhysicalScales:
         """Kinetic coefficient s = 1/(2 mu a) with mu = m_q/2."""
         return self.sqrt_beta / self.quark_mass_gev
 
-    @property
-    def am(self):
-        """Quark mass in units of 1/a."""
-        return self.quark_mass_gev / self.sqrt_beta
-
     def mass_gev(self, epsilon):
         """Meson mass M = 2 m_q + eps sqrt(beta)."""
         return 2.0 * self.quark_mass_gev + epsilon * self.sqrt_beta
@@ -118,9 +113,7 @@ def physical_scales(flavor):
 
 def cornell_params(flavor, ell, kinetic="nonrelativistic"):
     """Problem of the quarkonium campaign for one flavor and ell."""
-    sc = physical_scales(flavor)
-    am = sc.am if kinetic == "salpeter" else 0.0
-    return Problem(ell=ell, alpha=CORNELL_ALPHA, s=sc.s, kinetic=kinetic, am=am)
+    return Problem(ell=ell, alpha=CORNELL_ALPHA, s=physical_scales(flavor).s, kinetic=kinetic)
 
 
 def linear_params(ell, s=1.0):

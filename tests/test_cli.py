@@ -555,15 +555,15 @@ class TestMain:
         ("potential = linear\nbeta = 1e-300\nmass = 1e300\n",
          "s must be positive (beta = 1e-300 GeV^2 and mass = 1e+300 GeV give s = 0"),
         ("potential = cornell\nalpha = 0.5\nkinetic = salpeter\nbeta = 1e-18\nmass = 1e300\n",
-         "am must be finite (beta = 1e-18 GeV^2 and mass = 1e+300 GeV "
-         "give s = 1e-309 and am = inf)"),
+         "quark mass am = 1/s, got inf (beta = 1e-18 GeV^2 and mass = 1e+300 GeV "
+         "give s = 1e-309)"),
         ("potential = linear\nell = -1\n", "orbital momentum must be a nonnegative integer"),
         ("potential = linear\ns = -1\n", "kinetic coefficient s must be positive"),
         ("potential = linear\nkinetic = bogus\n", "unknown kinetic mode 'bogus'"),
     ), ids=("s-overflow", "s-underflow", "am-overflow", "ell", "s", "kinetic"))
     def test_rejected_physics_exit_code(self, text, message, tmp_path, capsys):
         # Problem is the one check of these values; on a physical run the
-        # message names the beta and mass that give the derived s and am
+        # message names the beta and mass that give the derived s, and so am = 1/s
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG

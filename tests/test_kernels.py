@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 import assembly_oracle
-from chebquark import kernels
+from chebquark import kernels, radial
 from kernel_oracle import kernel_pieces, q0, z_of
 
 
@@ -33,12 +33,25 @@ def q_ell_oracle(ell, z):
 class TestProblem:
     @pytest.mark.parametrize("fields", (
         {"ell": 1.5}, {"ell": -1}, {"alpha": float("nan")}, {"s": float("inf")},
-        {"am": float("nan")}, {"alpha": 0.0, "linear": False},
-        {"kinetic": "salpeter"}, {"kinetic": "dirac"},
+        {"alpha": 0.0, "linear": False}, {"kinetic": "salpeter", "s": 5e-324},
+        {"kinetic": "dirac"},
     ), ids=str)
     def test_rejected(self, fields):
         with pytest.raises(ValueError):
             kernels.Problem(**fields)
+
+    def test_quark_mass_is_one_over_s(self):
+        assert kernels.Problem(kinetic="salpeter", s=0.5).am == 2.0
+        with pytest.raises(TypeError):
+            kernels.Problem(kinetic="salpeter", am=2.0)
+
+    @pytest.mark.parametrize(("ell", "alpha", "s"), ((0, 1.0, 1.0), (3, 0.5, 1e-3),
+                                                     (12, 0.50667, 0.3)))
+    def test_coulomb_level_is_the_hydrogen_spectrum(self, ell, alpha, s):
+        problem = kernels.Problem(ell=ell, alpha=alpha, s=s)
+        for n in range(5):
+            assert problem.coulomb_level(n) == pytest.approx(
+                radial.hydrogen_energy(n, ell, alpha, 1.0 / (2.0 * s)), rel=1e-15)
 
 
 class TestLegendreP:

@@ -58,9 +58,10 @@ class TestMapping:
 
 
 class TestParams:
-    def test_salpeter_needs_masses(self):
-        with pytest.raises(ValueError):
-            Problem(kinetic="salpeter")
+    def test_salpeter_mass_must_be_finite(self):
+        # am = 1/s overflows below s = 1/DBL_MAX
+        with pytest.raises(ValueError, match="am = 1/s"):
+            Problem(kinetic="salpeter", s=5e-324)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestAssembly:
         params = Problem(s=1.0)
         x = np.array([0.0, 1.0, 3.0])
         assert np.allclose(mom.kinetic_diagonal(params, x), x * x)
-        rel = Problem(kinetic="salpeter", am=2.0)
+        rel = Problem(kinetic="salpeter", s=0.5)
         k = mom.kinetic_diagonal(rel, x)
         assert k[0] == 0.0
         big = mom.kinetic_diagonal(rel, np.array([500.0]))[0]
@@ -414,6 +415,16 @@ class TestSelection:
         assert_same_levels(mom.solve_levels(params, N, sigma, 5),
                            select_all_then_sort(pairs, params, grid, sigma, 5))
 
+    @pytest.mark.parametrize("ell", (10, 12))
+    def test_no_level_below_the_coulomb_floor_of_its_wave(self, ell):
+        # the Coulomb term alone puts the lowest level of this wave at its
+        # hydrogen ground state, -0.517 (ell 10) and -0.370 (ell 12); the
+        # s-wave floor -62.5 let through -42.640 and -17.226
+        problem = Problem(ell=ell, alpha=0.5, s=1e-3)
+        floor = radial.hydrogen_energy(0, ell, problem.alpha, 0.5 / problem.s)
+        levels, _ = mom.solve_levels(problem, 300, count=3)
+        assert all(lv.epsilon >= floor - 1e-6 for lv in levels)
+
     def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
         # "pv" counts PV table builds; none computes PV moments over the mesh
         calls = {"assemble": 0, "pv": 0, "pv_moments": 0, "log": 0}
@@ -562,6 +573,21 @@ class TestArnoldi:
         assert ok
         for lv in levels:
             assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-9
+
+    @pytest.mark.parametrize("count", (3, 5))
+    @pytest.mark.parametrize("ell", (3, 4))
+    def test_coulomb_high_ell_stays_on_the_arnoldi_path(self, ell, count, eigensolves):
+        # shifted at the s-wave floor -1/4, the nearest eigenvalues included
+        # spurious ones and the solve fell back to dense QR, 5.1e-8 off at
+        # ell 3; shifted at -1/(4 (ell + 1)^2) none is.  ell 3 n 0-3 are
+        # within 7e-10; n 4 (4.8e-9 or 1.1e-8 with one or two BLAS threads)
+        # and ell 4 (8.6e-7 at n 2) wait for ROADMAP item 7
+        levels, ok = mom.solve_levels(refs.coulomb_params(ell), 800, 0.5, count)
+        assert ok and eigensolves == [count + 2]
+        if ell == 3:
+            for lv in levels[:4]:
+                exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, 0.5 / refs.TABLE1_S)
+                assert abs(lv.epsilon / exact - 1.0) < 1e-8
 
     def test_falls_back_when_arpack_does_not_converge(self, monkeypatch, eigensolves):
         def no_convergence(*args, **kwargs):

@@ -58,7 +58,7 @@ class TestProblemValidation:
 
     def test_rejects_salpeter(self):
         with pytest.raises(ValueError, match="nonrelativistic"):
-            radial.solve_radial(Problem(kinetic="salpeter", am=2.0), 0)
+            radial.solve_radial(Problem(kinetic="salpeter", s=0.5), 0)
 
     @pytest.mark.parametrize("n", (1.5, True, "0", None))
     def test_rejects_non_integer_n_before_integrating(self, n, monkeypatch):
@@ -157,6 +157,31 @@ class TestTurningPoint:
     ), ids=("linear-forbidden", "coulomb-threshold"))
     def test_no_positive_root_is_zero(self, problem, eps):
         assert radial._turning_point(problem, eps) == 0.0
+
+    def test_check_reuses_the_settled_domain(self, monkeypatch):
+        # the turning-point check is at the eps whose domain settled the loop:
+        # one polynomial root per domain and none for the check
+        roots, ends = [], []
+
+        def counted(fn, calls):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(radial.np, "roots", counted(np.roots, roots))
+        monkeypatch.setattr(radial, "_r_max", counted(radial._r_max, ends))
+        radial._turning_point.cache_clear()
+        radial.solve_radial(Problem(ell=2, alpha=0.5, s=0.1), 1)
+        assert len(roots) == len(ends)
+
+    def test_unsettled_domain_is_still_checked(self, monkeypatch):
+        # a domain end that jumps between 1 and 2 never settles, and both lie
+        # inside the turning point of the level (2.34): the check still runs
+        ends = iter([1.0, 2.0] * 5)
+        monkeypatch.setattr(radial, "_r_max", lambda problem, eps: next(ends))
+        with pytest.raises(RuntimeError, match="is not beyond the turning point"):
+            radial.solve_radial(Problem(), 0)
 
 
 class TestMeshRobustness:
