@@ -417,9 +417,9 @@ class TestSelection:
 
     @pytest.mark.parametrize("ell", (10, 12))
     def test_no_level_below_the_coulomb_floor_of_its_wave(self, ell):
-        # the Coulomb term alone puts the lowest level of this wave at its
-        # hydrogen ground state, -0.517 (ell 10) and -0.370 (ell 12); the
-        # s-wave floor -62.5 let through -42.640 and -17.226
+        # no level of this wave lies below the hydrogen ground state of its
+        # Coulomb term alone, -0.517 (ell 10) and -0.370 (ell 12); the s-wave
+        # floor -62.5 let through -42.640 and -17.226
         problem = Problem(ell=ell, alpha=0.5, s=1e-3)
         floor = radial.hydrogen_energy(0, ell, problem.alpha, 0.5 / problem.s)
         levels, _ = mom.solve_levels(problem, 300, count=3)
