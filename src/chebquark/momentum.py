@@ -251,13 +251,14 @@ def _shift_invert_arnoldi(A, shift, k):
         try:
             # A.T is F-contiguous, so LAPACK factors it in A's own memory;
             # the solves below then use the transposed factors (trans = 1)
-            lu = scipy.linalg.lu_factor(A.T, overwrite_a=True, check_finite=False)
+            lu, piv = scipy.linalg.lu_factor(A.T, overwrite_a=True, check_finite=False)
         except scipy.linalg.LinAlgWarning:
             return None
+    # lu_solve's own LAPACK call without its checks (info flags only illegal arguments)
+    getrs = scipy.linalg.get_lapack_funcs("getrs", (lu,))
     inverse = scipy.sparse.linalg.LinearOperator(
         (N, N), dtype=float,
-        matvec=lambda b: cols * scipy.linalg.lu_solve(lu, rows * b, trans=1,
-                                                      check_finite=False))
+        matvec=lambda b: cols * getrs(lu, piv, rows * b, trans=1, overwrite_b=True)[0])
     # with a real shift ARPACK (mode 3) applies the inverse alone; A holds the factors
     shape_only = scipy.sparse.linalg.LinearOperator((N, N), matvec=None, dtype=float)
     try:

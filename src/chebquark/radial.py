@@ -4,22 +4,22 @@ Independent cross-check for the momentum-space solver: the reduced radial
 equation -s u'' + (V + s l(l+1)/x^2) u = eps u, V = -alpha/x (+ x with the
 linear term), in the units of `kernels.Problem` (nonrelativistic mode only),
 on the regularized Lagrange-Laguerre mesh (Baye, "The Lagrange-mesh method",
-Phys. Rep. 565 (2015) 1): mesh points h x_i with x_i the zeros of L_N, the
-closed-form kinetic matrix of `_mesh` and a diagonal potential, so a level
-is one small symmetric eigenvalue.  The last mesh point sits at the domain
-end of `_r_max`, a margin past the outer turning point (the largest positive
-root of x^2 (V_eff - eps): a cubic with the linear term, a quadratic
-without) in the problem's natural units (length s^(1/3) with a linear term,
-s/alpha without), where its margins hold at any s; below zero the margin
-follows the level's decay length sqrt(s/|eps|), so a deep Cornell level,
-whose Bohr length is far below the natural length, stays resolved.  A level
-is returned only when two mesh orders agree to 1e-9 relative (N = 40 checked
-by 50, else 50 checked by 60); otherwise the solve raises.  Measured against
-exact hydrogen and Airy levels (<= 1.6e-11) and against the Prüfer shooting
-solver it replaced (114 levels: linear ell 0-12, 20 and 30, the table-1
-Coulomb set, charmonium and bottomium ell 0-2: <= 2.9e-11, 2e-10 at ell 20),
-at about 1 ms a level.  The references are the hydrogen spectrum and the
-Airy-zero energies of the pure linear potential.
+Phys. Rep. 565 (2015) 1): mesh points h x_i at the zeros x_i of L_N
+(Jacobi-matrix eigenvalues), the closed-form kinetic matrix of `_mesh` and a
+diagonal potential, so a level is one small symmetric eigenvalue.  The last
+mesh point sits at the domain end of `_r_max`, a margin past the outer turning
+point (the largest positive root of x^2 (V_eff - eps), in closed form: a cubic
+with the linear term, a quadratic without) in the problem's natural units
+(length s^(1/3) with a linear term, s/alpha without), where its margins hold
+at any s; below zero the margin follows the level's decay length
+sqrt(s/|eps|), so a deep Cornell level, whose Bohr length is far below the
+natural length, stays resolved.  A level is returned only when two mesh orders
+agree to 1e-9 relative (N = 40 checked by 50, else 50 checked by 60);
+otherwise the solve raises.  Measured against exact hydrogen and Airy levels
+(<= 1.6e-11) and against the Prüfer shooting solver it replaced (114 levels:
+linear ell 0-12, 20 and 30, the table-1 Coulomb set, charmonium and bottomium
+ell 0-2: <= 2.9e-11, 2e-10 at ell 20), at about 1 ms a level.  The references
+are the hydrogen and the pure linear (Airy-zero) spectra.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 import scipy.linalg
 # not used here: the benchmark's traced run wraps `radial.solve_ivp` (perfbench/spans.PROBES)
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.special import roots_laguerre
 
 
 def hydrogen_energy(n, ell, alpha, mu_a):
@@ -85,12 +84,35 @@ def _coulomb_bracket(problem, n):
 def _turning_point(problem, eps):
     """Outer classical turning point: the largest x > 0 where V_eff = V + s l(l+1)/x^2 is eps.
 
-    It is the largest positive real root (imaginary part exactly 0) of x^2 (V_eff - eps);
-    where there is none, x^2 (V_eff - eps) keeps one sign on x > 0 and the point is 0.0.
+    It is the largest positive real root of x^2 (V_eff - eps), c = s l(l+1), in closed form,
+    or 0.0 where there is none.  Without the linear term it solves -eps x^2 - alpha x + c
+    (alpha > 0).  With it, x = eps/3 + t turns x^3 - eps x^2 - alpha x + c into
+    t^3 - 3 r^2 t + q; its roots multiply to -c <= 0, so a lone real root is negative, and
+    three take the trigonometric form 2 r cos(phi - 2 pi k/3).  Below eps = 0 the largest
+    would cancel against eps/3: it solves the quadratic x^2 + b x + d the negative root leaves.
     """
-    coeffs = [-eps, -problem.alpha, problem.s * problem.ell * (problem.ell + 1)]
-    roots = np.roots([1.0, *coeffs] if problem.linear else coeffs)
-    return float(max(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)], default=0.0))
+    alpha, c = problem.alpha, problem.s * problem.ell * (problem.ell + 1)
+    if not problem.linear:
+        disc = alpha * alpha + 4.0 * eps * c
+        if disc < 0.0:
+            return 0.0
+        root = alpha + math.sqrt(disc)
+        return root / (-2.0 * eps) if eps < 0.0 else 2.0 * c / root
+    r = math.sqrt(alpha / 3.0 + eps * eps / 9.0)
+    q = c - alpha * eps / 3.0 - 2.0 * eps * eps * eps / 27.0
+    if r == 0.0 or c > 0.0 and abs(q) > 2.0 * r * r * r:
+        return 0.0
+    phi = math.acos(min(max(-q / (2.0 * r * r * r), -1.0), 1.0)) / 3.0
+    if eps >= 0.0:
+        x = eps / 3.0 + 2.0 * r * math.cos(phi)
+    else:
+        negative = eps / 3.0 + 2.0 * r * math.cos(phi + 2.0 * math.pi / 3.0)
+        d = -c / negative
+        b = (d + alpha) / negative
+        x = (math.sqrt(max(b * b - 4.0 * d, 0.0)) - b) / 2.0
+    # a Newton step on the cubic sharpens a root near the merger of the top two
+    slope = (3.0 * x - 2.0 * eps) * x - alpha
+    return x - (((x - eps) * x - alpha) * x + c) / slope if slope > 0.0 else x
 
 
 def _r_max(problem, eps):
@@ -115,12 +137,17 @@ _AGREE = 1e-9
 
 @functools.cache
 def _mesh(N):
-    """Zeros x_i of L_N and the regularized Lagrange-Laguerre matrix of -d^2/dx^2."""
-    x = roots_laguerre(N)[0]
+    """Zeros x_i of L_N and the regularized Lagrange-Laguerre matrix of -d^2/dx^2.
+
+    The zeros are the eigenvalues of the Laguerre Jacobi matrix (Golub & Welsch 1969).
+    """
     i = np.arange(N)
+    x = scipy.linalg.eigvalsh_tridiagonal(2 * i + 1, -i[1:])
     gap = x[:, None] - x
     gap[i, i] = 1.0
-    T = (-1.0) ** (i[:, None] - i) * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * gap * gap)
+    # (-1)^(i-j) / sqrt(x_i x_j) = 1 / (y_i y_j) with y_i = (-1)^i sqrt(x_i)
+    y = np.where(i % 2, -1.0, 1.0) * np.sqrt(x)
+    T = (x[:, None] + x) / (np.outer(y, y) * gap * gap)
     T[i, i] = -(x * x - 2.0 * (2 * N + 1) * x - 4.0) / (12.0 * x * x)
     T.flags.writeable = False
     return x, T
@@ -136,7 +163,9 @@ def _level(problem, n, N, r_end):
         H[np.diag_indices(N)] += _potential(problem, r) + problem.s * problem.ell * (problem.ell + 1) / (r * r)
     if not np.all(np.isfinite(H)):
         raise RuntimeError(f"coordinate Hamiltonian is not finite at mesh scale {h:.3g}")
-    return float(scipy.linalg.eigh(H, eigvals_only=True, subset_by_index=[n, n])[0])
+    # H is local, and finite by the check above
+    return float(scipy.linalg.eigh(H, eigvals_only=True, subset_by_index=[n, n],
+                                   overwrite_a=True, check_finite=False)[0])
 
 
 def _natural_units(problem):

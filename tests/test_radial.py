@@ -1,7 +1,10 @@
 """Configuration-space Lagrange-mesh solver, its shooting oracle and analytic references."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.special import roots_laguerre
 
 import radial_prufer_oracle as prufer
 from chebquark import cli, radial
@@ -12,6 +15,18 @@ from chebquark.kernels import Problem
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("mesh solved before the input was checked")
+
+
+def _largest_root(mp, problem, eps):
+    """Largest positive real root of x^2 (V_eff - eps) at 40 digits, or 0."""
+    with mp.workdps(40):
+        coeffs = [-eps, -problem.alpha, problem.s * problem.ell * (problem.ell + 1)]
+        coeffs = [mp.mpf(c) for c in ([1.0, *coeffs] if problem.linear else coeffs)]
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        real = [mp.re(r) for r in roots if abs(mp.im(r)) <= mp.mpf(10) ** -30 * (1 + abs(r))]
+        return max((r for r in real if r > 0), default=mp.mpf(0))
 
 
 class TestReferences:
@@ -158,22 +173,43 @@ class TestTurningPoint:
     def test_no_positive_root_is_zero(self, problem, eps):
         assert radial._turning_point(problem, eps) == 0.0
 
+    # with the linear term the grid has three real roots, one real root (below the
+    # minimum of V_eff, or eps < 0 at alpha = ell = 0) and eps = -3e4, where the largest
+    # root is far below the others; without it, the threshold eps = 0 and both sides
+    # of the minimum -alpha^2/(4 s l(l+1)) of V_eff
+    @pytest.mark.parametrize("linear, alphas, ells, epsilons", (
+        (True, (0.0, 0.5, 2.0, 400.0), (0, 1, 6), (-3e4, -20.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 20.0)),
+        (False, (0.5, 3.0), (0, 1, 6), (-20.0, -1.0, -0.01, 0.0, 0.01, 1.0)),
+        # eps 1e-3 on either side of the V_eff minimum, where the top two roots merge:
+        # 0 at alpha 3, ell 1 with the linear term, -1/2 at alpha 2, ell 1 without
+        (True, (3.0,), (1,), (-1e-3, 1e-3)),
+        (False, (2.0,), (1,), (-0.5 - 1e-3, -0.5 + 1e-3)),
+    ), ids=("cubic", "quadratic", "cubic-merger", "quadratic-merger"))
+    def test_largest_root_against_mpmath(self, linear, alphas, ells, epsilons):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        for alpha, ell, eps in itertools.product(alphas, ells, epsilons):
+            problem = Problem(ell=ell, alpha=alpha, linear=linear, s=1.0)
+            got, want = radial._turning_point(problem, eps), _largest_root(mp, problem, eps)
+            if want == 0:
+                assert got == 0.0, (alpha, ell, eps)
+            else:
+                worst = max(worst, float(abs(got / want - 1)))
+        assert worst <= 1e-14
+
     def test_check_reuses_the_settled_domain(self, monkeypatch):
         # the turning-point check is at the eps whose domain settled the loop:
-        # one polynomial root per domain and none for the check
-        roots, ends = [], []
+        # one root computed per domain and none for the check
+        ends, r_max = [], radial._r_max
 
-        def counted(fn, calls):
-            def wrapper(*args):
-                calls.append(args)
-                return fn(*args)
-            return wrapper
+        def counted(problem, eps):
+            ends.append(eps)
+            return r_max(problem, eps)
 
-        monkeypatch.setattr(radial.np, "roots", counted(np.roots, roots))
-        monkeypatch.setattr(radial, "_r_max", counted(radial._r_max, ends))
+        monkeypatch.setattr(radial, "_r_max", counted)
         radial._turning_point.cache_clear()
         radial.solve_radial(Problem(ell=2, alpha=0.5, s=0.1), 1)
-        assert len(roots) == len(ends)
+        assert radial._turning_point.cache_info().misses == len(ends)
 
     def test_unsettled_domain_is_still_checked(self, monkeypatch):
         # a domain end that jumps between 1 and 2 never settles, and both lie
@@ -182,6 +218,34 @@ class TestTurningPoint:
         monkeypatch.setattr(radial, "_r_max", lambda problem, eps: next(ends))
         with pytest.raises(RuntimeError, match="is not beyond the turning point"):
             radial.solve_radial(Problem(), 0)
+
+
+class TestMesh:
+    @pytest.mark.parametrize("N", radial._ORDERS)
+    def test_nodes_are_the_laguerre_zeros(self, N):
+        x, T = radial._mesh(N)
+        assert np.max(np.abs(x / roots_laguerre(N)[0] - 1.0)) <= 5e-13
+        assert np.array_equal(T, T.T)
+        assert not T.flags.writeable
+
+    # the radial solver runs on scipy.linalg alone and never calls into numpy's own
+    # bundled LAPACK; np.roots holds its own reference to eigvals
+    @pytest.mark.parametrize("problem, n", (
+        (refs.linear_params(2), 1),
+        (refs.coulomb_params(1), 2),
+        (refs.cornell_params("charm", 1), 0),
+    ), ids=("linear", "coulomb", "cornell"))
+    def test_solve_calls_no_numpy_linalg(self, problem, n, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(np, "roots", forbidden)
+        radial._turning_point.cache_clear()
+        radial._mesh.cache_clear()
+        radial.solve_radial(problem, n)
 
 
 class TestMeshRobustness:
