@@ -262,8 +262,9 @@ def _shift_invert_arnoldi(A, shift, k):
     # with a real shift ARPACK (mode 3) applies the inverse alone; A holds the factors
     shape_only = scipy.sparse.linalg.LinearOperator((N, N), matvec=None, dtype=float)
     try:
-        # scipy's default basis, min(N, max(20, 2k + 1)) columns: on the four N = 800
-        # benchmark solves 12-40 columns need 197-219 inverse applications, 20 the fewest
+        # scipy's default basis, min(N, max(20, 2k + 1)) columns: the four N = 800 benchmark
+        # solves take 46-52 inverse applications each with it, 197 in all; the even sizes
+        # 12-40 take 35-69 each and 195-224 in all, and none is the fewest on all four
         evals, evecs = scipy.sparse.linalg.eigs(
             shape_only, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N))
     except scipy.sparse.linalg.ArpackError:

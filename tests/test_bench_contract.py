@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import chebquark
-from chebquark import cheb, cli, momentum
+from chebquark import cheb, cli, momentum, radial
 from chebquark import references as refs
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,6 +37,14 @@ workloads = _load("workloads")
 def test_probe_resolves_to_callable(probe):
     _, module, attr, _ = probe
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_ivp_probe_wraps_scipys_own_function():
+    # `radial.ivp_calls` and `radial.rhs_evals` count the calls and `nfev` of
+    # scipy's solve_ivp, which `radial` resolves only when it is looked up
+    import scipy.integrate
+
+    assert radial.solve_ivp is scipy.integrate.solve_ivp
 
 
 @pytest.mark.parametrize("request_", [r for w in workloads.WORKLOADS.values() for r in w],

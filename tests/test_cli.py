@@ -1,6 +1,9 @@
 """Configuration parsing, run commands, emission formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -654,3 +657,15 @@ class TestMain:
         assert code == cli.EXIT_OK
         data = json.loads(captured.out)
         assert len(data["rows"]) == 1
+
+
+def test_import_loads_only_the_scipy_a_run_calls():
+    # a fresh `chebquark` process pays for every module its import loads, and
+    # no run calls these
+    code = ("import sys, chebquark.cli\n"
+            "print(' '.join(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.spatial'}"
+            " & set(sys.modules))))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
