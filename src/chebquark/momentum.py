@@ -8,9 +8,10 @@ for the log|(x'+x)/(x'-x)| pieces, and for the double pole of the linear
 kernel a Hadamard finite-part rule in t, with no subtraction and no
 derivative of the unknown function.  The final object is a dense real
 non-symmetric N x N matrix whose eigenvalues approximate the bound-state
-spectrum.  The lowest levels come from shift-invert Arnoldi near the spectrum
-floor on the matrix factored in place, certified to select what the whole
-spectrum would; dense QR serves small meshes and the rejected solves.
+spectrum.  Dense QR serves small meshes; from ARNOLDI_MIN_N on the lowest
+levels come from shift-invert Arnoldi near the spectrum floor on the matrix
+factored in place, and only the levels certified to be the ones the whole
+spectrum would give are returned.
 
 Working units: lengths in a, momenta x = k a, energies eps = E a, where a
 is the length scale of the linear term V = -alpha/r + r/a^2.  The kinetic
@@ -175,8 +176,8 @@ def similarity_scale(grid):
     return np.exp2(np.round(np.log2(np.sqrt(grid.plain_weights) * (1.0 + t) / (1.0 - t) ** 2)))
 
 
-# Mesh order from which solve_levels asks ARPACK for the levels near the
-# spectrum floor before it falls back to the dense QR solver.  Measured on a
+# Mesh order from which solve_levels takes the levels near the spectrum
+# floor from ARPACK alone instead of the dense QR solver.  Measured on a
 # 2-core x86 machine, one BLAS thread, eigensolve alone for 5 levels (k = 7),
 # dense vs Arnoldi: with a linear term the two break even near N = 80 (2.9
 # vs 3.2 ms linear ell = 0, 3.4 vs 3.4 ms ell = 2) and Arnoldi wins from
@@ -205,8 +206,8 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
     shift-invert Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users'
     Guide, SIAM 1998) on an equilibrated LU factorization of Hs - shift,
     from a fixed start vector (a random one moves energies by 5e-14 from run
-    to run); None when the shifted matrix is singular or the iteration
-    fails, so that the caller can fall back to the dense solver.
+    to run); None when the shifted matrix is singular, the iteration fails
+    or a pair is not finite.
     """
     pairs = (scipy.linalg.eig(Hs, check_finite=False) if k is None
              else _shift_invert_arnoldi(Hs, shift, k))
@@ -231,13 +232,13 @@ def _shift_invert_arnoldi(A, shift, k):
     """The k eigenpairs of A nearest the shift, or None if ARPACK cannot deliver.
 
     A - shift, equilibrated by power-of-two row and column scales, is
-    factored in A's own memory, which holds the factors afterwards, also
-    when None is returned.  Without the scales, the z^ell growth of the
-    kernel corners (max|A| = 1e18 for Coulomb ell = 2 at N = 800) costs
-    the factorization, and so the levels, 1e-8 of relative accuracy; with
-    them they are within 1e-10 of the exact hydrogen levels there.  The
-    normwise backward error of the dense QR solver meets the same corners
-    at higher ell, where this iteration is the more accurate of the two.
+    factored in A's own memory, which holds the factors afterwards.  Without
+    the scales, the z^ell growth of the kernel corners (max|A| = 1e18 for
+    Coulomb ell = 2 at N = 800) costs the factorization, and so the levels,
+    1e-8 of relative accuracy; with them they are within 1e-10 of the exact
+    hydrogen levels there.  The normwise backward error of the dense QR
+    solver meets the same corners at higher ell, where this iteration is the
+    more accurate of the two.
     """
     N = len(A)
     A.flat[::N + 1] -= shift
@@ -338,21 +339,6 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
     return levels, len(levels) >= count
 
 
-def _write_hamiltonian(H, problem, grid, sigma, x, J, scale):
-    """Write d H d^-1 into H in row blocks of about 2^15 entries, each formed in cache."""
-    N = len(H)
-    block = max(1, cheb.BLOCK_ELEMENTS // N)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kinetic = kinetic_diagonal(problem, x)
-        unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
-        for i in range(0, N, block):
-            rows = slice(i, i + block)
-            V = assemble_potential(problem, grid, sigma, x, J, rows)
-            V.flat[i::N + 1] += kinetic[rows]
-            Hb = np.multiply(scale[rows, None], V, out=H[rows])
-            Hb *= unscale
-
-
 def solve_levels(problem, N, sigma=None, count=5):
     """Lowest `count` levels: write H in row blocks, diagonalize, select lazily.
 
@@ -360,13 +346,16 @@ def solve_levels(problem, N, sigma=None, count=5):
     by default; one that is not positive and finite is a ValueError.  The
     weight tables come from the grid, which builds each once per mesh order,
     so a loop over ell at fixed N reuses them.  The similar matrix d H d^-1
-    that both eigensolver paths take is a solve's one N x N array.  From
-    N = ARNOLDI_MIN_N the count + 2 eigenpairs nearest a shift at or below
-    the spectrum floor come from an LU factorization in H's memory, and
-    their levels are kept when all `count` pass the filters and the top
-    level lies nearer the shift than the farthest returned eigenvalue (a
-    level below it is real and in [shift, top], so none is missing);
-    otherwise, and below that N, dense QR takes all of H, written again if need be.
+    is written once, in row blocks of about 2^15 entries each formed in
+    cache, and is a solve's one N x N array.  Below N = ARNOLDI_MIN_N, or
+    for count >= N - 3, dense QR takes all of it.  Otherwise the count + 2
+    eigenpairs nearest a shift at or below the spectrum floor come from an
+    LU factorization in its memory, and that one run decides the wave: a
+    level is kept when it lies nearer the shift than the farthest returned
+    eigenvalue, since every eigenvalue in [shift, level] is then returned
+    and its n is certified.  The levels are ascending, so the kept ones are
+    a prefix; a run that returns nothing gives none, and the set is
+    complete only when all `count` are kept.
     """
     sigma = problem.momentum_unit if sigma is None else sigma
     grid = cheb.chebyshev_grid(N)
@@ -382,19 +371,27 @@ def solve_levels(problem, N, sigma=None, count=5):
         z = (x[:1] ** 2 + x[-1:] ** 2) / (2.0 * x[:1] * x[-1:])
         if not all(np.isfinite(p).all() for _, p, _ in _bonnet(problem.ell, z)):
             raise overflow
-    _write_hamiltonian(H, problem, grid, sigma, x, J, scale)
+        kinetic = kinetic_diagonal(problem, x)
+        unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
+        block = max(1, cheb.BLOCK_ELEMENTS // N)
+        for i in range(0, N, block):
+            rows = slice(i, i + block)
+            V = assemble_potential(problem, grid, sigma, x, J, rows)
+            V.flat[i::N + 1] += kinetic[rows]
+            Hb = np.multiply(scale[rows, None], V, out=H[rows])
+            Hb *= unscale
     # max and min propagate NaN, so this reads every entry without an N x N mask
     if not math.isfinite(_abs_max(H, axis=None)):
         raise overflow
-    if N >= ARNOLDI_MIN_N and 0 < count < N - 3:
-        # with a linear term the lower s-wave floor: from ell = 5 on, where the factors
-        # are numerically singular, the wave's own let more spurious levels pass (ROADMAP item 7)
-        shift = spectrum_floor(replace(problem, ell=0) if problem.linear else problem)
-        pairs = solve_spectrum(H, scale, shift, count + 2)
-        if pairs is not None:
-            levels, complete = select_bound_states(pairs, problem, grid, x, J, count)
-            if complete and levels[-1].epsilon - shift < np.abs(pairs[0] - shift).max():
-                return levels, complete
-        _write_hamiltonian(H, problem, grid, sigma, x, J, scale)   # over the LU factors
-    pairs = solve_spectrum(H, scale)
-    return select_bound_states(pairs, problem, grid, x, J, count)
+    if N < ARNOLDI_MIN_N or not 0 < count < N - 3:
+        return select_bound_states(solve_spectrum(H, scale), problem, grid, x, J, count)
+    # with a linear term the lower s-wave floor: from ell = 5 on, where the factors
+    # are numerically singular, the wave's own let more spurious levels pass (ROADMAP item 7)
+    shift = spectrum_floor(replace(problem, ell=0) if problem.linear else problem)
+    pairs = solve_spectrum(H, scale, shift, count + 2)
+    if pairs is None:
+        return [], False
+    levels, _ = select_bound_states(pairs, problem, grid, x, J, count)
+    radius = np.abs(pairs[0] - shift).max()
+    levels = [lv for lv in levels if lv.epsilon - shift < radius]
+    return levels, len(levels) == count

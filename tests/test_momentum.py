@@ -370,7 +370,7 @@ def select_all_then_sort(eigenpairs, params, grid, sigma, count):
 
 
 def scaled_hamiltonian(params, grid, sigma, x, J):
-    """d (V + K) d^-1, the similar matrix solve_levels hands both eigensolver paths."""
+    """d (V + K) d^-1, the similar matrix solve_levels hands either eigensolver."""
     H = mom.assemble_potential(params, grid, sigma, x, J)
     H.flat[::grid.N + 1] += mom.kinetic_diagonal(params, x)
     scale = mom.similarity_scale(grid)
@@ -422,8 +422,11 @@ class TestSelection:
         # floor -62.5 let through -42.640 and -17.226
         problem = Problem(ell=ell, alpha=0.5, s=1e-3)
         floor = radial.hydrogen_energy(0, ell, problem.alpha, 0.5 / problem.s)
-        levels, _ = mom.solve_levels(problem, 300, count=3)
+        levels, complete = mom.solve_levels(problem, 300, count=3)
         assert all(lv.epsilon >= floor - 1e-6 for lv in levels)
+        # nor is a wrong level above it printed as complete: the Arnoldi run
+        # cannot certify all three, and the wave is refused
+        assert not complete
 
     def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
         # "pv" counts PV table builds; none computes PV moments over the mesh
@@ -589,47 +592,12 @@ class TestArnoldi:
                 exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, 0.5 / refs.TABLE1_S)
                 assert abs(lv.epsilon / exact - 1.0) < 1e-8
 
-    def test_falls_back_when_arpack_does_not_converge(self, monkeypatch, eigensolves):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-        params = refs.linear_params(1)
-        got = mom.solve_levels(params, 400, 1.0, 5)
-        assert eigensolves == [None, 400]
-        assert_same_levels(got, dense_levels(params, 400, 1.0, 5))
-
-    def test_falls_back_when_the_shift_is_singular(self, monkeypatch, eigensolves):
-        def singular(*args, **kwargs):
-            raise scipy.linalg.LinAlgWarning("Diagonal number 1 is exactly zero.")
-
-        monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
-        params = refs.linear_params(0)
-        got = mom.solve_levels(params, 400, 0.5, 3)
-        assert eigensolves == [None, 400]
-        assert_same_levels(got, dense_levels(params, 400, 0.5, 3))
-
-    def test_falls_back_when_the_disc_excludes_the_top_level(self, monkeypatch, eigensolves):
-        # only the `count` eigenvalues nearest the shift come back: the top
-        # accepted level lies on the edge of their disc, so an eigenvalue
-        # below it could be missing
-        eigs = scipy.sparse.linalg.eigs
-
-        def too_few(A, k, **kwargs):
-            return eigs(A, 3, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", too_few)
-        params = SELECTION_CASES["cornell"][0](0)
-        got = mom.solve_levels(params, 400, 1.0, 3)
-        assert eigensolves == [3, 400]
-        assert_same_levels(got, dense_levels(params, 400, 1.0, 3))
-
-    @pytest.mark.parametrize("fallback", ("singular", "arpack", "disc"))
-    def test_dense_fallback_gets_the_matrix_written_again(self, fallback, monkeypatch,
-                                                          eigensolves):
-        # the Arnoldi path leaves its LU factors in H, so whenever its result
-        # is not kept solve_levels writes H again before the dense solver runs
+    @pytest.mark.parametrize("rejection", ("singular", "arpack", "no-convergence", "disc"))
+    def test_a_rejected_arnoldi_run_is_refused(self, rejection, monkeypatch, eigensolves):
+        # one eigensolve decides the wave: a rejected run returns the levels it
+        # certified and an incomplete set, and dense QR never runs
         lu_factor, eigs = scipy.linalg.lu_factor, scipy.sparse.linalg.eigs
+        disc = []
 
         def singular(*args, **kwargs):
             lu_factor(*args, **kwargs)
@@ -638,30 +606,36 @@ class TestArnoldi:
         def arpack_error(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackError(-9999)
 
-        def too_few(A, k, **kwargs):
-            return eigs(A, k - 2, **kwargs)
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
-        if fallback == "singular":
+        def too_few(A, k, **kwargs):
+            # only the `count` eigenvalues nearest the shift come back: the top
+            # one bounds their disc, so a level on its edge is not certified
+            evals, evecs = eigs(A, k - 2, **kwargs)
+            disc.append((kwargs["sigma"], np.abs(evals - kwargs["sigma"]).max()))
+            return evals, evecs
+
+        if rejection == "singular":
             monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
         else:
-            monkeypatch.setattr(scipy.sparse.linalg, "eigs",
-                                arpack_error if fallback == "arpack" else too_few)
-        dense_input, spy = [], mom.solve_spectrum
-
-        def record(Hs, scale, shift=None, k=None):
-            if k is None:
-                dense_input.append(Hs.copy())
-            return spy(Hs, scale, shift, k)
-
-        monkeypatch.setattr(mom, "solve_spectrum", record)
-        params, N = refs.linear_params(2), 200
-        got = mom.solve_levels(params, N, 1.0, 5)
-        assert eigensolves == [5 if fallback == "disc" else None, N]
-        grid = cheb.chebyshev_grid(N)
-        x, J = mom.mapped_nodes(grid.nodes, 1.0)
-        Hs = scaled_hamiltonian(params, grid, 1.0, x, J)
-        assert np.array_equal(dense_input[0], Hs)
-        assert_same_levels(got, dense_levels(params, N, 1.0, 5, Hs))
+            monkeypatch.setattr(scipy.sparse.linalg, "eigs", {
+                "arpack": arpack_error, "no-convergence": no_convergence,
+                "disc": too_few}[rejection])
+        params, N, count = refs.linear_params(2), mom.ARNOLDI_MIN_N, 5
+        levels, complete = mom.solve_levels(params, N, 1.0, count)
+        assert not complete
+        if rejection != "disc":
+            assert eigensolves == [None] and levels == []
+            return
+        assert eigensolves == [count]
+        (shift, radius), = disc
+        want, _ = dense_levels(params, N, 1.0, count)
+        inside = [lv for lv in want if lv.epsilon - shift < radius]
+        assert 0 < len(inside) < count
+        for a, b in zip(levels, inside, strict=True):
+            assert a.n == b.n
+            assert abs(a.epsilon / b.epsilon - 1.0) < 1e-9
 
     def test_a_conjugate_pair_is_not_two_levels(self, spectra):
         # the eigensolvers return a real eigenvalue of a real matrix with an
