@@ -170,7 +170,10 @@ def similarity_scale(grid):
     The discretized operator is nearly self-adjoint in the quadrature inner
     product sum_j w_j J_j x_j^2 f_j g_j, so d H d^-1 is nearly symmetric.  On
     the rational map w J x^2 = 2 sigma^3 w (1+t)^2/(1-t)^4; the constant is
-    dropped, so the scale depends on the grid alone.
+    dropped, so the scale depends on the grid alone.  Without it (one BLAS
+    thread, against the exact levels) Coulomb ell = 2 at N = 300-800 is 1e-5
+    off instead of 2e-11, Coulomb ell = 3 there loses its certificate, and
+    dense linear ell = 10 at N = 80 (sigma 1) is 0.72 off instead of 6.7e-5.
     """
     t = grid.nodes
     return np.exp2(np.round(np.log2(np.sqrt(grid.plain_weights) * (1.0 + t) / (1.0 - t) ** 2)))
@@ -179,15 +182,14 @@ def similarity_scale(grid):
 # Mesh order from which solve_levels takes the levels near the spectrum
 # floor from ARPACK alone instead of the dense QR solver.  Measured on a
 # 2-core x86 machine, one BLAS thread, eigensolve alone for 5 levels (k = 7),
-# dense vs Arnoldi: with a linear term the two break even near N = 80 (2.9
-# vs 3.2 ms linear ell = 0, 3.4 vs 3.4 ms ell = 2) and Arnoldi wins from
-# N = 100 (4.7 vs 3.4 ms; 32 vs 7 ms at N = 300); pure Coulomb converges
-# slowly and breaks even between N = 200 and 300 at ell = 0 (3.6 vs 12.6 ms
-# at N = 100, 9.5 vs 12.3 at 200, 33 vs 19 at 300) and near 200 at ell = 2
-# (3.3 vs 5.5, 9.4 vs 7.5, 34 vs 9.7).  From N = 100 the dense solver also
-# loses high-ell levels that the Arnoldi path keeps (linear ell = 10, N =
-# 100: 9e-3 vs 2e-7; ell = 4, N = 300: 3e-3 vs 3e-10), so the bound is
-# where Arnoldi wins with a linear term.
+# dense vs Arnoldi in ms at N = 80 / 100 / 200 / 300: linear ell = 0 and 2
+# (sigma 1) break even near N = 80 (1.5-2.5 vs 1.4-2.3, 2.6-4.3 vs 1.6-2.3,
+# 9-13 vs 2.1-2.4, 22-26 vs 3.4); pure Coulomb (sigma 0.5, shifted at its own
+# floor) near 200 at ell = 0 (1.2 vs 4.7, 2.0 vs 5.2, 7.5 vs 7.4, 20 vs 10)
+# and near 100 at ell = 2 (1.2 vs 2.3, 2.0 vs 2.6, 7.5 vs 3.8, 21 vs 5.1).
+# From N = 100 the dense solver also loses high-ell levels that the Arnoldi
+# path keeps (linear ell = 10, N = 100: 7.5e-5 vs 5e-8; ell = 4, N = 300:
+# 7.7e-5 vs 1.4e-11), so the bound is where Arnoldi wins with a linear term.
 ARNOLDI_MIN_N = 100
 
 
@@ -232,13 +234,15 @@ def _shift_invert_arnoldi(A, shift, k):
     """The k eigenpairs of A nearest the shift, or None if ARPACK cannot deliver.
 
     A - shift, equilibrated by power-of-two row and column scales, is
-    factored in A's own memory, which holds the factors afterwards.  Without
-    the scales, the z^ell growth of the kernel corners (max|A| = 1e18 for
-    Coulomb ell = 2 at N = 800) costs the factorization, and so the levels,
-    1e-8 of relative accuracy; with them they are within 1e-10 of the exact
-    hydrogen levels there.  The normwise backward error of the dense QR
-    solver meets the same corners at higher ell, where this iteration is the
-    more accurate of the two.
+    factored in A's own memory, which holds the factors afterwards.  The
+    scales undo the z^ell growth of the kernel corners (max|A| = 1e30 for
+    Coulomb ell = 3 at N = 800), and both are needed.  Partial pivoting on
+    A.T is blind to power-of-two row scales of A, so rows alone factor as no
+    scaling does: Coulomb ell = 3 at N = 800 is 8e-5 off and refused, and
+    linear ell >= 7 at N = 300 is refused.  Columns alone are 13-180 times
+    less accurate at Coulomb ell = 3-4, N = 300, and up to 61 times at linear
+    ell = 4-12.  The normwise backward error of the dense QR solver meets the
+    same corners at higher ell, where this iteration is the more accurate.
     """
     N = len(A)
     A.flat[::N + 1] -= shift
@@ -260,16 +264,15 @@ def _shift_invert_arnoldi(A, shift, k):
     inverse = scipy.sparse.linalg.LinearOperator(
         (N, N), dtype=float,
         matvec=lambda b: cols * getrs(lu, piv, rows * b, trans=1, overwrite_b=True)[0])
-    # with a real shift ARPACK (mode 3) applies the inverse alone; A holds the factors
-    shape_only = scipy.sparse.linalg.LinearOperator((N, N), matvec=None, dtype=float)
     try:
+        # ARPACK's regular mode on the inverse (mu = 1/(lambda - shift)) is its shift-invert mode;
         # scipy's default basis, min(N, max(20, 2k + 1)) columns: the four N = 800 benchmark
         # solves take 46-52 inverse applications each with it, 197 in all; the even sizes
         # 12-40 take 35-69 each and 195-224 in all, and none is the fewest on all four
-        evals, evecs = scipy.sparse.linalg.eigs(
-            shape_only, k=k, sigma=shift, OPinv=inverse, v0=np.ones(N))
+        mu, evecs = scipy.sparse.linalg.eigs(inverse, k=k, v0=np.ones(N))
     except scipy.sparse.linalg.ArpackError:
         return None
+    evals = shift + 1.0 / mu
     if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
         return None
     return evals, evecs

@@ -72,22 +72,6 @@ def airy_reference(nu):
     return _AIRY_EPS[nu - 1]
 
 
-def _potential(problem, x):
-    # the linear term has unit slope in units of a
-    return -problem.alpha / x + (x if problem.linear else 0.0)
-
-
-def _coulomb_bracket(problem, n):
-    """Pure Coulomb bracket of level n: the hydrogen energies at n -+ 1/2.
-
-    By Sturm ordering only level n lies between `coulomb_level(n - 1/2)` and
-    `coulomb_level(n + 1/2)`, and both lie below the continuum.
-    """
-    return problem.coulomb_level(n - 0.5), problem.coulomb_level(n + 0.5)
-
-
-# one entry: the check in solve_radial asks again for the eps whose domain settled the loop
-@functools.lru_cache(maxsize=1)
 def _turning_point(problem, eps):
     """Outer classical turning point: the largest x > 0 where V_eff = V + s l(l+1)/x^2 is eps.
 
@@ -167,7 +151,8 @@ def _level(problem, n, N, r_end):
     r = h * x
     with np.errstate(over="ignore", invalid="ignore"):
         H = (problem.s / (h * h)) * T
-        H[np.diag_indices(N)] += _potential(problem, r) + problem.s * problem.ell * (problem.ell + 1) / (r * r)
+        H[np.diag_indices(N)] += (-problem.alpha / r + (r if problem.linear else 0.0)
+                                  + problem.s * problem.ell * (problem.ell + 1) / (r * r))
     if not np.all(np.isfinite(H)):
         raise RuntimeError(f"coordinate Hamiltonian is not finite at mesh scale {h:.3g}")
     # H is local, and finite by the check above
@@ -211,7 +196,7 @@ def solve_radial(problem, n):
         # WKB level of the linear term alone, Langer-corrected
         start = (1.5 * math.pi * (n + 0.5 * problem.ell + 0.75)) ** (2.0 / 3.0)
     else:
-        start = hydrogen_energy(n, problem.ell, 1.0, 0.5)
+        start = unit.coulomb_level(n)
     r_end = domain(energy * start)
     eps = _level(problem, n, _ORDERS[0], r_end)
     # the domain moves with the level; the order check below judges the result
@@ -235,7 +220,8 @@ def solve_radial(problem, n):
         raise RuntimeError(f"mesh orders {_ORDERS} give no two agreeing values of level "
                            f"n = {n} (last {eps:.12g}); the level is not resolved")
     if not problem.linear:
-        lo, hi = _coulomb_bracket(problem, n)
+        # by Sturm ordering only level n lies between the hydrogen levels at n -+ 1/2
+        lo, hi = problem.coulomb_level(n - 0.5), problem.coulomb_level(n + 0.5)
         if not lo < eps < hi:
             raise RuntimeError(f"level n = {n} at {eps:.12g} lies outside its Coulomb "
                                f"bracket [{lo:.12g}, {hi:.12g}]")

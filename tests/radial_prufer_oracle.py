@@ -12,8 +12,9 @@ with n nodes.  The mismatch of the two phases at the classical turning
 point is continuous and increasing in eps and vanishes exactly at the n-th
 level, so one bracketed root-find gives the level with no node counting
 (the miss-distance function of Pryce, Numerical Solution of Sturm-Liouville
-Problems, 1993).  It shares the domain (`_turning_point`, `_r_max`), the
-pure Coulomb start bracket and the analytic references with the library.
+Problems, 1993).  It shares the domain (`_turning_point`, `_r_max`) and the
+analytic references with the library, and brackets a pure Coulomb level by
+`Problem.coulomb_level` at n -+ 1/2.
 It costs 100-360 ms and about 30 `solve_ivp` calls per level, and at
 extreme s its domain margins (absolute lengths tuned for s near 1) cost
 digits: linear s = 1e4 ell = 0 is off the Airy value by 8e-5.
@@ -28,14 +29,17 @@ import numbers
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from chebquark.radial import (
-    _coulomb_bracket, _potential, _r_max, _turning_point, hydrogen_energy)
+from chebquark.radial import _r_max, _turning_point, hydrogen_energy
 
 
 # the root is found first with the ODE at a coarse tolerance, then within a
 # narrow bracket around that root at the final tolerance
 _COARSE_RTOL, _COARSE_ATOL = 1e-7, 1e-9
 _RTOL, _ATOL = 1e-12, 1e-14
+
+
+def _potential(problem, x):
+    return -problem.alpha / x + (x if problem.linear else 0.0)
 
 
 def _rhs(problem, eps):
@@ -119,7 +123,7 @@ def solve_radial(problem, n):
         return _phase_mismatch(problem, n, eps, (_RTOL, _ATOL))
 
     if not problem.linear:
-        a, b = _coulomb_bracket(problem, n)
+        a, b = problem.coulomb_level(n - 0.5), problem.coulomb_level(n + 0.5)
     else:
         # every level lies above the Coulomb ground state of the same alpha
         a = (hydrogen_energy(0, 0, problem.alpha, 1.0 / (2.0 * problem.s)) * 1.2 - 1.0

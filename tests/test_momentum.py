@@ -5,6 +5,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -612,9 +613,11 @@ class TestArnoldi:
         def too_few(A, k, **kwargs):
             # only the `count` eigenvalues nearest the shift come back: the top
             # one bounds their disc, so a level on its edge is not certified
-            evals, evecs = eigs(A, k - 2, **kwargs)
-            disc.append((kwargs["sigma"], np.abs(evals - kwargs["sigma"]).max()))
-            return evals, evecs
+            mu, evecs = eigs(A, k - 2, **kwargs)
+            # the s-wave floor of solve_levels, and the eigenvalues shift + 1/mu
+            shift = mom.spectrum_floor(replace(params, ell=0))
+            disc.append((shift, np.abs(shift + 1.0 / mu - shift).max()))
+            return mu, evecs
 
         if rejection == "singular":
             monkeypatch.setattr(scipy.linalg, "lu_factor", singular)

@@ -161,7 +161,7 @@ class TestTurningPoint:
         scale = x ** 3 + eps * x ** 2 + unit.alpha * x + unit.ell * (unit.ell + 1)
         assert abs(cubic(x)) <= 1e-14 * scale
         beyond = x * (1.0 + np.logspace(-6, 3, 50))
-        assert np.all(radial._potential(unit, beyond) + unit.ell * (unit.ell + 1) / beyond ** 2
+        assert np.all(-unit.alpha / beyond + beyond + unit.ell * (unit.ell + 1) / beyond ** 2
                       > eps)
 
     # forbidden everywhere (V_eff = x > -1), and a Coulomb wave allowed
@@ -199,17 +199,21 @@ class TestTurningPoint:
 
     def test_check_reuses_the_settled_domain(self, monkeypatch):
         # the turning-point check is at the eps whose domain settled the loop:
-        # one root computed per domain and none for the check
-        ends, r_max = [], radial._r_max
+        # one root per domain, then the last root at the last domain's eps
+        ends, roots = [], []
+        r_max, turning_point = radial._r_max, radial._turning_point
 
-        def counted(problem, eps):
-            ends.append(eps)
-            return r_max(problem, eps)
+        def recorded(record, fn):
+            def wrapper(problem, eps):
+                record.append(eps)
+                return fn(problem, eps)
+            return wrapper
 
-        monkeypatch.setattr(radial, "_r_max", counted)
-        radial._turning_point.cache_clear()
+        monkeypatch.setattr(radial, "_r_max", recorded(ends, r_max))
+        monkeypatch.setattr(radial, "_turning_point", recorded(roots, turning_point))
         radial.solve_radial(Problem(ell=2, alpha=0.5, s=0.1), 1)
-        assert radial._turning_point.cache_info().misses == len(ends)
+        assert len(ends) > 1
+        assert roots == ends + ends[-1:]
 
     def test_unsettled_domain_is_still_checked(self, monkeypatch):
         # a domain end that jumps between 1 and 2 never settles, and both lie
@@ -243,7 +247,6 @@ class TestMesh:
             if not isinstance(getattr(np.linalg, name), type):
                 monkeypatch.setattr(np.linalg, name, forbidden)
         monkeypatch.setattr(np, "roots", forbidden)
-        radial._turning_point.cache_clear()
         radial._mesh.cache_clear()
         radial.solve_radial(problem, n)
 
@@ -268,9 +271,10 @@ class TestMeshRobustness:
                    for line in report.diagnostics)
 
     def test_coulomb_level_outside_its_bracket_raises(self, monkeypatch):
-        # a bracket that misses the level stands for a mesh eigenvalue that
-        # both orders put at the wrong index
-        monkeypatch.setattr(radial, "_coulomb_bracket", lambda problem, n: (-1.0, -0.9))
+        # both mesh orders agree on the eigenvalue at the wrong index, n + 1
+        level = radial._level
+        monkeypatch.setattr(radial, "_level",
+                            lambda problem, n, N, r_end: level(problem, n + 1, N, r_end))
         with pytest.raises(RuntimeError, match="outside its Coulomb bracket"):
             radial.solve_radial(refs.coulomb_params(0), 0)
 
