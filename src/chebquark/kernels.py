@@ -47,7 +47,7 @@ class Problem:
     kinetic: str = "nonrelativistic"
 
     def __post_init__(self):
-        if not isinstance(self.ell, numbers.Integral) or self.ell < 0:
+        if isinstance(self.ell, bool) or not isinstance(self.ell, numbers.Integral) or self.ell < 0:
             raise ValueError(f"orbital momentum must be a nonnegative integer, got {self.ell!r}")
         for name in ("alpha", "s"):
             if not math.isfinite(getattr(self, name)):

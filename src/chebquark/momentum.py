@@ -21,7 +21,6 @@ coefficient is s = 1/(2 mu a).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,8 +207,8 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
     shift-invert Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users'
     Guide, SIAM 1998) on an equilibrated LU factorization of Hs - shift,
     from a fixed start vector (a random one moves energies by 5e-14 from run
-    to run); None when the shifted matrix is singular, the iteration fails
-    or a pair is not finite.
+    to run); None when LAPACK getrf reports info > 0 (the shifted matrix is
+    exactly singular), ARPACK raises or a pair is not finite.
     """
     pairs = (scipy.linalg.eig(Hs, check_finite=False) if k is None
              else _shift_invert_arnoldi(Hs, shift, k))
@@ -231,7 +230,7 @@ def _abs_max(A, axis):
 
 
 def _shift_invert_arnoldi(A, shift, k):
-    """The k eigenpairs of A nearest the shift, or None if ARPACK cannot deliver.
+    """The k eigenpairs of A nearest the shift, or None if they cannot be had.
 
     A - shift, equilibrated by power-of-two row and column scales, is
     factored in A's own memory, which holds the factors afterwards.  The
@@ -243,6 +242,8 @@ def _shift_invert_arnoldi(A, shift, k):
     less accurate at Coulomb ell = 3-4, N = 300, and up to 61 times at linear
     ell = 4-12.  The normwise backward error of the dense QR solver meets the
     same corners at higher ell, where this iteration is the more accurate.
+    None when getrf reports info != 0 (info > 0: an exactly zero pivot, so
+    A - shift is singular), when ARPACK raises, or when a pair is not finite.
     """
     N = len(A)
     A.flat[::N + 1] -= shift
@@ -250,17 +251,12 @@ def _shift_invert_arnoldi(A, shift, k):
     A *= rows[:, None]
     cols = _power_of_two_inverse(_abs_max(A, axis=0))
     A *= cols
-    with warnings.catch_warnings():
-        # lu_factor only warns on an exactly singular factor
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            # A.T is F-contiguous, so LAPACK factors it in A's own memory;
-            # the solves below then use the transposed factors (trans = 1)
-            lu, piv = scipy.linalg.lu_factor(A.T, overwrite_a=True, check_finite=False)
-        except scipy.linalg.LinAlgWarning:
-            return None
-    # lu_solve's own LAPACK call without its checks (info flags only illegal arguments)
-    getrs = scipy.linalg.get_lapack_funcs("getrs", (lu,))
+    # lu_factor's and lu_solve's LAPACK calls without their checks: A.T is F-contiguous, so
+    # getrf factors it in A's own memory, and the solves use the transposed factors (trans = 1)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (A,))
+    lu, piv, info = getrf(A.T, overwrite_a=True)
+    if info != 0:
+        return None
     inverse = scipy.sparse.linalg.LinearOperator(
         (N, N), dtype=float,
         matvec=lambda b: cols * getrs(lu, piv, rows * b, trans=1, overwrite_b=True)[0])
@@ -353,12 +349,12 @@ def solve_levels(problem, N, sigma=None, count=5):
     cache, and is a solve's one N x N array.  Below N = ARNOLDI_MIN_N, or
     for count >= N - 3, dense QR takes all of it.  Otherwise the count + 2
     eigenpairs nearest a shift at or below the spectrum floor come from an
-    LU factorization in its memory, and that one run decides the wave: a
-    level is kept when it lies nearer the shift than the farthest returned
-    eigenvalue, since every eigenvalue in [shift, level] is then returned
-    and its n is certified.  The levels are ascending, so the kept ones are
-    a prefix; a run that returns nothing gives none, and the set is
-    complete only when all `count` are kept.
+    LU factorization in its memory, and that one run decides the wave.  Its
+    pairs are certified, then selected: a pair is kept when it lies nearer
+    the shift than the farthest returned eigenvalue, since every eigenvalue
+    in [shift, level] is then returned and a level's n is certified, and
+    select_bound_states runs on the kept pairs alone.  So `complete` has one
+    meaning on both paths, and a run that returns nothing gives none.
     """
     sigma = problem.momentum_unit if sigma is None else sigma
     grid = cheb.chebyshev_grid(N)
@@ -394,7 +390,7 @@ def solve_levels(problem, N, sigma=None, count=5):
     pairs = solve_spectrum(H, scale, shift, count + 2)
     if pairs is None:
         return [], False
-    levels, _ = select_bound_states(pairs, problem, grid, x, J, count)
-    radius = np.abs(pairs[0] - shift).max()
-    levels = [lv for lv in levels if lv.epsilon - shift < radius]
-    return levels, len(levels) == count
+    evals, evecs = pairs
+    distance = np.abs(evals - shift)
+    inside = distance < distance.max()
+    return select_bound_states((evals[inside], evecs[:, inside]), problem, grid, x, J, count)

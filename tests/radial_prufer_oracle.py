@@ -12,12 +12,14 @@ with n nodes.  The mismatch of the two phases at the classical turning
 point is continuous and increasing in eps and vanishes exactly at the n-th
 level, so one bracketed root-find gives the level with no node counting
 (the miss-distance function of Pryce, Numerical Solution of Sturm-Liouville
-Problems, 1993).  It shares the domain (`_turning_point`, `_r_max`) and the
-analytic references with the library, and brackets a pure Coulomb level by
-`Problem.coulomb_level` at n -+ 1/2.
-It costs 100-360 ms and about 30 `solve_ivp` calls per level, and at
-extreme s its domain margins (absolute lengths tuned for s near 1) cost
-digits: linear s = 1e4 ell = 0 is off the Airy value by 8e-5.
+Problems, 1993).  Its domain is its own, so agreement with the library also
+checks the library's: the matching point is a bracketed root of
+x^2 (V_eff - eps), and the domain ends where the WKB action of the decaying
+solution reaches _TAIL_ACTION.  It shares with the library only the
+hydrogen start of the bracket and `Problem.coulomb_level`, which brackets a
+pure Coulomb level at n -+ 1/2.
+It costs 0.1-0.4 s (about 1 s at ell 20 and 30) and about 35 `solve_ivp`
+calls per level.
 """
 
 from __future__ import annotations
@@ -26,29 +28,77 @@ import functools
 import math
 import numbers
 
+import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from chebquark.radial import _r_max, _turning_point, hydrogen_energy
+from chebquark.radial import hydrogen_energy
 
 
 # the root is found first with the ODE at a coarse tolerance, then within a
 # narrow bracket around that root at the final tolerance
 _COARSE_RTOL, _COARSE_ATOL = 1e-7, 1e-9
 _RTOL, _ATOL = 1e-12, 1e-14
+# the decaying solution falls by exp(-_TAIL_ACTION) from the matching point to the domain
+# end: far below rounding, and past the library's domain end at every level the tests
+# compare (whose own reaches an action of at most 56, at linear ell 20, n 4)
+_TAIL_ACTION = 60.0
+_GAUSS = np.polynomial.legendre.leggauss(32)
 
 
-def _potential(problem, x):
-    return -problem.alpha / x + (x if problem.linear else 0.0)
+def _w(problem, eps, x):
+    """w = l(l+1)/x^2 + (V(x) - eps)/s of u'' = w u, at scalar or array x."""
+    potential = -problem.alpha / x + (x if problem.linear else 0.0)
+    return problem.ell * (problem.ell + 1) / (x * x) + (potential - eps) / problem.s
+
+
+def _turning_point(problem, eps):
+    """Largest x > 0 where V_eff = eps, or 0.0 where there is none.
+
+    It is the largest root of f = x^2 (V_eff - eps), c = s l(l+1): x^3 - eps x^2 - alpha x + c
+    with the linear term, -eps x^2 - alpha x + c (eps < 0) without.  On x > 0, f falls to its
+    one minimum x* and rises after it, so a root exists when f(x*) < 0, and brentq finds it
+    between x* and the Cauchy bound of the roots.
+    """
+    alpha, c = problem.alpha, problem.s * problem.ell * (problem.ell + 1)
+    lead = 1.0 if problem.linear else 0.0
+
+    def f(x):
+        return ((lead * x - eps) * x - alpha) * x + c
+
+    if problem.linear:
+        x_min, bound = (eps + math.sqrt(eps * eps + 3.0 * alpha)) / 3.0, max(abs(eps), alpha, c)
+    else:
+        x_min, bound = alpha / (-2.0 * eps), max(alpha, c) / -eps
+    if not f(x_min) < 0.0:
+        return 0.0
+    return brentq(f, x_min, 1.0 + bound, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+
+
+def _domain_end(problem, eps, x_match):
+    """The r where the WKB action int_{x_match}^r sqrt(max(w, 0)) dx reaches _TAIL_ACTION."""
+    v, weights = _GAUSS
+    u = 0.5 * (v + 1.0)
+
+    def shortfall(r):
+        # x = x_match + (r - x_match) u^2 smooths the sqrt(x - tp) of the turning point
+        x = x_match + (r - x_match) * u * u
+        action = (r - x_match) * np.dot(weights, u * np.sqrt(np.maximum(_w(problem, eps, x), 0.0)))
+        return action - _TAIL_ACTION
+
+    hi = x_match + 1.0
+    for _ in range(60):
+        if shortfall(hi) > 0.0:
+            return brentq(shortfall, x_match, hi, xtol=1e-12, rtol=1e-12)
+        hi = x_match + 2.0 * (hi - x_match)
+    raise RuntimeError(f"the WKB action never reaches {_TAIL_ACTION} at eps = {eps:.6g}")
 
 
 def _rhs(problem, eps):
     """Prüfer phase equation theta' = cos^2(theta) - w sin^2(theta) of u'' = w u."""
-    s = problem.s
-    ell = problem.ell
 
     def f(x, y):
-        w = ell * (ell + 1) / (x * x) + (_potential(problem, x) - eps) / s
+        w = _w(problem, eps, x)
         c, sn = math.cos(y[0]), math.sin(y[0])
         return [c * c - w * sn * sn]
 
@@ -76,7 +126,7 @@ def _phase_out(problem, eps, x_end, tol):
 
 def _phase_in(problem, n, eps, x_match, r_end, tol):
     """Phase at x_match of the solution decaying at r_end, on the branch of n nodes."""
-    w = problem.ell * (problem.ell + 1) / r_end**2 + (_potential(problem, r_end) - eps) / problem.s
+    w = _w(problem, eps, r_end)
     kappa = math.sqrt(max(w, 1e-12))
     # first-order WKB: u'/u = -kappa - kappa'/(2 kappa) = -kappa - w'/(4 w)
     dw = (-2.0 * problem.ell * (problem.ell + 1) / r_end**3
@@ -90,10 +140,7 @@ def _phase_in(problem, n, eps, x_match, r_end, tol):
 def _phase_mismatch(problem, n, eps, tol):
     """theta_out - theta_in at the matching point: increasing in eps, zero at level n."""
     x_match = max(_turning_point(problem, eps), 0.5)
-    r_end = _r_max(problem, eps)
-    if r_end <= x_match:
-        raise RuntimeError(f"domain end {r_end:.6g} is not beyond the matching point "
-                           f"{x_match:.6g} at eps = {eps:.6g}")
+    r_end = _domain_end(problem, eps, x_match)
     return _phase_out(problem, eps, x_match, tol) - _phase_in(problem, n, eps, x_match, r_end, tol)
 
 
@@ -107,7 +154,7 @@ def _root(mismatch, a, b, xtol):
 def solve_radial(problem, n):
     """Eigenvalue of the level with n nodes: the root of the phase mismatch.
 
-    The domain ends beyond the classical turning point (see _r_max).
+    The domain ends beyond the classical turning point (see _domain_end).
     """
     if problem.kinetic != "nonrelativistic":
         raise ValueError("the coordinate solver supports only the nonrelativistic kinetic mode")

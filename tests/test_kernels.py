@@ -32,7 +32,7 @@ def q_ell_oracle(ell, z):
 
 class TestProblem:
     @pytest.mark.parametrize("fields", (
-        {"ell": 1.5}, {"ell": -1}, {"alpha": float("nan")}, {"s": float("inf")},
+        {"ell": 1.5}, {"ell": -1}, {"ell": True}, {"alpha": float("nan")}, {"s": float("inf")},
         {"alpha": 0.0, "linear": False}, {"kinetic": "salpeter", "s": 5e-324},
         {"kinetic": "dirac"},
     ), ids=str)

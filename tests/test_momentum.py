@@ -597,12 +597,15 @@ class TestArnoldi:
     def test_a_rejected_arnoldi_run_is_refused(self, rejection, monkeypatch, eigensolves):
         # one eigensolve decides the wave: a rejected run returns the levels it
         # certified and an incomplete set, and dense QR never runs
-        lu_factor, eigs = scipy.linalg.lu_factor, scipy.sparse.linalg.eigs
+        get_lapack_funcs, eigs = scipy.linalg.get_lapack_funcs, scipy.sparse.linalg.eigs
         disc = []
 
-        def singular(*args, **kwargs):
-            lu_factor(*args, **kwargs)
-            raise scipy.linalg.LinAlgWarning("Diagonal number 1 is exactly zero.")
+        def singular(names, *args, **kwargs):
+            # getrf factors, then reports info = 1: an exactly zero first pivot
+            def zero_pivot(getrf):
+                return lambda *a, **kw: (*getrf(*a, **kw)[:2], 1)
+            funcs = get_lapack_funcs(names, *args, **kwargs)
+            return [zero_pivot(f) if name == "getrf" else f for name, f in zip(names, funcs)]
 
         def arpack_error(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackError(-9999)
@@ -620,7 +623,7 @@ class TestArnoldi:
             return mu, evecs
 
         if rejection == "singular":
-            monkeypatch.setattr(scipy.linalg, "lu_factor", singular)
+            monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", singular)
         else:
             monkeypatch.setattr(scipy.sparse.linalg, "eigs", {
                 "arpack": arpack_error, "no-convergence": no_convergence,
@@ -639,6 +642,28 @@ class TestArnoldi:
         for a, b in zip(levels, inside, strict=True):
             assert a.n == b.n
             assert abs(a.epsilon / b.epsilon - 1.0) < 1e-9
+
+    def test_an_exactly_singular_shifted_matrix_is_refused(self, monkeypatch):
+        # row 40 is 2.5 e_40, so A - 2.5 I has a zero row and getrf a zero pivot: the
+        # run is refused before ARPACK applies the singular factors (their NaN solves
+        # would reach LAPACK as illegal values); 0.1 away the factors are regular
+        # and the k pairs nearest the shift come back
+        eigs, runs = scipy.sparse.linalg.eigs, []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["k"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
+        A = np.random.default_rng(30).standard_normal((120, 120))
+        A[40] = 0.0
+        A[40, 40] = 2.5
+        k = 5
+        assert mom._shift_invert_arnoldi(A.copy(), 2.5, k) is None
+        assert runs == []
+        evals, evecs = mom._shift_invert_arnoldi(A.copy(), 2.4, k)
+        assert runs == [k] and len(evals) == k and evecs.shape == (120, k)
+        assert np.min(np.abs(evals - 2.5)) < 1e-12
 
     def test_a_conjugate_pair_is_not_two_levels(self, spectra):
         # the eigensolvers return a real eigenvalue of a real matrix with an

@@ -119,21 +119,25 @@ class TestShooting:
         assert e00 < e10
 
 
+PRUFER_CASES = (
+    (refs.linear_params(0), 0),
+    (refs.linear_params(0), 1),
+    (refs.linear_params(4), 4),
+    (refs.linear_params(12), 0),
+    (refs.coulomb_params(1), 1),
+    (refs.coulomb_params(2), 0),
+    (refs.coulomb_params(0), 4),
+    (refs.cornell_params("charm", 0), 0),
+    (refs.cornell_params("bottom", 2), 2),
+)
+PRUFER_IDS = ("linear-l0-n0", "linear-l0-n1", "linear-l4-n4", "linear-l12-n0", "coulomb-l1-n1",
+              "coulomb-l2-n0", "coulomb-l0-n4", "charm-l0-n0", "bottom-l2-n2")
+
+
 class TestPruferOracle:
     """The mesh agrees with the Prüfer shooting solver it replaced."""
 
-    @pytest.mark.parametrize("problem, n", (
-        (refs.linear_params(0), 0),
-        (refs.linear_params(0), 1),
-        (refs.linear_params(4), 4),
-        (refs.linear_params(12), 0),
-        (refs.coulomb_params(1), 1),
-        (refs.coulomb_params(2), 0),
-        (refs.coulomb_params(0), 4),
-        (refs.cornell_params("charm", 0), 0),
-        (refs.cornell_params("bottom", 2), 2),
-    ), ids=("linear-l0-n0", "linear-l0-n1", "linear-l4-n4", "linear-l12-n0", "coulomb-l1-n1",
-            "coulomb-l2-n0", "coulomb-l0-n4", "charm-l0-n0", "bottom-l2-n2"))
+    @pytest.mark.parametrize("problem, n", PRUFER_CASES, ids=PRUFER_IDS)
     def test_agrees_with_prufer(self, problem, n):
         eps = radial.solve_radial(problem, n)
         assert abs(eps / prufer.solve_radial(problem, n) - 1.0) <= 1e-10
@@ -145,6 +149,17 @@ class TestPruferOracle:
         problem = refs.linear_params(ell)
         eps = radial.solve_radial(problem, n)
         assert abs(eps / prufer.solve_radial(problem, n) - 1.0) <= 1e-9
+
+    # the oracle's domain is its own, so agreement also checks radial's domain
+    # end: at each compared level the oracle's reaches past it
+    @pytest.mark.parametrize("problem, n", (
+        *PRUFER_CASES, (refs.linear_params(20), 4), (refs.linear_params(30), 2),
+    ), ids=(*PRUFER_IDS, "linear-l20-n4", "linear-l30-n2"))
+    def test_domain_reaches_past_radials(self, problem, n):
+        eps = radial.solve_radial(problem, n)
+        length, energy, unit = radial._natural_units(problem)
+        x_match = max(prufer._turning_point(problem, eps), 0.5)
+        assert prufer._domain_end(problem, eps, x_match) > length * radial._r_max(unit, eps / energy)
 
 
 class TestTurningPoint:
@@ -291,8 +306,7 @@ class TestMeshRobustness:
         assert abs(eps / (s ** (1.0 / 3.0) * radial.airy_reference(n + 1)) - 1.0) <= 1e-9
 
     def test_extreme_s_linear_ell2(self):
-        # eps(ell, s, 0) = s^(1/3) eps(ell, 1, 0), with the shooting oracle
-        # at s = 1: at s = 1e4 its own domain is too short (8e-5 off at ell = 0)
+        # eps(ell, s, 0) = s^(1/3) eps(ell, 1, 0), with the shooting oracle at s = 1
         ref = prufer.solve_radial(refs.linear_params(2), 2)
         for s in (1e-4, 1e4):
             eps = radial.solve_radial(Problem(ell=2, alpha=0.0, linear=True, s=s), 2)
