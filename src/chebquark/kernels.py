@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class Problem:
     coefficient.  In salpeter mode the kinetic term is the relativistic
     energy of two quarks of mass am = 1/s (in units of 1/a) with the rest
     masses subtracted; the configuration-space solver handles only the
-    nonrelativistic mode.
+    nonrelativistic mode.  Both solvers work in the wave's `natural_units`.
     """
 
     ell: int = 0
@@ -75,12 +75,27 @@ class Problem:
     @property
     def energy_unit(self):
         """s^(1/3) with a linear term, or the Coulomb binding alpha^2/(4 s) if that is larger."""
-        return max(self.s ** (1.0 / 3.0) if self.linear else 0.0, self.alpha ** 2 / (4.0 * self.s))
+        return max(self.s ** (1.0 / 3.0) if self.linear else 0.0,
+                   self.alpha * self.alpha / (4.0 * self.s))
 
     @property
     def momentum_unit(self):
         """sqrt(energy_unit / s), the momentum x whose kinetic energy s x^2 is the energy unit."""
         return math.sqrt(self.energy_unit / self.s)
+
+    def natural_units(self):
+        """(length, energy, unit): this wave at s = 1 in lengths of s^(1/3) with a linear term,
+        s/alpha without, and eps = energy * eps'; salpeter has no such map and keeps its units."""
+        if self.kinetic == "salpeter":
+            return 1.0, 1.0, self
+        length = self.s ** (1.0 / 3.0) if self.linear else self.s / self.alpha
+        area = length * length
+        if 0.0 < area < math.inf:
+            energy = self.s / area
+            alpha = self.alpha / area if self.linear else 1.0
+            if 0.0 < energy < math.inf and alpha < math.inf:
+                return length, energy, replace(self, s=1.0, alpha=alpha)
+        raise RuntimeError(f"natural length {length:.3g}: scales out of floating-point range")
 
 
 def _bonnet(ell, z):

@@ -13,9 +13,8 @@ levels come from shift-invert Arnoldi near the spectrum floor on the matrix
 factored in place, and only the levels certified to be the ones the whole
 spectrum would give are returned.
 
-Working units: lengths in a, momenta x = k a, energies eps = E a, where a
-is the length scale of the linear term V = -alpha/r + r/a^2.  The kinetic
-coefficient is s = 1/(2 mu a).
+Working units: those of `kernels.Problem` in and out, but a solve runs in the
+wave's `Problem.natural_units`, so every energy it judges is of order one.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ def mapped_nodes(t, sigma):
 
 @dataclass(frozen=True)
 class BoundLevel:
-    """One accepted bound level: quantum numbers, energy (a real eigenvalue) and mesh values."""
+    """A bound level: quantum numbers, energy, and mesh values normalized in natural momenta."""
 
     ell: int
     n: int
@@ -302,8 +301,8 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
     genuine bound states decay at both ends.
     Each filter looks at one eigenpair only, so stopping at `count` gives
     the same levels as filtering every eigenpair and sorting the survivors.
-    Accepted levels are indexed n = 0, 1, ... and normalized to unit
-    momentum-space norm int |phi|^2 x^2 dx = 1 under the mapped plain rule.
+    Accepted levels are indexed n = 0, 1, ... and normalized to unit norm
+    int |phi|^2 x^2 dx = 1 under the mapped plain rule in the momenta x given.
     Returns (levels, complete) where complete is False when fewer than
     `count` levels passed the filters.
     """
@@ -342,40 +341,44 @@ def solve_levels(problem, N, sigma=None, count=5):
     """Lowest `count` levels: write H in row blocks, diagonalize, select lazily.
 
     sigma scales the rational map of mapped_nodes, `problem.momentum_unit`
-    by default; one that is not positive and finite is a ValueError.  The
-    weight tables come from the grid, which builds each once per mesh order,
-    so a loop over ell at fixed N reuses them.  The similar matrix d H d^-1
-    is written once, in row blocks of about 2^15 entries each formed in
-    cache, and is a solve's one N x N array.  Below N = ARNOLDI_MIN_N, or
-    for count >= N - 3, dense QR takes all of it.  Otherwise the count + 2
-    eigenpairs nearest a shift at or below the spectrum floor come from an
-    LU factorization in its memory, and that one run decides the wave.  Its
-    pairs are certified, then selected: a pair is kept when it lies nearer
-    the shift than the farthest returned eigenvalue, since every eigenvalue
-    in [shift, level] is then returned and a level's n is certified, and
-    select_bound_states runs on the kept pairs alone.  So `complete` has one
-    meaning on both paths, and a run that returns nothing gives none.
+    by default; one that is not positive and finite is a ValueError.  H is
+    that of `problem.natural_units()`'s unit problem mapped at sigma times
+    its length, and eps = energy * eps'.  The grid's weight tables are built
+    once per mesh order.  The similar matrix d H d^-1 is written once, in row
+    blocks of about 2^15 entries each formed in cache, and is a solve's one
+    N x N array.  Below N = ARNOLDI_MIN_N, or for count >= N - 3, dense QR
+    takes all of it.  Otherwise the count + 2 eigenpairs nearest a shift at
+    or below the spectrum floor come from an LU factorization in its memory,
+    and that one run decides the wave.  Its pairs are certified, then
+    selected: a pair is kept when it lies nearer the shift than the farthest
+    returned eigenvalue, since every eigenvalue in [shift, level] is then
+    returned and a level's n is certified.  So `complete` has one meaning on
+    both paths, and a run that returns nothing gives none.
     """
+    length, energy, unit = problem.natural_units()
     sigma = problem.momentum_unit if sigma is None else sigma
+    # a kernel overflowing to a non-finite H, or a natural sigma: one numerical failure
+    overflow = RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
+                            "or underflow at this ell or mapping scale sigma")
+    if 0.0 < sigma < math.inf and not 0.0 < sigma * length < math.inf:
+        raise overflow
+    sigma *= length
     grid = cheb.chebyshev_grid(N)
     scale = similarity_scale(grid)
     H = np.empty((N, N))
-    # an overflowing kernel shows up as a non-finite H: one numerical failure
-    overflow = RuntimeError("Hamiltonian has non-finite entries: the kernels overflow "
-                            "or underflow at this ell or mapping scale sigma")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, J = mapped_nodes(grid.nodes, sigma)
         # z is largest at the corner [0, N-1], where assembly's P_ell makes H non-finite
         # once it overflows: the same recurrence there ends a hopeless ell in <= 201 steps
         z = (x[:1] ** 2 + x[-1:] ** 2) / (2.0 * x[:1] * x[-1:])
-        if not all(np.isfinite(p).all() for _, p, _ in _bonnet(problem.ell, z)):
+        if not all(np.isfinite(p).all() for _, p, _ in _bonnet(unit.ell, z)):
             raise overflow
-        kinetic = kinetic_diagonal(problem, x)
+        kinetic = kinetic_diagonal(unit, x)
         unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
         block = max(1, cheb.BLOCK_ELEMENTS // N)
         for i in range(0, N, block):
             rows = slice(i, i + block)
-            V = assemble_potential(problem, grid, sigma, x, J, rows)
+            V = assemble_potential(unit, grid, sigma, x, J, rows)
             V.flat[i::N + 1] += kinetic[rows]
             Hb = np.multiply(scale[rows, None], V, out=H[rows])
             Hb *= unscale
@@ -383,14 +386,16 @@ def solve_levels(problem, N, sigma=None, count=5):
     if not math.isfinite(_abs_max(H, axis=None)):
         raise overflow
     if N < ARNOLDI_MIN_N or not 0 < count < N - 3:
-        return select_bound_states(solve_spectrum(H, scale), problem, grid, x, J, count)
-    # with a linear term the lower s-wave floor: from ell = 5 on, where the factors
-    # are numerically singular, the wave's own let more spurious levels pass (ROADMAP item 7)
-    shift = spectrum_floor(replace(problem, ell=0) if problem.linear else problem)
-    pairs = solve_spectrum(H, scale, shift, count + 2)
-    if pairs is None:
-        return [], False
-    evals, evecs = pairs
-    distance = np.abs(evals - shift)
-    inside = distance < distance.max()
-    return select_bound_states((evals[inside], evecs[:, inside]), problem, grid, x, J, count)
+        pairs = solve_spectrum(H, scale)
+    else:
+        # with a linear term the lower s-wave floor: from ell = 5 on, where the factors
+        # are numerically singular, the wave's own let more spurious levels pass (ROADMAP item 7)
+        shift = spectrum_floor(replace(unit, ell=0) if unit.linear else unit)
+        pairs = solve_spectrum(H, scale, shift, count + 2)
+        if pairs is None:
+            return [], False
+        distance = np.abs(pairs[0] - shift)
+        inside = distance < distance.max()
+        pairs = pairs[0][inside], pairs[1][:, inside]
+    levels, complete = select_bound_states(pairs, unit, grid, x, J, count)
+    return [replace(lv, epsilon=energy * lv.epsilon) for lv in levels], complete

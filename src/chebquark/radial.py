@@ -9,11 +9,10 @@ Phys. Rep. 565 (2015) 1): mesh points h x_i at the zeros x_i of L_N
 diagonal potential, so a level is one small symmetric eigenvalue.  The last
 mesh point sits at the domain end of `_r_max`, a margin past the outer turning
 point (the largest positive root of x^2 (V_eff - eps), in closed form: a cubic
-with the linear term, a quadratic without) in the problem's natural units
-(length s^(1/3) with a linear term, s/alpha without), where its margins hold
-at any s; below zero the margin follows the level's decay length
-sqrt(s/|eps|), so a deep Cornell level, whose Bohr length is far below the
-natural length, stays resolved.  A level is returned only when two mesh orders
+with the linear term, a quadratic without) in `Problem.natural_units`, where
+its margins hold at any s; below zero the margin follows the level's decay
+length sqrt(s/|eps|), so a deep Cornell level, whose Bohr length is far below
+the natural length, stays resolved.  A level is returned only when two mesh orders
 agree to 1e-9 relative (N = 40 checked by 50, else 50 checked by 60);
 otherwise the solve raises.  Measured against exact hydrogen and Airy levels
 (<= 1.6e-11) and against the Prüfer shooting solver it replaced (114 levels:
@@ -24,7 +23,6 @@ are the hydrogen and the pure linear (Airy-zero) spectra.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -160,19 +158,6 @@ def _level(problem, n, N, r_end):
                                    overwrite_a=True, check_finite=False)[0])
 
 
-def _natural_units(problem):
-    """(length, energy, problem in those units): s = 1 there, and eps = energy * eps'."""
-    length = problem.s ** (1.0 / 3.0) if problem.linear else problem.s / problem.alpha
-    area = length * length
-    if 0.0 < area < math.inf:
-        energy = problem.s / area
-        alpha = problem.alpha / area if problem.linear else 1.0
-        if 0.0 < energy < math.inf and alpha < math.inf:
-            return length, energy, dataclasses.replace(problem, s=1.0, alpha=alpha)
-    raise RuntimeError(f"the natural length {length:.3g} puts the problem's scales out of "
-                       "floating-point range")
-
-
 def solve_radial(problem, n):
     """Level with n nodes from the Lagrange-Laguerre mesh, checked at a second mesh order.
 
@@ -187,7 +172,7 @@ def solve_radial(problem, n):
     if n >= _ORDERS[0]:
         raise RuntimeError(f"level n = {n} is beyond the {_ORDERS[0]}-point mesh")
 
-    length, energy, unit = _natural_units(problem)
+    length, energy, unit = problem.natural_units()
 
     def domain(eps):
         return length * _r_max(unit, eps / energy)

@@ -413,13 +413,28 @@ class TestMain:
          "s = 1e-200 and alpha = 1 give the mapping scale sigma = inf"),
         ("potential = coulomb\nalpha = 1e-170\n",
          "s = 1 and alpha = 1e-170 give the mapping scale sigma = 0"),
-    ), ids=("inf", "zero"))
+        # alpha ** 2 in the energy unit raised OverflowError: a traceback and exit 1
+        ("potential = coulomb\nalpha = 1e300\ns = 1\n",
+         "s = 1 and alpha = 1e+300 give the mapping scale sigma = inf"),
+        ("potential = cornell\nalpha = 1e300\ns = 1\n",
+         "s = 1 and alpha = 1e+300 give the mapping scale sigma = inf"),
+    ), ids=("inf", "zero", "coulomb-large-alpha", "cornell-large-alpha"))
     def test_derived_sigma_out_of_range_exit_code(self, text, message, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
         (err,) = capsys.readouterr().err.splitlines()
         assert err == f"configuration error: {message}; set field 'sigma'"
+
+    def test_natural_scales_out_of_range_exit_code(self, tmp_path, capsys):
+        # the natural length s/alpha = 1e160 squares to inf; sigma = 5e-161 is in range
+        path = tmp_path / "run.cfg"
+        path.write_text("potential = coulomb\nalpha = 1e-160\ns = 1\n")
+        assert cli.main(["--config", str(path)]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["numerical failure: natural length 1e+160: scales out of "
+                                    "floating-point range"]
 
     def test_fractional_levels_exit_code(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

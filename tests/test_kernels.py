@@ -53,6 +53,28 @@ class TestProblem:
             assert problem.coulomb_level(n) == pytest.approx(
                 radial.hydrogen_energy(n, ell, alpha, 1.0 / (2.0 * s)), rel=1e-15)
 
+    @pytest.mark.parametrize(("fields", "length", "alpha"), (
+        ({"alpha": 0.5, "s": 1e-3}, 0.1, 50.0),
+        ({"alpha": 0.0, "s": 8.0}, 2.0, 0.0),
+        ({"alpha": 1e-8, "linear": False, "s": 2.0}, 2e8, 1.0),
+    ), ids=("cornell", "linear", "coulomb"))
+    def test_natural_units(self, fields, length, alpha):
+        problem = kernels.Problem(ell=3, **fields)
+        got, energy, unit = problem.natural_units()
+        assert got == pytest.approx(length, rel=1e-15)
+        assert energy == pytest.approx(problem.s / length ** 2, rel=1e-15)
+        assert (unit.ell, unit.linear, unit.s) == (3, problem.linear, 1.0)
+        assert unit.alpha == pytest.approx(alpha, rel=1e-14)
+        # the Coulomb levels scale with the energy: eps = energy * eps'
+        if alpha:
+            assert energy * unit.coulomb_level(0) == pytest.approx(problem.coulomb_level(0),
+                                                                   rel=1e-14)
+
+    def test_salpeter_keeps_its_units(self):
+        problem = kernels.Problem(alpha=0.5, s=0.3, kinetic="salpeter")
+        length, energy, unit = problem.natural_units()
+        assert (length, energy) == (1.0, 1.0) and unit is problem
+
 
 class TestLegendreP:
     @pytest.mark.parametrize("ell", range(7))

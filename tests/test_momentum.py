@@ -247,13 +247,12 @@ class TestAssembly:
         monkeypatch.setattr(mom, "solve_spectrum", handed)
         make_params, sigma = SELECTION_CASES[case]
         grid = cheb.chebyshev_grid(N)
-        x, J = mom.mapped_nodes(grid.nodes, sigma)
         for ell in range(8):
             params = make_params(ell)
             with pytest.raises(Handed) as got:
                 mom.solve_levels(params, N, sigma, 5)
             assert np.array_equal(got.value.args[0],
-                                  scaled_hamiltonian(params, grid, sigma, x, J))
+                                  scaled_hamiltonian(*natural_mesh(params, grid, sigma)))
 
 
 @functools.cache
@@ -378,6 +377,15 @@ def scaled_hamiltonian(params, grid, sigma, x, J):
     return scale[:, None] * H / scale
 
 
+def natural_mesh(params, grid, sigma):
+    """(unit, grid, sigma', x, J): the problem and mesh solve_levels writes H in.
+
+    unit is params in its natural units, and the map is scaled by their length.
+    """
+    length, _, unit = params.natural_units()
+    return unit, grid, sigma * length, *mom.mapped_nodes(grid.nodes, sigma * length)
+
+
 def assert_same_levels(got, want):
     assert got[1] == want[1]
     assert len(got[0]) == len(want[0])
@@ -403,18 +411,20 @@ class TestSelection:
     def test_matches_filter_all_then_sort(self, case, ell, N):
         make_params, sigma = SELECTION_CASES[case]
         params = make_params(ell)
-        grid = cheb.chebyshev_grid(N)
-        x, J = mom.mapped_nodes(grid.nodes, sigma)
-        Hs = scaled_hamiltonian(params, grid, sigma, x, J)
+        # selection runs on the natural-unit problem, whose energies solve_levels scales back
+        unit, grid, natural, x, J = natural_mesh(params, cheb.chebyshev_grid(N), sigma)
+        Hs = scaled_hamiltonian(unit, grid, natural, x, J)
         pairs = mom.solve_spectrum(Hs, mom.similarity_scale(grid))
         # count = N always exceeds the number of levels that pass
         for count in (1, 5, N):
-            want = select_all_then_sort(pairs, params, grid, sigma, count)
+            want = select_all_then_sort(pairs, unit, grid, natural, count)
             assert_same_levels(
-                mom.select_bound_states(pairs, params, grid, x, J, count), want)
+                mom.select_bound_states(pairs, unit, grid, x, J, count), want)
         assert not want[1]
+        levels, complete = select_all_then_sort(pairs, unit, grid, natural, 5)
+        energy = params.natural_units()[1]
         assert_same_levels(mom.solve_levels(params, N, sigma, 5),
-                           select_all_then_sort(pairs, params, grid, sigma, 5))
+                           ([replace(lv, epsilon=energy * lv.epsilon) for lv in levels], complete))
 
     @pytest.mark.parametrize("ell", (10, 12))
     def test_no_level_below_the_coulomb_floor_of_its_wave(self, ell):
@@ -555,11 +565,13 @@ class TestArnoldi:
         params = make_params(ell)
         got, ok = mom.solve_levels(params, N, sigma, 5)
         assert eigensolves == [7]
-        want, want_ok = dense_levels(params, N, sigma, 5, handed[0])
+        # the handed matrix is in natural units, and so are the dense levels
+        length, energy, unit = params.natural_units()
+        want, want_ok = dense_levels(unit, N, sigma * length, 5, handed[0])
         assert ok and want_ok
         for a, b in zip(got, want, strict=True):
             assert a.n == b.n
-            assert abs(a.epsilon / b.epsilon - 1.0) < 1e-9
+            assert abs(a.epsilon / (energy * b.epsilon) - 1.0) < 1e-9
 
     def test_dense_rounding_case_against_converged_levels(self):
         params = SELECTION_CASES["salpeter"][0](2)
@@ -784,7 +796,11 @@ class TestDefaultScale:
         (Problem(alpha=1.0, linear=False), 0.25, 0.5),
         (Problem(alpha=4.0), 4.0, 2.0),
         (Problem(s=1e-8), 1e-8 ** (1.0 / 3.0), 464.1588833612779),
-    ), ids=("linear", "coulomb", "cornell", "small-s"))
+        # alpha ** 2 raised OverflowError above alpha = 1.34e154
+        (Problem(alpha=1e300, linear=False), math.inf, math.inf),
+        (Problem(alpha=1e300), math.inf, math.inf),
+    ), ids=("linear", "coulomb", "cornell", "small-s", "coulomb-large-alpha",
+            "cornell-large-alpha"))
     def test_units(self, problem, E, sigma):
         assert problem.energy_unit == E
         assert problem.momentum_unit == pytest.approx(sigma, rel=1e-15)
@@ -811,3 +827,60 @@ class TestDefaultScale:
         assert max(errors(None)) < 1e-8
         assert_same_levels(mom.solve_levels(problem, N, count=3),
                            mom.solve_levels(problem, N, problem.momentum_unit, 3))
+
+
+@functools.cache
+def unit_levels(linear, ell, N):
+    """Levels of the s = 1 wave (alpha = 1 without a linear term) at the derived sigma."""
+    return mom.solve_levels(Problem(ell=ell, alpha=0.0 if linear else 1.0, linear=linear),
+                            N, count=3)
+
+
+class TestNaturalUnits:
+    """solve_levels solves every wave in its natural units, where energies are of order one."""
+
+    # at the parent the floor's absolute slack of 1e-6 refused alpha 1e-8 and
+    # 1e-5 from N = 100 on, and alpha 1e-100 printed -6.2e-147 at N = 80,
+    # where H's entries of order alpha^2 underflowed
+    @pytest.mark.parametrize("N", (80, 100, 300, 800))
+    @pytest.mark.parametrize("alpha", (1e-8, 1e-5, 1e-3, 1e-100))
+    def test_weak_coulomb_coupling(self, alpha, N):
+        levels, complete = mom.solve_levels(Problem(alpha=alpha, linear=False), N, count=3)
+        assert complete
+        for lv in levels:
+            exact = -alpha * alpha / (4.0 * (lv.n + 1) ** 2)
+            assert abs(lv.epsilon / exact - 1.0) <= 1e-10
+
+    # eps / energy is the level of the s = 1 wave; ell 4 is off its own
+    # tolerance at N = 300 (pure Coulomb, CHANGES.md FOUND 69)
+    @pytest.mark.parametrize("s", (1e-8, 1.0, 1e4))
+    @pytest.mark.parametrize("alpha", (1e-100, 1e-8, 1.0))
+    @pytest.mark.parametrize("ell", range(4))
+    def test_coulomb_scale_covariance(self, ell, alpha, s):
+        problem = Problem(ell=ell, alpha=alpha, linear=False, s=s)
+        energy = problem.natural_units()[1]
+        levels, complete = mom.solve_levels(problem, 300, count=3)
+        want, want_complete = unit_levels(False, ell, 300)
+        assert complete and want_complete
+        for a, b in zip(levels, want, strict=True):
+            assert abs(a.epsilon / (energy * b.epsilon) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("s", (1e-8, 1e-4, 1.0, 1e4))
+    @pytest.mark.parametrize("ell", range(5))
+    def test_linear_scale_covariance(self, ell, s):
+        problem = Problem(ell=ell, s=s)
+        energy = problem.natural_units()[1]
+        levels, complete = mom.solve_levels(problem, 300, count=3)
+        want, want_complete = unit_levels(True, ell, 300)
+        assert complete and want_complete
+        for a, b in zip(levels, want, strict=True):
+            assert abs(a.epsilon / (energy * b.epsilon) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize(("problem", "sigma"), (
+        (Problem(alpha=1e-160, linear=False), None),     # the natural area overflows
+        (Problem(alpha=1e-10, linear=False), 1e300),     # sigma * length overflows
+        (Problem(alpha=1e10, linear=False), 1e-320),     # sigma * length underflows
+    ), ids=("area", "sigma-inf", "sigma-zero"))
+    def test_scales_out_of_range_are_numerical_failures(self, problem, sigma):
+        with pytest.raises(RuntimeError):
+            mom.solve_levels(problem, 40, sigma, 1)

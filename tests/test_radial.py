@@ -157,7 +157,7 @@ class TestPruferOracle:
     ), ids=(*PRUFER_IDS, "linear-l20-n4", "linear-l30-n2"))
     def test_domain_reaches_past_radials(self, problem, n):
         eps = radial.solve_radial(problem, n)
-        length, energy, unit = radial._natural_units(problem)
+        length, energy, unit = problem.natural_units()
         x_match = max(prufer._turning_point(problem, eps), 0.5)
         assert prufer._domain_end(problem, eps, x_match) > length * radial._r_max(unit, eps / energy)
 
@@ -166,7 +166,7 @@ class TestTurningPoint:
     def test_narrow_allowed_interval(self):
         # linear ell 6, alpha 0.5, s 0.1 at its level n = 0, in natural units:
         # allowed only on (3.15, 5.79), so the outer turning point is 5.79
-        length, energy, unit = radial._natural_units(Problem(ell=6, alpha=0.5, s=0.1))
+        length, energy, unit = Problem(ell=6, alpha=0.5, s=0.1).natural_units()
         eps = 3.0818558383809878 / energy
 
         def cubic(x):
