@@ -75,8 +75,7 @@ class Problem:
     @property
     def energy_unit(self):
         """s^(1/3) with a linear term, or the Coulomb binding alpha^2/(4 s) if that is larger."""
-        return max(self.s ** (1.0 / 3.0) if self.linear else 0.0,
-                   self.alpha * self.alpha / (4.0 * self.s))
+        return max(self.s ** (1.0 / 3.0) if self.linear else 0.0, -self.coulomb_level(-self.ell))
 
     @property
     def momentum_unit(self):

@@ -42,7 +42,7 @@ def mapped_nodes(t, sigma):
 
 @dataclass(frozen=True)
 class BoundLevel:
-    """A bound level: quantum numbers, energy, and mesh values normalized in natural momenta."""
+    """One accepted bound level: quantum numbers, energy (a real eigenvalue) and mesh values."""
 
     ell: int
     n: int
@@ -301,8 +301,8 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
     genuine bound states decay at both ends.
     Each filter looks at one eigenpair only, so stopping at `count` gives
     the same levels as filtering every eigenpair and sorting the survivors.
-    Accepted levels are indexed n = 0, 1, ... and normalized to unit norm
-    int |phi|^2 x^2 dx = 1 under the mapped plain rule in the momenta x given.
+    Accepted levels are indexed n = 0, 1, ... and normalized to unit
+    momentum-space norm int |phi|^2 x^2 dx = 1 under the mapped plain rule.
     Returns (levels, complete) where complete is False when fewer than
     `count` levels passed the filters.
     """
@@ -342,18 +342,18 @@ def solve_levels(problem, N, sigma=None, count=5):
 
     sigma scales the rational map of mapped_nodes, `problem.momentum_unit`
     by default; one that is not positive and finite is a ValueError.  H is
-    that of `problem.natural_units()`'s unit problem mapped at sigma times
-    its length, and eps = energy * eps'.  The grid's weight tables are built
-    once per mesh order.  The similar matrix d H d^-1 is written once, in row
-    blocks of about 2^15 entries each formed in cache, and is a solve's one
-    N x N array.  Below N = ARNOLDI_MIN_N, or for count >= N - 3, dense QR
-    takes all of it.  Otherwise the count + 2 eigenpairs nearest a shift at
-    or below the spectrum floor come from an LU factorization in its memory,
-    and that one run decides the wave.  Its pairs are certified, then
-    selected: a pair is kept when it lies nearer the shift than the farthest
-    returned eigenvalue, since every eigenvalue in [shift, level] is then
-    returned and a level's n is certified.  So `complete` has one meaning on
-    both paths, and a run that returns nothing gives none.
+    that of `problem.natural_units()`'s unit problem mapped at sigma times its
+    length, and levels come back as eps = energy * eps', phi = length^1.5 phi'.
+    The similar matrix d H d^-1 is written once, in row blocks of about 2^15
+    entries each formed in cache, and is a solve's one N x N array.  Below
+    N = ARNOLDI_MIN_N, or for count >= N - 3, dense QR takes all of it.
+    Otherwise the count + 2 eigenpairs nearest a shift at or below the
+    spectrum floor come from an LU factorization in its memory, and that one
+    run decides the wave.  Its pairs are certified, then selected: a pair is
+    kept when it lies nearer the shift than the farthest returned eigenvalue,
+    since every eigenvalue in [shift, level] is then returned and a level's n
+    is certified.  So `complete` has one meaning on both paths, and a run
+    that returns nothing gives none.
     """
     length, energy, unit = problem.natural_units()
     sigma = problem.momentum_unit if sigma is None else sigma
@@ -398,4 +398,5 @@ def solve_levels(problem, N, sigma=None, count=5):
         inside = distance < distance.max()
         pairs = pairs[0][inside], pairs[1][:, inside]
     levels, complete = select_bound_states(pairs, unit, grid, x, J, count)
-    return [replace(lv, epsilon=energy * lv.epsilon) for lv in levels], complete
+    return [replace(lv, epsilon=energy * lv.epsilon, mesh_values=lv.mesh_values * length ** 1.5)
+            for lv in levels], complete
