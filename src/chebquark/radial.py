@@ -7,18 +7,18 @@ on the regularized Lagrange-Laguerre mesh (Baye, "The Lagrange-mesh method",
 Phys. Rep. 565 (2015) 1): mesh points h x_i at the zeros x_i of L_N
 (Jacobi-matrix eigenvalues), the closed-form kinetic matrix of `_mesh` and a
 diagonal potential, so a level is one small symmetric eigenvalue.  The last
-mesh point sits at the domain end of `_r_max`, a margin past the outer turning
-point (the largest positive root of x^2 (V_eff - eps), in closed form: a cubic
-with the linear term, a quadratic without) in `Problem.natural_units`, where
-its margins hold at any s; below zero the margin follows the level's decay
-length sqrt(s/|eps|), so a deep Cornell level, whose Bohr length is far below
-the natural length, stays resolved.  A level is returned only when two mesh orders
-agree to 1e-9 relative (N = 40 checked by 50, else 50 checked by 60);
-otherwise the solve raises.  Measured against exact hydrogen and Airy levels
-(<= 1.6e-11) and against the Prüfer shooting solver it replaced (114 levels:
-linear ell 0-12, 20 and 30, the table-1 Coulomb set, charmonium and bottomium
-ell 0-2: <= 2.9e-11, 2e-10 at ell 20), at about 1 ms a level.  The references
-are the hydrogen and the pure linear (Airy-zero) spectra.
+mesh point sits at the domain end of `_r_max`, a margin past a bound on the
+outer turning point (where V = eps, the centrifugal term left out: a root of a
+quadratic) in `Problem.natural_units`, where its margins hold at any s; below
+zero the margin follows the level's decay length sqrt(s/|eps|), so a deep
+Cornell level, whose Bohr length is far below the natural length, stays
+resolved.  A level is returned only when two mesh orders agree to 1e-9
+relative (N = 40 checked by 50, else 50 checked by 60); otherwise the solve
+raises.  Measured against exact hydrogen (ell 0-40, n 0-4: <= 1.5e-10) and
+Airy levels (<= 1e-12) and against the Prüfer shooting solver it replaced (113
+levels: linear ell 0-12, 20 and 30 and table-1 Coulomb at n 0-4, charmonium
+and bottomium ell 0-2 at n 0-2: <= 3.2e-11, 3.7e-10 at ell 20), at about 1 ms
+a level.  The references are the hydrogen and pure linear (Airy-zero) spectra.
 """
 
 from __future__ import annotations
@@ -40,12 +40,18 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _check_indices(**values):
+    """Raise ValueError unless every value is a nonnegative integer (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def hydrogen_energy(n, ell, alpha, mu_a):
     """Exact Coulomb level eps = -(mu a) alpha^2 / (2 (n + ell + 1)^2)."""
-    if alpha <= 0.0 or mu_a <= 0.0:
-        raise ValueError("alpha and mu_a must be positive")
-    if n < 0 or ell < 0:
-        raise ValueError("quantum numbers must be nonnegative")
+    if not (0.0 < alpha < math.inf and 0.0 < mu_a < math.inf):
+        raise ValueError(f"alpha and mu_a must be positive and finite, got {alpha!r} and {mu_a!r}")
+    _check_indices(n=n, ell=ell)
     principal = n + ell + 1
     return -mu_a * alpha * alpha / (2.0 * principal * principal)
 
@@ -65,43 +71,23 @@ _AIRY_EPS = (
 
 def airy_reference(nu):
     """Exact eps(ell=0, s=1, alpha=0) for nu = 1..5 (minus the Airy zeros)."""
+    _check_indices(nu=nu)
     if not 1 <= nu <= len(_AIRY_EPS):
         raise ValueError(f"stored Airy references cover nu = 1..{len(_AIRY_EPS)}, got {nu}")
     return _AIRY_EPS[nu - 1]
 
 
 def _turning_point(problem, eps):
-    """Outer classical turning point: the largest x > 0 where V_eff = V + s l(l+1)/x^2 is eps.
+    """Bound on the outer classical turning point: the largest x > 0 where V = eps, or 0.0.
 
-    It is the largest positive real root of x^2 (V_eff - eps), c = s l(l+1), in closed form,
-    or 0.0 where there is none.  Without the linear term it solves -eps x^2 - alpha x + c
-    (alpha > 0).  With it, x = eps/3 + t turns x^3 - eps x^2 - alpha x + c into
-    t^3 - 3 r^2 t + q; its roots multiply to -c <= 0, so a lone real root is negative, and
-    three take the trigonometric form 2 r cos(phi - 2 pi k/3).  Below eps = 0 the largest
-    would cancel against eps/3: it solves the quadratic x^2 + b x + d the negative root leaves.
+    V_eff = V + s l(l+1)/x^2 is never below V, so V_eff > eps beyond the bound: it lies at
+    or past the outer turning point wherever V_eff has one, and is that point at l = 0.
     """
-    alpha, c = problem.alpha, problem.s * problem.ell * (problem.ell + 1)
     if not problem.linear:
-        disc = alpha * alpha + 4.0 * eps * c
-        if disc < 0.0:
-            return 0.0
-        root = alpha + math.sqrt(disc)
-        return root / (-2.0 * eps) if eps < 0.0 else 2.0 * c / root
-    r = math.sqrt(alpha / 3.0 + eps * eps / 9.0)
-    q = c - alpha * eps / 3.0 - 2.0 * eps * eps * eps / 27.0
-    if r == 0.0 or c > 0.0 and abs(q) > 2.0 * r * r * r:
-        return 0.0
-    phi = math.acos(min(max(-q / (2.0 * r * r * r), -1.0), 1.0)) / 3.0
-    if eps >= 0.0:
-        x = eps / 3.0 + 2.0 * r * math.cos(phi)
-    else:
-        negative = eps / 3.0 + 2.0 * r * math.cos(phi + 2.0 * math.pi / 3.0)
-        d = -c / negative
-        b = (d + alpha) / negative
-        x = (math.sqrt(max(b * b - 4.0 * d, 0.0)) - b) / 2.0
-    # a Newton step on the cubic sharpens a root near the merger of the top two
-    slope = (3.0 * x - 2.0 * eps) * x - alpha
-    return x - (((x - eps) * x - alpha) * x + c) / slope if slope > 0.0 else x
+        return problem.alpha / -eps if eps < 0.0 else 0.0
+    # the positive root of x^2 - eps x - alpha, in a form free of cancellation
+    root = math.sqrt(eps * eps + 4.0 * problem.alpha)
+    return (eps + root) / 2.0 if eps >= 0.0 else 2.0 * problem.alpha / (root - eps)
 
 
 def _r_max(problem, eps):
@@ -161,14 +147,13 @@ def _level(problem, n, N, r_end):
 def solve_radial(problem, n):
     """Level with n nodes from the Lagrange-Laguerre mesh, checked at a second mesh order.
 
-    The last mesh point sits at the domain end of `_r_max` beyond the
-    classical turning point.  Raises RuntimeError when the domain ends
-    inside the turning point or no two mesh orders agree.
+    The last mesh point sits at the domain end of `_r_max` beyond the bound
+    `_turning_point` on the classical turning point.  Raises RuntimeError when
+    the domain ends inside that bound or no two mesh orders agree.
     """
     if problem.kinetic != "nonrelativistic":
         raise ValueError("the coordinate solver supports only the nonrelativistic kinetic mode")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_indices(n=n)
     if n >= _ORDERS[0]:
         raise RuntimeError(f"level n = {n} is beyond the {_ORDERS[0]}-point mesh")
 

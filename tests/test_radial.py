@@ -42,6 +42,11 @@ class TestReferences:
             radial.hydrogen_energy(0, 0, 0.0, 1.0)
         with pytest.raises(ValueError):
             radial.hydrogen_energy(-1, 0, 1.0, 1.0)
+        # non-finite couplings, and quantum numbers that are bool or not integral
+        for args in ((0, 0, float("nan"), 1.0), (0, 0, 1.0, float("inf")), (0, 0, float("inf"), 1.0),
+                     (True, 0, 1.0, 1.0), (0, False, 1.0, 1.0), (0.5, 0, 1.0, 1.0), (0, 1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError):
+                radial.hydrogen_energy(*args)
 
     def test_airy_values(self):
         assert abs(radial.airy_reference(1) - 2.338107) < 5e-7
@@ -58,6 +63,9 @@ class TestReferences:
             radial.airy_reference(0)
         with pytest.raises(ValueError):
             radial.airy_reference(6)
+        for nu in (True, 2.0, 1.5):
+            with pytest.raises(ValueError):
+                radial.airy_reference(nu)
 
 
 class TestProblemValidation:
@@ -102,7 +110,9 @@ class TestShooting:
         assert abs(radial.solve_radial(pb, 0) + 0.5) < 1e-10
 
     def test_hydrogen_excited_states(self):
-        for ell, n in ((0, 3), (2, 1), (3, 0)):
+        # circular orbits (n = 0, high ell), whose r^(ell+1) tail reaches far past the
+        # outer turning point
+        for ell, n in ((0, 3), (2, 1), (3, 0), (21, 0), (24, 0), (30, 0), (40, 0)):
             pb = Problem(ell=ell, alpha=1.0, linear=False, s=1.0)
             exact = radial.hydrogen_energy(n, ell, 1.0, 0.5)
             assert abs(radial.solve_radial(pb, n) / exact - 1.0) < 1e-9
@@ -150,31 +160,28 @@ class TestPruferOracle:
         eps = radial.solve_radial(problem, n)
         assert abs(eps / prufer.solve_radial(problem, n) - 1.0) <= 1e-9
 
-    # the oracle's domain is its own, so agreement also checks radial's domain
-    # end: at each compared level the oracle's reaches past it
+    # radial's domain end does not truncate the level: on a domain that reaches past
+    # it and past the oracle's own end, the same mesh order gives the same level
     @pytest.mark.parametrize("problem, n", (
         *PRUFER_CASES, (refs.linear_params(20), 4), (refs.linear_params(30), 2),
     ), ids=(*PRUFER_IDS, "linear-l20-n4", "linear-l30-n2"))
     def test_domain_reaches_past_radials(self, problem, n):
         eps = radial.solve_radial(problem, n)
         length, energy, unit = problem.natural_units()
+        r_end = length * radial._r_max(unit, eps / energy)
         x_match = max(prufer._turning_point(problem, eps), 0.5)
-        assert prufer._domain_end(problem, eps, x_match) > length * radial._r_max(unit, eps / energy)
+        r_far = max(prufer._domain_end(problem, eps, x_match), 1.25 * r_end)
+        near, far = (radial._level(problem, n, radial._ORDERS[1], r) for r in (r_end, r_far))
+        assert abs(near / far - 1.0) <= (1e-9 if problem.ell >= 20 else 1e-10)
 
 
 class TestTurningPoint:
     def test_narrow_allowed_interval(self):
         # linear ell 6, alpha 0.5, s 0.1 at its level n = 0, in natural units:
-        # allowed only on (3.15, 5.79), so the outer turning point is 5.79
+        # allowed only on (3.15, 5.79), so the bound lies at or past 5.79
         length, energy, unit = Problem(ell=6, alpha=0.5, s=0.1).natural_units()
         eps = 3.0818558383809878 / energy
-
-        def cubic(x):
-            return x ** 3 - eps * x ** 2 - unit.alpha * x + unit.ell * (unit.ell + 1)
-
         x = radial._turning_point(unit, eps)
-        scale = x ** 3 + eps * x ** 2 + unit.alpha * x + unit.ell * (unit.ell + 1)
-        assert abs(cubic(x)) <= 1e-14 * scale
         beyond = x * (1.0 + np.logspace(-6, 3, 50))
         assert np.all(-unit.alpha / beyond + beyond + unit.ell * (unit.ell + 1) / beyond ** 2
                       > eps)
@@ -188,10 +195,10 @@ class TestTurningPoint:
     def test_no_positive_root_is_zero(self, problem, eps):
         assert radial._turning_point(problem, eps) == 0.0
 
-    # with the linear term the grid has three real roots, one real root (below the
-    # minimum of V_eff, or eps < 0 at alpha = ell = 0) and eps = -3e4, where the largest
-    # root is far below the others; without it, the threshold eps = 0 and both sides
-    # of the minimum -alpha^2/(4 s l(l+1)) of V_eff
+    # the bound on the largest root of x^2 (V_eff - eps) over grids that give it three
+    # real roots, one real root (below the minimum of V_eff, or eps < 0 at alpha = ell = 0)
+    # and eps = -3e4, where the largest root is far below the others; without the linear
+    # term, the threshold eps = 0 and both sides of the minimum -alpha^2/(4 s l(l+1)) of V_eff
     @pytest.mark.parametrize("linear, alphas, ells, epsilons", (
         (True, (0.0, 0.5, 2.0, 400.0), (0, 1, 6), (-3e4, -20.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 20.0)),
         (False, (0.5, 3.0), (0, 1, 6), (-20.0, -1.0, -0.01, 0.0, 0.01, 1.0)),
@@ -206,9 +213,15 @@ class TestTurningPoint:
         for alpha, ell, eps in itertools.product(alphas, ells, epsilons):
             problem = Problem(ell=ell, alpha=alpha, linear=linear, s=1.0)
             got, want = radial._turning_point(problem, eps), _largest_root(mp, problem, eps)
-            if want == 0:
+            if not linear and eps >= 0.0:
+                # allowed out to infinity: there is no outer turning point
+                assert got == 0.0, (alpha, ell, eps)
+            elif ell > 0:
+                assert got >= want, (alpha, ell, eps)
+            elif want == 0:
                 assert got == 0.0, (alpha, ell, eps)
             else:
+                # without a centrifugal term the bound is the root itself
                 worst = max(worst, float(abs(got / want - 1)))
         assert worst <= 1e-14
 
