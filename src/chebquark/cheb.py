@@ -23,7 +23,6 @@ import numbers
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 
 # Entries per row block of the N x N builds here and in momentum.solve_levels:
 # the buffers of a block stay in cache.
@@ -57,7 +56,7 @@ class ChebGrid:
     @cached_property
     def plain_weights(self):
         """Unit-weight quadrature weights w_i (positive, summing to 2)."""
-        return _read_only(_cardinal_weights(_plain_moments(self.N)))
+        return _read_only(_mirror(_cardinal_weights(_plain_moments(self.N)), 1.0))
 
     @cached_property
     def q0_table(self):
@@ -94,17 +93,34 @@ def _mirror(a, sign):
     return a
 
 
-def _cardinal_weights(moments):
-    """Weights sum_n moments[n, ...] C[n, j] of the cardinal functions G_j.
+def _cardinal_weights(moments, out=None):
+    """Weights sum_n moments[n, ...] C[n, j] of the cardinal functions G_j, into `out` if given.
 
     With C[n, j] = (2/N) cos(n theta_j), first row halved, this is a DCT-III
-    along n, O(N^2 log N) for a table instead of the O(N^3) product with C.
-    In the moments' memory: a moment table of shape (N, M) gives weights of
-    shape (M, N), one row per point; one moment vector gives one weight vector.
+    along n, O(N^2 log N) for a table instead of the O(N^3) product with C,
+    on numpy.fft by Makhoul's reordering (IEEE Trans. ASSP 28 (1980) 27): with
+    X_N = 0, V_k = e^{i pi k/(2N)} (X_k - i X_{N-k}), k <= N/2, has the inverse
+    real FFT v, whose 1/N is C's 2/N with the first row halved, and the
+    weights are W_{2m} = v_m, W_{2m+1} = v_{N-1-m}.  A moment table of shape
+    (N, M) gives weights of shape (M, N), one row per point, in row blocks
+    that each read all their moments before they write, so `out` may overlap
+    the moments' first rows; one moment vector gives one weight vector.
     """
-    W = scipy.fft.dct(moments.T, type=3, axis=-1, overwrite_x=True)
-    W /= moments.shape[0]
-    return W
+    N, h = len(moments), (len(moments) + 1) // 2
+    X = moments.reshape(N, -1)
+    W = np.empty((X.shape[1], N)) if out is None else out
+    twiddle = np.exp(0.5j * np.pi / N * np.arange(N // 2 + 1))
+    rows = max(1, BLOCK_ELEMENTS // N)
+    for i in range(0, len(W), rows):
+        b = slice(i, i + rows)
+        V = np.zeros((len(W[b]), N // 2 + 1), dtype=complex)
+        V.real = X[:N // 2 + 1, b].T
+        np.negative(X[:h - 1:-1, b].T, out=V.imag[:, 1:])
+        V *= twiddle
+        v = np.fft.irfft(V, N)
+        W[b, ::2] = v[:, :h]
+        W[b, 1::2] = v[:, :h - 1:-1]
+    return W.reshape(moments.shape[1:] + (N,))
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -298,5 +314,5 @@ def log_weight_table(grid):
     """Log weights W[i, j] = Omega_j(t_i): top rows, formed in the back ones, then mirrored."""
     N, h = grid.N, (grid.N + 1) // 2
     W = np.empty((N, N))
-    W[:h] = _cardinal_weights(_log_moments(grid.nodes[:h], N, out=W[N // 2:].reshape(N, h)))
+    _cardinal_weights(_log_moments(grid.nodes[:h], N, out=W[N // 2:].reshape(N, h)), out=W[:h])
     return _mirror(W, 1.0)

@@ -5,15 +5,17 @@ These are the formulations that `momentum.assemble_potential`,
 kernel formula evaluated on whole matrices with fresh temporaries, the
 Legendre recurrences by a generator that allocates three arrays a step,
 the log moments by a loop over n, and the tables transposed out of one
-DCT-III along the moment axis.  The faster code performs the same
-floating-point operations in the same order, so the tests require equal
-results, not close ones.  The one exception is `pv_weight_table`, the
-moment build of the PV and finite-part tables: their closed forms in
-`cheb.pv_weight_table` round differently, so the tests hold them to a
-tolerance against it.  The log table and the log-kernel rule are built
-whole here and then given the library's one change of arithmetic, its
-mirror step: the back half, in flat order, is replaced by the front half
-reversed (`mirrored`), which the exactly odd mesh makes an identity.
+DCT-III along the moment axis, on numpy.fft with the twiddle and the
+reordering of `cheb._cardinal_weights`, which runs it in row blocks.  The
+faster code performs the same floating-point operations in the same order,
+so the tests require equal results, not close ones.  The one exception is
+`pv_weight_table`, the moment build of the PV and finite-part tables: their
+closed forms in `cheb.pv_weight_table` round differently, so the tests hold
+them to a tolerance against it.  The plain weights, the log table and the
+log-kernel rule are built whole here and then given the library's one
+change of arithmetic, its mirror step: the back half, in flat order, is
+replaced by the front half reversed (`mirrored`), which the exactly odd
+mesh makes an identity in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.fft
 
 from chebquark import cheb
 from chebquark.cheb import _plain_moments
@@ -102,7 +103,19 @@ def pole_rule(grid):
 
 
 def _cardinal_weights(moments):
-    return scipy.fft.dct(moments, type=3, axis=0).T / moments.shape[0]
+    """The DCT-III of `cheb._cardinal_weights`, on the whole table along the moment axis."""
+    N, h = len(moments), (len(moments) + 1) // 2
+    k = np.arange(N // 2 + 1).reshape((-1,) + (1,) * (moments.ndim - 1))
+    V = np.empty(k.shape[:1] + moments.shape[1:], dtype=complex)
+    V.real = moments[:N // 2 + 1]
+    V.imag[0] = 0.0
+    V.imag[1:] = -moments[:h - 1:-1]
+    V *= np.exp(0.5j * np.pi / N * k)
+    v = np.fft.irfft(V, N, axis=0)
+    W = np.empty_like(moments)
+    W[::2] = v[:h]
+    W[1::2] = v[:h - 1:-1]
+    return W.T
 
 
 def _pv_g_moments(tau, nmax):
@@ -208,6 +221,6 @@ def oracle_grid(grid):
     """
     pv_table, fp_table = cheb.pv_weight_table(grid)
     return SimpleNamespace(N=grid.N, nodes=grid.nodes,
-                           plain_weights=_cardinal_weights(_plain_moments(grid.N)),
+                           plain_weights=mirrored(_cardinal_weights(_plain_moments(grid.N))),
                            pv_table=pv_table, fp_table=fp_table,
                            log_table=log_weight_table(grid.nodes))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 import assembly_oracle
@@ -249,6 +250,38 @@ class TestCardinalProducts:
         assert np.max(np.abs(grid.plain_weights - want)) <= 1e-15
 
 
+def dct3_long_double(moments):
+    """`cheb._cardinal_weights` as a direct cosine sum in long double, one row per point.
+
+    W_j = (2/N) (x_0/2 + sum_n x_n cos(pi n (2j + 1)/(2N))).  The cosine has
+    period 4N in n (2j + 1), which is reduced in integers before pi multiplies
+    it, so every argument is below 2 pi and rounds alike at every N.
+    """
+    N = len(moments)
+    n = np.arange(N)
+    pi = np.arccos(np.longdouble(-1.0))
+    C = np.cos(pi * (np.multiply.outer(2 * n + 1, n) % (4 * N)) / (2 * N))
+    C[:, 0] = 0.5
+    return np.dot(C, moments.astype(np.longdouble)).T * (2 / np.longdouble(N))
+
+
+class TestDCT:
+    """The DCT-III on numpy.fft against an exact reference."""
+
+    @pytest.mark.parametrize("N", (*range(2, 40), 79, 80, 81, 300, 301, 800, 801))
+    def test_matches_long_double_cosine_sum(self, N):
+        rng = np.random.default_rng(N)
+        h = (N + 1) // 2
+        for moments in (cheb._log_moments(cheb.ChebGrid(N).nodes[:h], N),    # q0_table's
+                        cheb._plain_moments(N), rng.standard_normal(N),
+                        rng.standard_normal((N, 3))):
+            want = dct3_long_double(moments)
+            # scipy.fft.dct, the DCT the numpy.fft one replaced, to the same bound
+            for got in (cheb._cardinal_weights(moments),
+                        scipy.fft.dct(moments, type=3, axis=0).T / N):
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 class TestBuildOracle:
     """The in-place builds repeat the earlier builds' arithmetic exactly."""
 
@@ -264,7 +297,7 @@ class TestBuildOracle:
         assert np.array_equal(cheb._pv_moments(grid.nodes, N),
                               assembly_oracle.pv_moments(grid.nodes, N))
 
-    @pytest.mark.parametrize("N", (2, 3, 8, 80, 81, 800))
+    @pytest.mark.parametrize("N", (2, 3, 8, 80, 81, 800, 801))
     def test_kernel_rules_match_per_solve_formation(self, N):
         # the grid's two rules equal their per-solve formation from the PV,
         # finite-part and log tables, kept in the oracle
@@ -375,6 +408,13 @@ class TestMirror:
         for table in (grid.q0_table, cheb.log_weight_table(grid), fp):
             assert np.array_equal(table, table[::-1, ::-1])
         assert np.array_equal(pv, -pv[::-1, ::-1])
+
+    def test_plain_weights_are_palindromes(self):
+        # q0_table's mirrored rows take w_j = w_{N-1-j}, which the DCT-III
+        # alone rounds away at most N
+        for N in range(2, 802):
+            w = cheb.ChebGrid(N).plain_weights
+            assert np.array_equal(w, w[::-1]), N
 
     @pytest.mark.parametrize("N", (10, 11, 16))
     def test_q0_table_both_halves_to_40_digits(self, N):

@@ -678,8 +678,8 @@ def test_import_loads_only_the_scipy_a_run_calls():
     # a fresh `chebquark` process pays for every module its import loads, and
     # no run calls these
     code = ("import sys, chebquark.cli\n"
-            "print(' '.join(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.spatial'}"
-            " & set(sys.modules))))")
+            "print(' '.join(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.spatial',"
+            " 'scipy.fft', 'scipy.special'} & set(sys.modules))))")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
