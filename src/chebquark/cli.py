@@ -50,11 +50,12 @@ CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev")
 COMPARE_TOL = 1e-5     # share of Problem.energy_unit; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
-# at most 70 bytes * N^2 at any ell, about 1.1 GB at this bound; the dense
-# path sets it, with LAPACK's copy and the complex eigenvectors.  Over a
-# forked child's RSS before the grid, at N = 1600, linear ell = 2 and 7: 56
-# on the dense path and 34 on the Arnoldi path (66 and 47 at N = 800).  Of
-# that, the grid's two kernel rules keep 16, and H, which the Arnoldi path
+# at most 80 bytes * N^2 + 9 MB at any ell, 1.3 GB at this bound; the dense
+# path sets it: numpy.linalg.eig copies H, and builds the eigenvectors real
+# and then complex, which it returns (as a real view for a real spectrum).
+# Over a forked child's RSS before the grid, at N = 1600, linear ell = 2 and
+# 7: 79 on the dense path and 32 on the Arnoldi path (89 and 41 at N = 800).
+# Of that, the grid's two kernel rules keep 16, and H, which the Arnoldi path
 # factors in place, takes 8 (tracemalloc, rules built).  It bounds a whole
 # run, as the grid cache holds one mesh order.
 MAX_N = 4000
@@ -190,7 +191,7 @@ def _validate(cfg):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
-                          f"up to 70 bytes * N^2, 1.1 GB at N = {MAX_N}")
+                          f"up to 80 bytes * N^2, 1.3 GB at N = {MAX_N}")
     if not 1 <= cfg.levels <= min(cfg.N):
         raise ConfigError(f"field 'levels' must be from 1 to {min(cfg.N)}, the smallest mesh "
                           f"order N, as a mesh of order N has N eigenvalues; got {cfg.levels}")

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from . import cheb
 from .kernels import _bonnet, legendre_P, w_poly
@@ -200,8 +198,9 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
     the Arnoldi one factors it in place.  With the similarity scale the
     eigenvalues carry 1e-13 of rounding, those of H 1e-10 (linear, N = 200).
 
-    Without a shift: all N eigenpairs from the LAPACK non-symmetric QR solver,
-    which raises LinAlgError when it does not converge.
+    Without a shift: all N eigenpairs from LAPACK's non-symmetric QR solver
+    geev through numpy.linalg.eig, which raises LinAlgError when it does not
+    converge and returns real arrays when every eigenvalue is real.
     With a shift and k: the k eigenpairs nearest the shift, by ARPACK's
     shift-invert Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users'
     Guide, SIAM 1998) on an equilibrated LU factorization of Hs - shift,
@@ -209,8 +208,7 @@ def solve_spectrum(Hs, scale, shift=None, k=None):
     to run); None when LAPACK getrf reports info > 0 (the shifted matrix is
     exactly singular), ARPACK raises or a pair is not finite.
     """
-    pairs = (scipy.linalg.eig(Hs, check_finite=False) if k is None
-             else _shift_invert_arnoldi(Hs, shift, k))
+    pairs = np.linalg.eig(Hs) if k is None else _shift_invert_arnoldi(Hs, shift, k)
     if pairs is None:
         return None
     evals, evecs = pairs
@@ -243,7 +241,11 @@ def _shift_invert_arnoldi(A, shift, k):
     same corners at higher ell, where this iteration is the more accurate.
     None when getrf reports info != 0 (info > 0: an exactly zero pivot, so
     A - shift is singular), when ARPACK raises, or when a pair is not finite.
+    The one scipy user, so only a solve from ARNOLDI_MIN_N on loads scipy.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     N = len(A)
     A.flat[::N + 1] -= shift
     rows = _power_of_two_inverse(_abs_max(A, axis=1))

