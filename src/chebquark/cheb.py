@@ -14,7 +14,8 @@ All four rules are interpolatory, exact for polynomials of degree < N.  The
 PV and finite-part tables at the mesh points have closed forms (see
 pv_weight_table); the log weights and the PV weights at one point are a
 DCT-III of Chebyshev moments from recurrences bounded on [-1, 1].  Tables
-at the exactly odd mesh are computed on their top ceil(N/2) rows and mirrored.
+at the exactly odd mesh are computed on their top ceil(N/2) rows and mirrored,
+and the log tables keep those rows alone.
 """
 
 from __future__ import annotations
@@ -60,21 +61,24 @@ class ChebGrid:
 
     @cached_property
     def q0_table(self):
-        """Rule Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i) for log|(1 - t_i t)/(t - t_i)|."""
-        t = self.nodes
-        h = (self.N + 1) // 2
-        Q = log_weight_table(self)
-        L = np.multiply.outer(t[:h], t)
-        np.subtract(1.0, L, out=L)
-        np.log(L, out=L)
-        L *= self.plain_weights
-        np.subtract(L, Q[:h], out=Q[:h])
-        return _read_only(_mirror(Q, 1.0))
+        """Top ceil(N/2) rows of the rule for log|(1 - t_i t)/(t - t_i)|, centrosymmetric (see
+        q0_rows): Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i)."""
+        Q, t = log_weight_table(self), self.nodes
+        rows = max(1, BLOCK_ELEMENTS // self.N)
+        for i in range(0, len(Q), rows):
+            L = np.multiply.outer(t[i:min(i + rows, len(Q))], t)
+            np.subtract(1.0, L, out=L)
+            np.log(L, out=L)
+            L *= self.plain_weights
+            np.subtract(L, Q[i:i + rows], out=Q[i:i + rows])
+        return _read_only(Q)
 
-    @cached_property
-    def pole_table(self):
-        """Double-pole rule (1 - t_j) eta_j(t_i) + omega_j(t_i), by parts (see momentum)."""
-        return _read_only(pv_weight_table(self, pole=True))
+    def q0_rows(self, start, stop):
+        """Rows start..stop-1 of the whole rule Q as views: its top rows, then the bottom ones,
+        row N-1-i being row i of q0_table reversed."""
+        Q, N = self.q0_table, self.N
+        mid = min(max(start, len(Q)), stop)
+        return Q[start:mid], Q[N - stop:N - mid][::-1, ::-1]
 
     def __repr__(self):
         return f"ChebGrid(N={self.N})"
@@ -93,8 +97,8 @@ def _mirror(a, sign):
     return a
 
 
-def _cardinal_weights(moments, out=None):
-    """Weights sum_n moments[n, ...] C[n, j] of the cardinal functions G_j, into `out` if given.
+def _cardinal_weights(moments):
+    """Weights sum_n moments[n, ...] C[n, j] of the cardinal functions G_j.
 
     With C[n, j] = (2/N) cos(n theta_j), first row halved, this is a DCT-III
     along n, O(N^2 log N) for a table instead of the O(N^3) product with C,
@@ -102,13 +106,12 @@ def _cardinal_weights(moments, out=None):
     X_N = 0, V_k = e^{i pi k/(2N)} (X_k - i X_{N-k}), k <= N/2, has the inverse
     real FFT v, whose 1/N is C's 2/N with the first row halved, and the
     weights are W_{2m} = v_m, W_{2m+1} = v_{N-1-m}.  A moment table of shape
-    (N, M) gives weights of shape (M, N), one row per point, in row blocks
-    that each read all their moments before they write, so `out` may overlap
-    the moments' first rows; one moment vector gives one weight vector.
+    (N, M) gives weights of shape (M, N), one row per point, in row blocks;
+    one moment vector gives one weight vector.
     """
     N, h = len(moments), (len(moments) + 1) // 2
     X = moments.reshape(N, -1)
-    W = np.empty((X.shape[1], N)) if out is None else out
+    W = np.empty((X.shape[1], N))
     twiddle = np.exp(0.5j * np.pi / N * np.arange(N // 2 + 1))
     rows = max(1, BLOCK_ELEMENTS // N)
     for i in range(0, len(W), rows):
@@ -170,7 +173,7 @@ def _pv_moments(tau, nmax):
     return rho
 
 
-def _log_moments(tau, nmax, out=None):
+def _log_moments(tau, nmax):
     """Log-kernel moments Lambda_n(tau) = int T_n(t) log|t - tau| dt.
 
     Built by integrating by parts against the PV moments.  With the
@@ -184,7 +187,7 @@ def _log_moments(tau, nmax, out=None):
     formula is finite on the whole closed interval (0 * log 0 = 0).  For
     n >= 2, A_n = (T_{n+1}/(n+1) - T_{n-1}/(n-1))/2, and the PV integral is
     the same combination of the g moments; both are formed for all n at
-    once, into `out` if given, the T and then the g table in one buffer.
+    once, the T and then the g table in one buffer.
     """
     tau = np.asarray(tau, dtype=float)
     one_m = 1.0 - tau
@@ -194,7 +197,7 @@ def _log_moments(tau, nmax, out=None):
     log_p = np.where(one_p > 0.0, np.log(np.where(one_p > 0.0, one_p, 1.0)), 0.0)
 
     T = _recurrence(tau, nmax + 1, 1.0, tau)
-    lam = np.empty((nmax,) + tau.shape) if out is None else out
+    lam = np.empty((nmax,) + tau.shape)
     # n = 0: closed form, finite at the endpoints
     lam[0] = one_m * log_m + one_p * log_p - 2.0
     if nmax > 1:
@@ -252,7 +255,7 @@ def weights_log(grid, tau):
     return _cardinal_weights(_log_moments(np.float64(tau), grid.N))
 
 
-def pv_weight_table(grid, pole=False):
+def pv_weight_table(grid, pole=False, out=None):
     """PV and finite-part weights at every mesh point, in closed form.
 
     Returns (W, eta) with W[i, j] = omega_j(t_i) and eta[i, j] = eta_j(t_i) =
@@ -270,7 +273,7 @@ def pv_weight_table(grid, pole=False):
     (2003) 1465).  L(t_i) and 1 - t_i^2 come from theta_i, accurate near
     the ends.  O(N^2), in cache-sized blocks of the top ceil(N/2) rows, then
     mirrored: W[N-1-i, N-1-j] = -W[i, j], eta[N-1-i, N-1-j] = eta[i, j].
-    pole=True returns ChebGrid.pole_table, (1 - t_j) eta_ij + W_ij, alone.
+    pole=True returns only the double-pole rule (1 - t_j) eta_ij + W_ij, in `out` if given.
     The moment and DCT-III build is the oracle tests/assembly_oracle.pv_weight_table.
     """
     N = grid.N
@@ -280,7 +283,7 @@ def pv_weight_table(grid, pole=False):
     q = np.sin(theta) * (-1.0) ** np.arange(N)
     W_diag = 2.0 * np.log(np.tan(0.5 * theta)) + w * t / (2.0 * q * q)
     eta_diag = -2.0 / (q * q)
-    eta = np.empty((N, N))    # the finite-part table, or the double-pole rule
+    eta = np.empty((N, N)) if out is None else out    # the finite-part table, or the pole rule
     W = None if pole else np.empty((N, N))
     rows = max(1, BLOCK_ELEMENTS // N)
     for i in range(0, h, rows):
@@ -311,8 +314,9 @@ def pv_weight_table(grid, pole=False):
 
 
 def log_weight_table(grid):
-    """Log weights W[i, j] = Omega_j(t_i): top rows, formed in the back ones, then mirrored."""
+    """Top ceil(N/2) rows of the log weights W[i, j] = Omega_j(t_i); row N-1-i is row i reversed."""
     N, h = grid.N, (grid.N + 1) // 2
-    W = np.empty((N, N))
-    _cardinal_weights(_log_moments(grid.nodes[:h], N, out=W[N // 2:].reshape(N, h)), out=W[:h])
-    return _mirror(W, 1.0)
+    W = _cardinal_weights(_log_moments(grid.nodes[:h], N))
+    if N % 2:    # the middle row, at t = 0, is its own image; q0_table's is 0 - this row
+        _mirror(W[-1], 1.0)
+    return W

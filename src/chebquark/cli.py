@@ -50,14 +50,14 @@ CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev")
 COMPARE_TOL = 1e-5     # share of Problem.energy_unit; criterion 6 at s = 1
 
 # Largest accepted mesh order.  One solve raises the process peak RSS by
-# at most 80 bytes * N^2 + 9 MB at any ell, 1.3 GB at this bound; the dense
+# at most 65 bytes * N^2 + 9 MB at any ell, 1.0 GB at this bound; the dense
 # path sets it: numpy.linalg.eig copies H, and builds the eigenvectors real
 # and then complex, which it returns (as a real view for a real spectrum).
-# Over a forked child's RSS before the grid, at N = 1600, linear ell = 2 and
-# 7: 79 on the dense path and 32 on the Arnoldi path (89 and 41 at N = 800).
-# Of that, the grid's two kernel rules keep 16, and H, which the Arnoldi path
-# factors in place, takes 8 (tracemalloc, rules built).  It bounds a whole
-# run, as the grid cache holds one mesh order.
+# Over a forked child's RSS before the grid, linear ell = 2 and 7: 64 on the
+# dense path and 18 on the Arnoldi path at N = 1600, 74-76 and 32-33 at 800.
+# Of that, the grid keeps the log rule's top half, 4, and H takes 8: it holds
+# the double-pole rule until assembly overwrites it, and the Arnoldi path's LU
+# factors.  It bounds a whole run, as the grid cache holds one mesh order.
 MAX_N = 4000
 
 
@@ -191,7 +191,7 @@ def _validate(cfg):
         raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
     if any(N > MAX_N for N in cfg.N):
         raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
-                          f"up to 80 bytes * N^2, 1.3 GB at N = {MAX_N}")
+                          f"up to 65 bytes * N^2, 1.0 GB at N = {MAX_N}")
     if not 1 <= cfg.levels <= min(cfg.N):
         raise ConfigError(f"field 'levels' must be from 1 to {min(cfg.N)}, the smallest mesh "
                           f"order N, as a mesh of order N has N eigenvalues; got {cfg.levels}")

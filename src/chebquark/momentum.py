@@ -51,7 +51,7 @@ class BoundLevel:
 # ---------------------------------------------------------------------------
 # assembly
 
-def assemble_potential(problem, grid, sigma, x, J, rows=slice(None)):
+def assemble_potential(problem, grid, sigma, x, J, rows=slice(None), pole=None):
     """Rows `rows` of the potential matrix V, with (V X)_i = the discretized right-hand side.
 
     x, J = mapped_nodes(grid.nodes, sigma) are the momenta and the Jacobian
@@ -60,7 +60,8 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None)):
     a slice of step 1: solve_levels fills H in cache-sized row blocks, and
     the default, every row, is the whole matrix the tests compare against.
     Each entry takes the same floating-point operations whichever rows are
-    asked for.  The quadrature substitutions at mesh point t_i:
+    asked for; a linear term reads `pole`, those rows of the double-pole rule
+    cheb.pv_weight_table(grid, pole=True).  The substitutions at mesh point t_i:
 
       regular:     dx'                      -> w_j J_j
       log kernel:  log|(x'+x)/(x'-x)| dx'   -> [w_j log S_ij - Omega_j(t_i)] J_j
@@ -73,12 +74,12 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None)):
     h [FP int F phi (1-t')/(t'-t)^2 dt' + PV int F phi/(t'-t) dt'], whose
     boundary terms vanish (F = 0 at x' = 0, the integrand carries 1-t');
     eta and omega are the finite-part and principal value weights.  Both
-    bracketed rules are free of sigma: the grid's q0_table and pole_table.
+    bracketed rules are free of sigma: the grid's q0_table and `pole`.
     All diagonal entries are finite.
     """
     ell = problem.ell
     N = grid.N
-    i0 = rows.indices(N)[0]
+    i0, i1, _ = rows.indices(N)
     t = grid.nodes[rows]
     xc = x[rows, None]
     regw = grid.plain_weights * J
@@ -97,7 +98,10 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None)):
 
     if problem.alpha > 0.0 or (problem.linear and ell >= 1):
         # log|(x'+x)/(x'-x)| weights [w_j log S_ij - Omega_j(t_i)] J_j
-        logw = np.multiply(grid.q0_table[rows], J)
+        top, bottom = grid.q0_rows(i0, i1)
+        logw = np.empty((i1 - i0, N))
+        np.multiply(top, J, out=logw[:len(top)])
+        np.multiply(bottom, J, out=logw[len(top):])
 
     terms = []
     if problem.linear and ell >= 1:
@@ -136,7 +140,7 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None)):
             del p
         else:
             np.divide(x ** 2, F, out=F)
-        F *= grid.pole_table[rows]
+        F *= pole
         F *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
         terms.append(F)
 
@@ -248,9 +252,14 @@ def _shift_invert_arnoldi(A, shift, k):
 
     N = len(A)
     A.flat[::N + 1] -= shift
-    rows = _power_of_two_inverse(_abs_max(A, axis=1))
-    A *= rows[:, None]
-    cols = _power_of_two_inverse(_abs_max(A, axis=0))
+    rows, cols, block = np.empty(N), np.zeros(N), max(1, cheb.BLOCK_ELEMENTS // N)
+    # row maxima, row scaling and column maxima in one pass of cache-sized row blocks
+    for i in range(0, N, block):
+        b = slice(i, i + block)
+        rows[b] = _power_of_two_inverse(_abs_max(A[b], axis=1))
+        A[b] *= rows[b, None]
+        np.maximum(cols, _abs_max(A[b], axis=0), out=cols)
+    cols = _power_of_two_inverse(cols)
     A *= cols
     # lu_factor's and lu_solve's LAPACK calls without their checks: A.T is F-contiguous, so
     # getrf factors it in A's own memory, and the solves use the transposed factors (trans = 1)
@@ -377,16 +386,18 @@ def solve_levels(problem, N, sigma=None, count=5):
             raise overflow
         kinetic = kinetic_diagonal(unit, x)
         unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
+        if unit.linear:    # the double-pole rule, whose rows each block reads before it writes them
+            cheb.pv_weight_table(grid, pole=True, out=H)
         block = max(1, cheb.BLOCK_ELEMENTS // N)
         for i in range(0, N, block):
             rows = slice(i, i + block)
-            V = assemble_potential(unit, grid, sigma, x, J, rows)
+            V = assemble_potential(unit, grid, sigma, x, J, rows, H[rows])
             V.flat[i::N + 1] += kinetic[rows]
             Hb = np.multiply(scale[rows, None], V, out=H[rows])
             Hb *= unscale
-    # max and min propagate NaN, so this reads every entry without an N x N mask
-    if not math.isfinite(_abs_max(H, axis=None)):
-        raise overflow
+            # max and min propagate NaN, so this reads every entry without a mask
+            if not math.isfinite(_abs_max(Hb, axis=None)):
+                raise overflow
     if N < ARNOLDI_MIN_N or not 0 < count < N - 3:
         pairs = solve_spectrum(H, scale)
     else:

@@ -191,13 +191,16 @@ class TestSingularRules:
             assert abs(w @ f(grid.nodes) - exact) < 1e-11
 
     def test_grid_keeps_one_read_only_table_of_each_kind(self):
-        # the log-kernel and double-pole rules, built once per grid
-        grid = cheb.ChebGrid(24)
-        for name in ("q0_table", "pole_table"):
-            table = getattr(grid, name)
-            assert table is getattr(grid, name)
+        # the log-kernel rule's top ceil(N/2) rows, built once per grid; the
+        # double-pole rule is not the grid's: each solve writes it into its H
+        for N in (24, 25):
+            grid = cheb.ChebGrid(N)
+            table = grid.q0_table
+            assert table is grid.q0_table
+            assert table.shape == ((N + 1) // 2, N)
             assert not table.flags.writeable
             assert table.flags.c_contiguous
+            assert not hasattr(grid, "pole_table")
 
     @pytest.mark.parametrize("N", (8, 32, 128))
     def test_finite_part_table_monomials(self, N):
@@ -226,7 +229,7 @@ class TestSingularRules:
     def test_weight_tables_match_single_point_rules(self):
         grid = cheb.chebyshev_grid(20)
         pv = cheb.pv_weight_table(grid)[0]
-        lg = cheb.log_weight_table(grid)
+        lg = whole(cheb.log_weight_table(grid), grid.N)
         for i in (0, 7, 19):
             assert np.allclose(pv[i], cheb.weights_cauchy(grid, grid.nodes[i]),
                                atol=1e-12)
@@ -243,7 +246,8 @@ class TestCardinalProducts:
         C, _ = coefficient_matrix(N)
         for got, moments in ((assembly_oracle.pv_weight_table(grid.nodes)[0],
                               cheb._pv_moments(grid.nodes, N)),
-                             (cheb.log_weight_table(grid), cheb._log_moments(grid.nodes, N))):
+                             (cheb.log_weight_table(grid),
+                              cheb._log_moments(grid.nodes[:(N + 1) // 2], N))):
             want = moments.T @ C
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = cheb._plain_moments(N) @ C
@@ -291,7 +295,8 @@ class TestBuildOracle:
         log_table = cheb.log_weight_table(grid)
         for table in (*cheb.pv_weight_table(grid), log_table):
             assert table.flags.c_contiguous
-        assert np.array_equal(log_table, assembly_oracle.log_weight_table(grid.nodes))
+        assert np.array_equal(log_table,
+                              assembly_oracle.log_weight_table(grid.nodes)[:(N + 1) // 2])
         # the PV moments over the whole mesh, from which the oracle builds
         # the PV and finite-part tables
         assert np.array_equal(cheb._pv_moments(grid.nodes, N),
@@ -299,12 +304,14 @@ class TestBuildOracle:
 
     @pytest.mark.parametrize("N", (2, 3, 8, 80, 81, 800, 801))
     def test_kernel_rules_match_per_solve_formation(self, N):
-        # the grid's two rules equal their per-solve formation from the PV,
+        # the log rule, read whole as assembly reads it from the grid's top rows,
+        # and the double-pole rule equal their per-solve formation from the PV,
         # finite-part and log tables, kept in the oracle
         grid = cheb.ChebGrid(N)
         oracle = assembly_oracle.oracle_grid(grid)
-        assert np.array_equal(grid.q0_table, assembly_oracle.q0_rule(oracle))
-        assert np.array_equal(grid.pole_table, assembly_oracle.pole_rule(oracle))
+        assert np.array_equal(np.vstack(grid.q0_rows(0, N)), assembly_oracle.q0_rule(oracle))
+        assert np.array_equal(cheb.pv_weight_table(grid, pole=True),
+                              assembly_oracle.pole_rule(oracle))
 
     @pytest.mark.parametrize("N", (2, 3, 32))
     def test_single_point_rules_bit_identical(self, N):
@@ -397,6 +404,11 @@ def reference_q0(mp, N):
     return Q
 
 
+def whole(top, N):
+    """The whole centrosymmetric table of order N from its top ceil(N/2) rows."""
+    return np.vstack((top, top[:N // 2][::-1, ::-1]))
+
+
 class TestMirror:
     """The tables at the mesh points are their top rows and the mirror image of them."""
 
@@ -405,7 +417,7 @@ class TestMirror:
         grid = cheb.ChebGrid(N)
         assert np.array_equal(grid.nodes, -grid.nodes[::-1])
         pv, fp = cheb.pv_weight_table(grid)
-        for table in (grid.q0_table, cheb.log_weight_table(grid), fp):
+        for table in (np.vstack(grid.q0_rows(0, N)), whole(cheb.log_weight_table(grid), N), fp):
             assert np.array_equal(table, table[::-1, ::-1])
         assert np.array_equal(pv, -pv[::-1, ::-1])
 
@@ -416,10 +428,26 @@ class TestMirror:
             w = cheb.ChebGrid(N).plain_weights
             assert np.array_equal(w, w[::-1]), N
 
+    @pytest.mark.parametrize("N", (*range(2, 40), 79, 80, 81, 800, 801))
+    def test_log_rule_rows_are_read_in_place(self, N):
+        # the grid keeps the log rule's top rows, and assembly reads the bottom
+        # ones as reversed views of them: row N-1-i is row i reversed, the
+        # middle row of odd N too, and a block of rows on either side of the
+        # middle or across it is those rows of the whole rule
+        grid = cheb.ChebGrid(N)
+        Q = np.vstack(grid.q0_rows(0, N))
+        assert np.array_equal(Q, Q[::-1, ::-1])
+        assert np.array_equal(Q[:(N + 1) // 2], grid.q0_table)
+        rows = max(1, N // 3)
+        for start in range(0, N, rows):
+            views = grid.q0_rows(start, min(start + rows, N))
+            assert all(np.shares_memory(v, grid.q0_table) for v in views if v.size)
+            assert np.array_equal(np.vstack(views), Q[start:start + rows])
+
     @pytest.mark.parametrize("N", (10, 11, 16))
     def test_q0_table_both_halves_to_40_digits(self, N):
         mp = pytest.importorskip("mpmath")
-        err = np.abs(cheb.ChebGrid(N).q0_table - reference_q0(mp, N))
+        err = np.abs(np.vstack(cheb.ChebGrid(N).q0_rows(0, N)) - reference_q0(mp, N))
         h = (N + 1) // 2
         # the mirrored bottom rows are as accurate as the computed top rows
         # (4.1e-16 at N = 16; a whole-mesh build's bottom rows miss by 7.8e-16)
@@ -427,18 +455,22 @@ class TestMirror:
         assert err[h:].max() <= 6e-16
 
     def test_rules_build_in_bounded_memory(self):
-        # a fresh grid at N = 800 keeps 8 bytes * N^2 per rule; the log
-        # rule's build holds at most as much again, and the pole rule's
-        # blocks a few times 2^15 entries (32 bytes * N^2 before the mirror)
+        # a fresh grid at N = 800 keeps the log rule's top rows, 4 bytes * N^2;
+        # their build peaks at 9.2 (the half-mesh moments and their recurrence,
+        # 12.9 while the log table was built whole), and the pole rule, written
+        # into an array given to it, allocates 4.5 blocks of 2^15 entries
         N = 800
         grid = cheb.ChebGrid(N)
+        out = np.empty((N, N))
         tracemalloc.start()
         try:
             grid.q0_table
-            q0_peak = tracemalloc.get_traced_memory()[1]
-            grid.pole_table
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, q0_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cheb.pv_weight_table(grid, pole=True, out=out)
+            pole_peak = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
-        assert q0_peak <= 16 * N**2
-        assert peak <= 24 * N**2
+        assert kept <= 4.5 * N**2
+        assert q0_peak <= 9.5 * N**2
+        assert pole_peak <= 5 * cheb.BLOCK_ELEMENTS * 8

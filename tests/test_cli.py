@@ -492,7 +492,7 @@ class TestMain:
         monkeypatch.setattr(cheb, "ChebGrid", no_grid)
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
-        assert "80 bytes * N^2, 1.3 GB" in capsys.readouterr().err
+        assert "65 bytes * N^2, 1.0 GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, N", (("solve", "10"), ("scan", "10,20")))
     @pytest.mark.parametrize("levels", ("11", "1000000"))

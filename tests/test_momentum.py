@@ -79,7 +79,7 @@ class TestAssembly:
         grid = cheb.chebyshev_grid(30)
         for ell in range(4):
             params = Problem(ell=ell, alpha=0.4)
-            V = mom.assemble_potential(params, grid, 1.0, *mom.mapped_nodes(grid.nodes, 1.0))
+            V = whole_potential(params, grid, 1.0, *mom.mapped_nodes(grid.nodes, 1.0))
             assert np.all(np.isfinite(V))
 
     @pytest.mark.parametrize("N", (10, 800))
@@ -101,8 +101,8 @@ class TestAssembly:
         # the solve still reaches the assembly
         grid = cheb.chebyshev_grid(N)
         with np.errstate(all="ignore"):
-            V = mom.assemble_potential(SELECTION_CASES[case][0](ell), grid, 1.0,
-                                       *mom.mapped_nodes(grid.nodes, 1.0))
+            V = whole_potential(SELECTION_CASES[case][0](ell), grid, 1.0,
+                                *mom.mapped_nodes(grid.nodes, 1.0))
         assert not np.isfinite(V[0, N - 1])
 
         class Assembled(Exception):
@@ -147,7 +147,8 @@ class TestAssembly:
         sigma = 0.8
         t, w = grid.nodes, grid.plain_weights
         pv, fp = cheb.pv_weight_table(grid)
-        lg = cheb.log_weight_table(grid)
+        lg = cheb.log_weight_table(grid)    # the top rows; row N-1-i is row i reversed
+        lg = np.vstack((lg, lg[:grid.N // 2][::-1, ::-1]))
         x, J = mom.mapped_nodes(t, sigma)
         V = np.zeros((grid.N, grid.N))
         for i in range(grid.N):
@@ -161,7 +162,7 @@ class TestAssembly:
                     V[i, j] += (kp.linear_log_coeff * log_w + kp.linear_regular * reg_w
                                 + kp.pv_factor * fp_w)
                 V[i, j] += kp.coulomb_log_coeff * log_w + kp.coulomb_regular * reg_w
-        want = mom.assemble_potential(problem, grid, sigma, x, J)
+        want = whole_potential(problem, grid, sigma, x, J)
         np.testing.assert_allclose(V, want, rtol=1e-12, atol=0.0)
 
     def test_log_remainder_closed_form(self):
@@ -175,13 +176,14 @@ class TestAssembly:
         np.testing.assert_allclose(2.0 * x / J, 1.0 - t * t, rtol=1e-13)
 
     def test_solve_memory_does_not_grow_with_ell(self):
-        # H, which LAPACK factors in place on the Arnoldi path, is the only
+        # H, which holds the double-pole rule until assembly overwrites it and
+        # which LAPACK factors in place on the Arnoldi path, is the only
         # N x N array of a solve; assembly adds at most eleven row-block
         # buffers (ell = 7), which then set the peak, and ARPACK its N x ncv basis:
         # scipy's default ncv = max(20, 2k + 1) is 20 columns at k = count + 2 = 7
         N = 800
         grid = cheb.chebyshev_grid(N)
-        for table in ("plain_weights", "q0_table", "pole_table"):
+        for table in ("plain_weights", "q0_table"):
             getattr(grid, table)
         block_bytes = cheb.BLOCK_ELEMENTS * 8
         basis_bytes = N * 20 * 8
@@ -194,18 +196,20 @@ class TestAssembly:
                 tracemalloc.stop()
             assert peak <= 8 * N**2 + 12 * block_bytes + basis_bytes, ell
 
-    def test_grid_keeps_only_the_two_kernel_rules(self, monkeypatch):
-        # a Cornell ell = 2 solve reads every kernel term; afterwards its
-        # fresh grid holds two N x N arrays, the rules assembly reads
+    def test_grid_keeps_only_the_top_half_of_the_log_rule(self, monkeypatch):
+        # a Cornell ell = 2 solve reads every kernel term; afterwards its fresh
+        # grid holds the top ceil(N/2) rows of the log rule, and no double-pole
+        # rule, which the solve wrote into H: 4.4 bytes * N^2 with the nodes and weights
         monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
         N = 40
         mom.solve_levels(refs.cornell_params("charm", 2), N, 1.0, 3)
         grid = cheb.chebyshev_grid(N)
-        assert sorted(vars(grid)) == ["N", "nodes", "plain_weights", "pole_table", "q0_table"]
-        for table in (grid.q0_table, grid.pole_table):
-            assert table.shape == (N, N)
-            assert not table.flags.writeable
-            assert table.flags.c_contiguous
+        assert sorted(vars(grid)) == ["N", "nodes", "plain_weights", "q0_table"]
+        assert grid.q0_table.shape == ((N + 1) // 2, N)
+        assert not grid.q0_table.flags.writeable
+        assert grid.q0_table.flags.c_contiguous
+        kept = sum(a.nbytes for a in vars(grid).values() if isinstance(a, np.ndarray))
+        assert kept <= 4.5 * N**2
 
     def test_grid_cache_holds_one_mesh_order(self):
         # a solve at a new mesh order frees the previous order's grid and rules
@@ -229,10 +233,27 @@ class TestAssembly:
         x, J = mom.mapped_nodes(grid.nodes, sigma)
         for ell in range(8):
             params = make_params(ell)
-            got = mom.assemble_potential(params, grid, sigma, x, J)
+            got = whole_potential(params, grid, sigma, x, J)
             want = assembly_oracle.assemble_potential(params, oracle, sigma, x, J)
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", (80, 300, 301, 800))
+    def test_blocks_read_the_pole_rule_written_into_h(self, N, monkeypatch):
+        # solve_levels writes the double-pole rule into H, and each row block
+        # reads its own rows of it before it overwrites them: the rows read
+        # are the rule, bit for bit, and are H's own memory
+        read, assemble = [], mom.assemble_potential
+
+        def recording(problem, grid, sigma, x, J, rows, pole):
+            read.append(pole.copy())
+            assert pole.base is not None and pole.base.shape == (N, N)
+            return assemble(problem, grid, sigma, x, J, rows, pole)
+
+        monkeypatch.setattr(mom, "assemble_potential", recording)
+        mom.solve_levels(refs.linear_params(2), N, 1.0, 3)
+        want = cheb.pv_weight_table(cheb.chebyshev_grid(N), pole=True)
+        assert np.array_equal(np.vstack(read), want)
 
     @pytest.mark.parametrize("N", (80, 300, 800))
     @pytest.mark.parametrize("case", ("coulomb", "cornell", "linear", "salpeter"))
@@ -389,9 +410,15 @@ def select_all_then_sort(eigenpairs, params, grid, sigma, count):
     return levels, len(levels) >= count
 
 
+def whole_potential(params, grid, sigma, x, J):
+    """Every row of V, with the double-pole rule built whole, as solve_levels builds it in H."""
+    return mom.assemble_potential(params, grid, sigma, x, J,
+                                  pole=cheb.pv_weight_table(grid, pole=True))
+
+
 def scaled_hamiltonian(params, grid, sigma, x, J):
     """d (V + K) d^-1, the similar matrix solve_levels hands either eigensolver."""
-    H = mom.assemble_potential(params, grid, sigma, x, J)
+    H = whole_potential(params, grid, sigma, x, J)
     H.flat[::grid.N + 1] += mom.kinetic_diagonal(params, x)
     scale = mom.similarity_scale(grid)
     return scale[:, None] * H / scale
@@ -462,7 +489,9 @@ class TestSelection:
         assert not complete
 
     def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
-        # "pv" counts PV table builds; none computes PV moments over the mesh
+        # "pv" counts double-pole rule builds, one per linear solve, each written into
+        # its H; "log" counts log rule builds, the grid's one table, built once per grid;
+        # none computes PV moments over the mesh
         calls = {"assemble": 0, "pv": 0, "pv_moments": 0, "log": 0}
 
         def counting(key, fn, whole_mesh_only=False):
@@ -490,10 +519,11 @@ class TestSelection:
             # no term of the linear ell = 0 kernel reads the log table
             if ell == 0:
                 assert calls == {"assemble": 1, "pv": 1, "pv_moments": 0, "log": 0}
-        assert calls == {"assemble": 4, "pv": 1, "pv_moments": 0, "log": 1}
+            assert calls["pv"] == ell + 1
+        assert calls == {"assemble": 4, "pv": 4, "pv_moments": 0, "log": 1}
         # pure Coulomb has no double pole, so it builds no principal value table
         mom.solve_levels(refs.coulomb_params(0), 50, sigma, 1)
-        assert calls == {"assemble": 5, "pv": 1, "pv_moments": 0, "log": 2}
+        assert calls == {"assemble": 5, "pv": 4, "pv_moments": 0, "log": 2}
 
 
 def dense_levels(params, N, sigma, count, Hs=None):
