@@ -49,15 +49,14 @@ CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev")
 
 COMPARE_TOL = 1e-5     # share of Problem.energy_unit; criterion 6 at s = 1
 
-# Largest accepted mesh order.  One solve raises the process peak RSS by
-# at most 65 bytes * N^2 + 9 MB at any ell, 1.0 GB at this bound; the dense
-# path sets it: numpy.linalg.eig copies H, and builds the eigenvectors real
-# and then complex, which it returns (as a real view for a real spectrum).
-# Over a forked child's RSS before the grid, linear ell = 2 and 7: 64 on the
-# dense path and 18 on the Arnoldi path at N = 1600, 74-76 and 32-33 at 800.
-# Of that, the grid keeps the log rule's top half, 4, and H takes 8: it holds
-# the double-pole rule until assembly overwrites it, and the Arnoldi path's LU
-# factors.  It bounds a whole run, as the grid cache holds one mesh order.
+# Largest accepted mesh order.  One solve raises the process peak RSS by at most
+# 72 bytes * N^2 + 50 MB at any ell and level count (scipy's first import, 33 MB,
+# included), 1.2 GB at this bound; the Arnoldi path sets it, as dense QR serves only
+# N < ARNOLDI_MIN_N.  Over a forked child's RSS before the grid, scipy loaded, linear
+# ell = 2 and 7: 18 bytes * N^2 for 5 levels and 74 for N - 4 at N = 1600, 32-33 and
+# 90-92 at 800: H takes 8, the grid's half log rule 4, and ARPACK's basis, workspace
+# and eigenvectors grow with the level count to N^2 terms.  It bounds a whole run, as
+# the grid cache holds one mesh order.
 MAX_N = 4000
 
 
@@ -187,14 +186,12 @@ def _validate(cfg):
             raise ConfigError(f"field {name!r} must be one of {allowed}, got {value!r}")
     if cfg.sigma is not None and cfg.sigma <= 0.0:
         raise ConfigError("field 'sigma' must be positive")
-    if any(N < 2 for N in cfg.N):
-        raise ConfigError("field 'N' entries must be at least 2 (mesh order)")
-    if any(N > MAX_N for N in cfg.N):
-        raise ConfigError(f"field 'N' entries must be at most {MAX_N}: a solve needs "
-                          f"up to 65 bytes * N^2, 1.0 GB at N = {MAX_N}")
-    if not 1 <= cfg.levels <= min(cfg.N):
-        raise ConfigError(f"field 'levels' must be from 1 to {min(cfg.N)}, the smallest mesh "
-                          f"order N, as a mesh of order N has N eigenvalues; got {cfg.levels}")
+    if not all(5 <= N <= MAX_N for N in cfg.N):
+        raise ConfigError(f"field 'N' entries must be from 5, for one level, to {MAX_N}: a solve "
+                          f"needs up to 72 bytes * N^2 + 50 MB, 1.2 GB at N = {MAX_N}")
+    if not 1 <= cfg.levels <= min(cfg.N) - 4:
+        raise ConfigError(f"field 'levels' must be from 1 to {min(cfg.N) - 4}, the smallest N "
+                          f"less 4, as ARPACK finds at most N - 2 eigenpairs; got {cfg.levels}")
     if len(set(cfg.ell)) < len(cfg.ell):
         raise ConfigError("field 'ell' entries must be distinct")
     if cfg.command == "scan":

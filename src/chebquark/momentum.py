@@ -352,20 +352,23 @@ def solve_levels(problem, N, sigma=None, count=5):
     """Lowest `count` levels: write H in row blocks, diagonalize, select lazily.
 
     sigma scales the rational map of mapped_nodes, `problem.momentum_unit`
-    by default; one that is not positive and finite is a ValueError.  H is
-    that of `problem.natural_units()`'s unit problem mapped at sigma times its
+    by default; one that is not positive and finite is a ValueError, as is,
+    before any grid, a count outside 1..N - 4.  H is that of
+    `problem.natural_units()`'s unit problem mapped at sigma times its
     length, and levels come back as eps = energy * eps', phi = length^1.5 phi'.
     The similar matrix d H d^-1 is written once, in row blocks of about 2^15
     entries each formed in cache, and is a solve's one N x N array.  Below
-    N = ARNOLDI_MIN_N, or for count >= N - 3, dense QR takes all of it.
-    Otherwise the count + 2 eigenpairs nearest a shift at or below the
-    spectrum floor come from an LU factorization in its memory, and that one
-    run decides the wave.  Its pairs are certified, then selected: a pair is
+    N = ARNOLDI_MIN_N dense QR takes all of it.  From there on the count + 2
+    eigenpairs nearest a shift at or below the spectrum floor (ARPACK needs
+    count + 2 < N - 1) come from an LU factorization in its memory, and that
+    one run decides the wave.  Its pairs are certified, then selected: a pair is
     kept when it lies nearer the shift than the farthest returned eigenvalue,
     since every eigenvalue in [shift, level] is then returned and a level's n
     is certified.  So `complete` has one meaning on both paths, and a run
     that returns nothing gives none.
     """
+    if not 1 <= count <= N - 4:
+        raise ValueError(f"count must be from 1 to N - 4 = {N - 4}, got {count}")
     length, energy, unit = problem.natural_units()
     sigma = problem.momentum_unit if sigma is None else sigma
     # a kernel overflowing to a non-finite H, or a natural sigma: one numerical failure
@@ -398,11 +401,11 @@ def solve_levels(problem, N, sigma=None, count=5):
             # max and min propagate NaN, so this reads every entry without a mask
             if not math.isfinite(_abs_max(Hb, axis=None)):
                 raise overflow
-    if N < ARNOLDI_MIN_N or not 0 < count < N - 3:
+    if N < ARNOLDI_MIN_N:
         pairs = solve_spectrum(H, scale)
     else:
-        # with a linear term the lower s-wave floor: from ell = 5 on, where the factors
-        # are numerically singular, the wave's own let more spurious levels pass (ROADMAP item 7)
+        # with a linear term the lower s-wave floor: from ell = 5 on the factors are numerically
+        # singular, and at the wave's own Cornell ell 7, s 0.1, N 300 gave n 0 3.2451, not 3.3972
         shift = spectrum_floor(replace(unit, ell=0) if unit.linear else unit)
         pairs = solve_spectrum(H, scale, shift, count + 2)
         if pairs is None:

@@ -254,19 +254,27 @@ class TestCardinalProducts:
         assert np.max(np.abs(grid.plain_weights - want)) <= 1e-15
 
 
-def dct3_long_double(moments):
-    """`cheb._cardinal_weights` as a direct cosine sum in long double, one row per point.
+def long_double_cosines(N):
+    """The long-double matrix C_jn = cos(pi n (2j + 1)/(2N)), with column 0 set to 1/2.
 
-    W_j = (2/N) (x_0/2 + sum_n x_n cos(pi n (2j + 1)/(2N))).  The cosine has
-    period 4N in n (2j + 1), which is reduced in integers before pi multiplies
-    it, so every argument is below 2 pi and rounds alike at every N.
+    The cosine has period 4N in n (2j + 1), which is reduced in integers
+    before pi multiplies it, so every argument is below 2 pi and rounds
+    alike at every N, and each entry is read from a table of the 4N cosines.
     """
-    N = len(moments)
     n = np.arange(N)
     pi = np.arccos(np.longdouble(-1.0))
-    C = np.cos(pi * (np.multiply.outer(2 * n + 1, n) % (4 * N)) / (2 * N))
+    C = np.cos(pi * np.arange(4 * N) / (2 * N))[np.multiply.outer(2 * n + 1, n) % (4 * N)]
     C[:, 0] = 0.5
-    return np.dot(C, moments.astype(np.longdouble)).T * (2 / np.longdouble(N))
+    return C
+
+
+def dct3_long_double(moments, C):
+    """`cheb._cardinal_weights` as a direct cosine sum in long double, one row per point.
+
+    W_j = (2/N) (x_0/2 + sum_n x_n cos(pi n (2j + 1)/(2N))), with
+    C = long_double_cosines(N).
+    """
+    return np.dot(C, moments.astype(np.longdouble)).T * (2 / np.longdouble(len(moments)))
 
 
 class TestDCT:
@@ -276,10 +284,11 @@ class TestDCT:
     def test_matches_long_double_cosine_sum(self, N):
         rng = np.random.default_rng(N)
         h = (N + 1) // 2
+        C = long_double_cosines(N)
         for moments in (cheb._log_moments(cheb.ChebGrid(N).nodes[:h], N),    # q0_table's
                         cheb._plain_moments(N), rng.standard_normal(N),
                         rng.standard_normal((N, 3))):
-            want = dct3_long_double(moments)
+            want = dct3_long_double(moments, C)
             # scipy.fft.dct, the DCT the numpy.fft one replaced, to the same bound
             for got in (cheb._cardinal_weights(moments),
                         scipy.fft.dct(moments, type=3, axis=0).T / N):

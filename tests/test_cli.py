@@ -492,21 +492,22 @@ class TestMain:
         monkeypatch.setattr(cheb, "ChebGrid", no_grid)
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         assert cli.main(["--N", "1000000000"]) == cli.EXIT_CONFIG
-        assert "65 bytes * N^2, 1.0 GB" in capsys.readouterr().err
+        assert "72 bytes * N^2 + 50 MB, 1.2 GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, N", (("solve", "10"), ("scan", "10,20")))
-    @pytest.mark.parametrize("levels", ("11", "1000000"))
+    @pytest.mark.parametrize("levels", ("0", "7", "11", "1000000"))
     def test_levels_capped_by_the_smallest_mesh_order(self, command, N, levels, monkeypatch,
                                                        capsys):
-        # a mesh of order N has N eigenvalues, so no more levels can pass
+        # the shift-invert solver returns at most N - 2 eigenpairs, so at most N - 4 levels
         def no_solve(*args):
-            raise AssertionError("solved before levels was checked")
+            raise AssertionError("solved or gridded before levels was checked")
         monkeypatch.setattr(mom, "solve_levels", no_solve)
+        monkeypatch.setattr(cheb, "ChebGrid", no_solve)
         assert cli.main(["--command", command, "--N", N, "--levels", levels]) == cli.EXIT_CONFIG
         (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith("configuration error: field 'levels' must be from 1 to 10,")
+        assert err.startswith("configuration error: field 'levels' must be from 1 to 6,")
         assert err.endswith(f"got {levels}")
-        cli.build_config({"command": command, "N": N, "levels": "10"})
+        cli.build_config({"command": command, "N": N, "levels": "6"})
 
     def test_reproduce_rejects_fields_it_does_not_use(self, capsys):
         # the stored campaign fixes N, sigma and the level count
@@ -656,12 +657,13 @@ class TestMain:
     def test_csv_failure_says_why_on_stderr(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("potential = linear\ns = 1\n")
-        code = cli.main(["--config", str(cfgfile), "--N", "4", "--levels", "2",
+        code = cli.main(["--config", str(cfgfile), "--N", "10", "--levels", "6",
                          "--format", "csv"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL
-        assert captured.out.splitlines() == [",".join(cli.CSV_FIELDS)]
-        assert "ell=0: only 0 of 2 levels passed the filters" in captured.err.splitlines()
+        lines = captured.out.splitlines()
+        assert lines[0] == ",".join(cli.CSV_FIELDS) and len(lines) == 5
+        assert "ell=0: only 4 of 6 levels passed the filters" in captured.err.splitlines()
 
     def test_flag_overrides(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -93,7 +93,7 @@ class TestAssembly:
         with pytest.raises(RuntimeError, match="non-finite"):
             mom.solve_levels(Problem(ell=10**9), N, 1.0, 3)
 
-    @pytest.mark.parametrize(("N", "ell"), ((4, 110), (20, 55), (80, 39)))
+    @pytest.mark.parametrize(("N", "ell"), ((5, 97), (20, 55), (80, 39)))
     @pytest.mark.parametrize("case", ("coulomb", "linear", "cornell"))
     def test_corner_check_stops_only_non_finite_matrices(self, case, N, ell, monkeypatch):
         # ell is the first at which P_ell overflows at the corner z[0, N-1]:
@@ -746,13 +746,34 @@ class TestArnoldi:
         assert_same_levels(mom.solve_levels(params, 400, 0.5, 5), first)
         assert eigensolves == [7, 7]
 
-    def test_dense_below_threshold_and_for_many_levels(self, eigensolves):
-        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N - 1, 1.0, 5)
-        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, 1.0, 5)
-        # ARPACK needs k = count + 2 < N - 1
-        mom.solve_levels(refs.linear_params(0), mom.ARNOLDI_MIN_N, 1.0,
-                         mom.ARNOLDI_MIN_N - 3)
-        assert eigensolves == [mom.ARNOLDI_MIN_N - 1, 7, mom.ARNOLDI_MIN_N]
+    def test_dense_only_below_threshold(self, eigensolves, monkeypatch):
+        dense = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda A: dense.append(len(A)) or eig(A))
+        N = mom.ARNOLDI_MIN_N
+        for count in (1, 5, N - 5):
+            mom.solve_levels(refs.linear_params(0), N - 1, 1.0, count)
+        # ARPACK needs k = count + 2 < N - 1, which holds up to the largest count, N - 4
+        for count in (1, 5, N - 4):
+            mom.solve_levels(refs.linear_params(0), N, 1.0, count)
+        assert dense == [N - 1] * 3
+        assert eigensolves == [N - 1] * 3 + [3, 7, N - 2]
+        with pytest.raises(ValueError, match="from 1 to N - 4"):
+            mom.solve_levels(refs.linear_params(0), N, 1.0, N - 3)
+
+    @pytest.mark.parametrize("N", (80, 100))
+    def test_count_outside_one_to_n_minus_four_is_refused_before_the_grid(
+            self, N, eigensolves, monkeypatch):
+        assert 80 < mom.ARNOLDI_MIN_N <= 100    # one mesh order on each eigensolver path
+
+        def no_grid(N):
+            raise AssertionError(f"grid of order {N} built before the count was checked")
+        monkeypatch.setattr(cheb, "ChebGrid", no_grid)
+        monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
+        for count in (0, N - 3):
+            with pytest.raises(ValueError, match=f"from 1 to N - 4 = {N - 4}, got {count}$"):
+                mom.solve_levels(refs.linear_params(0), N, 1.0, count)
+        assert eigensolves == []
 
 
 @functools.cache
