@@ -13,9 +13,9 @@ three singular rules are provided:
 All four rules are interpolatory, exact for polynomials of degree < N.  The
 PV and finite-part tables at the mesh points have closed forms (see
 pv_weight_table); the log weights and the PV weights at one point are a
-DCT-III of Chebyshev moments from recurrences bounded on [-1, 1].  Tables
-at the exactly odd mesh are computed on their top ceil(N/2) rows and mirrored,
-and the log tables keep those rows alone.
+DCT-III of Chebyshev moments from recurrences bounded on [-1, 1], the PV
+moments from a single one.  Tables at the exactly odd mesh are computed on
+their top ceil(N/2) rows and mirrored, and the log tables keep those rows alone.
 """
 
 from __future__ import annotations
@@ -155,22 +155,12 @@ def _recurrence(tau, nmax, y0, y1, source=None, out=None):
     return y
 
 
-def _pv_g_moments(tau, nmax, out=None):
-    """Smooth parts g_n of the PV moments, n = 0..nmax-1.
-
-    rho_n(tau) = PV int T_n(t)/(t - tau) dt = T_n(tau) log((1-tau)/(1+tau))
-    + g_n(tau), g_0 = 0, g_1 = 2, g_{n+1} = 2 tau g_n - g_{n-1} + 2 mu_n:
-    polynomials, valid on the closed interval, growing at most linearly in n.
-    """
-    return _recurrence(tau, nmax, 0.0, 2.0, 2.0 * _plain_moments(max(nmax, 2)), out)
-
-
 def _pv_moments(tau, nmax):
-    """PV moments rho_n(tau) = PV int T_n(t)/(t - tau) dt, |tau| < 1."""
-    rho = _recurrence(tau, nmax, 1.0, tau)
-    rho *= np.log((1.0 - tau) / (1.0 + tau))
-    rho += _pv_g_moments(tau, nmax)
-    return rho
+    """PV moments rho_n(tau) = PV int T_n(t)/(t - tau) dt, |tau| < 1, by their own recurrence
+    rho_{n+1} = 2 tau rho_n - rho_{n-1} + 2 mu_n from rho_0 = L = log((1-tau)/(1+tau)) and
+    rho_1 = tau L + 2."""
+    L = np.log((1.0 - tau) / (1.0 + tau))
+    return _recurrence(tau, nmax, L, tau * L + 2.0, 2.0 * _plain_moments(nmax))
 
 
 def _log_moments(tau, nmax):
@@ -186,8 +176,10 @@ def _log_moments(tau, nmax):
     where each log coefficient vanishes at the matching endpoint, so the
     formula is finite on the whole closed interval (0 * log 0 = 0).  For
     n >= 2, A_n = (T_{n+1}/(n+1) - T_{n-1}/(n-1))/2, and the PV integral is
-    the same combination of the g moments; both are formed for all n at
-    once, the T and then the g table in one buffer.
+    the same combination of g_n = rho_n - T_n L, polynomials from g_0 = 0,
+    g_1 = 2 and rho_n's recurrence.  Both are formed for all n at once, the T
+    and then the g table in one buffer, and kept apart: in rho_n the T_n L
+    part cancels against A_n(1) log(1 - tau) on the end rows.
     """
     tau = np.asarray(tau, dtype=float)
     one_m = 1.0 - tau
@@ -221,7 +213,7 @@ def _log_moments(tau, nmax):
     np.subtract(an_hi, an, out=an)
     an *= log_m
     an += piece
-    g = _pv_g_moments(tau, nmax + 1, out=T)
+    g = _recurrence(tau, nmax + 1, 0.0, 2.0, 2.0 * _plain_moments(nmax + 1), out=T)
     g[1:] /= k
     rows = max(1, BLOCK_ELEMENTS // g[0].size)
     for i in range(0, nmax - 2, rows):

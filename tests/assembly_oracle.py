@@ -8,10 +8,14 @@ the log moments by a loop over n, and the tables transposed out of one
 DCT-III along the moment axis, on numpy.fft with the twiddle and the
 reordering of `cheb._cardinal_weights`, which runs it in row blocks.  The
 faster code performs the same floating-point operations in the same order,
-so the tests require equal results, not close ones.  The one exception is
-`pv_weight_table`, the moment build of the PV and finite-part tables: their
-closed forms in `cheb.pv_weight_table` round differently, so the tests hold
-them to a tolerance against it.  The plain weights, the log table and the
+so the tests require equal results, not close ones.  There are two
+exceptions, which the tests hold to a tolerance.  `pv_weight_table` is the
+moment build of the PV and finite-part tables, whose closed forms in
+`cheb.pv_weight_table` round differently.  `pv_moments` and `weights_cauchy`
+form the PV moments as T_n L + g_n from two recurrences, while
+`cheb._pv_moments` runs the moments' own single recurrence, which is more
+accurate near the ends (tests/test_cheb.py checks both against 40 digits);
+the log moments keep the two.  The plain weights, the log table and the
 log-kernel rule are built whole here and then given the library's one
 change of arithmetic, its mirror step: the back half, in flat order, is
 replaced by the front half reversed (`mirrored`), which the exactly odd

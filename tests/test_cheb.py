@@ -245,7 +245,7 @@ class TestCardinalProducts:
         grid = cheb.ChebGrid(N)
         C, _ = coefficient_matrix(N)
         for got, moments in ((assembly_oracle.pv_weight_table(grid.nodes)[0],
-                              cheb._pv_moments(grid.nodes, N)),
+                              assembly_oracle.pv_moments(grid.nodes, N)),
                              (cheb.log_weight_table(grid),
                               cheb._log_moments(grid.nodes[:(N + 1) // 2], N))):
             want = moments.T @ C
@@ -306,10 +306,15 @@ class TestBuildOracle:
             assert table.flags.c_contiguous
         assert np.array_equal(log_table,
                               assembly_oracle.log_weight_table(grid.nodes)[:(N + 1) // 2])
-        # the PV moments over the whole mesh, from which the oracle builds
-        # the PV and finite-part tables
-        assert np.array_equal(cheb._pv_moments(grid.nodes, N),
-                              assembly_oracle.pv_moments(grid.nodes, N))
+
+    @pytest.mark.parametrize("N", (8, 80, 800))
+    def test_pv_moments_near_two_recurrence_build(self, N):
+        # the PV moments' own recurrence rounds unlike the oracle's T_n L + g_n:
+        # over the whole mesh within 2e-12 of the largest moment (8.6e-13 at
+        # N = 800, 1.5e-14 at N = 80), mostly the oracle's error at the ends
+        t = cheb.ChebGrid(N).nodes
+        want = assembly_oracle.pv_moments(t, N)
+        assert np.max(np.abs(cheb._pv_moments(t, N) - want)) <= 2e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("N", (2, 3, 8, 80, 81, 800, 801))
     def test_kernel_rules_match_per_solve_formation(self, N):
@@ -324,14 +329,73 @@ class TestBuildOracle:
 
     @pytest.mark.parametrize("N", (2, 3, 32))
     def test_single_point_rules_bit_identical(self, N):
-        # a scalar tau makes every row of the moment recurrences a 0-d view
+        # a scalar tau makes every row of the moment recurrences a 0-d view;
+        # the PV rule's one recurrence rounds unlike the oracle's two, within
+        # 2e-14 of the largest weight (6.3e-15 at N = 32)
         grid = cheb.chebyshev_grid(N)
         for tau in (-0.83, 0.0, 0.41):
-            assert np.array_equal(cheb.weights_cauchy(grid, tau),
-                                  assembly_oracle.weights_cauchy(N, tau))
+            want = assembly_oracle.weights_cauchy(N, tau)
+            got = cheb.weights_cauchy(grid, tau)
+            assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
         for tau in (-1.0, -0.55, 0.0, 0.98, 1.0):
             assert np.array_equal(cheb.weights_log(grid, tau),
                                   assembly_oracle.weights_log(N, tau))
+
+
+def reference_pv_moments(mp, taus, N):
+    """The PV moments rho_n(tau), n < N, at each float tau, to 40 digits, as a double pair hi + lo.
+
+    The moments' recurrence rho_{n+1} = 2 tau rho_n - rho_{n-1} + 2 mu_n
+    from rho_0 = L(tau), rho_1 = tau L(tau) + 2 is run in 40-digit
+    arithmetic; its homogeneous solutions grow at most linearly in n, so
+    what is left of the float builds' error is their rounding.
+    """
+    hi = np.empty((N, len(taus)))
+    lo = np.empty_like(hi)
+    with mp.workdps(40):
+        for k, tau in enumerate(taus):
+            tau = mp.mpf(float(tau))
+            prev = mp.log((1 - tau) / (1 + tau))
+            rho = [prev, tau * prev + 2]
+            for n in range(1, N - 1):
+                source = 4 / mp.mpf(1 - n * n) if n % 2 == 0 else 0    # 2 mu_n
+                rho.append(2 * tau * rho[n] - rho[n - 1] + source)
+            for n, x in enumerate(rho[:N]):
+                hi[n, k] = float(x)
+                lo[n, k] = float(x - hi[n, k])
+    return hi, lo
+
+
+class TestPVAccuracy:
+    """The PV moments' own recurrence against 40 digits and the oracle's two recurrences."""
+
+    @pytest.mark.parametrize("N", (80, 300, 800))
+    def test_pv_moments_and_cauchy_rule_to_40_digits(self, N):
+        # errors relative to the largest entry at each tau, worst at the ends:
+        # moments 6.2e-15, 2.8e-14, 1.1e-13 (oracle 1.9e-14, 4.4e-13, 9.5e-13)
+        # and weights 1.5e-14, 7.5e-14, 3.7e-13 (oracle 2.4e-14, 7.9e-13,
+        # 2.1e-12) at N = 80, 300, 800; the reference weights are the long
+        # double DCT-III of the 40-digit moments' two parts
+        mp = pytest.importorskip("mpmath")
+        grid = cheb.chebyshev_grid(N)
+        t = grid.nodes
+        taus = (t[0], t[1], t[N // 3], t[N - 1], -0.999, -0.55, 0.3, 0.98)
+        hi, lo = reference_pv_moments(mp, taus, N)
+        C = long_double_cosines(N)
+        ref_w = dct3_long_double(hi, C) + dct3_long_double(lo, C)
+        builds = {"moments": (lambda tau: cheb._pv_moments(np.float64(tau), N),
+                              lambda tau: assembly_oracle.pv_moments(np.float64(tau), N), hi.T),
+                  "weights": (lambda tau: cheb.weights_cauchy(grid, tau),
+                              lambda tau: assembly_oracle.weights_cauchy(N, tau), ref_w)}
+        for name, (build, oracle, ref) in builds.items():
+            scale = np.abs(ref).max(axis=1)
+            err, oracle_err = (np.array([np.abs(f(tau) - r).max() for tau, r in zip(taus, ref)])
+                               / scale for f in (build, oracle))
+            if N >= 300:
+                assert 3.0 * err.max() <= oracle_err.max(), name
+            else:
+                assert err.max() <= oracle_err.max(), name
+            assert np.all(err <= np.maximum(2.0 * oracle_err, 2e-14)), name
 
 
 def reference_rows(mp, N, rows):
