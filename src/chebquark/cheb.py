@@ -25,9 +25,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Entries per row block of the N x N builds here and in momentum.solve_levels:
-# the buffers of a block stay in cache.
+# Entries per row block of the N x N builds here and in momentum: the buffers
+# of a block stay in cache.
 BLOCK_ELEMENTS = 1 << 15
+
+
+def row_blocks(n, width):
+    """Slices of rows 0..n-1 in order, each of at most max(1, BLOCK_ELEMENTS // width) rows."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _plain_moments(nmax):
@@ -64,13 +70,12 @@ class ChebGrid:
         """Top ceil(N/2) rows of the rule for log|(1 - t_i t)/(t - t_i)|, centrosymmetric (see
         q0_rows): Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i)."""
         Q, t = log_weight_table(self), self.nodes
-        rows = max(1, BLOCK_ELEMENTS // self.N)
-        for i in range(0, len(Q), rows):
-            L = np.multiply.outer(t[i:min(i + rows, len(Q))], t)
+        for b in row_blocks(len(Q), self.N):
+            L = np.multiply.outer(t[b], t)
             np.subtract(1.0, L, out=L)
             np.log(L, out=L)
             L *= self.plain_weights
-            np.subtract(L, Q[i:i + rows], out=Q[i:i + rows])
+            np.subtract(L, Q[b], out=Q[b])
         return _read_only(Q)
 
     def q0_rows(self, start, stop):
@@ -113,9 +118,7 @@ def _cardinal_weights(moments):
     X = moments.reshape(N, -1)
     W = np.empty((X.shape[1], N))
     twiddle = np.exp(0.5j * np.pi / N * np.arange(N // 2 + 1))
-    rows = max(1, BLOCK_ELEMENTS // N)
-    for i in range(0, len(W), rows):
-        b = slice(i, i + rows)
+    for b in row_blocks(len(W), N):
         V = np.zeros((len(W[b]), N // 2 + 1), dtype=complex)
         V.real = X[:N // 2 + 1, b].T
         np.negative(X[:h - 1:-1, b].T, out=V.imag[:, 1:])
@@ -215,11 +218,10 @@ def _log_moments(tau, nmax):
     an += piece
     g = _recurrence(tau, nmax + 1, 0.0, 2.0, 2.0 * _plain_moments(nmax + 1), out=T)
     g[1:] /= k
-    rows = max(1, BLOCK_ELEMENTS // g[0].size)
-    for i in range(0, nmax - 2, rows):
-        reg = np.subtract(g[3:][i:i + rows], g[1:-2][i:i + rows])    # blocks, no third table
+    for b in row_blocks(nmax - 2, g[0].size):
+        reg = np.subtract(g[3:][b], g[1:-2][b])    # blocks, no third table
         reg *= 0.5
-        an[i:i + rows] -= reg
+        an[b] -= reg
     return lam
 
 
@@ -277,11 +279,9 @@ def pv_weight_table(grid, pole=False, out=None):
     eta_diag = -2.0 / (q * q)
     eta = np.empty((N, N)) if out is None else out    # the finite-part table, or the pole rule
     W = None if pole else np.empty((N, N))
-    rows = max(1, BLOCK_ELEMENTS // N)
-    for i in range(0, h, rows):
-        b = slice(i, min(i + rows, h))
+    for b in row_blocks(h, N):
         c = np.subtract.outer(t[b], t)
-        c.flat[i::N + 1] = np.inf    # so that c_ii = 0
+        c.flat[b.start::N + 1] = np.inf    # so that c_ii = 0
         np.reciprocal(c, out=c)
         Wb = np.multiply.outer(w[b] / q[b], q, out=None if pole else W[b])
         Wb -= w
@@ -291,8 +291,8 @@ def pv_weight_table(grid, pole=False, out=None):
         eta_b -= Wb
         eta_b *= c
         eta_diag[b] -= eta_b.sum(axis=1)
-        Wb.flat[i::N + 1] = W_diag[b]
-        eta_b.flat[i::N + 1] = eta_diag[b]
+        Wb.flat[b.start::N + 1] = W_diag[b]
+        eta_b.flat[b.start::N + 1] = eta_diag[b]
         if b.stop > N // 2:    # the middle row of odd N, at t = 0, is its own image
             _mirror(Wb[-1], -1.0)[N // 2] = 0.0
             _mirror(eta_b[-1], 1.0)
@@ -301,7 +301,7 @@ def pv_weight_table(grid, pole=False, out=None):
             back -= Wb
             eta_b *= 1.0 - t
             eta_b += Wb
-            eta[N - b.stop:N - i] = back[::-1, ::-1]
+            eta[N - b.stop:N - b.start] = back[::-1, ::-1]
     return eta if pole else (_mirror(W, -1.0), _mirror(eta, 1.0))
 
 

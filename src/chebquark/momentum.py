@@ -73,7 +73,10 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None), pole=None):
     h = (1-t)/(2 sigma), integrating it by parts in t leaves
     h [FP int F phi (1-t')/(t'-t)^2 dt' + PV int F phi/(t'-t) dt'], whose
     boundary terms vanish (F = 0 at x' = 0, the integrand carries 1-t');
-    eta and omega are the finite-part and principal value weights.  Both
+    eta and omega are the finite-part and principal value weights.  The 1-t'
+    stays inside the finite part because the rule (1-t_i) eta_ij, which agrees
+    on degree <= N - 2, left table 3's Cornell ell = 2, n = 2 levels at N = 80
+    12-75 times farther from the radial solver (6e-11 and 4.8e-10).  Both
     bracketed rules are free of sigma: the grid's q0_table and `pole`.
     All diagonal entries are finite.
     """
@@ -179,7 +182,7 @@ def similarity_scale(grid):
     return np.exp2(np.round(np.log2(np.sqrt(grid.plain_weights) * (1.0 + t) / (1.0 - t) ** 2)))
 
 
-# Mesh order from which solve_levels takes the levels near the spectrum
+# Mesh order from which solve_spectrum takes the levels near the spectrum
 # floor from ARPACK alone instead of the dense QR solver.  Measured on a
 # 2-core x86 machine, one BLAS thread, eigensolve alone for 5 levels (k = 7),
 # dense vs Arnoldi in ms at N = 80 / 100 / 200 / 300: linear ell = 0 and 2
@@ -193,26 +196,23 @@ def similarity_scale(grid):
 ARNOLDI_MIN_N = 100
 
 
-def solve_spectrum(Hs, scale, shift=None, k=None):
+def solve_spectrum(Hs, scale, shift, k):
     """Eigenvalues and right eigenvectors of H, from its similar matrix Hs.
 
     Hs = diag(scale) H diag(scale)^-1 is exact in floating point for powers
     of two (see similarity_scale); the eigenvectors are mapped back to those
-    of H.  Both paths are deterministic; the dense one leaves Hs unchanged,
-    the Arnoldi one factors it in place.  With the similarity scale the
-    eigenvalues carry 1e-13 of rounding, those of H 1e-10 (linear, N = 200).
+    of H.  The mesh order N = len(Hs) alone picks the eigensolver, and both
+    are deterministic.  With the similarity scale the eigenvalues carry 1e-13
+    of rounding, those of H 1e-10 (linear, N = 200).
 
-    Without a shift: all N eigenpairs from LAPACK's non-symmetric QR solver
-    geev through numpy.linalg.eig, which raises LinAlgError when it does not
-    converge and returns real arrays when every eigenvalue is real.
-    With a shift and k: the k eigenpairs nearest the shift, by ARPACK's
-    shift-invert Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK Users'
-    Guide, SIAM 1998) on an equilibrated LU factorization of Hs - shift,
-    from a fixed start vector (a random one moves energies by 5e-14 from run
-    to run); None when LAPACK getrf reports info > 0 (the shifted matrix is
-    exactly singular), ARPACK raises or a pair is not finite.
+    Below ARNOLDI_MIN_N, shift and k are ignored: all N eigenpairs from
+    LAPACK's non-symmetric QR solver geev through numpy.linalg.eig, which
+    leaves Hs unchanged, raises LinAlgError when it does not converge and
+    returns real arrays when every eigenvalue is real.  From ARNOLDI_MIN_N on: the
+    certified ones of the k eigenpairs nearest the shift, or None, from
+    _shift_invert_arnoldi, which factors Hs in place.
     """
-    pairs = np.linalg.eig(Hs) if k is None else _shift_invert_arnoldi(Hs, shift, k)
+    pairs = np.linalg.eig(Hs) if len(Hs) < ARNOLDI_MIN_N else _shift_invert_arnoldi(Hs, shift, k)
     if pairs is None:
         return None
     evals, evecs = pairs
@@ -231,8 +231,15 @@ def _abs_max(A, axis):
 
 
 def _shift_invert_arnoldi(A, shift, k):
-    """The k eigenpairs of A nearest the shift, or None if they cannot be had.
+    """The certified ones of the k eigenpairs of A nearest the shift, or None if none can be had.
 
+    ARPACK's shift-invert Arnoldi iteration (Lehoucq, Sorensen & Yang, ARPACK
+    Users' Guide, SIAM 1998) runs from a fixed start vector (a random one
+    moves energies by 5e-14 from run to run), and that one run decides the
+    wave.  A returned pair is certified when it lies nearer the shift than
+    the farthest returned eigenvalue: every eigenvalue in [shift, level] is
+    then returned, so a level's n is certified and `complete` means on this
+    path what it means on the dense one.  ARPACK needs k < N - 1.
     A - shift, equilibrated by power-of-two row and column scales, is
     factored in A's own memory, which holds the factors afterwards.  The
     scales undo the z^ell growth of the kernel corners (max|A| = 1e30 for
@@ -252,10 +259,9 @@ def _shift_invert_arnoldi(A, shift, k):
 
     N = len(A)
     A.flat[::N + 1] -= shift
-    rows, cols, block = np.empty(N), np.zeros(N), max(1, cheb.BLOCK_ELEMENTS // N)
+    rows, cols = np.empty(N), np.zeros(N)
     # row maxima, row scaling and column maxima in one pass of cache-sized row blocks
-    for i in range(0, N, block):
-        b = slice(i, i + block)
+    for b in cheb.row_blocks(N, N):
         rows[b] = _power_of_two_inverse(_abs_max(A[b], axis=1))
         A[b] *= rows[b, None]
         np.maximum(cols, _abs_max(A[b], axis=0), out=cols)
@@ -281,7 +287,9 @@ def _shift_invert_arnoldi(A, shift, k):
     evals = shift + 1.0 / mu
     if not (np.all(np.isfinite(evals)) and np.all(np.isfinite(evecs))):
         return None
-    return evals, evecs
+    distance = np.abs(evals - shift)
+    inside = distance < distance.max()
+    return evals[inside], evecs[:, inside]
 
 
 def spectrum_floor(problem):
@@ -356,16 +364,11 @@ def solve_levels(problem, N, sigma=None, count=5):
     before any grid, a count outside 1..N - 4.  H is that of
     `problem.natural_units()`'s unit problem mapped at sigma times its
     length, and levels come back as eps = energy * eps', phi = length^1.5 phi'.
-    The similar matrix d H d^-1 is written once, in row blocks of about 2^15
-    entries each formed in cache, and is a solve's one N x N array.  Below
-    N = ARNOLDI_MIN_N dense QR takes all of it.  From there on the count + 2
-    eigenpairs nearest a shift at or below the spectrum floor (ARPACK needs
-    count + 2 < N - 1) come from an LU factorization in its memory, and that
-    one run decides the wave.  Its pairs are certified, then selected: a pair is
-    kept when it lies nearer the shift than the farthest returned eigenvalue,
-    since every eigenvalue in [shift, level] is then returned and a level's n
-    is certified.  So `complete` has one meaning on both paths, and a run
-    that returns nothing gives none.
+    The similar matrix d H d^-1 is written once, in cheb.row_blocks formed in
+    cache, and is a solve's one N x N array.  solve_spectrum takes it with a
+    shift at or below the spectrum floor and k = count + 2 (ARPACK needs
+    k < N - 1), and the lowest of the pairs it returns are selected, so
+    `complete` has one meaning for either eigensolver; a refused run gives none.
     """
     if not 1 <= count <= N - 4:
         raise ValueError(f"count must be from 1 to N - 4 = {N - 4}, got {count}")
@@ -391,28 +394,20 @@ def solve_levels(problem, N, sigma=None, count=5):
         unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
         if unit.linear:    # the double-pole rule, whose rows each block reads before it writes them
             cheb.pv_weight_table(grid, pole=True, out=H)
-        block = max(1, cheb.BLOCK_ELEMENTS // N)
-        for i in range(0, N, block):
-            rows = slice(i, i + block)
+        for rows in cheb.row_blocks(N, N):
             V = assemble_potential(unit, grid, sigma, x, J, rows, H[rows])
-            V.flat[i::N + 1] += kinetic[rows]
+            V.flat[rows.start::N + 1] += kinetic[rows]
             Hb = np.multiply(scale[rows, None], V, out=H[rows])
             Hb *= unscale
             # max and min propagate NaN, so this reads every entry without a mask
             if not math.isfinite(_abs_max(Hb, axis=None)):
                 raise overflow
-    if N < ARNOLDI_MIN_N:
-        pairs = solve_spectrum(H, scale)
-    else:
-        # with a linear term the lower s-wave floor: from ell = 5 on the factors are numerically
-        # singular, and at the wave's own Cornell ell 7, s 0.1, N 300 gave n 0 3.2451, not 3.3972
-        shift = spectrum_floor(replace(unit, ell=0) if unit.linear else unit)
-        pairs = solve_spectrum(H, scale, shift, count + 2)
-        if pairs is None:
-            return [], False
-        distance = np.abs(pairs[0] - shift)
-        inside = distance < distance.max()
-        pairs = pairs[0][inside], pairs[1][:, inside]
+    # with a linear term the lower s-wave floor: from ell = 5 on the factors are numerically
+    # singular, and at the wave's own Cornell ell 7, s 0.1, N 300 gave n 0 3.2451, not 3.3972
+    shift = spectrum_floor(replace(unit, ell=0) if unit.linear else unit)
+    pairs = solve_spectrum(H, scale, shift, count + 2)
+    if pairs is None:
+        return [], False
     levels, complete = select_bound_states(pairs, unit, grid, x, J, count)
     return [replace(lv, epsilon=energy * lv.epsilon, mesh_values=lv.mesh_values * length ** 1.5)
             for lv in levels], complete

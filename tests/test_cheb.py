@@ -87,6 +87,19 @@ class TestGrid:
     def test_grid_cache_returns_same_object(self):
         assert cheb.chebyshev_grid(16) is cheb.chebyshev_grid(16)
 
+    # width 800 takes 40 rows a step: n below, at and above one step, a ragged
+    # last block, whole steps, and a row wider than a block, one row a step
+    @pytest.mark.parametrize(("n", "width", "blocks"), (
+        (0, 800, 0), (1, 800, 1), (39, 800, 1), (40, 800, 1), (41, 800, 2), (401, 800, 11),
+        (800, 800, 20), (5, 1, 1), (3, cheb.BLOCK_ELEMENTS + 1, 3), (3, 4 * cheb.BLOCK_ELEMENTS, 3),
+    ))
+    def test_row_blocks_cover_the_rows_in_order(self, n, width, blocks):
+        slices = cheb.row_blocks(n, width)
+        assert len(slices) == blocks
+        assert [i for b in slices for i in range(n)[b]] == list(range(n))
+        step = max(1, cheb.BLOCK_ELEMENTS // width)
+        assert all(b.step is None and b.start < b.stop <= b.start + step for b in slices)
+
 
 class TestInterpolation:
     def test_cardinal_delta_property(self):
