@@ -38,14 +38,17 @@ def mapped_nodes(t, sigma):
     return sigma * (1.0 + t) / (1.0 - t), 2.0 * sigma / (1.0 - t) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundLevel:
-    """One accepted bound level: quantum numbers, energy (a real eigenvalue) and mesh values."""
+    """One accepted level: quantum numbers, energy (a real eigenvalue) and read-only mesh values."""
 
     ell: int
     n: int
     epsilon: float
     mesh_values: np.ndarray
+
+    def __post_init__(self):
+        self.mesh_values.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,6 @@ def select_bound_states(eigenpairs, problem, grid, x, J, count):
         # deterministic sign: largest-magnitude mesh value positive
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
-        v.setflags(write=False)
         levels.append(BoundLevel(ell=problem.ell, n=len(levels), epsilon=lam.real,
                                  mesh_values=v))
     return levels, len(levels) >= count

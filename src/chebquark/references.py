@@ -111,21 +111,6 @@ def physical_scales(flavor):
     return PhysicalScales(QUARK_MASS_GEV[flavor], CORNELL_BETA_GEV2)
 
 
-def cornell_params(flavor, ell, kinetic="nonrelativistic"):
-    """Problem of the quarkonium campaign for one flavor and ell."""
-    return Problem(ell=ell, alpha=CORNELL_ALPHA, s=physical_scales(flavor).s, kinetic=kinetic)
-
-
-def linear_params(ell, s=1.0):
-    """Problem of the pure linear benchmark."""
-    return Problem(ell=ell, s=s)
-
-
-def coulomb_params(ell, alpha=TABLE1_ALPHA, s=TABLE1_S):
-    """Problem of the pure Coulomb benchmark."""
-    return Problem(ell=ell, alpha=alpha, linear=False, s=s)
-
-
 @dataclass(frozen=True)
 class PartialWave:
     """One partial wave to solve and, for a stored campaign, its references.
@@ -147,25 +132,26 @@ def campaign(table):
     """The partial waves of stored campaign 1, 2 or 3, in run order."""
     waves = []
     if table == 1:
-        mu_a = 1.0 / (2.0 * TABLE1_S)
         for ell in range(4):
-            exact = [hydrogen_energy(n, ell, TABLE1_ALPHA, mu_a) for n in range(5)]
+            exact = [hydrogen_energy(n, ell, TABLE1_ALPHA, 0.5 / TABLE1_S) for n in range(5)]
+            problem = Problem(ell=ell, alpha=TABLE1_ALPHA, linear=False, s=TABLE1_S)
             waves.append(PartialWave(
-                f"ell={ell}", coulomb_params(ell), TABLE1_N, TABLE1_SIGMA, 5,
+                f"ell={ell}", problem, TABLE1_N, TABLE1_SIGMA, 5,
                 references=tuple((e, TABLE1_REL_TOL * abs(e)) for e in exact)))
     elif table == 2:
         for ell, exact in TABLE2_EXACT.items():
             waves.append(PartialWave(
-                f"ell={ell}", linear_params(ell), TABLE2_N[ell], TABLE2_SIGMA[ell], 5,
+                f"ell={ell}", Problem(ell=ell), TABLE2_N[ell], TABLE2_SIGMA[ell], 5,
                 references=tuple((e, TABLE2_TOL) for e in exact)))
     elif table == 3:
         for flavor in ("charm", "bottom"):
-            for ell in range(3):
+            scales = physical_scales(flavor)
+            for ell, masses in TABLE3_MASS_GEV[flavor].items():
                 tols = [TABLE3_DISPUTED_TOL_GEV if (flavor, ell, n) == TABLE3_DISPUTED
                         else TABLE3_TOL_GEV for n in range(3)]
                 waves.append(PartialWave(
-                    f"{flavor} ell={ell}", cornell_params(flavor, ell), TABLE3_N, TABLE3_SIGMA,
-                    3, physical_scales(flavor), tuple(zip(TABLE3_MASS_GEV[flavor][ell], tols))))
+                    f"{flavor} ell={ell}", Problem(ell=ell, alpha=CORNELL_ALPHA, s=scales.s),
+                    TABLE3_N, TABLE3_SIGMA, 3, scales, tuple(zip(masses, tols))))
     else:
         raise ValueError(f"stored campaigns are tables 1, 2 and 3, got {table!r}")
     return waves

@@ -78,8 +78,8 @@ def test_criterion_3_coulomb_benchmark():
     mu_a = 1.0 / (2.0 * refs.TABLE1_S)
     worst = 0.0
     for ell in range(4):
-        levels, complete = mom.solve_levels(refs.coulomb_params(ell),
-                                            refs.TABLE1_N, sigma, 5)
+        problem = Problem(ell=ell, alpha=refs.TABLE1_ALPHA, linear=False, s=refs.TABLE1_S)
+        levels, complete = mom.solve_levels(problem, refs.TABLE1_N, sigma, 5)
         assert complete
         for lv in levels:
             exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, mu_a)
@@ -96,7 +96,7 @@ def test_criterion_4_linear_potential_rows():
     for ell, row in refs.TABLE2_EXACT.items():
         N = refs.TABLE2_N[ell]
         sigma = refs.TABLE2_SIGMA[ell]
-        levels, complete = mom.solve_levels(refs.linear_params(ell), N, sigma, 5)
+        levels, complete = mom.solve_levels(Problem(ell=ell), N, sigma, 5)
         assert complete
         for lv in levels:
             worst = max(worst, abs(lv.epsilon - row[lv.n]))
@@ -114,7 +114,7 @@ def test_criterion_5_quarkonium_masses():
     for flavor in ("charm", "bottom"):
         scales = refs.physical_scales(flavor)
         for ell in range(3):
-            params = refs.cornell_params(flavor, ell)
+            params = Problem(ell=ell, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales(flavor).s)
             levels, complete = mom.solve_levels(params, refs.TABLE3_N, sigma, 3)
             assert complete
             for lv in levels:
@@ -143,10 +143,10 @@ def test_criterion_6_cross_solver_agreement():
     for ell in refs.TABLE2_EXACT:
         N = refs.TABLE2_N[ell]
         sigma = refs.TABLE2_SIGMA[ell]
-        levels, complete = mom.solve_levels(refs.linear_params(ell), N, sigma, 5)
+        levels, complete = mom.solve_levels(Problem(ell=ell), N, sigma, 5)
         assert complete
         for lv in levels:
-            eps_r = radial.solve_radial(refs.linear_params(ell), lv.n)
+            eps_r = radial.solve_radial(Problem(ell=ell), lv.n)
             worst = max(worst, abs(lv.epsilon - eps_r))
     report(6, worst <= 1e-5,
            f"momentum vs coordinate on all 20 linear configs: worst "
@@ -161,13 +161,13 @@ def test_criterion_7_scaling_law():
     worst = 0.0
     for s in (0.5, 2.0):
         sigma = 0.5 * s ** (-1.0 / 3.0)
-        levels, complete = mom.solve_levels(refs.linear_params(0, s), 300,
+        levels, complete = mom.solve_levels(Problem(ell=0, s=s), 300,
                                             sigma, 5)
         assert complete
         for lv, base in zip(levels, exact_base):
             worst = max(worst, abs(lv.epsilon / (s ** (1.0 / 3.0) * base) - 1.0))
         # the independent coordinate solver confirms the exponent
-        eps_r = radial.solve_radial(refs.linear_params(0, s), 0)
+        eps_r = radial.solve_radial(Problem(ell=0, s=s), 0)
         assert abs(eps_r / (s ** (1.0 / 3.0) * exact_base[0]) - 1.0) < 1e-10
     report(7, worst <= 1e-6,
            f"eps(0,s,0) = s^(1/3) eps(0,1,0) at s in {{0.5, 2}}: worst rel "
@@ -182,8 +182,8 @@ def test_criterion_8_convergence_behavior():
     for N in (40, 80):
         sigma = refs.TABLE1_SIGMA
         for ell in range(4):
-            levels, complete = mom.solve_levels(refs.coulomb_params(ell), N,
-                                                sigma, 5)
+            problem = Problem(ell=ell, alpha=refs.TABLE1_ALPHA, linear=False, s=refs.TABLE1_S)
+            levels, complete = mom.solve_levels(problem, N, sigma, 5)
             assert complete
             for lv in levels:
                 exact = radial.hydrogen_energy(lv.n, ell, refs.TABLE1_ALPHA, mu_a)
@@ -192,7 +192,7 @@ def test_criterion_8_convergence_behavior():
                     for ell in range(4) for n in range(5))
 
     # linear: |eps_N - eps_2N| non-increasing from N=50 onward
-    eps = [[lv.epsilon for lv in mom.solve_levels(refs.linear_params(0), N, 0.5, 5)[0]]
+    eps = [[lv.epsilon for lv in mom.solve_levels(Problem(ell=0), N, 0.5, 5)[0]]
            for N in (50, 100, 200, 400)]
     diffs = np.abs(np.diff(eps, axis=0))
     monotone = bool(np.all(diffs[1:] <= diffs[:-1]))

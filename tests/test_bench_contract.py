@@ -16,6 +16,7 @@ import pytest
 import chebquark
 from chebquark import cheb, cli, momentum, radial
 from chebquark import references as refs
+from chebquark.kernels import Problem
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,5 +84,6 @@ def test_solve_calls_through_the_probed_attributes(monkeypatch):
 
         monkeypatch.setattr(mod, attr, counted)
     monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
-    momentum.solve_levels(refs.cornell_params("charm", 2), 40, 1.0, 3)
+    problem = Problem(ell=2, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("charm").s)
+    momentum.solve_levels(problem, 40, 1.0, 3)
     assert calls == want

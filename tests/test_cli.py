@@ -14,6 +14,7 @@ import pytest
 from chebquark import cheb, cli, radial
 from chebquark import momentum as mom
 from chebquark import references as refs
+from chebquark.kernels import Problem
 
 
 class TestParseConfig:
@@ -86,7 +87,7 @@ class TestParseConfig:
     def test_default_section_is_merged(self, text):
         (wave,) = cli.build_config(cli.read_config(text)).waves
         assert (wave.N, wave.levels) == (40, 1)
-        assert wave.problem == refs.coulomb_params(0, alpha=1.0, s=1.0)
+        assert wave.problem == Problem(ell=0, alpha=1.0, linear=False, s=1.0)
 
     def test_default_section_key_repeated_elsewhere_rejected(self):
         with pytest.raises(cli.ConfigError, match="duplicate key 'N'"):

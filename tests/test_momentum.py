@@ -49,14 +49,14 @@ class TestMapping:
             with pytest.raises(ValueError):
                 mom.mapped_nodes(t, sigma)
             with pytest.raises(ValueError):
-                mom.solve_levels(refs.linear_params(0), 8, sigma, 1)
+                mom.solve_levels(Problem(ell=0), 8, sigma, 1)
 
     def test_rejects_non_integral_order(self):
         # also once the grid of the integral order is cached
-        mom.solve_levels(refs.linear_params(0), 80, 1.0, 2)
+        mom.solve_levels(Problem(ell=0), 80, 1.0, 2)
         for N in (80.0, 80.7):
             with pytest.raises(ValueError):
-                mom.solve_levels(refs.linear_params(0), N, 1.0, 2)
+                mom.solve_levels(Problem(ell=0), N, 1.0, 2)
 
 
 class TestParams:
@@ -190,7 +190,7 @@ class TestAssembly:
         for ell in (0, 2, 7):
             tracemalloc.start()
             try:
-                mom.solve_levels(refs.linear_params(ell), N, 1.0, 5)
+                mom.solve_levels(Problem(ell=ell), N, 1.0, 5)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -202,7 +202,8 @@ class TestAssembly:
         # rule, which the solve wrote into H: 4.4 bytes * N^2 with the nodes and weights
         monkeypatch.setattr(cheb, "chebyshev_grid", functools.lru_cache(cheb.ChebGrid))
         N = 40
-        mom.solve_levels(refs.cornell_params("charm", 2), N, 1.0, 3)
+        problem = Problem(ell=2, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("charm").s)
+        mom.solve_levels(problem, N, 1.0, 3)
         grid = cheb.chebyshev_grid(N)
         assert sorted(vars(grid)) == ["N", "nodes", "plain_weights", "q0_table"]
         assert grid.q0_table.shape == ((N + 1) // 2, N)
@@ -213,9 +214,9 @@ class TestAssembly:
 
     def test_grid_cache_holds_one_mesh_order(self):
         # a solve at a new mesh order frees the previous order's grid and rules
-        mom.solve_levels(refs.linear_params(0), 60, 1.0, 2)
+        mom.solve_levels(Problem(ell=0), 60, 1.0, 2)
         old = weakref.ref(cheb.chebyshev_grid(60))
-        mom.solve_levels(refs.linear_params(0), 80, 1.0, 2)
+        mom.solve_levels(Problem(ell=0), 80, 1.0, 2)
         gc.collect()
         assert old() is None
         assert cheb.chebyshev_grid.cache_info().currsize == 1
@@ -251,7 +252,7 @@ class TestAssembly:
             return assemble(problem, grid, sigma, x, J, rows, pole)
 
         monkeypatch.setattr(mom, "assemble_potential", recording)
-        mom.solve_levels(refs.linear_params(2), N, 1.0, 3)
+        mom.solve_levels(Problem(ell=2), N, 1.0, 3)
         want = cheb.pv_weight_table(cheb.chebyshev_grid(N), pole=True)
         assert np.array_equal(np.vstack(read), want)
 
@@ -291,7 +292,7 @@ class TestSpectrum:
 
     def test_dense_path_leaves_its_input_unchanged(self):
         # the Arnoldi path factors its input in place; the dense one copies it
-        params, N = refs.linear_params(2), mom.ARNOLDI_MIN_N - 1
+        params, N = Problem(ell=2), mom.ARNOLDI_MIN_N - 1
         grid = cheb.chebyshev_grid(N)
         x, J = mom.mapped_nodes(grid.nodes, 1.0)
         Hs = scaled_hamiltonian(params, grid, 1.0, x, J)
@@ -307,7 +308,7 @@ class TestSpectrum:
         # ARPACK with that k from there on
         dense, eig = [], np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda A: dense.append(len(A)) or eig(A))
-        params, k = refs.linear_params(0), 7
+        params, k = Problem(ell=0), 7
         grid = cheb.chebyshev_grid(N)
         Hs = scaled_hamiltonian(params, grid, 1.0, *mom.mapped_nodes(grid.nodes, 1.0))
         mom.solve_spectrum(Hs, mom.similarity_scale(grid), mom.spectrum_floor(params), k)
@@ -333,19 +334,19 @@ class TestSpectrum:
 
     def test_hydrogen_ground_state(self):
         # alpha = 1, 2 mu a = 1: eps_0 = -(mu a) alpha^2/2 = -0.25
-        levels, ok = mom.solve_levels(refs.coulomb_params(0), 80,
+        levels, ok = mom.solve_levels(Problem(ell=0, alpha=1.0, linear=False), 80,
                                       0.5, count=3)
         assert ok
         assert abs(levels[0].epsilon + 0.25) < 1e-9
 
     def test_linear_ell0_n300(self):
-        levels, ok = mom.solve_levels(refs.linear_params(0), 300,
+        levels, ok = mom.solve_levels(Problem(ell=0), 300,
                                       0.5, count=1)
         assert ok
         assert abs(levels[0].epsilon - 2.338107) < 2e-6
 
     def test_linear_ell1_row(self):
-        levels, ok = mom.solve_levels(refs.linear_params(1), 100,
+        levels, ok = mom.solve_levels(Problem(ell=1), 100,
                                       1.0, count=5)
         assert ok
         for lv, exact in zip(levels, refs.TABLE2_EXACT[1]):
@@ -353,20 +354,20 @@ class TestSpectrum:
 
     def test_hydrogenic_degeneracy(self):
         m = 0.5
-        l0, _ = mom.solve_levels(refs.coulomb_params(0), 80, m, 2)
-        l1, _ = mom.solve_levels(refs.coulomb_params(1), 80, m, 1)
+        l0, _ = mom.solve_levels(Problem(ell=0, alpha=1.0, linear=False), 80, m, 2)
+        l1, _ = mom.solve_levels(Problem(ell=1, alpha=1.0, linear=False), 80, m, 1)
         assert abs(l0[1].epsilon / l1[0].epsilon - 1.0) < 1e-9
 
     def test_ground_state_increases_with_ell(self):
         eps = []
         for ell in range(4):
-            levels, _ = mom.solve_levels(refs.linear_params(ell), 80,
+            levels, _ = mom.solve_levels(Problem(ell=ell), 80,
                                          1.0, 1)
             eps.append(levels[0].epsilon)
         assert all(a < b for a, b in zip(eps, eps[1:]))
 
     def test_accepted_levels_real_positive_distinct(self, spectra):
-        levels, ok = mom.solve_levels(refs.linear_params(2), 100,
+        levels, ok = mom.solve_levels(Problem(ell=2), 100,
                                       1.0, 5)
         assert ok
         eps = [lv.epsilon for lv in levels]
@@ -377,7 +378,7 @@ class TestSpectrum:
     def test_normalization(self):
         grid = cheb.chebyshev_grid(100)
         # in the caller's momenta x also where the solve runs in natural units (s != 1)
-        for problem, sigma in ((refs.linear_params(0), 1.0), (refs.linear_params(2, 0.03), 2.0),
+        for problem, sigma in ((Problem(ell=0), 1.0), (Problem(ell=2, s=0.03), 2.0),
                                (Problem(alpha=1e-8, linear=False, s=3.0), 2e-9)):
             levels, _ = mom.solve_levels(problem, 100, sigma, 2)
             x, J = mom.mapped_nodes(grid.nodes, sigma)
@@ -385,6 +386,25 @@ class TestSpectrum:
             for lv in levels:
                 norm = np.sum(grid.plain_weights * J * x * x * lv.mesh_values**2)
                 assert abs(norm - 1.0) < 1e-10
+
+    # the rescale to the caller's units makes fresh arrays; dense QR runs at N 40, ARPACK at 100
+    @pytest.mark.parametrize("N", (40, mom.ARNOLDI_MIN_N))
+    def test_mesh_values_are_read_only(self, N):
+        levels, ok = mom.solve_levels(Problem(ell=1, s=0.03), N, 1.0, 3)
+        assert ok
+        for lv in levels:
+            assert not lv.mesh_values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                lv.mesh_values[0] = 0.0
+
+    def test_levels_compare_by_identity_and_hash(self):
+        # two solves give equal fields but distinct arrays, which a field-wise == cannot compare
+        (a,), _ = mom.solve_levels(Problem(ell=0), 40, 1.0, 1)
+        (b,), _ = mom.solve_levels(Problem(ell=0), 40, 1.0, 1)
+        assert (a.ell, a.n, a.epsilon) == (b.ell, b.n, b.epsilon)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
 
 
 def select_all_then_sort(eigenpairs, params, grid, sigma, count):
@@ -460,11 +480,12 @@ def assert_same_levels(got, want):
 
 
 SELECTION_CASES = {
-    "coulomb": (refs.coulomb_params, 0.5),
-    "linear": (refs.linear_params, 1.0),
-    "cornell": (functools.partial(refs.cornell_params, "charm"), 1.0),
-    "salpeter": (functools.partial(refs.cornell_params, "bottom",
-                                   kinetic="salpeter"), 1.0),
+    "coulomb": (functools.partial(Problem, alpha=1.0, linear=False), 0.5),
+    "linear": (Problem, 1.0),
+    "cornell": (functools.partial(Problem, alpha=refs.CORNELL_ALPHA,
+                                  s=refs.physical_scales("charm").s), 1.0),
+    "salpeter": (functools.partial(Problem, alpha=refs.CORNELL_ALPHA,
+                                   s=refs.physical_scales("bottom").s, kinetic="salpeter"), 1.0),
 }
 
 
@@ -530,7 +551,7 @@ class TestSelection:
         sigma = 1.0
         for ell in range(4):
             before = calls["assemble"]
-            mom.solve_levels(refs.linear_params(ell), 40, sigma, 3)
+            mom.solve_levels(Problem(ell=ell), 40, sigma, 3)
             assert calls["assemble"] == before + 1
             # no term of the linear ell = 0 kernel reads the log table
             if ell == 0:
@@ -538,7 +559,7 @@ class TestSelection:
             assert calls["pv"] == ell + 1
         assert calls == {"assemble": 4, "pv": 4, "pv_moments": 0, "log": 1}
         # pure Coulomb has no double pole, so it builds no principal value table
-        mom.solve_levels(refs.coulomb_params(0), 50, sigma, 1)
+        mom.solve_levels(Problem(ell=0, alpha=1.0, linear=False), 50, sigma, 1)
         assert calls == {"assemble": 5, "pv": 4, "pv_moments": 0, "log": 2}
 
 
@@ -678,7 +699,7 @@ class TestArnoldi:
         # the dense QR levels are off by 2.8e-3 (ell = 4) and over 0.1
         # (ell = 6) here: its normwise backward error meets the z^ell
         # kernel corners
-        levels, ok = mom.solve_levels(refs.linear_params(ell), N, 1.0, 5)
+        levels, ok = mom.solve_levels(Problem(ell=ell), N, 1.0, 5)
         assert ok
         for lv in levels:
             assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-9
@@ -692,7 +713,7 @@ class TestArnoldi:
         # ell 3; shifted at -1/(4 (ell + 1)^2) none is.  ell 3 n 0-3 are
         # within 7e-10; n 4 (4.8e-9 or 1.1e-8 with one or two BLAS threads)
         # and ell 4 (8.6e-7 at n 2) are off the 1e-8 tolerance (CHANGES.md FOUND 60)
-        levels, ok = mom.solve_levels(refs.coulomb_params(ell), 800, 0.5, count)
+        levels, ok = mom.solve_levels(Problem(ell=ell, alpha=1.0, linear=False), 800, 0.5, count)
         assert ok and arpack_runs == [count + 2] and eigensolves == [count + 1]
         if ell == 3:
             for lv in levels[:4]:
@@ -735,7 +756,7 @@ class TestArnoldi:
             monkeypatch.setattr(scipy.sparse.linalg, "eigs", {
                 "arpack": arpack_error, "no-convergence": no_convergence,
                 "disc": too_few}[rejection])
-        params, N, count = refs.linear_params(2), mom.ARNOLDI_MIN_N, 5
+        params, N, count = Problem(ell=2), mom.ARNOLDI_MIN_N, 5
         levels, complete = mom.solve_levels(params, N, 1.0, count)
         assert not complete
         if rejection != "disc":
@@ -781,7 +802,7 @@ class TestArnoldi:
         # the eigensolvers return a real eigenvalue of a real matrix with an
         # imaginary part of exactly 0; here a pair -3.9e-8 +- 1.0e-8 i lies
         # next to the real ones and must not be printed as n = 0 and n = 1
-        levels, _ = mom.solve_levels(refs.linear_params(20), 80, 1.0, 2)
+        levels, _ = mom.solve_levels(Problem(ell=20), 80, 1.0, 2)
         assert levels
         assert_real_eigenvalues(levels, spectra)
 
@@ -797,15 +818,15 @@ class TestArnoldi:
         monkeypatch.setattr(np.linalg, "eig", lambda A: dense.append(len(A)) or eig(A))
         N = mom.ARNOLDI_MIN_N
         for count in (1, 5, N - 5):
-            mom.solve_levels(refs.linear_params(0), N - 1, 1.0, count)
+            mom.solve_levels(Problem(ell=0), N - 1, 1.0, count)
         # ARPACK needs k = count + 2 < N - 1, which holds up to the largest count, N - 4
         for count in (1, 5, N - 4):
-            mom.solve_levels(refs.linear_params(0), N, 1.0, count)
+            mom.solve_levels(Problem(ell=0), N, 1.0, count)
         assert dense == [N - 1] * 3
         assert arpack_runs == [3, 7, N - 2]
         assert eigensolves == [N - 1] * 3 + [2, 6, N - 3]
         with pytest.raises(ValueError, match="from 1 to N - 4"):
-            mom.solve_levels(refs.linear_params(0), N, 1.0, N - 3)
+            mom.solve_levels(Problem(ell=0), N, 1.0, N - 3)
 
     @pytest.mark.parametrize("N", (80, 100))
     def test_count_outside_one_to_n_minus_four_is_refused_before_the_grid(
@@ -818,20 +839,20 @@ class TestArnoldi:
         monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
         for count in (0, N - 3):
             with pytest.raises(ValueError, match=f"from 1 to N - 4 = {N - 4}, got {count}$"):
-                mom.solve_levels(refs.linear_params(0), N, 1.0, count)
+                mom.solve_levels(Problem(ell=0), N, 1.0, count)
         assert eigensolves == []
 
 
 @functools.cache
 def radial_level(ell, n):
-    return radial.solve_radial(refs.linear_params(ell), n)
+    return radial.solve_radial(Problem(ell=ell), n)
 
 
 class TestFiniteParts:
     """Linear levels the differentiation-matrix elimination lost to rounding."""
 
     def test_linear_ell2_large_mesh(self):
-        levels, ok = mom.solve_levels(refs.linear_params(2), 800, 1.0, 5)
+        levels, ok = mom.solve_levels(Problem(ell=2), 800, 1.0, 5)
         assert ok
         for lv, exact in zip(levels, refs.TABLE2_EXACT[2], strict=True):
             assert abs(lv.epsilon - exact) < 2e-6
@@ -839,7 +860,7 @@ class TestFiniteParts:
     @pytest.mark.parametrize("sigma", (1.0, 4.0))
     @pytest.mark.parametrize("ell", (4, 5, 6))
     def test_high_ell_matches_radial(self, ell, sigma):
-        levels, ok = mom.solve_levels(refs.linear_params(ell), 120, sigma, 5)
+        levels, ok = mom.solve_levels(Problem(ell=ell), 120, sigma, 5)
         assert ok
         for lv in levels:
             assert abs(lv.epsilon - radial_level(ell, lv.n)) < 1e-8
@@ -849,7 +870,7 @@ class TestWavefunction:
     def setup_method(self):
         self.sigma = 1.0
         self.grid = cheb.chebyshev_grid(100)
-        self.levels, ok = mom.solve_levels(refs.linear_params(1), 100,
+        self.levels, ok = mom.solve_levels(Problem(ell=1), 100,
                                            self.sigma, 4)
         assert ok
 
@@ -883,7 +904,7 @@ class TestScanAndScaling:
         # and is within the table tolerance already at N = 50
         exact = radial.airy_reference(1)
         for N, published in ((50, 2.338034), (100, 2.338099)):
-            levels, _ = mom.solve_levels(refs.linear_params(0), N, 0.5, 1)
+            levels, _ = mom.solve_levels(Problem(ell=0), N, 0.5, 1)
             err = abs(levels[0].epsilon - exact)
             assert err <= abs(published - exact) and err < 2e-6
 
@@ -893,9 +914,9 @@ class TestScanAndScaling:
         # by 1.8e-12 relative under rounding here, 3e-10 at s = 1e4
         for ell, s in itertools.product(range(4), (0.5, 2.0, 1e-8, 1e-4, 1e4)):
             levels, complete = mom.solve_levels(
-                refs.linear_params(ell, s), 200,
+                Problem(ell=ell, s=s), 200,
                 0.5 * s ** (-1.0 / 3.0), 3)
-            base, _ = mom.solve_levels(refs.linear_params(ell), 200,
+            base, _ = mom.solve_levels(Problem(ell=ell), 200,
                                        0.5, 3)
             assert complete
             for a, b in zip(levels, base, strict=True):
@@ -905,7 +926,7 @@ class TestScanAndScaling:
         # dimensionless energies of the quarkonium campaign vs the
         # coordinate solver, in units of sqrt(beta)
         for flavor in ("charm", "bottom"):
-            params = refs.cornell_params(flavor, 1)
+            params = Problem(ell=1, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales(flavor).s)
             levels, _ = mom.solve_levels(params, 80, 1.0, 2)
             for lv in levels:
                 eps_r = radial.solve_radial(params, lv.n)

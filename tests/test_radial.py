@@ -136,15 +136,15 @@ class TestShooting:
 
 
 PRUFER_CASES = (
-    (refs.linear_params(0), 0),
-    (refs.linear_params(0), 1),
-    (refs.linear_params(4), 4),
-    (refs.linear_params(12), 0),
-    (refs.coulomb_params(1), 1),
-    (refs.coulomb_params(2), 0),
-    (refs.coulomb_params(0), 4),
-    (refs.cornell_params("charm", 0), 0),
-    (refs.cornell_params("bottom", 2), 2),
+    (Problem(ell=0), 0),
+    (Problem(ell=0), 1),
+    (Problem(ell=4), 4),
+    (Problem(ell=12), 0),
+    (Problem(ell=1, alpha=1.0, linear=False), 1),
+    (Problem(ell=2, alpha=1.0, linear=False), 0),
+    (Problem(ell=0, alpha=1.0, linear=False), 4),
+    (Problem(ell=0, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("charm").s), 0),
+    (Problem(ell=2, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("bottom").s), 2),
 )
 PRUFER_IDS = ("linear-l0-n0", "linear-l0-n1", "linear-l4-n4", "linear-l12-n0", "coulomb-l1-n1",
               "coulomb-l2-n0", "coulomb-l0-n4", "charm-l0-n0", "bottom-l2-n2")
@@ -162,14 +162,14 @@ class TestPruferOracle:
     # n = 2) here, so these levels come from N = 50 checked by N = 60
     @pytest.mark.parametrize("ell, n", ((20, 4), (30, 2)))
     def test_high_ell(self, ell, n):
-        problem = refs.linear_params(ell)
+        problem = Problem(ell=ell)
         eps = radial.solve_radial(problem, n)
         assert abs(eps / prufer.solve_radial(problem, n) - 1.0) <= 1e-9
 
     # radial's domain end does not truncate the level: on a domain that reaches past
     # it and past the oracle's own end, the same mesh order gives the same level
     @pytest.mark.parametrize("problem, n", (
-        *PRUFER_CASES, (refs.linear_params(20), 4), (refs.linear_params(30), 2),
+        *PRUFER_CASES, (Problem(ell=20), 4), (Problem(ell=30), 2),
     ), ids=(*PRUFER_IDS, "linear-l20-n4", "linear-l30-n2"))
     def test_domain_reaches_past_radials(self, problem, n):
         eps = radial.solve_radial(problem, n)
@@ -269,9 +269,9 @@ class TestMesh:
     # a level is one symmetric eigenvalue: the radial solver runs no general eigensolver,
     # and no np.roots, which costs 27 us a call and holds its own reference to eigvals
     @pytest.mark.parametrize("problem, n", (
-        (refs.linear_params(2), 1),
-        (refs.coulomb_params(1), 2),
-        (refs.cornell_params("charm", 1), 0),
+        (Problem(ell=2), 1),
+        (Problem(ell=1, alpha=1.0, linear=False), 2),
+        (Problem(ell=1, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("charm").s), 0),
     ), ids=("linear", "coulomb", "cornell"))
     def test_solve_calls_no_general_eigensolver(self, problem, n, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -287,9 +287,11 @@ class TestMesh:
         code = ("import sys\n"
                 "from chebquark import radial\n"
                 "from chebquark import references as refs\n"
-                "radial.solve_radial(refs.linear_params(2), 1)\n"
-                "radial.solve_radial(refs.coulomb_params(1), 2)\n"
-                "radial.solve_radial(refs.cornell_params('charm', 1), 0)\n"
+                "from chebquark.kernels import Problem\n"
+                "radial.solve_radial(Problem(ell=2), 1)\n"
+                "radial.solve_radial(Problem(ell=1, alpha=1.0, linear=False), 2)\n"
+                "radial.solve_radial(Problem(ell=1, alpha=refs.CORNELL_ALPHA,\n"
+                "                            s=refs.physical_scales('charm').s), 0)\n"
                 "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run([sys.executable, "-c", code],
@@ -305,7 +307,7 @@ class TestMeshRobustness:
         # 8- to 12-point meshes cannot resolve a level to 1e-9
         monkeypatch.setattr(radial, "_ORDERS", (8, 10, 12))
         with pytest.raises(RuntimeError, match="no two agreeing values"):
-            radial.solve_radial(refs.linear_params(0), 0)
+            radial.solve_radial(Problem(ell=0), 0)
 
     def test_compare_reports_disagreeing_orders(self, monkeypatch):
         monkeypatch.setattr(radial, "_ORDERS", (8, 10, 12))
@@ -323,11 +325,11 @@ class TestMeshRobustness:
         monkeypatch.setattr(radial, "_level",
                             lambda problem, n, N, r_end: level(problem, n + 1, N, r_end))
         with pytest.raises(RuntimeError, match="outside its Coulomb bracket"):
-            radial.solve_radial(refs.coulomb_params(0), 0)
+            radial.solve_radial(Problem(ell=0, alpha=1.0, linear=False), 0)
 
     def test_level_beyond_the_mesh_raises(self):
         with pytest.raises(RuntimeError, match="beyond the 40-point mesh"):
-            radial.solve_radial(refs.linear_params(0), 40)
+            radial.solve_radial(Problem(ell=0), 40)
 
     # the domain of `_r_max` has margins in absolute lengths; taken in the
     # problem's natural units these levels come back, within 6e-12
@@ -339,7 +341,7 @@ class TestMeshRobustness:
 
     def test_extreme_s_linear_ell2(self):
         # eps(ell, s, 0) = s^(1/3) eps(ell, 1, 0), with the shooting oracle at s = 1
-        ref = prufer.solve_radial(refs.linear_params(2), 2)
+        ref = prufer.solve_radial(Problem(ell=2), 2)
         for s in (1e-4, 1e4):
             eps = radial.solve_radial(Problem(ell=2, alpha=0.0, linear=True, s=s), 2)
             assert abs(eps / (s ** (1.0 / 3.0) * ref) - 1.0) <= 1e-9
