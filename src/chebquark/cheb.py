@@ -16,18 +16,39 @@ pv_weight_table); the log weights and the PV weights at one point are a
 DCT-III of Chebyshev moments from recurrences bounded on [-1, 1], the PV
 moments from a single one.  Tables at the exactly odd mesh are computed on
 their top ceil(N/2) rows and mirrored, and the log tables keep those rows alone.
+
+The two rules a solve reads, ChebGrid.q0_table and the double-pole rule of
+ChebGrid.pole_rule, depend on N alone, so each is built once per mesh order and
+kept in a table store on disk, $XDG_CACHE_HOME/chebquark (~/.cache/chebquark
+when that is unset), which later processes read instead of building.  A key
+directory holds the files of one build of them: its name is a crc32 of this
+file's bytes, numpy's version, numpy's runtime SIMD features and the byte order,
+which decide a table's last bits.  A file is the table's raw float64 bytes and
+is read only when it holds exactly the table's size.  The store keeps at most
+STORE_BYTES across all key directories, dropping the least recently used
+files first; any OSError on a read means a build and on a write no write, so
+the store changes no result and never raises.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+import os
+import sys
+import zlib
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 
 # Entries per row block of the N x N builds here and in momentum: the buffers
 # of a block stay in cache.
 BLOCK_ELEMENTS = 1 << 15
+
+# Bytes of tables the store keeps across all its key directories: the two rules of one
+# N = 4000 order (MAX_N) take 192 MB, those of one N = 800 order 7.7 MB.
+STORE_BYTES = 256 << 20
 
 
 def row_blocks(n, width):
@@ -68,15 +89,26 @@ class ChebGrid:
     @cached_property
     def q0_table(self):
         """Top ceil(N/2) rows of the rule for log|(1 - t_i t)/(t - t_i)|, centrosymmetric (see
-        q0_rows): Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i)."""
-        Q, t = log_weight_table(self), self.nodes
-        for b in row_blocks(len(Q), self.N):
-            L = np.multiply.outer(t[b], t)
-            np.subtract(1.0, L, out=L)
-            np.log(L, out=L)
-            L *= self.plain_weights
-            np.subtract(L, Q[b], out=Q[b])
+        q0_rows): Q[i, j] = w_j log(1 - t_i t_j) - Omega_j(t_i), from the store or built."""
+        name = f"q0-{self.N}"
+        Q = _load(name, ((self.N + 1) // 2, self.N))
+        if Q is None:
+            Q, t = log_weight_table(self), self.nodes
+            for b in row_blocks(len(Q), self.N):
+                L = np.multiply.outer(t[b], t)
+                np.subtract(1.0, L, out=L)
+                np.log(L, out=L)
+                L *= self.plain_weights
+                np.subtract(L, Q[b], out=Q[b])
+            _save(name, Q)
         return _read_only(Q)
+
+    def pole_rule(self, out):
+        """Write the double-pole rule pv_weight_table(self, pole=True) into the N x N array
+        `out`, read from the store or built there."""
+        name = f"pole-{self.N}"
+        if _load(name, out.shape, out) is None:
+            _save(name, pv_weight_table(self, pole=True, out=out))
 
     def q0_rows(self, start, stop):
         """Rows start..stop-1 of the whole rule Q as views: its top rows, then the bottom ones,
@@ -87,6 +119,77 @@ class ChebGrid:
 
     def __repr__(self):
         return f"ChebGrid(N={self.N})"
+
+
+@lru_cache(maxsize=1)
+def _store_key():
+    """Name of the key directory: a crc32 of what decides a stored table's bits."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    with open(__file__, "rb") as f:
+        source = f.read()
+    tag = f"{np.__version__} {simd} {sys.byteorder}".encode()
+    return f"{zlib.crc32(tag, zlib.crc32(source)):08x}"
+
+
+def _store_root():
+    """The store's directory, read from the environment on each call.  A relative one, which
+    the XDG rules ignore and `~` gives where no home is known, is a NotADirectoryError."""
+    root = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chebquark")
+    if not root.is_absolute():
+        raise NotADirectoryError(f"table store {root} is not an absolute path")
+    return root
+
+
+def _load(name, shape, out=None):
+    """The stored table `name` read into `out`, a new array by default, when its file holds
+    exactly the bytes of a float64 array of `shape`; else None.  A hit refreshes the file's
+    mtime, the store's last-use time.  No array is allocated for a miss: a large one freed
+    untouched raises glibc's mmap threshold, and later frees keep pages in the heap."""
+    try:
+        path = _store_root() / _store_key() / name
+        with open(path, "rb", buffering=0) as f:
+            if os.fstat(f.fileno()).st_size != 8 * math.prod(shape):
+                return None
+            out = np.empty(shape) if out is None else out
+            if f.readinto(out) != out.nbytes:
+                return None
+    except OSError:
+        return None
+    try:
+        os.utime(path)
+    except OSError:
+        pass
+    return out
+
+
+def _save(name, table):
+    """Store `table` as `name`, after dropping the least recently used files until the store
+    holds at most STORE_BYTES with it.  The bytes go to a per-process temporary name that is
+    then renamed, so no reader meets a torn file; any OSError leaves the write undone."""
+    if table.nbytes > STORE_BYTES:
+        return
+    try:
+        root = _store_root()
+        path = root / _store_key() / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        files = sorted((e.stat().st_mtime, e.stat().st_size, e.path)
+                       for d in os.scandir(root) if d.is_dir()
+                       for e in os.scandir(d) if e.path != str(path))
+        total = table.nbytes + sum(size for _, size, _ in files)
+        for _, size, old in files:
+            if total <= STORE_BYTES:
+                break
+            os.remove(old)
+            total -= size
+        temporary = path.with_name(f"{name}.{os.getpid()}.tmp")
+        try:
+            with open(temporary, "wb") as f:
+                f.write(table)
+            os.replace(temporary, path)
+        except OSError:
+            os.remove(temporary)    # a full disk keeps no partial file
+    except OSError:
+        pass
 
 
 def _read_only(a):
@@ -134,7 +237,8 @@ def chebyshev_grid(N):
     """Shared, immutable grid of order N, cached for one order at a time.
 
     A new order evicts the old grid before any of its tables are built, so a
-    caller who alternates N rebuilds them; solve N-major to build each once.
+    caller who alternates N reloads them from the table store (or rebuilds them
+    where it holds none); solve N-major to read each once.
     """
     return ChebGrid(N)
 

@@ -395,7 +395,7 @@ def solve_levels(problem, N, sigma=None, count=5):
         kinetic = kinetic_diagonal(unit, x)
         unscale = 1.0 / scale   # for powers of two, times 1/d rounds like the division
         if unit.linear:    # the double-pole rule, whose rows each block reads before it writes them
-            cheb.pv_weight_table(grid, pole=True, out=H)
+            grid.pole_rule(H)
         for rows in cheb.row_blocks(N, N):
             V = assemble_potential(unit, grid, sigma, x, J, rows, H[rows])
             V.flat[rows.start::N + 1] += kinetic[rows]

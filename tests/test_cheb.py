@@ -1,6 +1,9 @@
 """Mesh, interpolation, differentiation and quadrature rules."""
 
+import os
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +102,99 @@ class TestGrid:
         assert [i for b in slices for i in range(n)[b]] == list(range(n))
         step = max(1, cheb.BLOCK_ELEMENTS // width)
         assert all(b.step is None and b.start < b.stop <= b.start + step for b in slices)
+
+
+def stored(N, name="q0"):
+    return cheb._store_root() / cheb._store_key() / f"{name}-{N}"
+
+
+def no_build(grid):
+    raise AssertionError("the table store should have served this rule")
+
+
+@pytest.fixture
+def fresh_key():
+    # the key is computed once per process; recompute it around a test that changes it
+    cheb._store_key.cache_clear()
+    yield
+    cheb._store_key.cache_clear()
+
+
+class TestTableStore:
+    # every test starts from an empty store of its own (conftest.py)
+    @pytest.mark.parametrize("N", (80, 301))
+    def test_a_hit_is_the_build_bit_for_bit(self, N, monkeypatch):
+        built = cheb.ChebGrid(N).q0_table
+        assert stored(N).stat().st_size == built.nbytes
+        monkeypatch.setattr(cheb, "log_weight_table", no_build)
+        read = cheb.ChebGrid(N).q0_table
+        assert np.array_equal(read, built)
+        assert read.shape == ((N + 1) // 2, N)
+        assert read.flags.c_contiguous and not read.flags.writeable
+
+    def test_a_file_of_the_wrong_size_is_ignored_and_replaced(self):
+        N = 80
+        want = cheb.ChebGrid(N).q0_table
+        other = np.ones(want.size + 1).tobytes()
+        for size in (0, want.nbytes - 8, want.nbytes + 8):
+            stored(N).write_bytes(other[:size])
+            assert np.array_equal(cheb.ChebGrid(N).q0_table, want)
+            assert stored(N).read_bytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change", ("source", "numpy", "simd", "byteorder"))
+    def test_a_changed_key_reads_no_other_keys_file(self, change, tmp_path, monkeypatch,
+                                                    fresh_key):
+        # a file of the right size under the old key is never read under the new one
+        N = 40
+        want = cheb.ChebGrid(N).q0_table
+        old = stored(N)
+        old.write_bytes(np.ones(want.size).tobytes())
+        if change == "source":
+            source = tmp_path / "cheb.py"
+            source.write_bytes(Path(cheb.__file__).read_bytes() + b"\n")
+            monkeypatch.setattr(cheb, "__file__", str(source))
+        elif change == "numpy":
+            monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        elif change == "simd":
+            monkeypatch.setattr(np, "show_config",
+                                lambda mode: {"SIMD Extensions": {"found": ["OTHER"]}})
+        else:
+            monkeypatch.setattr(sys, "byteorder", {"little": "big"}.get(sys.byteorder, "little"))
+        cheb._store_key.cache_clear()
+        assert stored(N) != old
+        assert np.array_equal(cheb.ChebGrid(N).q0_table, want)
+        assert stored(N).read_bytes() == want.tobytes()
+
+    def test_eviction_keeps_the_budget_and_drops_the_least_recently_used_first(
+            self, monkeypatch):
+        # q0 rules of 6400, 7056, 7744 and 8464 bytes at N = 40, 42, 44 and 46, and a
+        # stale key's 100-byte file, the oldest
+        stale = cheb._store_root() / "stale-key" / "q0-99"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(bytes(100))
+        os.utime(stale, (500, 500))
+        for N in (40, 42, 44):
+            cheb.ChebGrid(N).q0_table
+            os.utime(stored(N), (1000 * N, 1000 * N))
+        monkeypatch.setattr(cheb, "STORE_BYTES", 23000)
+        cheb.ChebGrid(40).q0_table    # a hit makes N = 40 the most recently used
+        cheb.ChebGrid(46).q0_table
+        files = sorted(cheb._store_root().glob("*/*"))
+        assert files == sorted(stored(N) for N in (40, 44, 46))
+        assert sum(f.stat().st_size for f in files) == 22608
+        # a table larger than the whole budget is not stored, and evicts nothing
+        monkeypatch.setattr(cheb, "STORE_BYTES", 1000)
+        cheb.ChebGrid(48).q0_table
+        assert sorted(cheb._store_root().glob("*/*")) == files
+
+    def test_a_relative_root_is_no_store(self, tmp_path, monkeypatch):
+        # a relative XDG_CACHE_HOME (or "~" where no home is known) would write into the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        want = cheb.ChebGrid(40).q0_table
+        assert np.array_equal(cheb.ChebGrid(40).q0_table, want)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInterpolation:

@@ -526,8 +526,9 @@ class TestSelection:
         assert not complete
 
     def test_one_assembly_and_one_table_build_per_grid(self, monkeypatch):
-        # "pv" counts double-pole rule builds, one per linear solve, each written into
-        # its H; "log" counts log rule builds, the grid's one table, built once per grid;
+        # "pv" counts double-pole rule builds: the first linear solve at a mesh order
+        # builds it into its H and stores it, and the later ones read it into theirs;
+        # "log" counts log rule builds, the grid's one table, built once per grid;
         # none computes PV moments over the mesh
         calls = {"assemble": 0, "pv": 0, "pv_moments": 0, "log": 0}
 
@@ -556,11 +557,60 @@ class TestSelection:
             # no term of the linear ell = 0 kernel reads the log table
             if ell == 0:
                 assert calls == {"assemble": 1, "pv": 1, "pv_moments": 0, "log": 0}
-            assert calls["pv"] == ell + 1
-        assert calls == {"assemble": 4, "pv": 4, "pv_moments": 0, "log": 1}
+            assert calls["pv"] == 1
+        assert calls == {"assemble": 4, "pv": 1, "pv_moments": 0, "log": 1}
         # pure Coulomb has no double pole, so it builds no principal value table
         mom.solve_levels(Problem(ell=0, alpha=1.0, linear=False), 50, sigma, 1)
-        assert calls == {"assemble": 5, "pv": 4, "pv_moments": 0, "log": 2}
+        assert calls == {"assemble": 5, "pv": 1, "pv_moments": 0, "log": 2}
+
+
+class TestTableStore:
+    # every test starts from an empty store of its own (conftest.py)
+    @pytest.mark.parametrize("N", (80, 301, 800))
+    def test_a_second_process_reads_both_rules_and_builds_none(self, N, monkeypatch):
+        # a fresh grid stands for a new process: the first Cornell solve builds the log
+        # rule and the double-pole rule once each and stores them, the second builds
+        # neither, and both write the same rule into H and return the same levels
+        builds = {"pv": 0, "log": 0}
+        read = []
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                builds[key] += np.ndim(out) > 1
+                return out
+            return wrapped
+
+        def recording(problem, grid, sigma, x, J, rows, pole, _assemble=mom.assemble_potential):
+            read[-1].append(pole.copy())
+            return _assemble(problem, grid, sigma, x, J, rows, pole)
+
+        monkeypatch.setattr(cheb, "pv_weight_table", counting("pv", cheb.pv_weight_table))
+        monkeypatch.setattr(cheb, "_log_moments", counting("log", cheb._log_moments))
+        monkeypatch.setattr(mom, "assemble_potential", recording)
+        monkeypatch.setattr(cheb, "chebyshev_grid", cheb.ChebGrid)
+        problem = Problem(ell=2, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("charm").s)
+        runs = []
+        for want in ({"pv": 1, "log": 1}, {"pv": 1, "log": 1}):
+            read.append([])
+            runs.append(mom.solve_levels(problem, N, 1.0, 3))
+            assert builds == want
+        assert np.array_equal(np.vstack(read[1]), np.vstack(read[0]))
+        assert np.array_equal(np.vstack(read[0]), cheb.pv_weight_table(cheb.ChebGrid(N), pole=True))
+        assert_same_levels(runs[1], runs[0])
+
+    def test_an_unwritable_store_changes_no_level(self, tmp_path, monkeypatch):
+        # XDG_CACHE_HOME naming a regular file: every read and write fails, and the
+        # solve builds its rules as without a store
+        monkeypatch.setattr(cheb, "chebyshev_grid", cheb.ChebGrid)
+        problem = Problem(ell=1, alpha=refs.CORNELL_ALPHA, s=refs.physical_scales("charm").s)
+        want = mom.solve_levels(problem, 100, 1.0, 3)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for _ in range(2):
+            assert_same_levels(mom.solve_levels(problem, 100, 1.0, 3), want)
+        assert blocker.read_bytes() == b""
 
 
 # LAPACK geev as numpy exposes it, taken before any fixture wraps numpy.linalg.eig
