@@ -4,6 +4,7 @@ import os
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,7 +106,12 @@ class TestGrid:
 
 
 def stored(N, name="q0"):
-    return cheb._store_root() / cheb._store_key() / f"{name}-{N}"
+    return Path(cheb._store_root(), cheb._store_key(), f"{name}-{N}")
+
+
+def file_bytes(table):
+    # a stored file: the table's bytes, then the complement of the sum of its words
+    return table.tobytes() + (~table.view(np.uint64).sum(dtype=np.uint64)).tobytes()
 
 
 def no_build(grid):
@@ -125,51 +131,71 @@ class TestTableStore:
     @pytest.mark.parametrize("N", (80, 301))
     def test_a_hit_is_the_build_bit_for_bit(self, N, monkeypatch):
         built = cheb.ChebGrid(N).q0_table
-        assert stored(N).stat().st_size == built.nbytes
+        assert stored(N).read_bytes() == file_bytes(built)
         monkeypatch.setattr(cheb, "log_weight_table", no_build)
         read = cheb.ChebGrid(N).q0_table
         assert np.array_equal(read, built)
         assert read.shape == ((N + 1) // 2, N)
         assert read.flags.c_contiguous and not read.flags.writeable
 
-    def test_a_file_of_the_wrong_size_is_ignored_and_replaced(self):
+    def test_a_file_of_the_wrong_size_or_sum_is_ignored_and_replaced(self):
+        # short, long, zeroed (as a crash can leave it), a table changed in one entry, or a
+        # good file with bytes after it
         N = 80
         want = cheb.ChebGrid(N).q0_table
-        other = np.ones(want.size + 1).tobytes()
-        for size in (0, want.nbytes - 8, want.nbytes + 8):
-            stored(N).write_bytes(other[:size])
+        other = np.ones(want.size + 2).tobytes()
+        changed = want.copy()
+        changed[3, 5] = np.nextafter(changed[3, 5], 1.0)
+        bad = [other[:size] for size in (0, want.nbytes, want.nbytes + 16)]
+        bad += [bytes(want.nbytes + 8), changed.tobytes() + file_bytes(want)[-8:],
+                file_bytes(want) + bytes(8)]
+        for content in bad:
+            stored(N).write_bytes(content)
             assert np.array_equal(cheb.ChebGrid(N).q0_table, want)
-            assert stored(N).read_bytes() == want.tobytes()
+            assert stored(N).read_bytes() == file_bytes(want)
 
-    @pytest.mark.parametrize("change", ("source", "numpy", "simd", "byteorder"))
+    @pytest.mark.parametrize("change", ("source-mtime", "source-size", "numpy", "simd", "blas",
+                                        "libc", "byteorder", "host"))
     def test_a_changed_key_reads_no_other_keys_file(self, change, tmp_path, monkeypatch,
                                                     fresh_key):
-        # a file of the right size under the old key is never read under the new one
+        # a well-formed file under the old key is never read under the new one
         N = 40
         want = cheb.ChebGrid(N).q0_table
         old = stored(N)
-        old.write_bytes(np.ones(want.size).tobytes())
-        if change == "source":
+        old.write_bytes(file_bytes(np.ones_like(want)))
+        if change.startswith("source"):
+            # an edit of the same size with a new mtime, or one byte more with the same mtime
             source = tmp_path / "cheb.py"
-            source.write_bytes(Path(cheb.__file__).read_bytes() + b"\n")
+            text = Path(cheb.__file__).read_bytes()
+            source.write_bytes(text if change == "source-mtime" else text + b"\n")
+            mtime = os.stat(cheb.__file__).st_mtime_ns
+            os.utime(source, ns=(mtime, mtime + 10 ** 9 * (change == "source-mtime")))
             monkeypatch.setattr(cheb, "__file__", str(source))
         elif change == "numpy":
             monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
-        elif change == "simd":
-            monkeypatch.setattr(np, "show_config",
-                                lambda mode: {"SIMD Extensions": {"found": ["OTHER"]}})
-        else:
+        elif change in ("simd", "blas"):
+            config = np.show_config(mode="dicts")
+            other = {"simd": {"SIMD Extensions": {"found": ["OTHER"]}},
+                     "blas": {"Build Dependencies": {"blas": {
+                         **config["Build Dependencies"]["blas"], "version": "other"}}}}
+            monkeypatch.setattr(np, "show_config", lambda mode: {**config, **other[change]})
+        elif change == "libc":
+            monkeypatch.setattr(os, "confstr", lambda name: "glibc 0.0", raising=False)
+        elif change == "byteorder":
             monkeypatch.setattr(sys, "byteorder", {"little": "big"}.get(sys.byteorder, "little"))
+        else:
+            monkeypatch.setattr(os, "uname", lambda: SimpleNamespace(nodename="other-host"),
+                                raising=False)
         cheb._store_key.cache_clear()
         assert stored(N) != old
         assert np.array_equal(cheb.ChebGrid(N).q0_table, want)
-        assert stored(N).read_bytes() == want.tobytes()
+        assert stored(N).read_bytes() == file_bytes(want)
 
     def test_eviction_keeps_the_budget_and_drops_the_least_recently_used_first(
             self, monkeypatch):
-        # q0 rules of 6400, 7056, 7744 and 8464 bytes at N = 40, 42, 44 and 46, and a
+        # q0 rules of 6408, 7064, 7752 and 8472 bytes at N = 40, 42, 44 and 46, and a
         # stale key's 100-byte file, the oldest
-        stale = cheb._store_root() / "stale-key" / "q0-99"
+        stale = Path(cheb._store_root(), "stale-key", "q0-99")
         stale.parent.mkdir(parents=True)
         stale.write_bytes(bytes(100))
         os.utime(stale, (500, 500))
@@ -179,13 +205,13 @@ class TestTableStore:
         monkeypatch.setattr(cheb, "STORE_BYTES", 23000)
         cheb.ChebGrid(40).q0_table    # a hit makes N = 40 the most recently used
         cheb.ChebGrid(46).q0_table
-        files = sorted(cheb._store_root().glob("*/*"))
+        files = sorted(Path(cheb._store_root()).glob("*/*"))
         assert files == sorted(stored(N) for N in (40, 44, 46))
-        assert sum(f.stat().st_size for f in files) == 22608
+        assert sum(f.stat().st_size for f in files) == 22632
         # a table larger than the whole budget is not stored, and evicts nothing
         monkeypatch.setattr(cheb, "STORE_BYTES", 1000)
         cheb.ChebGrid(48).q0_table
-        assert sorted(cheb._store_root().glob("*/*")) == files
+        assert sorted(Path(cheb._store_root()).glob("*/*")) == files
 
     def test_a_relative_root_is_no_store(self, tmp_path, monkeypatch):
         # a relative XDG_CACHE_HOME (or "~" where no home is known) would write into the
