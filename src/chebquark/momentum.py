@@ -91,18 +91,10 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None), pole=None):
     regw = grid.plain_weights * J
 
     # Each term is formed in place, in the rounding order of its kernel
-    # formula, and a buffer is dropped once no later term reads it.
-    # P_0 = 1 and w_{-1} = 0, so ell = 0 needs no z.
-    if ell >= 1:
-        # z = (x^2 + x'^2)/(2 x x') with an exact diagonal, at offset i0 in a block
-        z = xc ** 2 + x ** 2
-        z /= 2.0 * xc * x
-        z.flat[i0::N + 1] = 1.0
-        p, dp = legendre_P(ell, z)
-        w, dw = w_poly(ell, z)
-        del z
+    # formula.  P_0 = 1 and w_{-1} = 0, so ell = 0 needs no z.
+    p, dp, w, dw = _legendre_block(ell, xc, x, i0) if ell >= 1 else (1.0, 0.0, 0.0, 0.0)
 
-    if problem.alpha > 0.0 or (problem.linear and ell >= 1):
+    if problem.alpha > 0.0 or ell >= 1:
         # log|(x'+x)/(x'-x)| weights [w_j log S_ij - Omega_j(t_i)] J_j
         top, bottom = grid.q0_rows(i0, i1)
         logw = np.empty((i1 - i0, N))
@@ -112,40 +104,25 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None), pole=None):
     terms = []
     if problem.linear and ell >= 1:
         # log + regular pieces: (P'_ell logw - w'_{ell-1} regw) / (pi x^2)
-        dp *= logw
-        dw *= regw
-        dp -= dw
-        dp /= np.pi * xc ** 2
-        terms.append(dp)
-        del dp, dw
-        if problem.alpha == 0.0:
-            del logw, w
+        lin = _log_rule(dp, dw, logw, regw, out=dp)
+        lin /= np.pi * xc ** 2
+        terms.append(lin)
 
     if problem.alpha > 0.0:
-        # Coulomb: -(alpha/pi) (P_ell logw - w_{ell-1} regw) x' / x, kept
-        # back until the double pole, which overwrites P_ell, is added
-        coul = logw
-        del logw
-        if ell >= 1:
-            coul *= p
-            w *= regw
-            coul -= w
-            del w
+        # Coulomb: -(alpha/pi) (P_ell logw - w_{ell-1} regw) x' / x, in logw's
+        # memory, formed before the double pole overwrites P_ell
+        coul = logw if ell == 0 else _log_rule(p, w, logw, regw, out=logw)
         coul *= x
         coul *= -(problem.alpha / np.pi)
         coul /= xc
 
     if problem.linear:
         # double pole: -(4/pi) FP int F phi dx'/(x'-x)^2 with the factor
-        # F = x'^2 P_ell(z) / (x'+x)^2
-        F = np.add(xc, x)
+        # F = x'^2 P_ell(z) / (x'+x)^2, in w'_{ell-1}'s memory from ell = 1 on
+        F = np.add(xc, x, out=dw if ell >= 1 else None)
         np.square(F, out=F)
-        if ell >= 1:
-            p *= x ** 2
-            np.divide(p, F, out=F)
-            del p
-        else:
-            np.divide(x ** 2, F, out=F)
+        p *= x ** 2
+        np.divide(p, F, out=F)
         F *= pole
         F *= (-(4.0 / np.pi) * (1.0 - t) / (2.0 * sigma))[:, None]
         terms.append(F)
@@ -156,6 +133,24 @@ def assemble_potential(problem, grid, sigma, x, J, rows=slice(None), pole=None):
     for term in terms[1:]:
         V += term
     return V
+
+
+def _legendre_block(ell, xc, x, i0):
+    """P_ell, P'_ell, w_{ell-1} and w'_{ell-1} at z = (x^2 + x'^2)/(2 x x'), 1 on the diagonal."""
+    z = xc ** 2 + x ** 2
+    z /= 2.0 * xc * x
+    z.flat[i0::len(x) + 1] = 1.0
+    return *legendre_P(ell, z), *w_poly(ell, z)
+
+
+def _log_rule(a, b, logw, regw, out):
+    """Product rule a logw - b regw of a log-singular kernel piece, into out (a or logw).
+
+    a multiplies the log singularity and b the regular remainder; b is overwritten."""
+    np.multiply(a, logw, out=out)
+    b *= regw
+    out -= b
+    return out
 
 
 def kinetic_diagonal(problem, x):

@@ -213,6 +213,20 @@ class TestTableStore:
         cheb.ChebGrid(48).q0_table
         assert sorted(Path(cheb._store_root()).glob("*/*")) == files
 
+    def test_a_replaced_file_is_not_counted_against_the_budget(self, monkeypatch):
+        # the store is at its budget, and its most recently used file has a wrong sum: the
+        # rebuilt rule takes that file's place, so the other file is not evicted
+        for N in (40, 42):
+            cheb.ChebGrid(N).q0_table
+        want = stored(40).read_bytes()
+        stored(40).write_bytes(bytes(len(want)))
+        os.utime(stored(42), (1000, 1000))
+        os.utime(stored(40), (2000, 2000))
+        monkeypatch.setattr(cheb, "STORE_BYTES", len(want) + stored(42).stat().st_size)
+        cheb.ChebGrid(40).q0_table
+        assert sorted(Path(cheb._store_root()).glob("*/*")) == [stored(40), stored(42)]
+        assert stored(40).read_bytes() == want
+
     def test_a_relative_root_is_no_store(self, tmp_path, monkeypatch):
         # a relative XDG_CACHE_HOME (or "~" where no home is known) would write into the
         # working directory

@@ -180,21 +180,23 @@ class TestAssembly:
         # which LAPACK factors in place on the Arnoldi path, is the only
         # N x N array of a solve; assembly adds at most eleven row-block
         # buffers (ell = 7), which then set the peak, and ARPACK its N x ncv basis:
-        # scipy's default ncv = max(20, 2k + 1) is 20 columns at k = count + 2 = 7
+        # scipy's default ncv = max(20, 2k + 1) is 20 columns at k = count + 2 = 7.
+        # A Cornell wave forms all three kernel terms in each block.
+        cornell = functools.partial(Problem, alpha=0.5, s=0.3)
         N = 800
         grid = cheb.chebyshev_grid(N)
         for table in ("plain_weights", "q0_table"):
             getattr(grid, table)
         block_bytes = cheb.BLOCK_ELEMENTS * 8
         basis_bytes = N * 20 * 8
-        for ell in (0, 2, 7):
+        for params in [make(ell=ell) for make in (Problem, cornell) for ell in (0, 2, 7)]:
             tracemalloc.start()
             try:
-                mom.solve_levels(Problem(ell=ell), N, 1.0, 5)
+                mom.solve_levels(params, N, 1.0, 5)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * N**2 + 12 * block_bytes + basis_bytes, ell
+            assert peak <= 8 * N**2 + 12 * block_bytes + basis_bytes, params
 
     def test_grid_keeps_only_the_top_half_of_the_log_rule(self, monkeypatch):
         # a Cornell ell = 2 solve reads every kernel term; afterwards its fresh
