@@ -7,15 +7,16 @@ side, and `reproduce` reruns one of the three stored benchmark campaigns
 and grades the output against the stored references.
 
 Configuration files are plain-text `key = value` lines with literal
-values; `[name]` headers only group them, as all sections are merged.  Each
-command line flag carries the text of its configuration key and overrides
-the file's value, and both meet the same parser and checks.  The validated
-configuration holds the partial waves to solve, whose `kernels.Problem`
-checks the physics and gives `compare`'s energy unit E and the default
-mapping scale sqrt(E/s).  A run solves them N-major, so the one-order grid
-cache builds each mesh order once.  Exit status is 0 when every requested
-level was produced, passed the acceptance filters and, in `compare`, agrees
-across solvers; 2 on configuration errors; 3 on numerical failures.
+values; `[name]` headers only group them, as all sections are merged.  Every
+configuration key is also the command line flag `--key`, which carries the
+same text, overrides the file's value and meets the same parser and checks.
+The validated configuration holds the partial waves to solve, whose
+`kernels.Problem` checks the physics and gives `compare`'s energy unit E and
+the default mapping scale sqrt(E/s).  A run solves them N-major, so the
+one-order grid cache builds each mesh order once.  Exit status is 0 when
+every requested level was produced, passed the acceptance filters and, in
+`compare`, agrees across solvers; 2 on configuration errors; 3 on numerical
+failures.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from .kernels import Problem
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-COMMANDS = ("solve", "scan", "compare", "reproduce")
-POTENTIALS = ("linear", "coulomb", "cornell")
-FORMATS = ("csv", "json", "pretty")
 
 CSV_FIELDS = ("ell", "n", "N", "sigma", "epsilon", "mass_gev")
 
@@ -102,22 +99,24 @@ def _parse_float(text, name):
     return value
 
 
-# configuration key -> (parser, default); a parser of None keeps the string
+# configuration key -> (parser, or the tuple of its allowed strings, default, help); a
+# parser of None keeps the string.  Each key is also the command line flag --key.
 _FIELDS = {
-    "command": (None, "solve"),
-    "potential": (None, "linear"),        # cornell is coulomb plus linear; GeV units with beta
-    "alpha": (_parse_float, 0.0),
-    "s": (_parse_float, 1.0),
-    "beta": (_parse_float, None),         # GeV^2, physical runs only
-    "mass": (_parse_float, None),         # quark mass in GeV, physical runs only
-    "ell": (_parse_int_list, (0,)),
-    "levels": (_parse_int, 5),
-    "N": (_parse_int_list, (100,)),
-    "sigma": (_parse_float, None),        # default: each wave's Problem.momentum_unit
-    "kinetic": (None, "nonrelativistic"),
-    "format": (None, "pretty"),
-    "out": (None, None),
-    "table": (_parse_int, None),
+    "command": (("solve", "scan", "compare", "reproduce"), "solve", None),
+    "potential": (("linear", "coulomb", "cornell"), "linear",
+                  "cornell is coulomb plus linear; GeV units with beta"),
+    "alpha": (_parse_float, 0.0, "Coulomb coupling; coulomb and cornell only"),
+    "s": (_parse_float, 1.0, "kinetic coefficient 1/(2 mu a); runs without beta only"),
+    "beta": (_parse_float, None, "linear slope in GeV^2; makes the run physical"),
+    "mass": (_parse_float, None, "quark mass in GeV; physical runs only"),
+    "ell": (_parse_int_list, (0,), "orbital momenta, e.g. '0,1,2'"),
+    "levels": (_parse_int, 5, "bound levels per ell, from 1 to the smallest N less 4"),
+    "N": (_parse_int_list, (100,), "mesh order, or list for scans, e.g. '50,100,200'"),
+    "sigma": (_parse_float, None, "mapping scale (default: sqrt(E/s) for the energy unit E)"),
+    "kinetic": (None, "nonrelativistic", "nonrelativistic, or salpeter on physical runs"),
+    "format": (("csv", "json", "pretty"), "pretty", None),
+    "out": (None, None, "output path (default: stdout)"),
+    "table": (_parse_int, None, "stored campaign 1, 2 or 3; command reproduce only"),
 }
 
 
@@ -153,10 +152,12 @@ def build_config(raw):
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    cfg = SimpleNamespace(**{key: default for key, (_, default) in _FIELDS.items()})
+    cfg = SimpleNamespace(**{key: default for key, (_, default, _) in _FIELDS.items()})
     for key, text in raw.items():
         parse = _FIELDS[key][0]
-        setattr(cfg, key, text if parse is None else parse(text, key))
+        if isinstance(parse, tuple) and text not in parse:
+            raise ConfigError(f"field {key!r} must be one of {parse}, got {text!r}")
+        setattr(cfg, key, parse(text, key) if callable(parse) else text)
     cfg.physical = cfg.beta is not None   # energies in GeV
     unused = ", ".join(sorted(_ignored_keys(cfg, raw)))
     if unused:
@@ -180,10 +181,6 @@ def _ignored_keys(cfg, raw):
 
 
 def _validate(cfg):
-    for name, allowed in (("command", COMMANDS), ("potential", POTENTIALS), ("format", FORMATS)):
-        value = getattr(cfg, name)
-        if value not in allowed:
-            raise ConfigError(f"field {name!r} must be one of {allowed}, got {value!r}")
     if cfg.sigma is not None and cfg.sigma <= 0.0:
         raise ConfigError("field 'sigma' must be positive")
     if not all(5 <= N <= MAX_N for N in cfg.N):
@@ -380,21 +377,14 @@ def emit(report, fmt):
 # ---------------------------------------------------------------------------
 # entry point
 
-# command line flag -> (metavar, help); each takes the text of its configuration key
-FLAGS = {"command": ("|".join(COMMANDS), None), "table": ("1|2|3", None),
-         "ell": (None, "orbital momenta, e.g. '0,1,2'"), "levels": (None, None),
-         "N": (None, "mesh order, or list for scans, e.g. '50,100,200'"),
-         "sigma": (None, "mapping scale (default: sqrt(E/s) for the energy unit E)"),
-         "format": ("|".join(FORMATS), None), "out": (None, "output path (default: stdout)")}
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        prog="chebquark",
+        prog="chebquark", allow_abbrev=False,
         description="Momentum-space Coulomb-plus-linear bound states on a Chebyshev mesh")
     ap.add_argument("--config", help="path to a key-value configuration file")
-    for name, (metavar, help_text) in FLAGS.items():
-        ap.add_argument(f"--{name}", metavar=metavar, help=help_text)
+    for key, (parse, _, help_text) in _FIELDS.items():
+        ap.add_argument(f"--{key}", help=help_text,
+                        metavar="|".join(parse) if isinstance(parse, tuple) else None)
     args = vars(ap.parse_args(argv))
     try:
         raw = {}
@@ -405,7 +395,7 @@ def main(argv=None):
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
         # command line flags override file values, as the same text
-        raw.update((key, args[key]) for key in FLAGS if args[key] is not None)
+        raw.update((key, args[key]) for key in _FIELDS if args[key] is not None)
         cfg = build_config(raw)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

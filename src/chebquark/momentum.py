@@ -20,6 +20,7 @@ wave's `Problem.natural_units`, so every energy it judges is of order one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -358,17 +359,19 @@ def solve_levels(problem, N, sigma=None, count=5):
 
     sigma scales the rational map of mapped_nodes, `problem.momentum_unit`
     by default; one that is not positive and finite is a ValueError, as is,
-    before any grid, a count outside 1..N - 4.  H is that of
-    `problem.natural_units()`'s unit problem mapped at sigma times its
-    length, and levels come back as eps = energy * eps', phi = length^1.5 phi'.
-    The similar matrix d H d^-1 is written once, in cheb.row_blocks formed in
-    cache, and is a solve's one N x N array.  solve_spectrum takes it with a
-    shift at or below the spectrum floor and k = count + 2 (ARPACK needs
-    k < N - 1), and the lowest of the pairs it returns are selected, so
-    `complete` has one meaning for either eigensolver; a refused run gives none.
+    before any grid, a count that is not an integer (a bool is not) from 1
+    to N - 4.  H is that of `problem.natural_units()`'s unit problem mapped
+    at sigma times its length, and levels come back as eps = energy * eps',
+    phi = length^1.5 phi'.  The similar matrix d H d^-1 is written once, in
+    cheb.row_blocks formed in cache, and is a solve's one N x N array.
+    solve_spectrum takes it with a shift at or below the spectrum floor and
+    k = count + 2 (ARPACK needs k < N - 1), and the lowest of the pairs it
+    returns are selected, so `complete` has one meaning for either
+    eigensolver; a refused run gives none.
     """
-    if not 1 <= count <= N - 4:
-        raise ValueError(f"count must be from 1 to N - 4 = {N - 4}, got {count}")
+    if (isinstance(count, bool) or not isinstance(count, numbers.Integral)
+            or not 1 <= count <= N - 4):
+        raise ValueError(f"count must be an integer from 1 to N - 4 = {N - 4}, got {count!r}")
     length, energy, unit = problem.natural_units()
     sigma = problem.momentum_unit if sigma is None else sigma
     # a kernel overflowing to a non-finite H, or a natural sigma: one numerical failure

@@ -14,6 +14,8 @@ from scipy.integrate import quad
 import assembly_oracle
 from cheb_interpolation import cardinal_eval, coefficient_matrix, interpolate
 from chebquark import cheb
+from chebquark import momentum as mom
+from chebquark.kernels import Problem
 
 
 def analytic_plain(m):
@@ -227,6 +229,29 @@ class TestTableStore:
         assert sorted(Path(cheb._store_root()).glob("*/*")) == [stored(40), stored(42)]
         assert stored(40).read_bytes() == want
 
+    def test_a_failed_write_leaves_no_file_and_the_same_levels(self, monkeypatch):
+        # a rename that fails, as on a full disk, removes its temporary file; the solve goes
+        # on with the rules it built, and a later solve that stores them finds the same
+        # levels.  A Cornell wave reads both stored rules, the log rule and the double pole
+        tried = []
+
+        def no_replace(src, dst):
+            tried.append(Path(dst).name)
+            raise OSError("no space left on device")
+
+        cornell = Problem(ell=0, alpha=0.5)
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", no_replace)
+            cheb.chebyshev_grid.cache_clear()
+            failed, failed_complete = mom.solve_levels(cornell, 40, 1.0, 3)
+        assert sorted(tried) == ["pole-40", "q0-40"]
+        assert [p for p in Path(cheb._store_root()).rglob("*") if p.is_file()] == []
+        cheb.chebyshev_grid.cache_clear()
+        levels, complete = mom.solve_levels(cornell, 40, 1.0, 3)
+        assert stored(40).exists() and stored(40, "pole").exists()
+        assert failed_complete and complete
+        assert [lv.epsilon for lv in failed] == [lv.epsilon for lv in levels]
+
     def test_a_relative_root_is_no_store(self, tmp_path, monkeypatch):
         # a relative XDG_CACHE_HOME (or "~" where no home is known) would write into the
         # working directory
@@ -296,6 +321,10 @@ class TestSingularRules:
         grid = cheb.chebyshev_grid(8)
         with pytest.raises(ValueError):
             cheb.weights_cauchy(grid, 1.0)
+
+    def test_log_rejects_a_point_outside_the_interval(self):
+        with pytest.raises(ValueError, match="must lie in \\[-1, 1\\], got 1.5"):
+            cheb.weights_log(cheb.chebyshev_grid(8), 1.5)
 
     def test_log_allows_endpoint(self):
         grid = cheb.chebyshev_grid(16)

@@ -396,8 +396,97 @@ class TestReproduce:
         assert len(report.rows) == 12
         assert "bottom ell=2: only 2 of 3 levels passed the filters" in report.diagnostics
 
+    def test_unknown_table_or_flavor_is_a_value_error(self):
+        with pytest.raises(ValueError, match="tables 1, 2 and 3, got 4$"):
+            refs.campaign(4)
+        with pytest.raises(ValueError, match="unknown flavor 'top'"):
+            refs.physical_scales("top")
+
+
+# configuration key -> (the other lines its run needs, a value that builds, a value that fails)
+KEY_CASES = {
+    "command": ("", "scan", "run"),
+    "potential": ("alpha = 1\n", "coulomb", "harmonic"),
+    "alpha": ("potential = coulomb\n", "0.5", "x"),
+    "s": ("", "0.5", "nan"),
+    "beta": ("mass = 1.37\n", "0.1694", "-1"),
+    "mass": ("beta = 0.1694\n", "1.37", "0"),
+    "ell": ("", "0,1", "1.5"),
+    "levels": ("N = 40\n", "3", "0"),
+    "N": ("", "40", "4"),
+    "sigma": ("", "2", "0"),
+    "kinetic": ("beta = 0.1694\nmass = 1.37\n", "salpeter", "bogus"),
+    "format": ("", "json", "xml"),
+    "out": ("", "rows.txt", "no/such/dir/rows.txt"),
+    "table": ("command = reproduce\n", "2", "4"),
+}
+
 
 class TestMain:
+    def test_every_key_is_a_flag_that_help_names(self, capsys):
+        assert list(KEY_CASES) == list(cli._FIELDS)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        assert all(f"--{key} " in text for key in cli._FIELDS)
+        assert "--command solve|scan|compare|reproduce" in text
+
+    def test_a_flag_is_its_key_in_full(self, monkeypatch, capsys):
+        # an abbreviation would name one key today and another once a key is added: --s is
+        # the key s, not a prefix of sigma
+        built = []
+        monkeypatch.setattr(cli, "run", lambda cfg: built.append(cfg) or cli.Report(cfg.command))
+        assert cli.main(["--s", "0.5", "--N", "40"]) == cli.EXIT_OK
+        assert built[0].waves[0].problem.s == 0.5 and built[0].waves[0].sigma != 0.5
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--sig", "0.5"])
+        assert exit_.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --sig 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", KEY_CASES)
+    def test_a_flag_and_a_file_line_are_one_key(self, key, tmp_path, monkeypatch, capsys):
+        # --key value and `key = value` build the same RunConfig, and a bad value is the
+        # same one configuration error line either way
+        context, good, bad = KEY_CASES[key]
+        monkeypatch.chdir(tmp_path)
+        built = []
+        monkeypatch.setattr(cli, "run", lambda cfg: built.append(cfg) or cli.Report(cfg.command))
+        outcomes = []
+        for value in (good, bad):
+            for as_flag in (False, True):
+                Path("run.cfg").write_text(context + ("" if as_flag else f"{key} = {value}\n"))
+                flag = [f"--{key}", value] if as_flag else []
+                code = cli.main(["--config", "run.cfg", *flag])
+                outcomes.append((code, capsys.readouterr().err, built.pop() if built else None))
+        good_file, good_flag, bad_file, bad_flag = outcomes
+        assert good_file == good_flag and good_file[:2] == (cli.EXIT_OK, "")
+        assert bad_file == bad_flag and bad_file[0] == cli.EXIT_CONFIG
+        (err,) = bad_file[1].splitlines()
+        assert err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize(("argv", "text", "message"), (
+        (["--ell", "1.5"], "", "field 'ell' must be a list of integers, got '1.5'"),
+        ([], "N = 10 x\n", "field 'N' must be a list of integers, got '10 x'"),
+        (["--sigma", "0"], "", "field 'sigma' must be positive"),
+        (["--sigma", "-1"], "", "field 'sigma' must be positive"),
+        ([], "beta = 0.1694\n", "physical runs require field 'mass' > 0 (GeV)"),
+        ([], "beta = 0.1694\nmass = 0\n", "physical runs require field 'mass' > 0 (GeV)"),
+        ([], "potential = coulomb\n", "potential 'coulomb' requires field 'alpha' > 0"),
+        ([], "potential = cornell\nalpha = 0\n",
+         "potential 'cornell' requires field 'alpha' > 0"),
+        (["--command", "compare"], "kinetic = salpeter\nbeta = 0.1694\nmass = 1.37\n",
+         "compare supports only the nonrelativistic kinetic mode"),
+        ([], "kinetic = salpeter\n", "salpeter kinetic mode requires physical parameters"),
+    ), ids=("ell-flag", "N-file", "sigma-0", "sigma-negative", "no-mass", "mass-0",
+            "coulomb-no-alpha", "cornell-alpha-0", "salpeter-compare", "salpeter-no-beta"))
+    def test_inconsistent_configuration_is_one_stderr_line(self, argv, text, message, tmp_path,
+                                                            capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["--config", str(path), *argv]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense = 1\n")

@@ -894,6 +894,21 @@ class TestArnoldi:
                 mom.solve_levels(Problem(ell=0), N, 1.0, count)
         assert eigensolves == []
 
+    @pytest.mark.parametrize("N", (80, 200))
+    @pytest.mark.parametrize("count", (2.5, 3.0, True))
+    def test_count_that_is_not_an_integer_is_refused_before_the_grid(
+            self, N, count, eigensolves, monkeypatch):
+        # unchecked, 2.5 returns every level that passes the filters at N 80 and makes
+        # ARPACK raise SystemError at N 200, and True returns one level
+        def no_grid(N):
+            raise AssertionError(f"grid of order {N} built before the count was checked")
+        monkeypatch.setattr(cheb, "ChebGrid", no_grid)
+        monkeypatch.setattr(cheb, "chebyshev_grid", no_grid)
+        with pytest.raises(ValueError, match=f"must be an integer from 1 to N - 4 = {N - 4}, "
+                                             f"got {count!r}$"):
+            mom.solve_levels(Problem(ell=0), N, 1.0, count)
+        assert eigensolves == []
+
 
 @functools.cache
 def radial_level(ell, n):
